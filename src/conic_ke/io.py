@@ -7,7 +7,6 @@ exact doubles and byte-identical reruns are possible.
 from __future__ import annotations
 
 import json
-import time
 from pathlib import Path
 
 import numpy as np
@@ -64,8 +63,9 @@ def write_manifest(path, command: str, config: dict, outputs: list[str],
                    extra: dict | None = None) -> None:
     """Run manifest: config echo, version, outputs, timing, seed.
 
-    The wall clock is informational; reproducibility comparisons cover the
-    data files listed under "outputs".
+    The wall clock is the run's duration in seconds, informational and
+    null when not given; reproducibility comparisons cover the data files
+    listed under "outputs".
     """
     from . import __version__
     doc = {
@@ -73,7 +73,7 @@ def write_manifest(path, command: str, config: dict, outputs: list[str],
         "config": config,
         "version": __version__,
         "outputs": sorted(outputs),
-        "wall_clock_seconds": time.time() if wall_clock is None else wall_clock,
+        "wall_clock_seconds": wall_clock,
     }
     if grid is not None:
         doc["grid"] = {"t_min": grid.t_min, "t_max": grid.t_max, "n_nodes": grid.n_nodes}

@@ -1,12 +1,21 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conic_ke.cli import main
 from conic_ke.geometry import Grid, football_potential, fubini_study_potential
-from conic_ke.io import read_manifest, read_potential_csv, write_potential_csv
+from conic_ke.io import (
+    read_manifest,
+    read_potential_csv,
+    write_manifest,
+    write_potential_csv,
+)
 
 
 def run(*argv):
@@ -59,6 +68,22 @@ def test_reproducible_outputs(tmp_path):
     ma.pop("wall_clock_seconds"), mb.pop("wall_clock_seconds")
     ma["config"].pop("out"), mb["config"].pop("out")
     assert ma == mb
+
+
+def test_manifest_without_wall_clock(tmp_path):
+    path = tmp_path / "manifest.json"
+    write_manifest(path, "solve", {"beta": 0.8}, ["phi.csv"])
+    assert read_manifest(path)["wall_clock_seconds"] is None
+
+
+def test_cli_import_leaves_scipy_integrate_unloaded():
+    # start-up guard: importing scipy.integrate would add ~0.3 s to every command
+    code = ("import conic_ke.cli, sys; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.integrate')))")
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_config_file_round_trip(tmp_path):

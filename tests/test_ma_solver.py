@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.linalg import eigh_tridiagonal
 
 from conic_ke.geometry import (
     ConeConfiguration,
@@ -11,6 +12,8 @@ from conic_ke.geometry import (
     fubini_study_potential,
 )
 from conic_ke.ma_solver import (
+    _mode_pencil,
+    _twist_tail,
     NewtonDiverged,
     PathStalled,
     PositivityLost,
@@ -286,6 +289,18 @@ def test_football_endpoint_gap(grid):
     assert lam == pytest.approx(0.75, abs=1e-4)
 
 
+def test_first_eigenvalue_bisection_width(grid):
+    # the LAPACK default width eps * ||T||_1 is ~1e-6 here, since the 1/Phi''
+    # tail entries reach ~4e9; every mode must match a tight bisection
+    pot = football_potential(grid, 0.8)
+    _, per_mode = first_eigenvalue(pot)
+    for m, lam in per_mode.items():
+        diag, off, k = _mode_pencil(pot, m)
+        ref = eigh_tridiagonal(diag, off, eigvals_only=True, select="i",
+                               select_range=(0, k + 2), tol=1e-14)[k]
+        assert lam == pytest.approx(ref, abs=1e-10)
+
+
 # ---------------------------------------------------------------------------
 # two-sided comparison
 
@@ -319,3 +334,39 @@ def test_twist_tail_consistency(grid):
     lhs = np.dot(w, np.exp(tw.log_weight)) + tw.tail_weighted_left + tw.tail_weighted_right
     rhs = w.sum() + tw.tail_plain_left + tw.tail_plain_right
     assert lhs == pytest.approx(rhs, rel=1e-9)
+
+
+def _tail_oracle(mp, edge, beta, delta, rate):
+    """Tail integrals of _twist_tail by mpmath quadrature in t itself."""
+    with mp.workdps(16):
+        edge, beta, delta, rate = (mp.mpf(v) for v in (edge, beta, delta, rate))
+
+        def g(s):
+            u = 1 / (1 + mp.exp(-s))
+            return 2 * u * (1 - u) * (delta + 4 * u * (1 - u)) ** (beta - 1)
+
+        # mpmath's tolerance is absolute, so integrate g / g(edge); split the
+        # line on the scales of both decay rates and where the smoothed twist
+        # turns conic
+        ref = g(edge)
+        cuts = [edge] + [edge - c / r for c in (3, 30) for r in (1, beta)]
+        if delta > 0:
+            knee = mp.log(delta / 4)
+            cuts += [knee - 8, knee, knee + 8]
+        pts = [mp.ninf] + sorted({c for c in cuts if c <= edge})
+        plain = mp.quad(lambda s: g(s) / ref, pts, method="gauss-legendre")
+        corr = mp.quad(lambda s: g(s) / ref * -mp.expm1(rate * (s - edge)) / rate,
+                       pts, method="gauss-legendre")
+        return plain * ref, corr * ref
+
+
+@pytest.mark.parametrize("beta", [0.01, 0.1, 0.2, 0.5, 0.75, 1.0])
+def test_twist_tail_matches_mpmath(beta):
+    mp = pytest.importorskip("mpmath")
+    for delta in (0.0, 1e-14, 1e-8, 1e-3, 1.0, 1e6):
+        rate = beta if delta == 0.0 else 1.0
+        for half_width in (0.5, 4.0, 16.0, 40.0):
+            got = _twist_tail(-half_width, beta, delta)
+            want = _tail_oracle(mp, -half_width, beta, delta, rate)
+            for g, w in zip(got, want):
+                assert g == pytest.approx(float(w), rel=1e-12), (delta, half_width)
