@@ -5,8 +5,9 @@ CSV data files plus a JSON manifest echoing the configuration.  Given the
 same configuration (including seeds) the data files are byte-identical
 across reruns.
 
-Exit codes: 0 success, 1 invalid configuration or usage, 2 Newton
-divergence, 3 metric positivity loss, 4 continuation stall.
+Exit codes: 0 success, 1 invalid configuration or usage, 2 a solver did
+not converge (Newton divergence or an eigen-solve failure), 3 metric
+positivity loss, 4 continuation stall.
 """
 
 from __future__ import annotations
@@ -45,6 +46,7 @@ from .ma_solver import (
     PathStalled,
     PositivityLost,
     SolverConfig,
+    SolverError,
     continuity_path,
     smoothing_family,
     solve_ma,
@@ -53,7 +55,7 @@ from .stability import futaki, log_futaki, obstruction_scan
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
-EXIT_NEWTON = 2
+EXIT_SOLVER = 2
 EXIT_POSITIVITY = 3
 EXIT_STALLED = 4
 
@@ -423,13 +425,16 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     except NewtonDiverged as exc:
         print(f"newton diverged: {exc}", file=sys.stderr)
-        return EXIT_NEWTON
+        return EXIT_SOLVER
     except PositivityLost as exc:
         print(f"positivity lost: {exc}", file=sys.stderr)
         return EXIT_POSITIVITY
     except PathStalled as exc:
         print(f"path stalled: {exc}", file=sys.stderr)
         return EXIT_STALLED
+    except SolverError as exc:
+        print(f"solver did not converge: {exc}", file=sys.stderr)
+        return EXIT_SOLVER
 
 
 if __name__ == "__main__":

@@ -21,16 +21,28 @@ def format_number(x) -> str:
 
 
 def write_csv(path, header: list[str], rows) -> None:
+    """One line per row: strings as given, numbers through FMT.
+
+    The row format is built once from the first row's cell types; a later
+    row with a string where the first had a number, or the reverse, raises
+    TypeError instead of being written in another format.
+    """
     path = Path(path)
     lines = [",".join(header)]
+    fmt = None
     for row in rows:
-        lines.append(",".join(format_number(x) if not isinstance(x, str) else x
-                              for x in row))
+        if fmt is None:
+            text_cols = [i for i, x in enumerate(row) if isinstance(x, str)]
+            fmt = ",".join("%s" if isinstance(x, str) else FMT for x in row)
+        if text_cols and not all(isinstance(row[i], str) for i in text_cols):
+            raise TypeError(f"{path}: row {row!r} has a non-string cell in a text column")
+        lines.append(fmt % tuple(row))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def write_potential_csv(path, pot: RadialKahlerPotential) -> None:
-    rows = zip(pot.grid.t, pot.phi_prime, pot.phi_doubleprime)
+    rows = zip(pot.grid.t.tolist(), pot.phi_prime.tolist(),
+               pot.phi_doubleprime.tolist())
     write_csv(path, ["t", "phi_prime", "phi_doubleprime"], rows)
 
 

@@ -11,8 +11,10 @@ import pytest
 from conic_ke.cli import main
 from conic_ke.geometry import Grid, football_potential, fubini_study_potential
 from conic_ke.io import (
+    FMT,
     read_manifest,
     read_potential_csv,
+    write_csv,
     write_manifest,
     write_potential_csv,
 )
@@ -124,6 +126,35 @@ def test_exit_code_taxonomy(tmp_path, monkeypatch):
                         raiser(lambda m: PathStalled(m, 0.1)))
     assert run("continue-path", "--beta", 0.8, "--delta", 1e-3,
                "--out", tmp_path / "x3") == 4
+
+
+def test_eigen_solve_failure_exit_code(tmp_path, monkeypatch, capsys):
+    import conic_ke.ma_solver as ma_solver
+
+    def fail(diag, off):
+        raise ma_solver.SolverError("synthetic eigen-solve failure")
+
+    monkeypatch.setattr(ma_solver, "_lowest_eigenvalue", fail)
+    assert run("continue-path", "--beta", 0.8, "--delta", 1e-3, "--steps", 2,
+               "--grid-N", 257, "--out", tmp_path / "e") == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "synthetic eigen-solve failure" in err
+
+
+def test_write_csv_matches_per_cell_format(tmp_path):
+    rows = [("a", 1, True, np.int64(-7), np.float64(0.1), np.float32(0.1)),
+            ("b", 2**60, False, np.int64(2**62), float("nan"), np.float32(-0.0)),
+            ("c", -0.0, 5e-324, float("inf"), float("-inf"), 1.0 / 3.0)]
+    expected = "x,y,z,u,v,w\n" + "".join(
+        ",".join(x if isinstance(x, str) else FMT % float(x) for x in row) + "\n"
+        for row in rows)
+    write_csv(tmp_path / "g.csv", ["x", "y", "z", "u", "v", "w"], rows)
+    assert (tmp_path / "g.csv").read_text(encoding="utf-8") == expected
+    # a row whose text columns differ from the first row's raises
+    with pytest.raises(TypeError):
+        write_csv(tmp_path / "bad1.csv", ["x", "y"], [("a", 1.0), (2.0, 1.0)])
+    with pytest.raises(TypeError):
+        write_csv(tmp_path / "bad2.csv", ["x", "y"], [("a", 1.0), ("b", "c")])
 
 
 def test_continue_path_outputs(tmp_path):

@@ -12,12 +12,13 @@ from conic_ke.geometry import (
     fubini_study_potential,
 )
 from conic_ke.ma_solver import (
-    _mode_pencil,
+    _lowest_eigenvalue,
     _twist_tail,
     NewtonDiverged,
     PathStalled,
     PositivityLost,
     SolverConfig,
+    SolverError,
     build_twist,
     compute_a_beta,
     compute_c_delta,
@@ -289,16 +290,76 @@ def test_football_endpoint_gap(grid):
     assert lam == pytest.approx(0.75, abs=1e-4)
 
 
+def _bisection_gap(pot, m):
+    """Oracle for mode m: the original generalized pencils, symmetrized, and a
+    tol=1e-14 bisection.  For m = 0 the Neumann pencil keeps its constant
+    zero mode, so the gap is its second-lowest eigenvalue; for m >= 1 it is
+    the Dirichlet pencil's lowest."""
+    h = pot.grid.h
+    n = pot.grid.n_nodes
+    if m == 0:
+        diag = np.full(n, 2.0 / h**2)
+        diag[0] = diag[-1] = 1.0 / h**2
+        off = np.full(n - 1, -1.0 / h**2)
+        mass = pot.phi_doubleprime.copy()
+        mass[0] *= 0.5
+        mass[-1] *= 0.5
+        k = 1
+    else:
+        diag = np.full(n - 2, 2.0 / h**2 + m * m / 4.0)
+        off = np.full(n - 3, -1.0 / h**2)
+        mass = pot.phi_doubleprime[1:-1]
+        k = 0
+    scale = 1.0 / np.sqrt(mass)
+    return eigh_tridiagonal(diag * scale * scale, off * scale[:-1] * scale[1:],
+                            eigvals_only=True, select="i", select_range=(k, k),
+                            tol=1e-14)[0]
+
+
+def _assert_matches_bisection(potentials):
+    for pot in potentials:
+        _, per_mode = first_eigenvalue(pot)
+        for m, lam in per_mode.items():
+            assert lam == pytest.approx(_bisection_gap(pot, m), abs=1e-10)
+
+
 def test_first_eigenvalue_bisection_width(grid):
     # the LAPACK default width eps * ||T||_1 is ~1e-6 here, since the 1/Phi''
     # tail entries reach ~4e9; every mode must match a tight bisection
-    pot = football_potential(grid, 0.8)
-    _, per_mode = first_eigenvalue(pot)
-    for m, lam in per_mode.items():
-        diag, off, k = _mode_pencil(pot, m)
-        ref = eigh_tridiagonal(diag, off, eigvals_only=True, select="i",
-                               select_range=(0, k + 2), tol=1e-14)[k]
-        assert lam == pytest.approx(ref, abs=1e-10)
+    trace = continuity_path(ConeConfiguration(0.8), 1e-3, schedule=10, grid=grid)
+    _assert_matches_bisection(
+        [football_potential(grid, b) for b in (0.1, 0.3, 0.8, 1.0)]
+        + [s.solution.potential for s in trace.steps])
+
+
+def test_first_eigenvalue_rounding_floor(grid):
+    # here the Rayleigh quotient flips by ~1e-13 at the rounding floor; a stop
+    # on |relative change| <= 1e-13 alone never terminated on this path
+    trace = continuity_path(ConeConfiguration(0.7979), 1e-3, schedule=100, grid=grid)
+    _assert_matches_bisection([s.solution.potential for s in trace.steps])
+
+
+def test_first_eigenvalue_refinement():
+    # second-order convergence to the round metric's closed forms past the
+    # default grid: the error falls 16-fold per 4x refinement
+    exact = {0: 1.0, 1: 1.0, 2: 3.0}
+    errors = []
+    for n in (2049, 8193, 32769):
+        _, per_mode = first_eigenvalue(fubini_study_potential(Grid(-24, 24, n)))
+        errors.append({m: abs(per_mode[m] - exact[m]) for m in exact})
+    for coarse, fine in zip(errors, errors[1:]):
+        for m in exact:
+            assert coarse[m] / fine[m] == pytest.approx(16.0, abs=1.0)
+
+
+def test_eigen_solve_failures(fs, monkeypatch):
+    import conic_ke.ma_solver as ma_solver
+
+    with pytest.raises(SolverError):
+        _lowest_eigenvalue(np.ones(2), np.array([-2.0]))    # indefinite
+    monkeypatch.setattr(ma_solver, "_EIGEN_MAX_ITER", 2)
+    with pytest.raises(SolverError):
+        first_eigenvalue(fs)
 
 
 # ---------------------------------------------------------------------------
