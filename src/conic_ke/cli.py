@@ -164,6 +164,13 @@ def cmd_bergman_scan(args) -> int:
     betas = [float(x) for x in args.betas.split(",")]
     ells = [int(x) for x in args.ells.split(",")]
     jobs = [(b, ells, (grid.t_min, grid.t_max, grid.n_nodes)) for b in betas]
+    if args.jobs is None:
+        env_jobs = os.environ.get("CONIC_KE_JOBS", "1")
+        try:
+            args.jobs = int(env_jobs)
+        except ValueError:
+            raise ValueError(
+                f"CONIC_KE_JOBS must be an integer, got {env_jobs!r}") from None
     t0 = time.time()
     if args.jobs > 1:
         from multiprocessing import Pool
@@ -347,8 +354,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bergman-scan", help="density-of-states floor over (beta, ell)")
     p.add_argument("--betas", default="0.6,0.65,0.7,0.75,0.8,0.85,0.9,0.95,1.0")
     p.add_argument("--ells", default="2,4,8,16")
-    p.add_argument("--jobs", type=int,
-                   default=int(os.environ.get("CONIC_KE_JOBS", "1")))
+    p.add_argument("--jobs", type=int, default=None,
+                   help="worker processes (default: $CONIC_KE_JOBS or 1)")
     p.add_argument("--density", default=None, metavar="BETA:ELL",
                    help="also write the density profile t,rho for one cell")
     _add_grid_flags(p)
@@ -401,8 +408,12 @@ def _merge_config_file(argv):
     if "--config" not in argv:
         return argv
     i = argv.index("--config")
+    if i + 1 == len(argv):
+        raise ValueError("--config needs a JSON file path")
     path = argv[i + 1]
     doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    if not isinstance(doc, dict):
+        raise ValueError(f"--config {path}: expected a JSON object")
     rest = argv[:i] + argv[i + 2:]
     extra = []
     for key, val in doc.items():

@@ -27,6 +27,9 @@ pencil is replaced by its (n-1)-sized transform, which drops the constant
 null mode).  That eigenvalue is taken by shifted inverse iteration; the shift
 only rises when a positive definite factorization proves it below the
 spectrum, and the iteration stops when the Rayleigh quotient stops falling.
+
+scipy is imported by the banded and eigen solves when they first run, so a
+process that never solves loads numpy alone.
 """
 
 from __future__ import annotations
@@ -35,8 +38,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_banded
-from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .functionals import j_functional
 from .geometry import (
@@ -361,6 +362,12 @@ def _jacobian_banded(phi, tau, twist, p0, h):
     return ab
 
 
+def _solve_tridiagonal(ab, rhs):
+    """Solve the (1,1)-banded system `ab`; scipy is imported on first use."""
+    from scipy.linalg import solve_banded
+    return solve_banded((1, 1), ab, rhs)
+
+
 def _implied_density(phi, p0, h):
     """Phi'' of an iterate read through the plain difference stencil."""
     return p0 + d2(phi, h)
@@ -370,8 +377,7 @@ def _solve_linear_mean_zero(twist, p0, grid):
     """Calabi-Yau step tau = 0: one banded solve with the mean-zero gauge.
 
     The Numerov system is singular along constants; the middle row is
-    replaced by a pin, the solution shifted to reference-mean zero, and the
-    residual of the full untouched system reported.
+    replaced by a pin and the solution shifted to reference-mean zero.
     """
     h = grid.h
     n = grid.n_nodes
@@ -386,11 +392,10 @@ def _solve_linear_mean_zero(twist, p0, grid):
     ab[2, mid - 1] = 0.0
     rhs = -r
     rhs[mid] = 0.0
-    phi = solve_banded((1, 1), ab, rhs)
+    phi = _solve_tridiagonal(ab, rhs)
     w = grid.weights * p0
     phi -= np.dot(w, phi) / w.sum()
-    res = _residual(phi, tau, twist, p0, h)
-    return phi, float(np.max(np.abs(res)))
+    return phi
 
 
 def solve_ma(cfg: SolverConfig, guess: RadialKahlerPotential | np.ndarray | None = None,
@@ -412,8 +417,7 @@ def solve_ma(cfg: SolverConfig, guess: RadialKahlerPotential | np.ndarray | None
         return 0.5 * (v + v[::-1]) if cfg.symmetrize else v
 
     if cfg.tau == 0.0:
-        phi, res = _solve_linear_mean_zero(twist, p0, grid)
-        phi = project(phi)
+        phi = project(_solve_linear_mean_zero(twist, p0, grid))
         res = float(np.max(np.abs(_residual(phi, 0.0, twist, p0, h))))
         iters = 0
     else:
@@ -429,7 +433,8 @@ def solve_ma(cfg: SolverConfig, guess: RadialKahlerPotential | np.ndarray | None
         if not np.all(_implied_density(phi, p0, h) > 0.0):
             raise PositivityLost("initial guess is not a positive metric")
 
-        res = float(np.max(np.abs(_residual(phi, cfg.tau, twist, p0, h))))
+        r = _residual(phi, cfg.tau, twist, p0, h)
+        res = float(np.max(np.abs(r)))
         iters = 0
         while res > cfg.newton_tol:
             if iters >= cfg.newton_max_iter:
@@ -437,7 +442,7 @@ def solve_ma(cfg: SolverConfig, guess: RadialKahlerPotential | np.ndarray | None
                     f"no convergence in {cfg.newton_max_iter} iterations "
                     f"(residual {res:.3e})")
             ab = _jacobian_banded(phi, cfg.tau, twist, p0, h)
-            step = solve_banded((1, 1), ab, -_residual(phi, cfg.tau, twist, p0, h))
+            step = _solve_tridiagonal(ab, -r)
             alpha = 1.0
             accepted = False
             positivity_blocked = False
@@ -447,9 +452,10 @@ def solve_ma(cfg: SolverConfig, guess: RadialKahlerPotential | np.ndarray | None
                     positivity_blocked = True
                     alpha *= cfg.damping
                     continue
-                trial_res = float(np.max(np.abs(_residual(trial, cfg.tau, twist, p0, h))))
+                trial_r = _residual(trial, cfg.tau, twist, p0, h)
+                trial_res = float(np.max(np.abs(trial_r)))
                 if trial_res < res:
-                    phi, res = trial, trial_res
+                    phi, r, res = trial, trial_r, trial_res
                     accepted = True
                     break
                 alpha *= cfg.damping
@@ -516,6 +522,7 @@ def _lowest_eigenvalue(diag: np.ndarray, off: np.ndarray) -> float:
     the iteration stops when it falls by at most _RAYLEIGH_STALL relative or
     rises, and returns the smallest quotient seen.
     """
+    from scipy.linalg.lapack import dpttrf, dpttrs
     ld, le, info = dpttrf(diag, off)
     if info != 0:
         raise SolverError("eigen-solve: mode matrix is not positive definite")

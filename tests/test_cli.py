@@ -88,6 +88,71 @@ def test_cli_import_leaves_scipy_integrate_unloaded():
     assert out.strip() == "[]"
 
 
+_SCIPY_PROBE = """
+import json, sys
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+import conic_ke.cli as cli
+seen = {"import": scipy_modules()}
+out, metric = sys.argv[1], sys.argv[2]
+for argv in (["capacity", "--n", "1", "--eps", "0.1"],
+             ["volume-scan", "--source", "football:0.6", "--grid-N", "257"],
+             ["bergman-scan", "--betas", "0.7,1.0", "--ells", "2", "--grid-N", "257"],
+             ["futaki", "--metric", metric],
+             ["log-futaki", "--metric", metric],
+             ["solve", "--beta", "0.8", "--delta", "1e-3", "--tau", "0.5",
+              "--grid-N", "257"]):
+    assert cli.main(argv + ["--out", out + "/" + argv[0]]) == 0, argv
+    seen[argv[0]] = scipy_modules()
+print(json.dumps(seen))
+"""
+
+
+def test_scipy_loaded_only_by_solves(tmp_path):
+    # start-up guard: scipy.linalg costs ~0.27 s, so only a solve may load it
+    metric = tmp_path / "fb.csv"
+    write_potential_csv(metric, football_potential(Grid(-16, 16, 257), 0.6))
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    out = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, str(tmp_path), str(metric)],
+                         env=env, check=True, capture_output=True, text=True).stdout
+    seen = json.loads(out.splitlines()[-1])     # after each command's summary line
+    assert "scipy.linalg" in seen.pop("solve")
+    assert seen == {stage: [] for stage in ("import", "capacity", "volume-scan",
+                                            "bergman-scan", "futaki", "log-futaki")}
+
+
+def test_config_flag_without_path(capsys):
+    assert run("solve", "--config") == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error:")
+
+
+def test_config_file_not_an_object(tmp_path, capsys):
+    cfg_path = tmp_path / "list.json"
+    cfg_path.write_text("[1, 2]")
+    assert run("solve", "--config", cfg_path) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error:")
+
+
+def test_bad_jobs_env_only_fails_bergman_scan(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("CONIC_KE_JOBS", "abc")
+    with pytest.raises(SystemExit) as exc:
+        run("--version")
+    assert exc.value.code == 0
+    assert run("capacity", "--n", 1, "--eps", 0.1, "--out", tmp_path / "cap") == 0
+    capsys.readouterr()
+    assert run("bergman-scan", "--betas", "1.0", "--ells", "2", "--grid-N", 257,
+               "--out", tmp_path / "b") == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "CONIC_KE_JOBS" in err
+    # a valid value is resolved and echoed as the integer it names
+    monkeypatch.setenv("CONIC_KE_JOBS", "1")
+    assert run("bergman-scan", "--betas", "1.0", "--ells", "2", "--grid-N", 257,
+               "--out", tmp_path / "b") == 0
+    assert read_manifest(tmp_path / "b" / "manifest.json")["config"]["jobs"] == 1
+
+
 def test_config_file_round_trip(tmp_path):
     cfg = {"beta": 0.75, "delta": 0.0, "tau": 0.75, "out": str(tmp_path / "c1")}
     cfg_path = tmp_path / "cfg.json"
