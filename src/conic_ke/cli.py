@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from pathlib import Path
@@ -22,7 +21,12 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .bergman import associated_hermitian_weight, bergman_density, gram_matrix
+from .bergman import (
+    associated_hermitian_weight,
+    bergman_density,
+    gram_matrix,
+    partial_c0_scan,
+)
 from .cone_analysis import (
     dirichlet_energy,
     flat_cone_metric,
@@ -147,46 +151,30 @@ def cmd_smooth_family(args) -> int:
     return EXIT_OK
 
 
-def _bergman_cell(job):
-    beta, ells, grid_params = job
-    grid = Grid(*grid_params)
-    pot = football_potential(grid, beta)
-    weight = associated_hermitian_weight(pot, ConeConfiguration(beta))
-    rows = []
-    for ell in ells:
-        rep = bergman_density(gram_matrix(ell, weight, pot), pot)
-        rows.append((beta, ell, rep.inf_rho, rep.sup_rho, rep.trace_integral))
-    return rows
+def _parse_pair(item: str, flag: str, first, second):
+    """Read one `A:B` item of `flag` as (first(A), second(B))."""
+    try:
+        a, b = item.split(":")
+        return first(a.strip()), second(b)
+    except ValueError:
+        raise ValueError(f"{flag}: cannot read {item!r}") from None
 
 
 def cmd_bergman_scan(args) -> int:
     grid = _grid_from(args)
     betas = [float(x) for x in args.betas.split(",")]
     ells = [int(x) for x in args.ells.split(",")]
-    jobs = [(b, ells, (grid.t_min, grid.t_max, grid.n_nodes)) for b in betas]
-    if args.jobs is None:
-        env_jobs = os.environ.get("CONIC_KE_JOBS", "1")
-        try:
-            args.jobs = int(env_jobs)
-        except ValueError:
-            raise ValueError(
-                f"CONIC_KE_JOBS must be an integer, got {env_jobs!r}") from None
     t0 = time.time()
-    if args.jobs > 1:
-        from multiprocessing import Pool
-        with Pool(args.jobs) as pool:
-            results = pool.map(_bergman_cell, jobs)
-    else:
-        results = [_bergman_cell(j) for j in jobs]
-    rows = [row for cell in results for row in cell]
+    rows = [(r.beta, r.ell, r.inf_rho, r.sup_rho, r.trace_check)
+            for r in partial_c0_scan(betas, ells, grid)]
     out = _out_dir(args)
     outputs = ["scan.csv"]
     write_csv(out / "scan.csv", ["beta", "ell", "inf_rho", "sup_rho", "trace_check"], rows)
     if args.density:
-        b, ell = args.density.split(":")
-        pot = football_potential(grid, float(b))
-        weight = associated_hermitian_weight(pot, ConeConfiguration(float(b)))
-        rep = bergman_density(gram_matrix(int(ell), weight, pot), pot)
+        b, ell = _parse_pair(args.density, "--density BETA:ELL", float, int)
+        pot = football_potential(grid, b)
+        weight = associated_hermitian_weight(pot, ConeConfiguration(b))
+        rep = bergman_density(gram_matrix(ell, weight, pot), pot)
         write_csv(out / "density.csv", ["t", "rho"], zip(grid.t, rep.rho))
         outputs.append("density.csv")
     write_manifest(out / "manifest.json", "bergman-scan", _echo_config(args),
@@ -214,13 +202,8 @@ def cmd_futaki(args) -> int:
     return EXIT_OK
 
 
-def _parse_points(pointspec: str):
-    pts = []
-    for item in pointspec.split(","):
-        loc, w = item.split(":")
-        loc = loc.strip()
-        pts.append((loc if loc in ("zero", "infinity") else float(loc), float(w)))
-    return pts
+def _location(loc: str):
+    return loc if loc in ("zero", "infinity") else float(loc)
 
 
 def cmd_log_futaki(args) -> int:
@@ -229,8 +212,8 @@ def cmd_log_futaki(args) -> int:
     t0 = time.time()
     if args.scan_config:
         doc = json.loads(Path(args.scan_config).read_text(encoding="utf-8"))
-        configs = {k: [(p if p in ("zero", "infinity") else float(p), float(w))
-                       for p, w in v] for k, v in doc["configs"].items()}
+        configs = {k: [(_location(p), float(w)) for p, w in v]
+                   for k, v in doc["configs"].items()}
         rows = obstruction_scan(configs, doc["betas"], pot)
         write_csv(out / "obstruction.csv",
                   ["config_id", "beta", "log_futaki", "flag"],
@@ -238,7 +221,9 @@ def cmd_log_futaki(args) -> int:
         outputs = ["obstruction.csv"]
         summary = f"{len(rows)} rows"
     else:
-        val = log_futaki(pot, args.beta, _parse_points(args.points))
+        points = [_parse_pair(item, "--points LOC:WEIGHT", _location, float)
+                  for item in args.points.split(",")]
+        val = log_futaki(pot, args.beta, points)
         write_csv(out / "log_futaki.csv", ["beta", "log_futaki"],
                   [(args.beta, val)])
         outputs = ["log_futaki.csv"]
@@ -319,8 +304,16 @@ def _add_grid_flags(p):
                    help="node count, odd (default 2049)")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise ValueError (exit 1, one line) instead of exiting 2,
+    the code of a solver failure; --help and --version still exit 0."""
+
+    def error(self, message):
+        raise ValueError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="conic-ke",
         description=__doc__,
         formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -354,8 +347,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bergman-scan", help="density-of-states floor over (beta, ell)")
     p.add_argument("--betas", default="0.6,0.65,0.7,0.75,0.8,0.85,0.9,0.95,1.0")
     p.add_argument("--ells", default="2,4,8,16")
-    p.add_argument("--jobs", type=int, default=None,
-                   help="worker processes (default: $CONIC_KE_JOBS or 1)")
     p.add_argument("--density", default=None, metavar="BETA:ELL",
                    help="also write the density profile t,rho for one cell")
     _add_grid_flags(p)

@@ -260,8 +260,7 @@ def defining_section_norm(grid: Grid) -> np.ndarray:
 
     ||S||_0^2(t) = 4 e^t/(1+e^t)^2, sup-normalized to 1 at t = 0.
     """
-    s = 1.0 / (1.0 + np.exp(-grid.t))
-    return 4.0 * s * (1.0 - s)
+    return np.exp(log_defining_section_norm(grid))
 
 
 def log_defining_section_norm(grid: Grid) -> np.ndarray:

@@ -7,6 +7,7 @@ exact doubles and byte-identical reruns are possible.
 from __future__ import annotations
 
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -49,7 +50,12 @@ def write_potential_csv(path, pot: RadialKahlerPotential) -> None:
 def read_potential_csv(path, angle_zero: float = 1.0,
                        angle_infinity: float = 1.0) -> RadialKahlerPotential:
     path = Path(path)
-    data = np.loadtxt(path, delimiter=",", skiprows=1)
+    with warnings.catch_warnings():      # an empty table is reported below
+        warnings.simplefilter("ignore", UserWarning)
+        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    if data.shape[1] != 3 or data.shape[0] < 3:
+        raise ValueError(f"{path}: expected columns t,phi_prime,phi_doubleprime "
+                         f"and at least 3 rows, got a {data.shape[0]}x{data.shape[1]} table")
     t = data[:, 0]
     n = t.size
     grid = Grid(float(t[0]), float(t[-1]), n)

@@ -45,6 +45,7 @@ from .geometry import (
     Grid,
     RadialKahlerPotential,
     _sigmoid,
+    defining_section_norm,
     fubini_study_potential,
     log_defining_section_norm,
 )
@@ -772,7 +773,7 @@ def ricci_lower_bound_margin(solution: MASolution) -> RicciMarginReport:
     beta, delta, lam = cfg.cone.beta, cfg.delta, cfg.cone.lam
     mu = cfg.cone.mu
     p0 = fubini_study_potential(grid).phi_doubleprime
-    u = np.exp(log_defining_section_norm(grid))
+    u = defining_section_norm(grid)
     t = grid.t
     w_prime = (1.0 - np.exp(t)) / (1.0 + np.exp(t))  # d/dt log ||S||_0^2
     formula = delta * (1.0 - beta) * lam * p0 / (delta + u) \
@@ -797,7 +798,7 @@ def two_sided_bound_check(report: SmoothingReport) -> TwoSidedBounds:
     """Smallest constants realizing the two-sided metric comparison."""
     grid = report.conic_solution.grid
     p0 = fubini_study_potential(grid).phi_doubleprime
-    u = np.exp(log_defining_section_norm(grid))
+    u = defining_section_norm(grid)
     beta = report.cone.beta
     lower = -np.inf
     upper = -np.inf

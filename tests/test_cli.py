@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conic_ke.bergman import partial_c0_scan
 from conic_ke.cli import main
 from conic_ke.geometry import Grid, football_potential, fubini_study_potential
 from conic_ke.io import (
@@ -135,22 +136,70 @@ def test_config_file_not_an_object(tmp_path, capsys):
     assert err.count("\n") == 1 and err.startswith("error:")
 
 
-def test_bad_jobs_env_only_fails_bergman_scan(tmp_path, monkeypatch, capsys):
+def test_jobs_env_changes_no_exit_code(tmp_path, monkeypatch):
     monkeypatch.setenv("CONIC_KE_JOBS", "abc")
     with pytest.raises(SystemExit) as exc:
         run("--version")
     assert exc.value.code == 0
     assert run("capacity", "--n", 1, "--eps", 0.1, "--out", tmp_path / "cap") == 0
-    capsys.readouterr()
-    assert run("bergman-scan", "--betas", "1.0", "--ells", "2", "--grid-N", 257,
-               "--out", tmp_path / "b") == 1
-    err = capsys.readouterr().err
-    assert err.count("\n") == 1 and "CONIC_KE_JOBS" in err
-    # a valid value is resolved and echoed as the integer it names
-    monkeypatch.setenv("CONIC_KE_JOBS", "1")
     assert run("bergman-scan", "--betas", "1.0", "--ells", "2", "--grid-N", 257,
                "--out", tmp_path / "b") == 0
-    assert read_manifest(tmp_path / "b" / "manifest.json")["config"]["jobs"] == 1
+    assert "jobs" not in read_manifest(tmp_path / "b" / "manifest.json")["config"]
+
+
+@pytest.mark.parametrize("argv, config", [
+    (("solve", "--beta", 0.7), None),
+    (("bergman-scan",), {"betas": "1.0", "grid_N": 257, "colour": "red"}),
+    (("bergman-scan",), {"betas": "1.0", "grid_N": 257, "jobs": 1}),
+    (("bergman-scan", "--betas", "1.0", "--grid-N", 257, "--jobs", 2), None),
+    (("solve", "--beta", 0.7, "--delta", 0, "--tau", 0.7, "--grid-N", "many"), None),
+], ids=["missing-flag", "unknown-config-key", "config-jobs-key", "jobs-flag", "bad-int"])
+def test_usage_errors_exit_config(tmp_path, capsys, argv, config):
+    # argparse would exit 2, the code of a solver failure
+    if config is not None:
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        argv += ("--config", tmp_path / "cfg.json")
+    assert run(*argv, "--out", tmp_path / "u") == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error:")
+
+
+@pytest.mark.parametrize("argv", [("--help",), ("solve", "--help")], ids=["help", "solve-help"])
+def test_help_exits_zero(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(*argv)
+    assert exc.value.code == 0
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("table", [
+    "t,phi_prime,phi_doubleprime\n",
+    "t,phi_prime,phi_doubleprime\n0,1,0.5\n",
+    "t,phi_prime\n-1,0.5\n0,1\n1,1.5\n",
+], ids=["header-only", "one-row", "two-column"])
+@pytest.mark.parametrize("command", ["futaki", "log-futaki"])
+def test_malformed_metric_csv(tmp_path, capsys, table, command):
+    metric = tmp_path / "bad.csv"
+    metric.write_text(table)
+    assert run(command, "--metric", metric, "--out", tmp_path / "m") == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error:") and str(metric) in err
+
+
+def test_malformed_pair_items_name_their_flag(tmp_path, capsys):
+    metric = tmp_path / "fb.csv"
+    write_potential_csv(metric, football_potential(Grid(-16, 16, 257), 0.6))
+    cases = [(("bergman-scan", "--betas", "1.0", "--ells", "2", "--grid-N", 257,
+               "--density", "0.6"), "--density BETA:ELL"),
+             (("bergman-scan", "--betas", "1.0", "--ells", "2", "--grid-N", 257,
+               "--density", "0.6:two"), "--density BETA:ELL"),
+             (("log-futaki", "--metric", metric, "--points", "zero"), "--points LOC:WEIGHT"),
+             (("log-futaki", "--metric", metric, "--points", "zero:1,pole:1"),
+              "--points LOC:WEIGHT")]
+    for argv, flag in cases:
+        assert run(*argv, "--out", tmp_path / "p") == 1, argv
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith(f"error: {flag}"), err
 
 
 def test_config_file_round_trip(tmp_path):
@@ -255,15 +304,16 @@ def test_bergman_scan_config_file(tmp_path):
     assert np.all(rows[:, 2] > 0)
 
 
-def test_bergman_scan_and_jobs(tmp_path):
-    out1, out2 = tmp_path / "b1", tmp_path / "b2"
-    args = ("bergman-scan", "--betas", "0.7,0.9,1.0", "--ells", "2,4",
-            "--grid-N", 1025)
-    assert run(*args, "--out", out1) == 0
-    assert run(*args, "--jobs", 2, "--out", out2) == 0
-    assert hash_file(out1 / "scan.csv") == hash_file(out2 / "scan.csv")
-    rows = np.loadtxt(out1 / "scan.csv", delimiter=",", skiprows=1)
-    assert np.all(rows[:, 2] > 0)
+def test_bergman_scan_rows_are_partial_c0_scan(tmp_path):
+    out = tmp_path / "b"
+    assert run("bergman-scan", "--betas", "0.7,0.9,1.0", "--ells", "2,4",
+               "--grid-N", 1025, "--out", out) == 0
+    rows = partial_c0_scan([0.7, 0.9, 1.0], [2, 4], Grid(-16, 16, 1025))
+    assert all(r.inf_rho > 0 for r in rows)
+    expected = "beta,ell,inf_rho,sup_rho,trace_check\n" + "".join(
+        ",".join(FMT % x for x in (r.beta, r.ell, r.inf_rho, r.sup_rho, r.trace_check))
+        + "\n" for r in rows)
+    assert (out / "scan.csv").read_text(encoding="utf-8") == expected
 
 
 def test_futaki_cli(tmp_path):
