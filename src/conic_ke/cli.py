@@ -241,6 +241,8 @@ def cmd_capacity(args) -> int:
     else:
         if args.delta is None:
             raise ValueError("--rule manual requires --delta")
+        if not args.delta > 0:
+            raise ValueError(f"--delta must be positive, got {args.delta}")
         log_delta = float(np.log(args.delta))
     cut = loglog_cutoff(args.eps, log_delta=log_delta)
     t0 = time.time()
@@ -260,30 +262,41 @@ def cmd_capacity(args) -> int:
     return EXIT_OK
 
 
+def _parse_source(item: str) -> tuple:
+    """Read `--source` as ("fs",), ("football", beta) or ("cone", n, beta_bar)."""
+    kind, *params = item.split(":")
+    readers = {"fs": (), "football": (float,), "cone": (int, float)}.get(kind)
+    if readers is not None and len(params) == len(readers):
+        try:
+            return (kind, *(read(p) for read, p in zip(readers, params)))
+        except ValueError:
+            pass
+    raise ValueError(f"--source fs|football:BETA|cone:N:BETA_BAR: cannot read {item!r}")
+
+
 def cmd_volume_scan(args) -> int:
     radii = np.linspace(args.r_min, args.r_max, args.num)
+    kind, *params = _parse_source(args.source)
     t0 = time.time()
     out = _out_dir(args)
     if args.mode == "tube":
-        kind, n, bb = args.source.split(":")
         if kind != "cone":
-            raise ValueError("tube mode needs --source cone:n:beta_bar")
-        a, b = (float(x) for x in args.annulus.split(":"))
-        rep = tube_volume(flat_cone_metric(int(n), float(bb)), (a, b), radii)
+            raise ValueError("tube mode needs --source cone:N:BETA_BAR")
+        annulus = _parse_pair(args.annulus, "--annulus A:B", float, float)
+        rep = tube_volume(flat_cone_metric(*params), annulus, radii)
         write_csv(out / "profile.csv", ["r", "value"], zip(rep.radii, rep.volumes))
         write_csv(out / "fit.csv", ["exponent", "constant"],
                   [(rep.exponent, rep.constant)])
         outputs = ["profile.csv", "fit.csv"]
         summary = f"exponent={format_number(rep.exponent)}"
     else:
-        parts = args.source.split(":")
-        if parts[0] == "cone":
-            source = flat_cone_metric(int(parts[1]), float(parts[2]))
+        if kind == "cone":
+            source = flat_cone_metric(*params)
             center = "vertex"
         else:
             grid = _grid_from(args)
-            source = fubini_study_potential(grid) if parts[0] == "fs" \
-                else football_potential(grid, float(parts[1]))
+            source = fubini_study_potential(grid) if kind == "fs" \
+                else football_potential(grid, *params)
             center = args.center
         rep = volume_ratio_profile(source, center, radii)
         write_csv(out / "profile.csv", ["r", "value"], zip(rep.radii, rep.ratios))

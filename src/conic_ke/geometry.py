@@ -56,10 +56,6 @@ class Grid:
     def integrate(self, values: np.ndarray) -> float:
         return float(np.dot(self.weights, values))
 
-    def refine(self) -> "Grid":
-        """Grid with halved spacing on the same interval."""
-        return Grid(self.t_min, self.t_max, 2 * self.n_nodes - 1)
-
     def index_of(self, t: float) -> int:
         i = int(round((t - self.t_min) / self.h))
         if i < 0 or i >= self.n_nodes:

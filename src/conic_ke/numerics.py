@@ -75,10 +75,13 @@ def d2(values: np.ndarray, h: float) -> np.ndarray:
     return out
 
 
-def logsumexp_rows(a: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
-    """Stable log of a weighted exponential sum along the last axis."""
-    m = np.max(a, axis=-1, keepdims=True)
-    s = np.exp(a - m)
-    if weights is not None:
-        s = s * weights
-    return np.squeeze(m, axis=-1) + np.log(np.sum(s, axis=-1))
+def logsumexp_rows(a: np.ndarray, axis: int = -1) -> np.ndarray:
+    """Stable log of the exponential sum of `a` along `axis`.
+
+    Overwrites `a`: it is shifted by its maxima and exponentiated in place,
+    so a (2l+1) x n array of log-norms costs no second array of its size.
+    """
+    m = np.max(a, axis=axis, keepdims=True)
+    a -= m
+    np.exp(a, out=a)
+    return np.squeeze(m, axis=axis) + np.log(np.sum(a, axis=axis))

@@ -1,3 +1,6 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -179,6 +182,92 @@ def test_partial_c0_scan_floor(grid):
     for r in rows:
         if r.beta == pytest.approx(1.0):
             assert r.inf_rho == pytest.approx((2 * r.ell + 1) / FOUR_PI, rel=1e-6)
+
+
+def _football_closed_form(beta, ell, t):
+    """Exact log <z^k,z^k> - log <z^l,z^l> and rho(t) of the football.
+
+    With x = e^(beta t) each Gram entry is a Beta integral, so
+    <z^k,z^k> is proportional to B(k/beta + 1, (2l-k)/beta + 1) and
+    rho = sum_k x^(k/beta) (1+x)^(-2l/beta) / (4 pi B_k).
+    """
+    ks = np.arange(2 * ell + 1)
+    log_beta = np.array([math.lgamma(k / beta + 1) + math.lgamma((2 * ell - k) / beta + 1)
+                         - math.lgamma(2 * ell / beta + 2) for k in ks])
+    terms = ks[:, None] * t[None, :] \
+        - (2 * ell / beta) * np.logaddexp(0.0, beta * t)[None, :] \
+        - math.log(4.0 * math.pi) - log_beta[:, None]
+    m = terms.max(axis=0)
+    return log_beta - log_beta[ell], np.exp(m) * np.exp(terms - m).sum(axis=0)
+
+
+@pytest.mark.parametrize("beta", [0.6, 0.8, 1.0])
+@pytest.mark.parametrize("ell", [8, 64])
+def test_football_gram_and_density_closed_form(wide_grid, beta, ell):
+    # measured: 8.1e-9 at beta = 0.6 (tail-limited), 7.8e-12 for beta >= 0.8,
+    # and 3.2e-13 for inf rho
+    tol = 5e-8 if beta < 0.8 else 5e-11
+    fb = football_potential(wide_grid, beta)
+    gram = gram_matrix(ell, associated_hermitian_weight(fb, ConeConfiguration(beta)), fb)
+    rep = bergman_density(gram, fb)
+    log_ratio, rho = _football_closed_form(beta, ell, wide_grid.t)
+    assert np.max(np.abs(gram.log_diag - gram.log_diag[ell] - log_ratio)) < tol
+    assert np.max(np.abs(rep.rho / rho - 1.0)) < tol
+    assert rep.inf_rho == pytest.approx(rho.min(), rel=2e-12)
+    assert rep.sup_rho == pytest.approx(rho.max(), rel=tol)
+
+
+def _out_of_place_kernels(ell, weight, pot):
+    """Gram diagonal, density and trace by the out-of-place formulas that
+    the in-place kernels replaced; the in-place ones must match bit for bit."""
+    grid = pot.grid
+
+    def lse(a):
+        m = np.max(a, axis=-1, keepdims=True)
+        return np.squeeze(m, axis=-1) + np.log(np.sum(np.exp(a - m), axis=-1))
+
+    log_meas = np.log(grid.weights) + np.log(pot.phi_doubleprime) + math.log(2.0 * np.pi)
+    k = np.arange(2 * ell + 1)[:, None]
+    log_diag = lse(k * grid.t[None, :] + ell * weight.log_weight[None, :] + log_meas[None, :])
+    log_norms = k * grid.t[None, :] + ell * weight.log_weight[None, :]
+    rho = np.exp(lse((log_norms - log_diag[:, None]).T))
+    trace = float(grid.integrate(rho * pot.phi_doubleprime) * 2.0 * np.pi)
+    return log_diag, rho, trace
+
+
+@pytest.mark.parametrize("beta, ell", [(0.6, 8), (0.85, 64), (1.0, 16)])
+def test_in_place_kernels_bit_identical(grid, beta, ell):
+    fb = football_potential(grid, beta)
+    weight = associated_hermitian_weight(fb, ConeConfiguration(beta))
+    gram = gram_matrix(ell, weight, fb)
+    rep = bergman_density(gram, fb)
+    log_diag, rho, trace = _out_of_place_kernels(ell, weight, fb)
+    assert np.array_equal(gram.log_diag, log_diag)
+    assert np.array_equal(rep.rho, rho)
+    assert (rep.inf_rho, rep.sup_rho, rep.trace_integral) == (rho.min(), rho.max(), trace)
+
+
+def _traced_peak(func):
+    """func() and the peak bytes it held allocated at once."""
+    tracemalloc.start()
+    try:
+        result = func()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_kernels_allocate_one_array_per_cell():
+    # each Gram build and density holds one (2l+1) x n array, not three
+    g = Grid(-16, 16, 4097)
+    fb = football_potential(g, 0.7)
+    weight = associated_hermitian_weight(fb, ConeConfiguration(0.7))
+    ell = 64
+    one_array = (2 * ell + 1) * g.n_nodes * 8
+    gram, gram_peak = _traced_peak(lambda: gram_matrix(ell, weight, fb))
+    _, density_peak = _traced_peak(lambda: bergman_density(gram, fb))
+    assert gram_peak <= 1.25 * one_array, gram_peak / one_array
+    assert density_peak <= 1.25 * one_array, density_peak / one_array
 
 
 # ---------------------------------------------------------------------------

@@ -362,6 +362,27 @@ def test_capacity_cli(tmp_path, capsys):
     assert row[4] <= row[5]       # and below the closed-form bound
 
 
+@pytest.mark.parametrize("delta", ["-1", "0"])
+def test_capacity_manual_delta_must_be_positive(tmp_path, capsys, delta):
+    # log(delta) would write nan / -inf columns and exit 0
+    assert run("capacity", "--n", 1, "--eps", 0.1, "--rule", "manual",
+               "--delta", delta, "--out", tmp_path / "cap") == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: --delta"), err
+    assert not (tmp_path / "cap").exists()
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (("--source", "football"), "--source"),
+    (("--mode", "tube", "--source", "cone:2"), "--source"),
+    (("--mode", "tube", "--source", "cone:2:0.7", "--annulus", "1"), "--annulus"),
+], ids=["football-without-beta", "cone-without-beta-bar", "annulus-without-b"])
+def test_volume_scan_malformed_items_name_their_flag(tmp_path, capsys, argv, flag):
+    assert run("volume-scan", *argv, "--out", tmp_path / "vol") == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith(f"error: {flag}"), err
+
+
 def test_volume_scan_cli(tmp_path):
     out = tmp_path / "vol"
     assert run("volume-scan", "--source", "football:0.6", "--center", "zero",
