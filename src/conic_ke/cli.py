@@ -36,7 +36,7 @@ from .cone_analysis import (
     volume_ratio_profile,
 )
 from .functionals import f_functional
-from .geometry import ConeConfiguration, Grid, football_potential, fubini_study_potential
+from .geometry import ConeConfiguration, Grid, football_potential
 from .io import (
     format_number,
     potential_manifest,
@@ -102,6 +102,8 @@ def cmd_solve(args) -> int:
 def cmd_continue_path(args) -> int:
     grid = _grid_from(args)
     cone = ConeConfiguration(args.beta)
+    if args.steps is not None and args.steps < 1:
+        raise ValueError(f"--steps must be at least 1, got {args.steps}")
     schedule = "adaptive" if args.steps is None else int(args.steps)
     t0 = time.time()
     trace = continuity_path(cone, args.delta, schedule=schedule, grid=grid)
@@ -111,7 +113,7 @@ def cmd_continue_path(args) -> int:
               ["tau", "J", "F", "lambda1", "newton_iters", "residual"],
               [(s.tau, s.j_value, s.f_value, s.lambda1, s.newton_iters, s.residual)
                for s in trace.steps])
-    pot0 = fubini_study_potential(grid)
+    pot0 = grid.reference
     frows = []
     for k, s in enumerate(trace.steps):
         name = f"step_{k:04d}.csv"
@@ -295,7 +297,7 @@ def cmd_volume_scan(args) -> int:
             center = "vertex"
         else:
             grid = _grid_from(args)
-            source = fubini_study_potential(grid) if kind == "fs" \
+            source = grid.reference if kind == "fs" \
                 else football_potential(grid, *params)
             center = args.center
         rep = volume_ratio_profile(source, center, radii)

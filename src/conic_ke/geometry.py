@@ -11,11 +11,16 @@ Phi'(t) (the moment coordinate, increasing from 0 to 2) and Phi''(t)
 
 All derivative stencils are second-order centered differences and all
 quadrature is composite Simpson; both are validated by refinement tests.
+
+A `Grid` computes its nodes, its Simpson weights and the round reference
+profile once, on first access, and hands out the same read-only arrays
+afterwards: copy them before changing them in place.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -25,9 +30,18 @@ TOTAL_MOMENT = 2.0  # Phi'(+inf) - Phi'(-inf) for the fixed degree-2 class
 STANDARD_AREA = 4.0 * np.pi
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
 @dataclass(frozen=True)
 class Grid:
-    """Uniform symmetric grid in t = log|z|^2 with Simpson weights."""
+    """Uniform symmetric grid in t = log|z|^2 with Simpson weights.
+
+    `t`, `weights` and `reference` are computed once per instance and are
+    read-only; equality and hashing use the three fields alone.
+    """
 
     t_min: float = -16.0
     t_max: float = 16.0
@@ -45,13 +59,21 @@ class Grid:
     def h(self) -> float:
         return (self.t_max - self.t_min) / (self.n_nodes - 1)
 
-    @property
+    @cached_property
     def t(self) -> np.ndarray:
-        return np.linspace(self.t_min, self.t_max, self.n_nodes)
+        return _read_only(np.linspace(self.t_min, self.t_max, self.n_nodes))
 
-    @property
+    @cached_property
     def weights(self) -> np.ndarray:
-        return simpson_weights(self.n_nodes, self.h)
+        return _read_only(simpson_weights(self.n_nodes, self.h))
+
+    @cached_property
+    def reference(self) -> "RadialKahlerPotential":
+        """The round metric on this grid (`fubini_study_potential`), read-only."""
+        pot = fubini_study_potential(self)
+        _read_only(pot.phi_prime)
+        _read_only(pot.phi_doubleprime)
+        return pot
 
     def integrate(self, values: np.ndarray) -> float:
         return float(np.dot(self.weights, values))

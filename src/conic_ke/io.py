@@ -1,13 +1,17 @@
 """Serialization: CSV tables with full double precision, JSON manifests.
 
 Numbers print through repr-faithful %.17g so re-reading reproduces the
-exact doubles and byte-identical reruns are possible.
+exact doubles and byte-identical reruns are possible.  Each table is
+formatted by one `%` over all its cells, and the node column of a potential
+profile is formatted once per grid and then reused.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import warnings
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -24,25 +28,37 @@ def format_number(x) -> str:
 def write_csv(path, header: list[str], rows) -> None:
     """One line per row: strings as given, numbers through FMT.
 
-    The row format is built once from the first row's cell types; a later
-    row with a string where the first had a number, or the reverse, raises
+    The row format is built once from the first row's cell types and the
+    whole table is formatted by one `%`.  A row of another length, or with
+    a string where the first row had a number or the reverse, raises
     TypeError instead of being written in another format.
     """
     path = Path(path)
+    rows = list(rows)
     lines = [",".join(header)]
-    fmt = None
-    for row in rows:
-        if fmt is None:
-            text_cols = [i for i, x in enumerate(row) if isinstance(x, str)]
-            fmt = ",".join("%s" if isinstance(x, str) else FMT for x in row)
-        if text_cols and not all(isinstance(row[i], str) for i in text_cols):
-            raise TypeError(f"{path}: row {row!r} has a non-string cell in a text column")
-        lines.append(fmt % tuple(row))
+    if rows:
+        widths = set(map(len, rows))
+        if len(widths) > 1:
+            raise TypeError(f"{path}: rows of unequal lengths {sorted(widths)}")
+        first = rows[0]
+        for i in [i for i, x in enumerate(first) if isinstance(x, str)]:
+            if not all(isinstance(row[i], str) for row in rows):
+                raise TypeError(f"{path}: column {i} is text in the first row "
+                                "but not in every row")
+        fmt = ",".join("%s" if isinstance(x, str) else FMT for x in first)
+        lines.append("\n".join([fmt] * len(rows))
+                     % tuple(itertools.chain.from_iterable(rows)))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+@lru_cache(maxsize=1)
+def _node_column(grid: Grid) -> tuple[str, ...]:
+    """The grid nodes as FMT strings, kept for the last grid written."""
+    return tuple(FMT % x for x in grid.t.tolist())
+
+
 def write_potential_csv(path, pot: RadialKahlerPotential) -> None:
-    rows = zip(pot.grid.t.tolist(), pot.phi_prime.tolist(),
+    rows = zip(_node_column(pot.grid), pot.phi_prime.tolist(),
                pot.phi_doubleprime.tolist())
     write_csv(path, ["t", "phi_prime", "phi_doubleprime"], rows)
 

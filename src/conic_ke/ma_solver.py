@@ -46,7 +46,6 @@ from .geometry import (
     RadialKahlerPotential,
     _sigmoid,
     defining_section_norm,
-    fubini_study_potential,
     log_defining_section_norm,
 )
 from .numerics import cumulative_integral, d2
@@ -177,7 +176,7 @@ def _closure_quadrature_weights(grid: Grid) -> np.ndarray:
 def _normalized_constant(grid: Grid, beta: float, delta: float) -> float:
     """Constant c with full-line integral of Phi0''(e^(raw+c) - 1) equal zero."""
     raw = _raw_log_weight(grid, beta, delta)
-    p0 = fubini_study_potential(grid).phi_doubleprime
+    p0 = grid.reference.phi_doubleprime
     w = _closure_quadrature_weights(grid) * p0
     m = raw.max()
     weighted = math.exp(m) * float(np.dot(w, np.exp(raw - m)))
@@ -292,12 +291,12 @@ class MASolution:
     @property
     def metric_density(self) -> np.ndarray:
         """Phi''(t), evaluated through the equation (exact at the solution)."""
-        p0 = fubini_study_potential(self.grid).phi_doubleprime
+        p0 = self.grid.reference.phi_doubleprime
         return p0 * np.exp(self.twist.log_weight - self.config.tau * self.phi)
 
     @property
     def potential(self) -> RadialKahlerPotential:
-        base = fubini_study_potential(self.grid)
+        base = self.grid.reference
         beta = self.config.cone.beta
         conic = self.config.delta == 0.0 and beta < 1.0
         ang = beta if conic else 1.0
@@ -309,58 +308,47 @@ class MASolution:
             ang, ang)
 
 
-def _residual(phi, tau, twist, p0, h):
-    """Numerov interior rows plus Taylor-corrected Robin closure rows.
+def _linearize(phi, tau, twist, p0, h):
+    """Residual and its tridiagonal Jacobian (solve_banded layout (1,1)).
 
-    The two-point closure derivative (phi1 - phi0)/h - h (f0/3 + f1/6)
-    approximates phi'(t_min) to O(h^3) and, unlike wider one-sided stencils,
-    telescopes exactly against the interior stencil, so the tau = 0 system
-    is discretely compatible.
+    The residual is the Numerov interior rows plus Taylor-corrected Robin
+    closure rows.  The two-point closure derivative
+    (phi1 - phi0)/h - h (f0/3 + f1/6) approximates phi'(t_min) to O(h^3)
+    and, unlike wider one-sided stencils, telescopes exactly against the
+    interior stencil, so the tau = 0 system is discretely compatible.
     """
+    n = phi.size
     w = np.exp(twist.log_weight - tau * phi)
     f = p0 * (w - 1.0)
+    g = tau * p0 * w
     r = np.empty_like(phi)
     r[1:-1] = (phi[:-2] - 2.0 * phi[1:-1] + phi[2:]) / (h * h) \
         - (f[:-2] + 10.0 * f[1:-1] + f[2:]) / 12.0
     el = math.exp(-tau * phi[0])
     er = math.exp(-tau * phi[-1])
+    fac_l = 1.0 - tau * el * twist.tail_correction_left
+    fac_r = 1.0 - tau * er * twist.tail_correction_right
     dl = (phi[1] - phi[0]) / h - h * (f[0] / 3.0 + f[1] / 6.0)
     dr = (phi[-1] - phi[-2]) / h + h * (f[-1] / 3.0 + f[-2] / 6.0)
-    r[0] = dl * (1.0 - tau * el * twist.tail_correction_left) \
-        - (el * twist.tail_weighted_left - twist.tail_plain_left)
-    r[-1] = dr * (1.0 - tau * er * twist.tail_correction_right) \
-        + (er * twist.tail_weighted_right - twist.tail_plain_right)
-    return r
+    r[0] = dl * fac_l - (el * twist.tail_weighted_left - twist.tail_plain_left)
+    r[-1] = dr * fac_r + (er * twist.tail_weighted_right - twist.tail_plain_right)
 
-
-def _jacobian_banded(phi, tau, twist, p0, h):
-    """Tridiagonal Jacobian of the residual (solve_banded layout (1,1))."""
-    n = phi.size
-    w = np.exp(twist.log_weight - tau * phi)
-    f = p0 * (w - 1.0)
-    g = tau * p0 * w
     ab = np.zeros((3, n))
     inv_h2 = 1.0 / (h * h)
     ab[0, 2:] = inv_h2 + g[2:] / 12.0          # A[i, i+1]
     ab[1, 1:-1] = -2.0 * inv_h2 + 10.0 * g[1:-1] / 12.0
     ab[2, :-2] = inv_h2 + g[:-2] / 12.0        # A[i, i-1]
     # left closure row
-    el = math.exp(-tau * phi[0])
-    fac_l = 1.0 - tau * el * twist.tail_correction_left
-    dl = (phi[1] - phi[0]) / h - h * (f[0] / 3.0 + f[1] / 6.0)
     ab[1, 0] = (-1.0 / h + h * g[0] / 3.0) * fac_l \
         + dl * tau * tau * el * twist.tail_correction_left \
         + tau * el * twist.tail_weighted_left
     ab[0, 1] = (1.0 / h + h * g[1] / 6.0) * fac_l
     # right closure row
-    er = math.exp(-tau * phi[-1])
-    fac_r = 1.0 - tau * er * twist.tail_correction_right
-    dr = (phi[-1] - phi[-2]) / h + h * (f[-1] / 3.0 + f[-2] / 6.0)
     ab[1, -1] = (1.0 / h - h * g[-1] / 3.0) * fac_r \
         + dr * tau * tau * er * twist.tail_correction_right \
         - tau * er * twist.tail_weighted_right
     ab[2, -2] = (-1.0 / h - h * g[-2] / 6.0) * fac_r
-    return ab
+    return r, ab
 
 
 def _solve_tridiagonal(ab, rhs):
@@ -382,10 +370,7 @@ def _solve_linear_mean_zero(twist, p0, grid):
     """
     h = grid.h
     n = grid.n_nodes
-    tau = 0.0
-    phi0 = np.zeros(n)
-    r = _residual(phi0, tau, twist, p0, h)
-    ab = _jacobian_banded(phi0, tau, twist, p0, h)
+    r, ab = _linearize(np.zeros(n), 0.0, twist, p0, h)
     mid = n // 2
     # pin row `mid`: A[mid, mid] = 1, neighbors zero
     ab[1, mid] = 1.0
@@ -411,7 +396,7 @@ def solve_ma(cfg: SolverConfig, guess: RadialKahlerPotential | np.ndarray | None
         grid = guess.grid if isinstance(guess, RadialKahlerPotential) else Grid()
     if twist is None:
         twist = build_twist(grid, cfg.cone.beta, cfg.delta)
-    p0 = fubini_study_potential(grid).phi_doubleprime
+    p0 = grid.reference.phi_doubleprime
     h = grid.h
 
     def project(v):
@@ -419,7 +404,7 @@ def solve_ma(cfg: SolverConfig, guess: RadialKahlerPotential | np.ndarray | None
 
     if cfg.tau == 0.0:
         phi = project(_solve_linear_mean_zero(twist, p0, grid))
-        res = float(np.max(np.abs(_residual(phi, 0.0, twist, p0, h))))
+        res = float(np.max(np.abs(_linearize(phi, 0.0, twist, p0, h)[0])))
         iters = 0
     else:
         if guess is None:
@@ -434,7 +419,7 @@ def solve_ma(cfg: SolverConfig, guess: RadialKahlerPotential | np.ndarray | None
         if not np.all(_implied_density(phi, p0, h) > 0.0):
             raise PositivityLost("initial guess is not a positive metric")
 
-        r = _residual(phi, cfg.tau, twist, p0, h)
+        r, ab = _linearize(phi, cfg.tau, twist, p0, h)
         res = float(np.max(np.abs(r)))
         iters = 0
         while res > cfg.newton_tol:
@@ -442,7 +427,6 @@ def solve_ma(cfg: SolverConfig, guess: RadialKahlerPotential | np.ndarray | None
                 raise NewtonDiverged(
                     f"no convergence in {cfg.newton_max_iter} iterations "
                     f"(residual {res:.3e})")
-            ab = _jacobian_banded(phi, cfg.tau, twist, p0, h)
             step = _solve_tridiagonal(ab, -r)
             alpha = 1.0
             accepted = False
@@ -453,10 +437,10 @@ def solve_ma(cfg: SolverConfig, guess: RadialKahlerPotential | np.ndarray | None
                     positivity_blocked = True
                     alpha *= cfg.damping
                     continue
-                trial_r = _residual(trial, cfg.tau, twist, p0, h)
+                trial_r, trial_ab = _linearize(trial, cfg.tau, twist, p0, h)
                 trial_res = float(np.max(np.abs(trial_r)))
                 if trial_res < res:
-                    phi, r, res = trial, trial_r, trial_res
+                    phi, r, ab, res = trial, trial_r, trial_ab, trial_res
                     accepted = True
                     break
                 alpha *= cfg.damping
@@ -635,8 +619,23 @@ def continuity_path(cone: ConeConfiguration, delta: float,
         raise ValueError("delta = 0 requires beta >= 0.3 for a well-conditioned path")
     grid = grid or Grid()
     mu = cone.mu
+    if isinstance(schedule, str):
+        if schedule != "adaptive":
+            raise ValueError("schedule must be 'adaptive', an int, or an array")
+        targets = None
+        dtau = mu / 20.0
+    elif isinstance(schedule, (int, np.integer)):
+        if schedule < 1:
+            raise ValueError(f"a uniform schedule needs at least 1 step, got {schedule}")
+        targets = np.linspace(0.0, mu, int(schedule) + 1)[1:]
+    else:
+        targets = np.asarray(schedule, dtype=float)
+        if targets.ndim != 1 or targets.size == 0 or np.any(np.diff(targets) <= 0) \
+                or abs(targets[-1] - mu) > 1e-12:
+            raise ValueError("explicit schedule must increase to mu")
+
     twist = build_twist(grid, cone.beta, delta)
-    pot0 = fubini_study_potential(grid)
+    pot0 = grid.reference
     trace = ContinuationTrace(cone, delta)
 
     def solve_at(tau, guess):
@@ -645,18 +644,6 @@ def continuity_path(cone: ConeConfiguration, delta: float,
 
     sol = solve_at(0.0, None)
     trace.steps.append(_trace_step(0.0, sol, pot0, eigen_modes))
-
-    if isinstance(schedule, str):
-        if schedule != "adaptive":
-            raise ValueError("schedule must be 'adaptive', an int, or an array")
-        targets = None
-        dtau = mu / 20.0
-    elif isinstance(schedule, (int, np.integer)):
-        targets = np.linspace(0.0, mu, int(schedule) + 1)[1:]
-    else:
-        targets = np.asarray(schedule, dtype=float)
-        if targets.ndim != 1 or np.any(np.diff(targets) <= 0) or abs(targets[-1] - mu) > 1e-12:
-            raise ValueError("explicit schedule must increase to mu")
 
     prev_phi = None
     prev_tau = 0.0
@@ -772,7 +759,7 @@ def ricci_lower_bound_margin(solution: MASolution) -> RicciMarginReport:
     grid = solution.grid
     beta, delta, lam = cfg.cone.beta, cfg.delta, cfg.cone.lam
     mu = cfg.cone.mu
-    p0 = fubini_study_potential(grid).phi_doubleprime
+    p0 = grid.reference.phi_doubleprime
     u = defining_section_norm(grid)
     t = grid.t
     w_prime = (1.0 - np.exp(t)) / (1.0 + np.exp(t))  # d/dt log ||S||_0^2
@@ -797,7 +784,7 @@ class TwoSidedBounds:
 def two_sided_bound_check(report: SmoothingReport) -> TwoSidedBounds:
     """Smallest constants realizing the two-sided metric comparison."""
     grid = report.conic_solution.grid
-    p0 = fubini_study_potential(grid).phi_doubleprime
+    p0 = grid.reference.phi_doubleprime
     u = defining_section_norm(grid)
     beta = report.cone.beta
     lower = -np.inf

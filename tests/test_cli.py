@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conic_ke.bergman import partial_c0_scan
 from conic_ke.cli import main
@@ -269,6 +271,85 @@ def test_write_csv_matches_per_cell_format(tmp_path):
         write_csv(tmp_path / "bad1.csv", ["x", "y"], [("a", 1.0), (2.0, 1.0)])
     with pytest.raises(TypeError):
         write_csv(tmp_path / "bad2.csv", ["x", "y"], [("a", 1.0), ("b", "c")])
+
+
+def per_row_write_csv(path, header, rows):
+    """The writer before whole-table formatting: one `%` per row."""
+    lines = [",".join(header)]
+    fmt = None
+    for row in rows:
+        if fmt is None:
+            text_cols = [i for i, x in enumerate(row) if isinstance(x, str)]
+            fmt = ",".join("%s" if isinstance(x, str) else FMT for x in row)
+        if text_cols and not all(isinstance(row[i], str) for i in text_cols):
+            raise TypeError(f"{path}: row {row!r} has a non-string cell in a text column")
+        lines.append(fmt % tuple(row))
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+_CELLS = {
+    "str": st.text(st.characters(codec="utf-8"), max_size=6),
+    "int": st.integers(-2**70, 2**70),
+    "float": st.floats(allow_nan=True, allow_infinity=True),
+    "special": st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0, 5e-324]),
+}
+
+
+@st.composite
+def _tables(draw):
+    kinds = draw(st.lists(st.sampled_from(sorted(_CELLS)), min_size=1, max_size=5))
+    # "special" stays numeric, so every column keeps one cell kind (str or number)
+    cols = [_CELLS[k] for k in kinds]
+    return kinds, draw(st.lists(st.tuples(*cols), max_size=8))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(table=_tables())
+def test_write_csv_matches_per_row_writer(tmp_path_factory, table):
+    kinds, rows = table
+    tmp = tmp_path_factory.mktemp("csv")
+    header = [f"c{i}" for i in range(len(kinds))]
+    write_csv(tmp / "new.csv", header, rows)
+    per_row_write_csv(tmp / "old.csv", header, rows)
+    assert (tmp / "new.csv").read_bytes() == (tmp / "old.csv").read_bytes()
+
+
+def test_write_csv_ragged_and_empty(tmp_path):
+    # one `%` over the whole table would let a short and a long row cancel
+    with pytest.raises(TypeError):
+        write_csv(tmp_path / "r.csv", ["x", "y"], [(1.0, 2.0), (3.0,), (4.0, 5.0, 6.0)])
+    write_csv(tmp_path / "e.csv", ["x", "y"], [])
+    assert (tmp_path / "e.csv").read_text(encoding="utf-8") == "x,y\n"
+
+
+def test_potential_csv_node_column_per_grid(tmp_path):
+    grids = [Grid(-16, 16, 2049), Grid(-24, 24, 1025), Grid(-16, 16, 2049)]
+    for k, g in enumerate(grids):
+        pot = football_potential(g, 0.7)
+        write_potential_csv(tmp_path / f"new{k}.csv", pot)
+        per_row_write_csv(tmp_path / f"old{k}.csv", ["t", "phi_prime", "phi_doubleprime"],
+                          zip(g.t.tolist(), pot.phi_prime.tolist(),
+                              pot.phi_doubleprime.tolist()))
+        assert (tmp_path / f"new{k}.csv").read_bytes() == \
+            (tmp_path / f"old{k}.csv").read_bytes()
+
+
+@pytest.mark.parametrize("steps", ["0", "-1", "-2"])
+def test_continue_path_needs_a_step(tmp_path, capsys, steps):
+    assert run("continue-path", "--beta", 0.8, "--delta", 1e-3, "--steps", steps,
+               "--grid-N", 257, "--out", tmp_path / "p") == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: --steps"), err
+    assert not (tmp_path / "p").exists()
+
+
+def test_continue_path_one_step(tmp_path, capsys):
+    out = tmp_path / "p"
+    assert run("continue-path", "--beta", 0.8, "--delta", 1e-3, "--steps", 1,
+               "--grid-N", 257, "--out", out) == 0
+    assert "2 steps, status complete" in capsys.readouterr().out
+    trace = np.loadtxt(out / "trace.csv", delimiter=",", skiprows=1)
+    assert trace.shape[0] == 2 and trace[-1, 0] == pytest.approx(0.8, abs=1e-12)
 
 
 def test_continue_path_outputs(tmp_path):

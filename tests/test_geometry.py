@@ -208,3 +208,23 @@ def test_positivity_validation(grid):
     assert not bad.is_positive
     with pytest.raises(ValueError):
         gauss_curvature_profile(bad)
+
+
+def test_grid_data_cached_and_read_only():
+    g = Grid(-12.0, 12.0, 257)
+    ref = g.reference
+    arrays = {"t": lambda: g.t, "weights": lambda: g.weights,
+              "phi_prime": lambda: g.reference.phi_prime,
+              "phi_doubleprime": lambda: g.reference.phi_doubleprime}
+    assert g.reference is ref
+    for name, get in arrays.items():
+        a = get()
+        assert get() is a, name
+        with pytest.raises(ValueError):
+            a[0] = 1.0
+    # same formula as the uncached reference; equality stays field-based
+    fs = fubini_study_potential(g)
+    assert np.array_equal(ref.phi_prime, fs.phi_prime)
+    assert np.array_equal(ref.phi_doubleprime, fs.phi_doubleprime)
+    assert ref.base_offset == fs.base_offset
+    assert g == Grid(-12.0, 12.0, 257) and hash(g) == hash(Grid(-12.0, 12.0, 257))

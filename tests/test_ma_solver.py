@@ -1,8 +1,11 @@
+import sys
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.linalg import eigh_tridiagonal
 
+from conic_ke import geometry
 from conic_ke.geometry import (
     ConeConfiguration,
     Grid,
@@ -215,6 +218,32 @@ def test_path_preconditions(grid):
     with pytest.raises(ValueError):
         continuity_path(ConeConfiguration(0.8), 1e-3, schedule=np.array([0.5, 0.4, 0.8]),
                         grid=grid)
+
+
+@pytest.mark.parametrize("schedule", [0, -1, -2, np.array([])],
+                         ids=["zero", "minus-one", "minus-two", "empty-array"])
+def test_path_schedule_without_steps_rejected(schedule):
+    with pytest.raises(ValueError, match="schedule"):
+        continuity_path(ConeConfiguration(0.8), 1e-3, schedule=schedule,
+                        grid=Grid(-16, 16, 257))
+
+
+def test_path_builds_reference_once_per_grid(monkeypatch):
+    original = geometry.fubini_study_potential
+    built = []
+
+    def counting(grid):
+        built.append(grid)
+        return original(grid)
+
+    # every module that imported the function holds its own binding
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("conic_ke") and getattr(mod, "fubini_study_potential", None) is original:
+            monkeypatch.setattr(mod, "fubini_study_potential", counting)
+    g = Grid(-16, 16, 257)
+    trace = continuity_path(ConeConfiguration(0.8), 1e-3, schedule=10, grid=g)
+    assert trace.status == "complete" and len(trace.steps) == 11
+    assert len(built) <= 1
 
 
 # ---------------------------------------------------------------------------
