@@ -18,44 +18,11 @@ import sys
 import time
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
-from .bergman import (
-    associated_hermitian_weight,
-    bergman_density,
-    gram_matrix,
-    partial_c0_scan,
-)
-from .cone_analysis import (
-    dirichlet_energy,
-    flat_cone_metric,
-    loglog_cutoff,
-    selection_log_delta,
-    tube_volume,
-    volume_ratio_profile,
-)
-from .functionals import f_functional
-from .geometry import ConeConfiguration, Grid, football_potential
-from .io import (
-    format_number,
-    potential_manifest,
-    read_potential_csv,
-    write_csv,
-    write_manifest,
-    write_potential_csv,
-)
-from .ma_solver import (
-    NewtonDiverged,
-    PathStalled,
-    PositivityLost,
-    SolverConfig,
-    SolverError,
-    continuity_path,
-    smoothing_family,
-    solve_ma,
-)
-from .stability import futaki, log_futaki, obstruction_scan
+from .errors import NewtonDiverged, PathStalled, PositivityLost, SolverError
+
+# Library modules (and numpy with them) are imported by the command that
+# uses them, so --version and usage errors answer before numpy loads.
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -64,7 +31,8 @@ EXIT_POSITIVITY = 3
 EXIT_STALLED = 4
 
 
-def _grid_from(args) -> Grid:
+def _grid_from(args):
+    from .geometry import Grid
     return Grid(-args.grid_T, args.grid_T, args.grid_N)
 
 
@@ -80,6 +48,10 @@ def _echo_config(args, skip=("func", "config", "command")) -> dict:
 
 
 def cmd_solve(args) -> int:
+    from .geometry import ConeConfiguration
+    from .io import (format_number, potential_manifest, write_csv,
+                     write_manifest, write_potential_csv)
+    from .ma_solver import SolverConfig, solve_ma
     grid = _grid_from(args)
     cone = ConeConfiguration(args.beta)
     if args.tau > cone.mu + 1e-15:
@@ -93,13 +65,18 @@ def cmd_solve(args) -> int:
     write_manifest(out / "manifest.json", "solve", _echo_config(args),
                    ["solution.csv", "phi.csv"], grid=grid,
                    wall_clock=time.time() - t0,
-                   extra={"potential": potential_manifest(sol.potential)})
+                   extra={"potential": potential_manifest(sol.potential),
+                          "residual": sol.residual, "iterations": sol.iterations})
     print(f"solve: residual={format_number(sol.residual)} "
           f"iterations={sol.iterations}")
     return EXIT_OK
 
 
 def cmd_continue_path(args) -> int:
+    from .functionals import f_functional
+    from .geometry import ConeConfiguration
+    from .io import write_csv, write_manifest, write_potential_csv
+    from .ma_solver import continuity_path
     grid = _grid_from(args)
     cone = ConeConfiguration(args.beta)
     if args.steps is not None and args.steps < 1:
@@ -133,6 +110,9 @@ def cmd_continue_path(args) -> int:
 
 
 def cmd_smooth_family(args) -> int:
+    from .geometry import ConeConfiguration
+    from .io import format_number, write_csv, write_manifest, write_potential_csv
+    from .ma_solver import smoothing_family
     grid = _grid_from(args)
     cone = ConeConfiguration(args.beta)
     deltas = [float(x) for x in args.deltas.split(",")]
@@ -163,6 +143,10 @@ def _parse_pair(item: str, flag: str, first, second):
 
 
 def cmd_bergman_scan(args) -> int:
+    from .bergman import (associated_hermitian_weight, bergman_density,
+                          gram_matrix, partial_c0_scan)
+    from .geometry import ConeConfiguration, football_potential
+    from .io import format_number, write_csv, write_manifest
     grid = _grid_from(args)
     betas = [float(x) for x in args.betas.split(",")]
     ells = [int(x) for x in args.ells.split(",")]
@@ -187,6 +171,8 @@ def cmd_bergman_scan(args) -> int:
 
 
 def cmd_futaki(args) -> int:
+    from .io import format_number, read_potential_csv, write_csv, write_manifest
+    from .stability import futaki
     pot = read_potential_csv(args.metric)
     t0 = time.time()
     rep = futaki(pot)
@@ -209,6 +195,8 @@ def _location(loc: str):
 
 
 def cmd_log_futaki(args) -> int:
+    from .io import format_number, read_potential_csv, write_csv, write_manifest
+    from .stability import log_futaki, obstruction_scan
     pot = read_potential_csv(args.metric)
     out = _out_dir(args)
     t0 = time.time()
@@ -237,6 +225,11 @@ def cmd_log_futaki(args) -> int:
 
 
 def cmd_capacity(args) -> int:
+    import numpy as np
+
+    from .cone_analysis import (dirichlet_energy, flat_cone_metric, loglog_cutoff,
+                                selection_log_delta)
+    from .io import format_number, write_csv, write_manifest
     model = flat_cone_metric(args.n, args.beta_bar)
     if args.rule == "auto":
         log_delta = selection_log_delta(args.n, args.eps)
@@ -277,6 +270,11 @@ def _parse_source(item: str) -> tuple:
 
 
 def cmd_volume_scan(args) -> int:
+    import numpy as np
+
+    from .cone_analysis import flat_cone_metric, tube_volume, volume_ratio_profile
+    from .geometry import football_potential
+    from .io import format_number, write_csv, write_manifest
     radii = np.linspace(args.r_min, args.r_max, args.num)
     kind, *params = _parse_source(args.source)
     t0 = time.time()

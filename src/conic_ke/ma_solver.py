@@ -28,17 +28,24 @@ null mode).  That eigenvalue is taken by shifted inverse iteration; the shift
 only rises when a positive definite factorization proves it below the
 spectrum, and the iteration stops when the Rayleigh quotient stops falling.
 
-scipy is imported by the banded and eigen solves when they first run, so a
-process that never solves loads numpy alone.
+Both kernels are LAPACK routines (dgtsv for the Newton steps, dpttrf and
+dpttrs for the gap) called through scipy's compiled wrapper module
+`scipy.linalg._flapack`, which the first solve loads on its own in ~4 ms; the
+`scipy.linalg` package, whose import pulls in scipy's array-API layer for
+~0.25 s, is never imported.  A process that never solves loads numpy alone.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import NewtonDiverged, PathStalled, PositivityLost, SolverError
 from .functionals import j_functional
 from .geometry import (
     ConeConfiguration,
@@ -49,27 +56,6 @@ from .geometry import (
     log_defining_section_norm,
 )
 from .numerics import cumulative_integral, d2
-
-
-class SolverError(RuntimeError):
-    """Base class for solver failures."""
-
-
-class NewtonDiverged(SolverError):
-    """Damped Newton could not reduce the residual within its budget."""
-
-
-class PositivityLost(SolverError):
-    """An iterate left the cone of positive metrics and could not recover."""
-
-
-class PathStalled(SolverError):
-    """Continuation step fell below the minimum step size."""
-
-    def __init__(self, message, last_tau, trace=None):
-        super().__init__(message)
-        self.last_tau = last_tau
-        self.trace = trace
 
 
 # ---------------------------------------------------------------------------
@@ -351,15 +337,67 @@ def _linearize(phi, tau, twist, p0, h):
     return r, ab
 
 
+def _lapack():
+    """scipy's compiled LAPACK wrapper module `scipy.linalg._flapack`.
+
+    The first call loads it straight from its file and registers it in
+    `sys.modules`, so the `scipy` and `scipy.linalg` packages are never
+    imported; later calls, and an `import scipy.linalg` made earlier, leave
+    the one loaded module to be reused.
+    """
+    name = "scipy.linalg._flapack"
+    if name in sys.modules:
+        return sys.modules[name]
+    scipy = importlib.util.find_spec("scipy")     # imports nothing for a top-level name
+    if scipy is None:
+        raise ImportError("scipy is not installed; its LAPACK wrappers are needed to solve")
+    directory = f"{scipy.submodule_search_locations[0]}/linalg"
+    finder = importlib.machinery.FileFinder(
+        directory, (importlib.machinery.ExtensionFileLoader,
+                    importlib.machinery.EXTENSION_SUFFIXES))
+    spec = finder.find_spec(name)
+    if spec is None:
+        raise ImportError(f"no compiled module _flapack in {directory}")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
 def _solve_tridiagonal(ab, rhs):
-    """Solve the (1,1)-banded system `ab`; scipy is imported on first use."""
-    from scipy.linalg import solve_banded
-    return solve_banded((1, 1), ab, rhs)
+    """Solve the (1,1)-banded system `ab` by LAPACK dgtsv.
+
+    The arguments and checks are those of `scipy.linalg.solve_banded((1, 1),
+    ab, rhs)`, so the solution is bit for bit the same.
+    """
+    if not (np.isfinite(ab).all() and np.isfinite(rhs).all()):
+        raise ValueError("array must not contain infs or NaNs")
+    *_, x, info = _lapack().dgtsv(ab[2, :-1], ab[1], ab[0, 1:], rhs)
+    if info > 0:
+        raise np.linalg.LinAlgError("singular matrix")
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of dgtsv")
+    return x
 
 
 def _implied_density(phi, p0, h):
     """Phi'' of an iterate read through the plain difference stencil."""
     return p0 + d2(phi, h)
+
+
+def _newton_system(phi, tau, twist, p0, h):
+    """`_linearize` and the residual's max norm, which is inf when the
+    residual or the Jacobian is not finite: e^(-tau phi) overflows on an
+    iterate that is negative enough."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            r, ab = _linearize(phi, tau, twist, p0, h)
+        except OverflowError:           # math.exp at a closure row
+            return None, None, math.inf
+    res = float(np.max(np.abs(r)))
+    if not (math.isfinite(res) and np.isfinite(ab).all()):
+        return r, ab, math.inf
+    return r, ab, res
 
 
 def _solve_linear_mean_zero(twist, p0, grid):
@@ -419,15 +457,20 @@ def solve_ma(cfg: SolverConfig, guess: RadialKahlerPotential | np.ndarray | None
         if not np.all(_implied_density(phi, p0, h) > 0.0):
             raise PositivityLost("initial guess is not a positive metric")
 
-        r, ab = _linearize(phi, cfg.tau, twist, p0, h)
-        res = float(np.max(np.abs(r)))
+        r, ab, res = _newton_system(phi, cfg.tau, twist, p0, h)
+        if res == math.inf:
+            raise NewtonDiverged("Newton system is not finite at the initial guess")
         iters = 0
         while res > cfg.newton_tol:
             if iters >= cfg.newton_max_iter:
                 raise NewtonDiverged(
                     f"no convergence in {cfg.newton_max_iter} iterations "
                     f"(residual {res:.3e})")
-            step = _solve_tridiagonal(ab, -r)
+            try:
+                step = _solve_tridiagonal(ab, -r)
+            except np.linalg.LinAlgError:
+                raise NewtonDiverged(
+                    f"singular Newton system at residual {res:.3e}") from None
             alpha = 1.0
             accepted = False
             positivity_blocked = False
@@ -437,8 +480,7 @@ def solve_ma(cfg: SolverConfig, guess: RadialKahlerPotential | np.ndarray | None
                     positivity_blocked = True
                     alpha *= cfg.damping
                     continue
-                trial_r, trial_ab = _linearize(trial, cfg.tau, twist, p0, h)
-                trial_res = float(np.max(np.abs(trial_r)))
+                trial_r, trial_ab, trial_res = _newton_system(trial, cfg.tau, twist, p0, h)
                 if trial_res < res:
                     phi, r, ab, res = trial, trial_r, trial_ab, trial_res
                     accepted = True
@@ -507,7 +549,7 @@ def _lowest_eigenvalue(diag: np.ndarray, off: np.ndarray) -> float:
     the iteration stops when it falls by at most _RAYLEIGH_STALL relative or
     rises, and returns the smallest quotient seen.
     """
-    from scipy.linalg.lapack import dpttrf, dpttrs
+    dpttrf, dpttrs = _lapack().dpttrf, _lapack().dpttrs
     ld, le, info = dpttrf(diag, off)
     if info != 0:
         raise SolverError("eigen-solve: mode matrix is not positive definite")

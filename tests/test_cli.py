@@ -15,6 +15,7 @@ from conic_ke.cli import main
 from conic_ke.geometry import Grid, football_potential, fubini_study_potential
 from conic_ke.io import (
     FMT,
+    format_number,
     read_manifest,
     read_potential_csv,
     write_csv,
@@ -44,6 +45,11 @@ def test_solve_trivial(tmp_path, capsys):
     manifest = read_manifest(out / "manifest.json")
     for name in manifest["outputs"]:
         assert (out / name).stat().st_size > 0
+    # the Newton outcome printed on stdout is recorded in the manifest
+    summary = capsys.readouterr().out
+    assert summary == (f"solve: residual={format_number(manifest['residual'])} "
+                       f"iterations={manifest['iterations']}\n")
+    assert 0.0 <= manifest["residual"] < 1e-11
 
 
 def test_solve_football_oracle(tmp_path):
@@ -104,6 +110,8 @@ for argv in (["capacity", "--n", "1", "--eps", "0.1"],
              ["futaki", "--metric", metric],
              ["log-futaki", "--metric", metric],
              ["solve", "--beta", "0.8", "--delta", "1e-3", "--tau", "0.5",
+              "--grid-N", "257"],
+             ["continue-path", "--beta", "0.8", "--delta", "1e-3", "--steps", "1",
               "--grid-N", "257"]):
     assert cli.main(argv + ["--out", out + "/" + argv[0]]) == 0, argv
     seen[argv[0]] = scipy_modules()
@@ -112,16 +120,42 @@ print(json.dumps(seen))
 
 
 def test_scipy_loaded_only_by_solves(tmp_path):
-    # start-up guard: scipy.linalg costs ~0.27 s, so only a solve may load it
+    # start-up guard: the scipy.linalg package costs ~0.25 s, so no command may
+    # load it; solves load its LAPACK extension module alone
     metric = tmp_path / "fb.csv"
     write_potential_csv(metric, football_potential(Grid(-16, 16, 257), 0.6))
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
     out = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, str(tmp_path), str(metric)],
                          env=env, check=True, capture_output=True, text=True).stdout
     seen = json.loads(out.splitlines()[-1])     # after each command's summary line
-    assert "scipy.linalg" in seen.pop("solve")
+    assert seen.pop("solve") == seen.pop("continue-path") == ["scipy.linalg._flapack"]
     assert seen == {stage: [] for stage in ("import", "capacity", "volume-scan",
                                             "bergman-scan", "futaki", "log-futaki")}
+
+
+def test_version_and_usage_errors_leave_numpy_unloaded():
+    # start-up guard: argparse answers before any library module loads numpy
+    code = ("import sys, conic_ke.cli as cli\n"
+            "try:\n    cli.main(['--version'])\nexcept SystemExit:\n    pass\n"
+            "assert cli.main(['solve', '--beta', '0.8']) == 1\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))")
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.splitlines() == ["0.1.0", "[]"]
+
+
+def test_package_exports_resolve_lazily():
+    import conic_ke
+    import conic_ke.ma_solver as ma_solver
+
+    for name, module in conic_ke._MODULE_OF.items():
+        assert getattr(conic_ke, name) is getattr(
+            sys.modules[f"conic_ke.{module}"], name), name
+        assert name in dir(conic_ke)
+    assert conic_ke.NewtonDiverged is ma_solver.NewtonDiverged
+    with pytest.raises(AttributeError, match="no_such_name"):
+        conic_ke.no_such_name
 
 
 def test_config_flag_without_path(capsys):
@@ -224,7 +258,7 @@ def test_config_file_round_trip(tmp_path):
 
 
 def test_exit_code_taxonomy(tmp_path, monkeypatch):
-    import conic_ke.cli as cli
+    import conic_ke.ma_solver as ma_solver
     from conic_ke.ma_solver import NewtonDiverged, PathStalled, PositivityLost
 
     def raiser(exc):
@@ -232,13 +266,13 @@ def test_exit_code_taxonomy(tmp_path, monkeypatch):
             raise exc("synthetic")
         return fn
 
-    monkeypatch.setattr(cli, "solve_ma", raiser(NewtonDiverged))
+    monkeypatch.setattr(ma_solver, "solve_ma", raiser(NewtonDiverged))
     assert run("solve", "--beta", 0.8, "--delta", 1e-3, "--tau", 0.4,
                "--out", tmp_path / "x1") == 2
-    monkeypatch.setattr(cli, "solve_ma", raiser(PositivityLost))
+    monkeypatch.setattr(ma_solver, "solve_ma", raiser(PositivityLost))
     assert run("solve", "--beta", 0.8, "--delta", 1e-3, "--tau", 0.4,
                "--out", tmp_path / "x2") == 3
-    monkeypatch.setattr(cli, "continuity_path",
+    monkeypatch.setattr(ma_solver, "continuity_path",
                         raiser(lambda m: PathStalled(m, 0.1)))
     assert run("continue-path", "--beta", 0.8, "--delta", 1e-3,
                "--out", tmp_path / "x3") == 4

@@ -163,6 +163,27 @@ def test_newton_budget_exhaustion(grid):
         solve_ma(cfg, grid=grid)
 
 
+@pytest.mark.parametrize("guess", [
+    lambda t: -1500.0 * (1.0 - (t / t[-1]) ** 2),  # residual overflows to inf
+    lambda t: np.full(t.size, -2000.0),            # e^(-tau phi) overflows at the closures
+])
+def test_overflowing_newton_system_diverges(grid, guess):
+    cfg = SolverConfig(ConeConfiguration(0.8), 0.01, 0.5)
+    with pytest.raises(NewtonDiverged, match="not finite"):
+        solve_ma(cfg, guess=guess(grid.t), grid=grid)
+
+
+def test_singular_newton_system_diverges(grid, monkeypatch):
+    import conic_ke.ma_solver as ma_solver
+
+    def singular(ab, rhs):
+        raise np.linalg.LinAlgError("singular matrix")
+
+    monkeypatch.setattr(ma_solver, "_solve_tridiagonal", singular)
+    with pytest.raises(NewtonDiverged, match="singular"):
+        solve_ma(SolverConfig(ConeConfiguration(0.8), 0.01, 0.5), grid=grid)
+
+
 def test_path_stall_reports_last_tau():
     g = Grid(-16, 16, 513)
     with pytest.raises(PathStalled) as exc:
@@ -389,6 +410,71 @@ def test_eigen_solve_failures(fs, monkeypatch):
     monkeypatch.setattr(ma_solver, "_EIGEN_MAX_ITER", 2)
     with pytest.raises(SolverError):
         first_eigenvalue(fs)
+
+
+def test_lapack_kernels_match_scipy_linalg(grid, monkeypatch):
+    # the Newton Jacobians and gap matrices of a real solve, through both routes
+    import conic_ke.ma_solver as ma_solver
+    from scipy.linalg import lapack, solve_banded
+
+    solve = ma_solver._solve_tridiagonal
+    systems = []
+
+    def record(ab, rhs):
+        systems.append((ab.copy(), rhs.copy()))
+        return solve(ab, rhs)
+
+    monkeypatch.setattr(ma_solver, "_solve_tridiagonal", record)
+    cone = ConeConfiguration(0.8)
+    solve_ma(SolverConfig(cone, 1e-3, 0.0), grid=grid)
+    sol = solve_ma(SolverConfig(cone, 1e-3, cone.mu), grid=grid)
+    assert len(systems) == 1 + sol.iterations >= 3
+    for ab, rhs in systems:
+        assert np.array_equal(solve(ab, rhs), solve_banded((1, 1), ab, rhs))
+
+    flapack = ma_solver._lapack()
+    assert flapack is sys.modules["scipy.linalg._flapack"]
+    for m in (0, 1, 2):
+        diag, off = ma_solver._mode_matrix(sol.potential, m)
+        ours, theirs = flapack.dpttrf(diag, off), lapack.dpttrf(diag, off)
+        assert ours[2] == theirs[2] == 0
+        assert np.array_equal(ours[0], theirs[0]) and np.array_equal(ours[1], theirs[1])
+        x = 1.0 / diag
+        assert np.array_equal(flapack.dpttrs(*ours[:2], x)[0],
+                              lapack.dpttrs(*theirs[:2], x)[0])
+
+
+@pytest.mark.parametrize("bad", ["ab_nan", "rhs_inf"])
+def test_tridiagonal_rejects_non_finite(bad):
+    from conic_ke.ma_solver import _solve_tridiagonal
+
+    ab, rhs = np.array([[0.0, 1.0, 1.0], [4.0, 4.0, 4.0], [1.0, 1.0, 0.0]]), np.ones(3)
+    if bad == "ab_nan":
+        ab[1, 1] = np.nan
+    else:
+        rhs[2] = np.inf
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        _solve_tridiagonal(ab, rhs)
+
+
+def test_tridiagonal_singular():
+    from conic_ke.ma_solver import _solve_tridiagonal
+
+    with pytest.raises(np.linalg.LinAlgError, match="singular matrix"):
+        _solve_tridiagonal(np.zeros((3, 3)), np.ones(3))
+
+
+def test_lapack_missing_extension_names_its_path(tmp_path, monkeypatch):
+    import importlib.machinery
+
+    import conic_ke.ma_solver as ma_solver
+
+    monkeypatch.delitem(sys.modules, "scipy.linalg._flapack")
+    fake = importlib.machinery.ModuleSpec("scipy", None, is_package=True)
+    fake.submodule_search_locations.append(str(tmp_path))
+    monkeypatch.setattr(ma_solver.importlib.util, "find_spec", lambda name: fake)
+    with pytest.raises(ImportError, match=str(tmp_path)):
+        ma_solver._lapack()
 
 
 # ---------------------------------------------------------------------------
