@@ -89,28 +89,17 @@ class SectionBasisGram:
     weight: HermitianWeight
     log_diag: np.ndarray          # log <z^k, z^k>, k = 0..2l
 
-    @property
-    def dim(self) -> int:
-        return 2 * self.ell + 1
-
-    @property
-    def gram(self) -> np.ndarray:
-        return np.diag(np.exp(self.log_diag))
-
-    @property
-    def orthonormal_coefficients(self) -> np.ndarray:
-        """c_k with {c_k z^k} orthonormal."""
-        return np.exp(-0.5 * self.log_diag)
-
     def log_section_norms(self) -> np.ndarray:
         """Fresh (2l+1, n) array of log ||z^k||^2(t)."""
         return _log_section_norms(self.ell, self.weight.log_weight,
                                   self.weight.pot.grid.t)
 
 
-def _log_section_norms(ell: int, log_weight: np.ndarray, t: np.ndarray) -> np.ndarray:
-    # k t + l w(t), summed in place in that order
-    norms = np.arange(2 * ell + 1)[:, None] * t[None, :]
+def _log_section_norms(ell: int, log_weight: np.ndarray, t: np.ndarray,
+                       k: int | None = None) -> np.ndarray:
+    # k t + l w(t), summed in place in that order, for k = 0..2l or one k
+    ks = np.arange(2 * ell + 1) if k is None else np.array([k])
+    norms = ks[:, None] * t[None, :]
     norms += ell * log_weight[None, :]
     return norms
 
@@ -199,7 +188,7 @@ def section_profiles(gram: SectionBasisGram, k: int):
     """
     pot = gram.weight.pot
     grid = pot.grid
-    u = k * grid.t + gram.ell * gram.weight.log_weight - gram.log_diag[k]
+    u = _log_section_norms(gram.ell, gram.weight.log_weight, grid.t, k)[0] - gram.log_diag[k]
     up = d1(u, grid.h)
     upp = d2(u, grid.h)
     lg = np.log(pot.phi_doubleprime)
@@ -300,7 +289,7 @@ def peak_section_experiment(t0: float, ell: int, pot: RadialKahlerPotential,
     wp = d1(weight.log_weight, grid.h)
     i0 = grid.index_of(t0)
     k_star = int(np.clip(round(-ell * wp[i0]), 0, 2 * ell))
-    u = k_star * grid.t + ell * weight.log_weight
+    u = _log_section_norms(ell, weight.log_weight, grid.t, k_star)[0]
     chi = np.exp(-0.5 * ((grid.t - t0) / cutoff_width) ** 2)
     meas = grid.weights * pot.phi_doubleprime * 2.0 * np.pi
     m = u.max()

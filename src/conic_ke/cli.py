@@ -90,14 +90,13 @@ def cmd_continue_path(args) -> int:
               ["tau", "J", "F", "lambda1", "newton_iters", "residual"],
               [(s.tau, s.j_value, s.f_value, s.lambda1, s.newton_iters, s.residual)
                for s in trace.steps])
-    pot0 = grid.reference
     frows = []
     for k, s in enumerate(trace.steps):
         name = f"step_{k:04d}.csv"
         write_potential_csv(out / name, s.solution.potential)
         outputs.append(name)
         if s.tau >= 0.05:
-            rep = f_functional(s.solution.phi, s.tau, s.solution.twist, pot0,
+            rep = f_functional(s.solution.phi, s.tau, s.solution.twist,
                                dphi=s.solution.dphi)
             frows.append((f"step{k:04d}", s.tau, args.beta, args.delta,
                           rep.j_value, rep.f_value, rep.linear_term, rep.log_term))
@@ -112,17 +111,25 @@ def cmd_continue_path(args) -> int:
 def cmd_smooth_family(args) -> int:
     from .geometry import ConeConfiguration
     from .io import format_number, write_csv, write_manifest, write_potential_csv
-    from .ma_solver import smoothing_family
+    from .ma_solver import ricci_lower_bound_margin, smoothing_family, two_sided_bound_check
     grid = _grid_from(args)
     cone = ConeConfiguration(args.beta)
     deltas = [float(x) for x in args.deltas.split(",")]
     t0 = time.time()
     rep = smoothing_family(cone, deltas, grid)
     out = _out_dir(args)
-    outputs = ["family.csv"]
+    outputs = ["family.csv", "margins.csv", "two_sided.csv"]
     write_csv(out / "family.csv",
               ["delta", "sup_distance", "core_distance"],
               zip(rep.deltas, rep.sup_distances, rep.core_distances))
+    margins = [ricci_lower_bound_margin(sol) for sol in rep.solutions]
+    write_csv(out / "margins.csv",
+              ["delta", "min_ricci_margin", "margin_route_discrepancy", "newton_iters"],
+              [(d, m.min_margin, m.discrepancy, sol.iterations)
+               for d, m, sol in zip(rep.deltas, margins, rep.solutions)])
+    bounds = two_sided_bound_check(rep)
+    write_csv(out / "two_sided.csv", ["lower_constant", "upper_constant", "argmin_t"],
+              [(bounds.lower_constant, bounds.upper_constant, bounds.argmin_t)])
     for d, sol in zip(rep.deltas, rep.solutions):
         name = f"solution_{d:.0e}.csv"
         write_potential_csv(out / name, sol.potential)

@@ -5,10 +5,12 @@ J is the Aubin-type gradient energy, F its Lagrangian
     F_tau(phi) = J(phi) - (1/V) int phi omega0
                  - (1/tau) log( (1/V) int e^(h - tau phi) omega0 ),
 
-with h the twist exponent used by the solver.  All integrals are grid
-Simpson sums against the round reference density, so the algebraic
-identities (vanishing on constants, the on-path reduction) hold to
-rounding and not merely to quadrature order.
+with h the twist exponent used by the solver.  Every integral is taken over
+the whole sphere: the grid Simpson sum against the round reference density
+of the grid plus the exact tail masses of the solver's `TwistData`, whose
+`reference_mean` and the solution's `MASolution.mean` are the one source of
+those sums.  So the algebraic identities (vanishing on constants, the
+on-path reduction) hold to rounding and not merely to quadrature order.
 """
 
 from __future__ import annotations
@@ -18,20 +20,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import RadialKahlerPotential
+from .geometry import Grid
 from .numerics import d1
 
 
-def j_functional(phi: np.ndarray, pot0: RadialKahlerPotential,
+def j_functional(phi: np.ndarray, grid: Grid,
                  dphi: np.ndarray | None = None) -> float:
     """Gradient energy J = (1/(2V)) int i d(phi) wedge dbar(phi).
 
-    Radially this is (pi/V) int phi'(t)^2 dt; `dphi` may supply an accurate
-    derivative profile, otherwise centered differences of `phi` are used.
+    Radially this is (pi/V) int phi'(t)^2 dt, with V the grid area of the
+    round reference; `dphi` may supply an accurate derivative profile,
+    otherwise centered differences of `phi` are used.
     """
-    grid = pot0.grid
     dp = d1(np.asarray(phi, dtype=float), grid.h) if dphi is None else dphi
-    v_ref = grid.integrate(pot0.phi_doubleprime)  # V / (2 pi)
+    v_ref = grid.integrate(grid.reference.phi_doubleprime)  # V / (2 pi)
     return float(grid.integrate(dp * dp) / (2.0 * v_ref))
 
 
@@ -42,8 +44,6 @@ class FunctionalReport:
     linear_term: float      # (1/V) int phi omega0
     log_term: float         # log of the normalized twisted volume
     tau: float
-    beta: float
-    delta: float | None     # None marks the genuinely conic weight
 
     def assembly_residual(self) -> float:
         """Internal consistency F = J - linear - log/tau, exact to rounding."""
@@ -51,45 +51,31 @@ class FunctionalReport:
                    - (self.j_value - self.linear_term - self.log_term / self.tau))
 
 
-def f_functional(phi: np.ndarray, tau: float, weight,
-                 pot0: RadialKahlerPotential, beta: float | None = None,
-                 delta: float | None = None,
+def f_functional(phi: np.ndarray, tau: float, twist,
                  dphi: np.ndarray | None = None) -> FunctionalReport:
     """Full Lagrangian report at parameter tau > 0.
 
-    `weight` is either the twist exponent h on the grid (constant included)
-    or a solver TwistData object; the latter also supplies the exact tail
-    masses beyond the truncation so that the algebraic identities (zero on
-    constants, the on-path reduction) hold at rounding level.  tau = 0 is
-    rejected since the log term is undefined as written.
+    `twist` is the solver's TwistData: it supplies the twist exponent h, the
+    grid with its round reference and the exact tail masses beyond the
+    truncation, so that the algebraic identities (zero on constants, the
+    on-path reduction) hold at rounding level.  J and the linear term are
+    the ones the continuation records, so on a trace step
+    J - linear equals the step's F exactly.  tau = 0 is rejected since the
+    log term is undefined as written.
     """
     if tau <= 0.0:
         raise ValueError("f_functional requires tau > 0")
     phi = np.asarray(phi, dtype=float)
-    grid = pot0.grid
-    w = grid.weights * pot0.phi_doubleprime
-    if hasattr(weight, "log_weight"):
-        twist = weight
-        log_weight = twist.log_weight
-        beta = twist.beta if beta is None else beta
-        if delta is None:
-            delta = twist.delta if twist.delta > 0.0 else None
-        tw_l, tw_r = twist.tail_weighted_left, twist.tail_weighted_right
-        tp_l, tp_r = twist.tail_plain_left, twist.tail_plain_right
-    else:
-        log_weight = np.asarray(weight, dtype=float)
-        tw_l = tw_r = tp_l = tp_r = 0.0
-    v_ref = w.sum() + tp_l + tp_r
-    jv = j_functional(phi, pot0, dphi=dphi)
-    linear = float((np.dot(w, phi) + phi[0] * tp_l + phi[-1] * tp_r) / v_ref)
-    expo = log_weight - tau * phi
+    tw = twist.tail_weighted
+    jv = j_functional(phi, twist.grid, dphi=dphi)
+    linear = twist.reference_mean(phi)
+    expo = twist.log_weight - tau * phi
     m = expo.max()
-    twisted = math.exp(m) * float(np.dot(w, np.exp(expo - m))) \
-        + math.exp(-tau * phi[0]) * tw_l + math.exp(-tau * phi[-1]) * tw_r
-    log_term = float(np.log(twisted / v_ref))
+    twisted = math.exp(m) * float(np.dot(twist.reference_weights, np.exp(expo - m))) \
+        + math.exp(-tau * phi[0]) * tw + math.exp(-tau * phi[-1]) * tw
+    log_term = float(np.log(twisted / twist.reference_volume))
     fv = jv - linear - log_term / tau
-    return FunctionalReport(jv, fv, linear, log_term, tau,
-                            beta if beta is not None else 1.0, delta)
+    return FunctionalReport(jv, fv, linear, log_term, tau)
 
 
 @dataclass
@@ -107,8 +93,7 @@ class PathDerivativeReport:
         return float(self.fd_vs_formula.max()) if self.fd_vs_formula.size else 0.0
 
 
-def path_derivative_residual(trace, pot0: RadialKahlerPotential,
-                             tau_floor: float = 0.05) -> PathDerivativeReport:
+def path_derivative_residual(trace, tau_floor: float = 0.05) -> PathDerivativeReport:
     """Check the variational identities along a continuation trace.
 
     (a) on-path reduction F = J - (1/V) int phi omega0 at every step with
@@ -122,9 +107,6 @@ def path_derivative_residual(trace, pot0: RadialKahlerPotential,
     steps = trace.steps
     if len(steps) < 5:
         raise ValueError("trace too short: need at least 5 steps")
-    grid = pot0.grid
-    w0 = grid.weights * pot0.phi_doubleprime
-    v_ref = w0.sum()
     taus = np.array([s.tau for s in steps])
     f_onpath = np.array([s.f_value for s in steps])
 
@@ -132,20 +114,9 @@ def path_derivative_residual(trace, pot0: RadialKahlerPotential,
     for s in steps:
         if s.tau >= tau_floor:
             rep = f_functional(s.solution.phi, s.tau, s.solution.twist,
-                               pot0, dphi=s.solution.dphi)
+                               dphi=s.solution.dphi)
             onpath_res.append(abs(rep.f_value - s.f_value))
             onpath_taus.append(s.tau)
-
-    def twisted_mean(s):
-        # mean of phi against the solved metric, tail masses included
-        tw = s.solution.twist
-        tau = s.solution.config.tau
-        phi = s.solution.phi
-        wphi = grid.weights * s.solution.metric_density
-        v_full = v_ref + tw.tail_plain_left + tw.tail_plain_right
-        tails = math.exp(-tau * phi[0]) * tw.tail_weighted_left * phi[0] \
-            + math.exp(-tau * phi[-1]) * tw.tail_weighted_right * phi[-1]
-        return float((np.dot(wphi, phi) + tails) / v_full)
 
     fd_res = []
     for k in range(1, len(steps) - 1):
@@ -156,7 +127,8 @@ def path_derivative_residual(trace, pot0: RadialKahlerPotential,
         # three-point derivative on a possibly nonuniform schedule
         fd = (f_onpath[k + 1] * dm / dp - f_onpath[k - 1] * dp / dm
               + f_onpath[k] * (dp / dm - dm / dp)) / (dm + dp)
-        formula = twisted_mean(steps[k]) / taus[k]
+        sol = steps[k].solution
+        formula = sol.mean(sol.phi) / taus[k]
         fd_res.append(abs(fd - formula) / max(abs(formula), 1e-14))
 
     orth = []
@@ -166,14 +138,8 @@ def path_derivative_residual(trace, pot0: RadialKahlerPotential,
     for k in range(1, len(steps) - 1):
         dtau = taus[k + 1] - taus[k]
         phidot = (steps[k + 1].solution.phi - steps[k].solution.phi) / dtau
-        s = steps[k].solution
-        tw = s.twist
-        test = s.phi + taus[k] * phidot
-        wphi = grid.weights * s.metric_density
-        tails = math.exp(-taus[k] * s.phi[0]) * tw.tail_weighted_left * test[0] \
-            + math.exp(-taus[k] * s.phi[-1]) * tw.tail_weighted_right * test[-1]
-        v_full = v_ref + tw.tail_plain_left + tw.tail_plain_right
-        orth.append(abs(float((np.dot(wphi, test) + tails) / v_full)))
+        sol = steps[k].solution
+        orth.append(abs(sol.mean(sol.phi + taus[k] * phidot)))
 
     return PathDerivativeReport(taus, np.array(onpath_res), np.array(onpath_taus),
                                 np.array(fd_res), np.array(orth))

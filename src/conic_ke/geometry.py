@@ -26,7 +26,6 @@ import numpy as np
 
 from .numerics import cumulative_integral, d1, d2, simpson_weights
 
-TOTAL_MOMENT = 2.0  # Phi'(+inf) - Phi'(-inf) for the fixed degree-2 class
 STANDARD_AREA = 4.0 * np.pi
 
 

@@ -166,9 +166,10 @@ def _normalized_constant(grid: Grid, beta: float, delta: float) -> float:
     w = _closure_quadrature_weights(grid) * p0
     m = raw.max()
     weighted = math.exp(m) * float(np.dot(w, np.exp(raw - m)))
-    tails = _twist_tail(grid.t_min, beta, delta)[0] + _twist_tail(-grid.t_max, beta, delta)[0]
-    plain = float(w.sum()) + _plain_tail(grid.t_min) + _plain_tail(-grid.t_max)
-    return float(np.log(plain) - np.log(weighted + tails))
+    tail = _twist_tail(grid.t_min, beta, delta)[0]
+    plain_tail = _plain_tail(grid.t_min)
+    plain = float(w.sum()) + plain_tail + plain_tail
+    return float(np.log(plain) - np.log(weighted + (tail + tail)))
 
 
 def compute_a_beta(beta: float, grid: Grid) -> float:
@@ -195,8 +196,16 @@ def compute_c_delta(beta: float, delta: float, grid: Grid) -> float:
 class TwistData:
     """Twist density W = e^h on the grid plus its exact tail integrals.
 
-    The correction integrals weight the tail by the relative potential's
-    modeled decay profile; they upgrade the Robin closure from a constant
+    The twist is the one source of every full-sphere integral of the twisted
+    problem: the grid rule against the round reference of `grid` plus the
+    tail masses beyond t_min and t_max.  Each tail is stored once.  The
+    twist and the reference are even in t, and `Grid` requires
+    |t_min + t_max| <= 1e-12 T, so the tail beyond t_max is taken equal to
+    the one below t_min (the CLI grids are exactly symmetric, where the two
+    are identical).
+
+    The correction integral weights the tail by the relative potential's
+    modeled decay profile; it upgrades the Robin closure from a constant
     tail potential to a first-order one.
     """
 
@@ -205,12 +214,30 @@ class TwistData:
     delta: float
     constant: float           # a_beta (delta = 0) or c_delta (delta > 0)
     log_weight: np.ndarray    # h(t) per node, constant included
-    tail_weighted_left: float   # integral of Phi0'' e^h over (-inf, t_min]
-    tail_weighted_right: float  # integral of Phi0'' e^h over [t_max, +inf)
-    tail_plain_left: float      # integral of Phi0'' over (-inf, t_min]
-    tail_plain_right: float     # integral of Phi0'' over [t_max, +inf)
-    tail_correction_left: float
-    tail_correction_right: float
+    tail_weighted: float      # integral of Phi0'' e^h over (-inf, t_min]
+    tail_plain: float         # integral of Phi0'' over (-inf, t_min]
+    tail_correction: float
+
+    @property
+    def reference_weights(self) -> np.ndarray:
+        """Grid rule of the reference measure Phi0'' dt, tails excluded."""
+        return self.grid.weights * self.grid.reference.phi_doubleprime
+
+    @property
+    def reference_volume(self) -> float:
+        """Reference volume of the whole sphere over 2 pi: grid rule plus tails."""
+        return self.reference_weights.sum() + self.tail_plain + self.tail_plain
+
+    def reference_mean(self, f: np.ndarray) -> float:
+        """Mean of f against the reference metric over the whole sphere; each
+        tail carries f at its edge node."""
+        tp = self.tail_plain
+        return float((np.dot(self.reference_weights, f) + f[0] * tp + f[-1] * tp)
+                     / self.reference_volume)
+
+    def density(self, phi: np.ndarray, tau: float) -> np.ndarray:
+        """Phi0'' e^(h - tau phi): the twisted metric density at phi."""
+        return self.grid.reference.phi_doubleprime * np.exp(self.log_weight - tau * phi)
 
 
 def build_twist(grid: Grid, beta: float, delta: float) -> TwistData:
@@ -223,11 +250,9 @@ def build_twist(grid: Grid, beta: float, delta: float) -> TwistData:
         const = compute_c_delta(beta, delta, grid)
     logw = _raw_log_weight(grid, beta, delta) + const
     scale = math.exp(const)
-    left, corr_left = _twist_tail(grid.t_min, beta, delta)
-    right, corr_right = _twist_tail(-grid.t_max, beta, delta)
-    return TwistData(grid, beta, delta, const, logw, scale * left, scale * right,
-                     _plain_tail(grid.t_min), _plain_tail(-grid.t_max),
-                     scale * corr_left, scale * corr_right)
+    tail, corr = _twist_tail(grid.t_min, beta, delta)
+    return TwistData(grid, beta, delta, const, logw, scale * tail,
+                     _plain_tail(grid.t_min), scale * corr)
 
 
 # ---------------------------------------------------------------------------
@@ -243,13 +268,6 @@ class SolverConfig:
     tau: float
     newton_max_iter: int = 50
     newton_tol: float = 1e-11
-    damping: float = 0.5
-    max_halvings: int = 8
-    # The symmetric two-pole configuration keeps a residual dilation freedom
-    # at the conic endpoint tau = mu (the rotation field is tangent to the
-    # divisor), so iterates are projected onto even profiles to select the
-    # centered representative.  Disable to explore the solution family.
-    symmetrize: bool = True
 
     def __post_init__(self):
         self.cone.require_solver_compatible()
@@ -277,8 +295,18 @@ class MASolution:
     @property
     def metric_density(self) -> np.ndarray:
         """Phi''(t), evaluated through the equation (exact at the solution)."""
-        p0 = self.grid.reference.phi_doubleprime
-        return p0 * np.exp(self.twist.log_weight - self.config.tau * self.phi)
+        return self.twist.density(self.phi, self.config.tau)
+
+    def mean(self, f: np.ndarray) -> float:
+        """Mean of f against the solved metric over the whole sphere; each
+        tail carries f at its edge node.  By the twist's normalization the
+        solved volume is the reference volume."""
+        tw = self.twist
+        tau, phi = self.config.tau, self.phi
+        tails = math.exp(-tau * phi[0]) * tw.tail_weighted * f[0] \
+            + math.exp(-tau * phi[-1]) * tw.tail_weighted * f[-1]
+        wphi = self.grid.weights * self.metric_density
+        return float((np.dot(wphi, f) + tails) / tw.reference_volume)
 
     @property
     def potential(self) -> RadialKahlerPotential:
@@ -292,6 +320,15 @@ class MASolution:
             self.metric_density,
             base.base_offset + self.phi[0],
             ang, ang)
+
+
+def _closure(twist, tau, edge_phi):
+    """Tail terms of the Robin closure row at an edge value of phi:
+    e^(-tau phi), the first-order decay factor and the tail flux, whose
+    ratio flux / factor is phi' at the edge."""
+    e = math.exp(-tau * edge_phi)
+    factor = 1.0 - tau * e * twist.tail_correction
+    return e, factor, e * twist.tail_weighted - twist.tail_plain
 
 
 def _linearize(phi, tau, twist, p0, h):
@@ -310,14 +347,12 @@ def _linearize(phi, tau, twist, p0, h):
     r = np.empty_like(phi)
     r[1:-1] = (phi[:-2] - 2.0 * phi[1:-1] + phi[2:]) / (h * h) \
         - (f[:-2] + 10.0 * f[1:-1] + f[2:]) / 12.0
-    el = math.exp(-tau * phi[0])
-    er = math.exp(-tau * phi[-1])
-    fac_l = 1.0 - tau * el * twist.tail_correction_left
-    fac_r = 1.0 - tau * er * twist.tail_correction_right
+    el, fac_l, flux_l = _closure(twist, tau, phi[0])
+    er, fac_r, flux_r = _closure(twist, tau, phi[-1])
     dl = (phi[1] - phi[0]) / h - h * (f[0] / 3.0 + f[1] / 6.0)
     dr = (phi[-1] - phi[-2]) / h + h * (f[-1] / 3.0 + f[-2] / 6.0)
-    r[0] = dl * fac_l - (el * twist.tail_weighted_left - twist.tail_plain_left)
-    r[-1] = dr * fac_r + (er * twist.tail_weighted_right - twist.tail_plain_right)
+    r[0] = dl * fac_l - flux_l
+    r[-1] = dr * fac_r + flux_r
 
     ab = np.zeros((3, n))
     inv_h2 = 1.0 / (h * h)
@@ -326,13 +361,13 @@ def _linearize(phi, tau, twist, p0, h):
     ab[2, :-2] = inv_h2 + g[:-2] / 12.0        # A[i, i-1]
     # left closure row
     ab[1, 0] = (-1.0 / h + h * g[0] / 3.0) * fac_l \
-        + dl * tau * tau * el * twist.tail_correction_left \
-        + tau * el * twist.tail_weighted_left
+        + dl * tau * tau * el * twist.tail_correction \
+        + tau * el * twist.tail_weighted
     ab[0, 1] = (1.0 / h + h * g[1] / 6.0) * fac_l
     # right closure row
     ab[1, -1] = (1.0 / h - h * g[-1] / 3.0) * fac_r \
-        + dr * tau * tau * er * twist.tail_correction_right \
-        - tau * er * twist.tail_weighted_right
+        + dr * tau * tau * er * twist.tail_correction \
+        - tau * er * twist.tail_weighted
     ab[2, -2] = (-1.0 / h - h * g[-2] / 6.0) * fac_r
     return r, ab
 
@@ -417,7 +452,7 @@ def _solve_linear_mean_zero(twist, p0, grid):
     rhs = -r
     rhs[mid] = 0.0
     phi = _solve_tridiagonal(ab, rhs)
-    w = grid.weights * p0
+    w = twist.reference_weights
     phi -= np.dot(w, phi) / w.sum()
     return phi
 
@@ -438,7 +473,11 @@ def solve_ma(cfg: SolverConfig, guess: RadialKahlerPotential | np.ndarray | None
     h = grid.h
 
     def project(v):
-        return 0.5 * (v + v[::-1]) if cfg.symmetrize else v
+        # The symmetric two-pole configuration keeps a residual dilation
+        # freedom at the conic endpoint tau = mu (the rotation field is
+        # tangent to the divisor), so iterates are projected onto even
+        # profiles to select the centered representative.
+        return 0.5 * (v + v[::-1])
 
     if cfg.tau == 0.0:
         phi = project(_solve_linear_mean_zero(twist, p0, grid))
@@ -474,18 +513,18 @@ def solve_ma(cfg: SolverConfig, guess: RadialKahlerPotential | np.ndarray | None
             alpha = 1.0
             accepted = False
             positivity_blocked = False
-            for _ in range(cfg.max_halvings + 1):
+            for _ in range(_MAX_HALVINGS + 1):
                 trial = project(phi + alpha * step)
                 if not np.all(_implied_density(trial, p0, h) > 0.0):
                     positivity_blocked = True
-                    alpha *= cfg.damping
+                    alpha *= _DAMPING
                     continue
                 trial_r, trial_ab, trial_res = _newton_system(trial, cfg.tau, twist, p0, h)
                 if trial_res < res:
                     phi, r, ab, res = trial, trial_r, trial_ab, trial_res
                     accepted = True
                     break
-                alpha *= cfg.damping
+                alpha *= _DAMPING
             if not accepted:
                 if positivity_blocked:
                     raise PositivityLost(
@@ -494,11 +533,8 @@ def solve_ma(cfg: SolverConfig, guess: RadialKahlerPotential | np.ndarray | None
                     f"damping budget exhausted at residual {res:.3e}")
             iters += 1
 
-    el = math.exp(-cfg.tau * phi[0])
-    dphi_left = (el * twist.tail_weighted_left - twist.tail_plain_left) \
-        / (1.0 - cfg.tau * el * twist.tail_correction_left)
-    density = p0 * np.exp(twist.log_weight - cfg.tau * phi)
-    dphi = cumulative_integral(density - p0, h, dphi_left)
+    _, fac_l, flux_l = _closure(twist, cfg.tau, phi[0])
+    dphi = cumulative_integral(twist.density(phi, cfg.tau) - p0, h, flux_l / fac_l)
     return MASolution(cfg, twist, phi, dphi, res, iters)
 
 
@@ -513,6 +549,11 @@ _RAYLEIGH_STALL = 1e-13
 # Iteration budget per mode.  Footballs with beta in [0.01, 1], T <= 40 and
 # N <= 32769 take at most 8 iterations, continuation steps 3-7.
 _EIGEN_MAX_ITER = 20
+# Newton line search: the step shrinks by _DAMPING up to _MAX_HALVINGS times.
+_DAMPING = 0.5
+_MAX_HALVINGS = 8
+# Smallest adaptive continuation step before the path counts as stalled.
+_MIN_STEP = 1e-5
 
 
 def _mode_matrix(pot: RadialKahlerPotential, m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -577,16 +618,16 @@ def _lowest_eigenvalue(diag: np.ndarray, off: np.ndarray) -> float:
     raise SolverError(f"eigen-solve: no convergence in {_EIGEN_MAX_ITER} iterations")
 
 
-def first_eigenvalue(pot: RadialKahlerPotential, modes=(0, 1, 2)) -> tuple[float, dict]:
+def first_eigenvalue(pot: RadialKahlerPotential) -> tuple[float, dict]:
     """Smallest nonzero eigenvalue of the metric Laplacian.
 
-    Per angular mode the lowest eigenvalue of `_mode_matrix` is taken by
-    certified inverse iteration (`_lowest_eigenvalue`); on the default grid
-    it agrees with a tight bisection to ~1e-11 relative.  Raises SolverError
-    when the iteration does not settle within its budget.
+    Per angular mode m = 0, 1, 2 the lowest eigenvalue of `_mode_matrix` is
+    taken by certified inverse iteration (`_lowest_eigenvalue`); on the
+    default grid it agrees with a tight bisection to ~1e-11 relative.  Raises
+    SolverError when the iteration does not settle within its budget.
     """
     pot.require_positive()
-    per_mode = {m: _lowest_eigenvalue(*_mode_matrix(pot, m)) for m in modes}
+    per_mode = {m: _lowest_eigenvalue(*_mode_matrix(pot, m)) for m in (0, 1, 2)}
     return min(per_mode.values()), per_mode
 
 
@@ -629,29 +670,21 @@ class ContinuationTrace:
             raise ValueError(f"stored solutions above residual tolerance at tau={bad}")
 
 
-def _trace_step(tau, sol, pot0, eigen_modes) -> TraceStep:
-    grid = sol.grid
-    tw = sol.twist
-    w = grid.weights * pot0.phi_doubleprime
-    jv = j_functional(sol.phi, pot0, dphi=sol.dphi)
-    v_ref = w.sum() + tw.tail_plain_left + tw.tail_plain_right
-    linear = float((np.dot(w, sol.phi) + sol.phi[0] * tw.tail_plain_left
-                    + sol.phi[-1] * tw.tail_plain_right) / v_ref)
-    lam_min, per_mode = first_eigenvalue(sol.potential, modes=eigen_modes)
-    return TraceStep(tau, sol, jv, jv - linear, lam_min, per_mode,
-                     sol.iterations, sol.residual)
+def _trace_step(tau, sol) -> TraceStep:
+    jv = j_functional(sol.phi, sol.grid, dphi=sol.dphi)
+    lam_min, per_mode = first_eigenvalue(sol.potential)
+    return TraceStep(tau, sol, jv, jv - sol.twist.reference_mean(sol.phi),
+                     lam_min, per_mode, sol.iterations, sol.residual)
 
 
 def continuity_path(cone: ConeConfiguration, delta: float,
                     schedule: str | int | np.ndarray = "adaptive",
                     grid: Grid | None = None,
-                    eigen_modes=(0, 1, 2),
-                    min_step: float = 1e-5,
                     newton_tol: float = 1e-11) -> ContinuationTrace:
     """Continuation in tau from the volume-normalized start to tau = mu.
 
     `schedule` is "adaptive" (step mu/20, doubling after three easy steps,
-    halving on Newton failure down to `min_step`), an integer requesting that
+    halving on Newton failure down to 1e-5), an integer requesting that
     many uniform steps, or an explicit increasing array of tau values ending
     at mu.  Each accepted step records functional values, the spectral gap
     per angular mode and the Newton work.
@@ -677,7 +710,6 @@ def continuity_path(cone: ConeConfiguration, delta: float,
             raise ValueError("explicit schedule must increase to mu")
 
     twist = build_twist(grid, cone.beta, delta)
-    pot0 = grid.reference
     trace = ContinuationTrace(cone, delta)
 
     def solve_at(tau, guess):
@@ -685,7 +717,7 @@ def continuity_path(cone: ConeConfiguration, delta: float,
         return solve_ma(cfg, guess=guess, grid=grid, twist=twist)
 
     sol = solve_at(0.0, None)
-    trace.steps.append(_trace_step(0.0, sol, pot0, eigen_modes))
+    trace.steps.append(_trace_step(0.0, sol))
 
     prev_phi = None
     prev_tau = 0.0
@@ -706,7 +738,7 @@ def continuity_path(cone: ConeConfiguration, delta: float,
             sol = solve_at(float(tau), guess)
             prev_phi = trace.steps[-1].solution.phi
             prev_tau = trace.steps[-1].tau
-            trace.steps.append(_trace_step(float(tau), sol, pot0, eigen_modes))
+            trace.steps.append(_trace_step(float(tau), sol))
         trace.status = "complete"
         return trace
 
@@ -719,13 +751,13 @@ def continuity_path(cone: ConeConfiguration, delta: float,
             sol = solve_at(tau_next, guess)
         except SolverError:
             dtau *= 0.5
-            if dtau < min_step:
+            if dtau < _MIN_STEP:
                 trace.status = f"stalled at tau={tau:.6g}"
                 raise PathStalled(f"minimum step reached at tau={tau:.6g}", tau, trace)
             continue
         prev_phi = trace.steps[-1].solution.phi
         prev_tau = trace.steps[-1].tau
-        trace.steps.append(_trace_step(tau_next, sol, pot0, eigen_modes))
+        trace.steps.append(_trace_step(tau_next, sol))
         tau = tau_next
         easy_streak = easy_streak + 1 if sol.iterations <= 5 else 0
         if easy_streak >= 3:

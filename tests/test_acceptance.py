@@ -87,8 +87,8 @@ def test_criterion_3_eigenvalue_gap(grid, fs, trace_08):
                   f"lambda1 = {lam_fs:.6f} (1 +- 1e-4)")
 
 
-def test_criterion_4_path_derivative(grid, fs, trace_08):
-    rep = path_derivative_residual(trace_08, fs)
+def test_criterion_4_path_derivative(grid, trace_08):
+    rep = path_derivative_residual(trace_08)
     ok = rep.max_fd() <= 1e-3 and rep.max_onpath() <= 1e-8
     report(4, ok, f"derivative FD-vs-formula residual {rep.max_fd():.2e} "
                   f"(<= 1e-3); on-path reduction {rep.max_onpath():.2e} (<= 1e-8)")

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from conic_ke.bergman import partial_c0_scan
 from conic_ke.cli import main
-from conic_ke.geometry import Grid, football_potential, fubini_study_potential
+from conic_ke.geometry import ConeConfiguration, Grid, football_potential, fubini_study_potential
 from conic_ke.io import (
     FMT,
     format_number,
@@ -22,6 +22,7 @@ from conic_ke.io import (
     write_manifest,
     write_potential_csv,
 )
+from conic_ke.ma_solver import ricci_lower_bound_margin, smoothing_family, two_sided_bound_check
 
 
 def run(*argv):
@@ -407,6 +408,29 @@ def test_smooth_family_outputs(tmp_path):
                "--grid-N", 1025, "--out", out) == 0
     fam = np.loadtxt(out / "family.csv", delimiter=",", skiprows=1)
     assert np.all(np.diff(fam[:, 1]) < 0)
+
+
+def test_smooth_family_margin_tables(tmp_path):
+    out = tmp_path / "f"
+    deltas = [1e-1, 1e-2]
+    assert run("smooth-family", "--beta", 0.75, "--deltas", "1e-1,1e-2",
+               "--grid-N", 1025, "--out", out) == 0
+    rep = smoothing_family(ConeConfiguration(0.75), deltas, Grid(-16, 16, 1025))
+
+    def table(header, rows):
+        return header + "\n" + "".join(",".join(FMT % x for x in row) + "\n" for row in rows)
+
+    margins = [ricci_lower_bound_margin(sol) for sol in rep.solutions]
+    assert (out / "margins.csv").read_text(encoding="utf-8") == table(
+        "delta,min_ricci_margin,margin_route_discrepancy,newton_iters",
+        [(d, m.min_margin, m.discrepancy, sol.iterations)
+         for d, m, sol in zip(deltas, margins, rep.solutions)])
+    b = two_sided_bound_check(rep)
+    assert (out / "two_sided.csv").read_text(encoding="utf-8") == table(
+        "lower_constant,upper_constant,argmin_t",
+        [(b.lower_constant, b.upper_constant, b.argmin_t)])
+    outputs = read_manifest(out / "manifest.json")["outputs"]
+    assert {"margins.csv", "two_sided.csv"} <= set(outputs)
 
 
 def test_bergman_scan_config_file(tmp_path):

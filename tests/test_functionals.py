@@ -9,7 +9,7 @@ from conic_ke.functionals import (
     path_derivative_residual,
     properness_fit,
 )
-from conic_ke.geometry import ConeConfiguration, Grid, fubini_study_potential
+from conic_ke.geometry import ConeConfiguration, Grid
 from conic_ke.ma_solver import SolverConfig, build_twist, solve_ma
 from conic_ke.numerics import d2
 
@@ -33,8 +33,8 @@ def dilation_potential(grid, a):
 # J
 
 
-def test_j_constant_vanishes(grid, fs):
-    assert j_functional(np.full(grid.n_nodes, 2.3), fs) == pytest.approx(0.0, abs=1e-20)
+def test_j_constant_vanishes(grid):
+    assert j_functional(np.full(grid.n_nodes, 2.3), grid) == pytest.approx(0.0, abs=1e-20)
 
 
 def test_j_tanh_closed_form(grid, fs):
@@ -42,7 +42,7 @@ def test_j_tanh_closed_form(grid, fs):
     phi = np.tanh(grid.t)
     v_ref = grid.integrate(fs.phi_doubleprime)
     expect = (4.0 / 3.0) / (2.0 * v_ref)
-    assert j_functional(phi, fs) == pytest.approx(expect, rel=1e-4)
+    assert j_functional(phi, grid) == pytest.approx(expect, rel=1e-4)
 
 
 def test_j_matches_two_dimensional_quadrature(grid, fs):
@@ -55,47 +55,47 @@ def test_j_matches_two_dimensional_quadrature(grid, fs):
     two_d = 0.0
     for _ in range(n_theta):
         two_d += grid.integrate(dphi * dphi) * (2.0 * np.pi / n_theta)
-    assert j_functional(phi, fs) == pytest.approx(two_d / (2.0 * v_ref), abs=1e-10)
+    assert j_functional(phi, grid) == pytest.approx(two_d / (2.0 * v_ref), abs=1e-10)
 
 
-def test_j_nonnegative_random(grid, fs):
+def test_j_nonnegative_random(grid):
     rng = np.random.default_rng(3)
     for _ in range(10):
         phi = rng.normal(size=3) @ np.array(
             [np.tanh(grid.t), 1.0 / np.cosh(grid.t), np.exp(-grid.t ** 2)])
-        assert j_functional(phi, fs) >= 0.0
+        assert j_functional(phi, grid) >= 0.0
 
 
 # ---------------------------------------------------------------------------
 # F
 
 
-def test_f_constant_vanishes(grid, fs, twist):
+def test_f_constant_vanishes(grid, twist):
     for c in (-2.0, 1.0, 5.0):
-        rep = f_functional(np.full(grid.n_nodes, c), 0.4, twist, fs)
+        rep = f_functional(np.full(grid.n_nodes, c), 0.4, twist)
         assert abs(rep.f_value) < 1e-10
         assert rep.assembly_residual() < 1e-13
 
 
-def test_f_offset_invariance(grid, fs, twist):
+def test_f_offset_invariance(grid, twist):
     rng = np.random.default_rng(5)
     phi = 0.3 * np.tanh(grid.t) + 0.1 / np.cosh(grid.t)
-    base = f_functional(phi, 0.6, twist, fs)
+    base = f_functional(phi, 0.6, twist)
     for c in rng.uniform(-4, 4, 3):
-        shifted = f_functional(phi + c, 0.6, twist, fs)
+        shifted = f_functional(phi + c, 0.6, twist)
         assert shifted.f_value == pytest.approx(base.f_value, abs=1e-10)
         assert shifted.j_value == pytest.approx(base.j_value, abs=1e-14)
 
 
-def test_f_rejects_tau_zero(grid, fs, twist):
+def test_f_rejects_tau_zero(grid, twist):
     with pytest.raises(ValueError):
-        f_functional(np.zeros(grid.n_nodes), 0.0, twist, fs)
+        f_functional(np.zeros(grid.n_nodes), 0.0, twist)
 
 
 def test_conic_solution_minimizes_f(grid, fs, conic_twist):
     beta = 0.75
     sol = solve_ma(SolverConfig(ConeConfiguration(beta), 0.0, beta), grid=grid)
-    f_ke = f_functional(sol.phi, beta, conic_twist, fs, dphi=sol.dphi).f_value
+    f_ke = f_functional(sol.phi, beta, conic_twist, dphi=sol.dphi).f_value
     tested = 0
     for a in (-0.3, -0.2, -0.1, -0.05, 0.05, 0.1, 0.2, 0.3, 0.4, -0.4):
         for b in (-1.5, 0.0, 1.0, 2.5):
@@ -103,20 +103,20 @@ def test_conic_solution_minimizes_f(grid, fs, conic_twist):
             if not np.all(fs.phi_doubleprime + d2(phi, grid.h) > 0):
                 continue
             tested += 1
-            assert f_functional(phi, beta, conic_twist, fs).f_value >= f_ke
+            assert f_functional(phi, beta, conic_twist).f_value >= f_ke
     assert tested >= 20
 
 
-def test_f_flat_along_solution_orbit(grid, fs, conic_twist):
+def test_f_flat_along_solution_orbit(grid, conic_twist):
     # pullbacks of the conic solution by dilations keep the same energy;
     # the vanishing symmetric obstruction in action
     beta = 0.75
     sol = solve_ma(SolverConfig(ConeConfiguration(beta), 0.0, beta), grid=grid)
-    f_ke = f_functional(sol.phi, beta, conic_twist, fs, dphi=sol.dphi).f_value
+    f_ke = f_functional(sol.phi, beta, conic_twist, dphi=sol.dphi).f_value
     for a in (0.5, 1.0, 2.0):
         phi_a = (2.0 / beta) * np.logaddexp(0.0, beta * (grid.t + a)) \
             - 2.0 * np.logaddexp(0.0, grid.t)
-        fv = f_functional(phi_a, beta, conic_twist, fs).f_value
+        fv = f_functional(phi_a, beta, conic_twist).f_value
         assert fv == pytest.approx(f_ke, abs=1e-4)
 
 
@@ -129,39 +129,51 @@ def test_f_bounded_along_path(trace_08):
 # path derivative identities
 
 
-def test_onpath_reduction(trace_08, fs):
-    rep = path_derivative_residual(trace_08, fs)
+def test_onpath_reduction(trace_08):
+    rep = path_derivative_residual(trace_08)
     assert rep.max_onpath() <= 1e-8
 
 
-def test_fd_vs_formula(trace_08, fs):
-    rep = path_derivative_residual(trace_08, fs)
+def test_onpath_value_is_f_without_log_term(trace_08):
+    # the trace's F and the Lagrangian's J and linear term share one source
+    checked = 0
+    for s in trace_08.steps:
+        if s.tau >= 0.05:
+            rep = f_functional(s.solution.phi, s.tau, s.solution.twist,
+                               dphi=s.solution.dphi)
+            assert rep.j_value - rep.linear_term == s.f_value
+            checked += 1
+    assert checked >= 90
+
+
+def test_fd_vs_formula(trace_08):
+    rep = path_derivative_residual(trace_08)
     assert rep.max_fd() <= 1e-3
 
 
-def test_fd_residual_second_order(trace_08, trace_08_halved, fs):
-    coarse = path_derivative_residual(trace_08, fs).max_fd()
-    fine = path_derivative_residual(trace_08_halved, fs).max_fd()
+def test_fd_residual_second_order(trace_08, trace_08_halved):
+    coarse = path_derivative_residual(trace_08).max_fd()
+    fine = path_derivative_residual(trace_08_halved).max_fd()
     assert coarse / fine > 3.0
 
 
-def test_orthogonality_first_order(trace_08, trace_08_halved, fs):
-    coarse = path_derivative_residual(trace_08, fs).orthogonality.max()
-    fine = path_derivative_residual(trace_08_halved, fs).orthogonality.max()
+def test_orthogonality_first_order(trace_08, trace_08_halved):
+    coarse = path_derivative_residual(trace_08).orthogonality.max()
+    fine = path_derivative_residual(trace_08_halved).orthogonality.max()
     assert coarse / fine == pytest.approx(2.0, rel=0.3)
 
 
-def test_trace_too_short(grid, fs):
+def test_trace_too_short(grid):
     from conic_ke.ma_solver import continuity_path
     tr = continuity_path(ConeConfiguration(0.8), 1e-3, schedule=3, grid=grid)
     with pytest.raises(ValueError):
-        path_derivative_residual(tr, fs)
+        path_derivative_residual(tr)
 
 
-def test_trivial_trace_residuals(grid, fs):
+def test_trivial_trace_residuals(grid):
     from conic_ke.ma_solver import continuity_path
     tr = continuity_path(ConeConfiguration(1.0), 1.0, schedule=10, grid=grid)
-    rep = path_derivative_residual(tr, fs)
+    rep = path_derivative_residual(tr)
     assert rep.max_onpath() < 1e-9
     assert np.all(rep.orthogonality < 1e-9)
 
@@ -170,32 +182,32 @@ def test_trivial_trace_residuals(grid, fs):
 # properness fit
 
 
-def properness_samples(grid, fs, beta=0.9, tau_frac=0.5, n_dilations=16):
+def properness_samples(grid, beta=0.9, tau_frac=0.5, n_dilations=16):
     tw = build_twist(grid, beta, 0.0)
     tau = tau_frac * beta
     samples = []
     for a in np.linspace(0.25, 8.0, n_dilations):
-        rep = f_functional(dilation_potential(grid, a), tau, tw, fs)
+        rep = f_functional(dilation_potential(grid, a), tau, tw)
         samples.append((rep.j_value, rep.f_value))
     for c in np.linspace(0.1, 1.2, 8):
-        rep = f_functional(c / np.cosh(grid.t), tau, tw, fs)
+        rep = f_functional(c / np.cosh(grid.t), tau, tw)
         samples.append((rep.j_value, rep.f_value))
     return samples
 
 
-def test_properness_detected(grid, fs):
-    fit = properness_fit(properness_samples(grid, fs))
+def test_properness_detected(grid):
+    fit = properness_fit(properness_samples(grid))
     assert fit.detected
     assert fit.epsilon >= 0.05
     assert np.isfinite(fit.c_epsilon)
 
 
-def test_properness_stable_under_enrichment(grid, fs):
-    base = properness_fit(properness_samples(grid, fs))
+def test_properness_stable_under_enrichment(grid):
+    base = properness_fit(properness_samples(grid))
     tw = build_twist(grid, 0.9, 0.0)
-    extra = properness_samples(grid, fs)
+    extra = properness_samples(grid)
     for a in np.linspace(9.0, 12.0, 4):
-        rep = f_functional(dilation_potential(grid, a), 0.45, tw, fs)
+        rep = f_functional(dilation_potential(grid, a), 0.45, tw)
         extra.append((rep.j_value, rep.f_value))
     enriched = properness_fit(extra)
     assert enriched.detected and enriched.epsilon >= 0.05
@@ -208,9 +220,9 @@ def test_properness_constant_family():
     assert fit.c_epsilon == pytest.approx(0.0, abs=1e-15)
 
 
-def test_properness_constants_monotone(grid, fs):
+def test_properness_constants_monotone(grid):
     # C_eps = max(eps J - F) grows with eps for nonnegative J
-    samples = properness_samples(grid, fs)
+    samples = properness_samples(grid)
     jj = np.array([j for j, _ in samples])
     ff = np.array([f for _, f in samples])
     cs = [np.max(e * jj - ff) for e in (0.1, 0.3, 0.5, 0.7)]
@@ -234,9 +246,8 @@ def test_properness_undetected_on_flat_tail(grid, fs):
 @given(c=st.floats(-3.0, 3.0))
 def test_f_offset_property(c):
     g = Grid(-16, 16, 257)
-    fs0 = fubini_study_potential(g)
     tw = build_twist(g, 0.8, 1e-2)
     phi = 0.2 * np.tanh(g.t)
-    a = f_functional(phi, 0.5, tw, fs0).f_value
-    b = f_functional(phi + c, 0.5, tw, fs0).f_value
+    a = f_functional(phi, 0.5, tw).f_value
+    b = f_functional(phi + c, 0.5, tw).f_value
     assert a == pytest.approx(b, abs=1e-9)

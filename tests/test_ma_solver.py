@@ -120,7 +120,7 @@ def test_tau_zero_double_quadrature_oracle(grid):
     p0 = fubini_study_potential(grid).phi_doubleprime
     source = p0 * (np.exp(tw.log_weight) - 1.0)
     dphi = cumulative_integral(source, grid.h,
-                               tw.tail_weighted_left - tw.tail_plain_left)
+                               tw.tail_weighted - tw.tail_plain)
     phi = cumulative_integral(dphi, grid.h, 0.0)
     w = grid.weights * p0
     phi -= np.dot(w, phi) / w.sum()
@@ -507,8 +507,8 @@ def test_twist_tail_consistency(grid):
     tw = build_twist(grid, 0.8, 1e-3)
     p0 = fubini_study_potential(grid).phi_doubleprime
     w = grid.weights * p0
-    lhs = np.dot(w, np.exp(tw.log_weight)) + tw.tail_weighted_left + tw.tail_weighted_right
-    rhs = w.sum() + tw.tail_plain_left + tw.tail_plain_right
+    lhs = np.dot(w, np.exp(tw.log_weight)) + tw.tail_weighted + tw.tail_weighted
+    rhs = w.sum() + tw.tail_plain + tw.tail_plain
     assert lhs == pytest.approx(rhs, rel=1e-9)
 
 
