@@ -7,11 +7,15 @@ exp(k t + l w(t)) with w the log frame weight, so powers up to l = 64 stay
 inside double range.  The inner product always pairs the weight with the
 volume form of the same metric; no auxiliary volume forms enter.
 
-Gram diagonals and densities are log-sum-exp reductions of one (2l+1) x n
-array per call, built and reduced in place: at l = 64 and n = 32769 each
-such array is 34 MB, so a second or third copy costs more than the
-exponentials.  `SectionBasisGram.log_section_norms` returns a fresh array
-that the caller may overwrite.
+Gram diagonals and densities are log-sum-exp reductions of the (2l+1) x n
+array of log-norms.  Each call builds and reduces it in blocks of about
+1 MB in one reused buffer: the Gram in blocks of rows, the density in
+blocks of columns.  At l = 64 and n = 32769 the whole array is 34 MB,
+which would stream through the cache several times and cost more than
+the exponentials.  The blocking changes no bit: every row sum runs over
+the same contiguous row and every column sum adds k = 0..2l in order.
+`SectionBasisGram.log_section_norms` returns a fresh whole array that the
+caller may overwrite.
 """
 
 from __future__ import annotations
@@ -29,6 +33,9 @@ from .geometry import (
     ricci_potential,
 )
 from .numerics import d1, d2, logsumexp_rows
+
+# doubles in the reused buffer of a Gram or density block (1 MB)
+_BLOCK = 1 << 17
 
 
 @dataclass
@@ -96,12 +103,30 @@ class SectionBasisGram:
 
 
 def _log_section_norms(ell: int, log_weight: np.ndarray, t: np.ndarray,
-                       k: int | None = None) -> np.ndarray:
-    # k t + l w(t), summed in place in that order, for k = 0..2l or one k
-    ks = np.arange(2 * ell + 1) if k is None else np.array([k])
-    norms = ks[:, None] * t[None, :]
-    norms += ell * log_weight[None, :]
+                       k: slice = slice(None), cols: slice = slice(None),
+                       out: np.ndarray | None = None) -> np.ndarray:
+    # k t + l w(t), summed in place in that order, for the rows k of 0..2l
+    # and the nodes cols; written into out when it is given
+    ks = np.arange(2 * ell + 1)[k]
+    norms = np.multiply(ks[:, None], t[None, cols], out=out)
+    norms += ell * log_weight[None, cols]
     return norms
+
+
+def _blocks(count: int, size: int) -> list[slice]:
+    """Slices of about `size` (at least 2) items covering range(count).
+
+    A lone last item joins the block before it: numpy sums a one-column
+    block pairwise, not in row order, which could change the last bit.
+    """
+    edges = list(range(0, count, max(size, 2))) + [count]
+    if len(edges) > 2 and count - edges[-2] == 1:
+        del edges[-2]
+    return [slice(a, b) for a, b in zip(edges, edges[1:])]
+
+
+def _widest(blocks: list[slice]) -> int:
+    return max(b.stop - b.start for b in blocks)
 
 
 def gram_matrix(ell: int, weight: HermitianWeight,
@@ -115,9 +140,14 @@ def gram_matrix(ell: int, weight: HermitianWeight,
         raise ValueError("ell must be a positive integer")
     grid = pot.grid
     log_meas = np.log(grid.weights) + np.log(pot.phi_doubleprime) + math.log(2.0 * np.pi)
-    expo = _log_section_norms(ell, weight.log_weight, grid.t)
-    expo += log_meas[None, :]
-    log_diag = logsumexp_rows(expo)
+    log_diag = np.empty(2 * ell + 1)
+    blocks = _blocks(2 * ell + 1, _BLOCK // grid.n_nodes)
+    buf = np.empty((_widest(blocks), grid.n_nodes))
+    for k in blocks:
+        expo = _log_section_norms(ell, weight.log_weight, grid.t, k,
+                                  out=buf[:k.stop - k.start])
+        expo += log_meas[None, :]
+        log_diag[k] = logsumexp_rows(expo)
     return SectionBasisGram(ell, weight, log_diag)
 
 
@@ -137,9 +167,18 @@ def bergman_density(gram: SectionBasisGram,
                     pot: RadialKahlerPotential) -> DensityReport:
     """Density of states rho(t) = sum_k ||z^k||^2 / <z^k, z^k>."""
     grid = pot.grid
-    log_norms = gram.log_section_norms()
-    log_norms -= gram.log_diag[:, None]
-    rho = np.exp(logsumexp_rows(log_norms, axis=0))
+    t = gram.weight.pot.grid.t
+    dim = 2 * gram.ell + 1
+    log_rho = np.empty(t.size)
+    blocks = _blocks(t.size, _BLOCK // dim)
+    buf = np.empty(dim * _widest(blocks))
+    for cols in blocks:
+        width = cols.stop - cols.start
+        log_norms = _log_section_norms(gram.ell, gram.weight.log_weight, t, cols=cols,
+                                       out=buf[:dim * width].reshape(dim, width))
+        log_norms -= gram.log_diag[:, None]
+        log_rho[cols] = logsumexp_rows(log_norms, axis=0)
+    rho = np.exp(log_rho)
     trace = float(grid.integrate(rho * pot.phi_doubleprime) * 2.0 * np.pi)
     return DensityReport(gram.ell, rho, float(rho.min()), float(rho.max()), trace)
 
@@ -156,20 +195,14 @@ class ScanRow:
 def partial_c0_scan(beta_list, ell_list, grid: Grid | None = None) -> list[ScanRow]:
     """inf/sup of the density over a (beta, ell) grid of football metrics."""
     grid = grid or Grid()
-    return [row for beta in beta_list for row in _football_scan(beta, ell_list, grid)]
-
-
-def _football_scan(beta, ell_list, grid: Grid) -> list[ScanRow]:
-    # One function call per beta frees the profiles before the next beta
-    # allocates its own; held across that, they pin freed Gram temporaries
-    # in the heap (+17 MB peak RSS at N=32769, ell up to 64).
-    pot = football_potential(grid, beta)
-    weight = associated_hermitian_weight(pot, ConeConfiguration(beta))
     rows = []
-    for ell in ell_list:
-        rep = bergman_density(gram_matrix(ell, weight, pot), pot)
-        rows.append(ScanRow(float(beta), int(ell), rep.inf_rho,
-                            rep.sup_rho, rep.trace_integral))
+    for beta in beta_list:
+        pot = football_potential(grid, beta)
+        weight = associated_hermitian_weight(pot, ConeConfiguration(beta))
+        for ell in ell_list:
+            rep = bergman_density(gram_matrix(ell, weight, pot), pot)
+            rows.append(ScanRow(float(beta), int(ell), rep.inf_rho,
+                                rep.sup_rho, rep.trace_integral))
     return rows
 
 
@@ -188,7 +221,8 @@ def section_profiles(gram: SectionBasisGram, k: int):
     """
     pot = gram.weight.pot
     grid = pot.grid
-    u = _log_section_norms(gram.ell, gram.weight.log_weight, grid.t, k)[0] - gram.log_diag[k]
+    u = _log_section_norms(gram.ell, gram.weight.log_weight, grid.t,
+                           slice(k, k + 1))[0] - gram.log_diag[k]
     up = d1(u, grid.h)
     upp = d2(u, grid.h)
     lg = np.log(pot.phi_doubleprime)
@@ -289,7 +323,7 @@ def peak_section_experiment(t0: float, ell: int, pot: RadialKahlerPotential,
     wp = d1(weight.log_weight, grid.h)
     i0 = grid.index_of(t0)
     k_star = int(np.clip(round(-ell * wp[i0]), 0, 2 * ell))
-    u = _log_section_norms(ell, weight.log_weight, grid.t, k_star)[0]
+    u = _log_section_norms(ell, weight.log_weight, grid.t, slice(k_star, k_star + 1))[0]
     chi = np.exp(-0.5 * ((grid.t - t0) / cutoff_width) ** 2)
     meas = grid.weights * pot.phi_doubleprime * 2.0 * np.pi
     m = u.max()

@@ -6,6 +6,7 @@ import pytest
 from scipy.integrate import quad
 
 from conic_ke.bergman import (
+    _blocks,
     associated_hermitian_weight,
     bergman_density,
     bochner_residual,
@@ -21,6 +22,7 @@ from conic_ke.geometry import (
     football_potential,
     fubini_study_potential,
 )
+from conic_ke.numerics import logsumexp_rows
 
 FOUR_PI = 4.0 * np.pi
 CONE_ONE = ConeConfiguration(1.0)
@@ -235,8 +237,15 @@ def _out_of_place_kernels(ell, weight, pot):
     return log_diag, rho, trace
 
 
-@pytest.mark.parametrize("beta, ell", [(0.6, 8), (0.85, 64), (1.0, 16)])
-def test_in_place_kernels_bit_identical(grid, beta, ell):
+@pytest.mark.parametrize("grid_name, beta, ell", [
+    pytest.param("grid", 0.6, 8, id="0.6-8"),
+    pytest.param("grid", 0.85, 64, id="0.85-64"),
+    pytest.param("grid", 1.0, 16, id="1.0-16"),
+    # N = 8193: both block loops end on a ragged block; ~22% of lanes underflow
+    pytest.param("fine_grid", 0.6, 64, id="fine_grid-0.6-64"),
+])
+def test_in_place_kernels_bit_identical(request, grid_name, beta, ell):
+    grid = request.getfixturevalue(grid_name)
     fb = football_potential(grid, beta)
     weight = associated_hermitian_weight(fb, ConeConfiguration(beta))
     gram = gram_matrix(ell, weight, fb)
@@ -257,17 +266,53 @@ def _traced_peak(func):
         tracemalloc.stop()
 
 
-def test_kernels_allocate_one_array_per_cell():
-    # each Gram build and density holds one (2l+1) x n array, not three
-    g = Grid(-16, 16, 4097)
-    fb = football_potential(g, 0.7)
+def test_kernels_allocate_blocks_not_arrays(fine_grid):
+    # each Gram build and density holds ~1 MB blocks, never a whole
+    # (2l+1) x n array (8.5 MB here); measured 1.24 / 1.32 MiB
+    fb = football_potential(fine_grid, 0.7)
     weight = associated_hermitian_weight(fb, ConeConfiguration(0.7))
     ell = 64
-    one_array = (2 * ell + 1) * g.n_nodes * 8
     gram, gram_peak = _traced_peak(lambda: gram_matrix(ell, weight, fb))
     _, density_peak = _traced_peak(lambda: bergman_density(gram, fb))
-    assert gram_peak <= 1.25 * one_array, gram_peak / one_array
-    assert density_peak <= 1.25 * one_array, density_peak / one_array
+    assert gram_peak < 2 * 2**20, gram_peak
+    assert density_peak < 2 * 2**20, density_peak
+
+
+def test_blocks_cover_without_a_lone_item():
+    # numpy sums a one-column block pairwise, not in row order
+    assert _blocks(2033, 1016) == [slice(0, 1016), slice(1016, 2033)]
+    assert _blocks(129, 15)[-1] == slice(120, 129)
+    assert _blocks(3, 1) == [slice(0, 3)]
+    for count, size in ((3, 1016), (129, 4), (8193, 1016), (32769, 131072)):
+        blocks = _blocks(count, size)
+        assert [b.start for b in blocks[1:]] == [b.stop for b in blocks[:-1]]
+        assert (blocks[0].start, blocks[-1].stop) == (0, count)
+        assert all(2 <= b.stop - b.start <= size + 1 for b in blocks)
+
+
+def _plain_logsumexp(a, axis):
+    m = np.max(a, axis=axis, keepdims=True)
+    return np.squeeze(m, axis=axis) + np.log(np.sum(np.exp(a - m), axis=axis))
+
+
+def test_logsumexp_rows_matches_plain_formula():
+    rng = np.random.default_rng(11)
+    rows = rng.uniform(-4000.0, 0.0, (9, 300)) + rng.uniform(-50.0, 50.0, (9, 1))
+    top = rows.max(axis=1, keepdims=True)
+    # after the shift: just normal, subnormal, zero, zero
+    rows[:, :4] = top + np.array([-708.4, -745.1, -745.2, -746.0])
+    assert np.mean(rows - top <= -746.0) > 0.5
+    no_dead = np.maximum(rows, top - 745.1)     # takes the unmasked branch
+    for a, axis in ((rows, -1), (rows.T.copy(), 0), (no_dead, -1)):
+        expected = _plain_logsumexp(a, axis)
+        shifted = np.exp(a - np.max(a, axis=axis, keepdims=True))
+        work = a.copy()
+        assert np.array_equal(logsumexp_rows(work, axis=axis), expected)
+        assert np.array_equal(work, shifted)      # the argument is overwritten
+    rows[3, 100] = np.nan
+    out = logsumexp_rows(rows.copy())
+    assert np.isnan(out[3])
+    assert np.array_equal(np.delete(out, 3), np.delete(_plain_logsumexp(rows, -1), 3))
 
 
 # ---------------------------------------------------------------------------
