@@ -23,17 +23,16 @@ _EXPORTS = {
         "two_sided_bound_check"),
     "functionals": (
         "FunctionalReport", "f_functional", "j_functional",
-        "path_derivative_residual", "properness_fit"),
+        "path_derivative_residual"),
     "bergman": (
         "SectionBasisGram", "associated_hermitian_weight", "bergman_density",
         "bochner_residual", "gradient_estimate_ratio", "gram_matrix",
-        "partial_c0_scan", "peak_section_experiment"),
+        "partial_c0_scan"),
     "stability": (
         "HamiltonianPotential", "futaki", "hamiltonian_theta", "linearity_check",
         "log_futaki", "obstruction_scan"),
     "cone_analysis": (
-        "CodimFourSubspace", "FlatConeModel", "ball_cover_cutoff",
-        "dirichlet_energy", "flat_cone_metric", "loglog_cutoff",
+        "FlatConeModel", "dirichlet_energy", "flat_cone_metric", "loglog_cutoff",
         "selection_log_delta", "tube_volume", "volume_ratio_profile"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

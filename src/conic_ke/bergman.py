@@ -14,8 +14,6 @@ blocks of columns.  At l = 64 and n = 32769 the whole array is 34 MB,
 which would stream through the cache several times and cost more than
 the exponentials.  The blocking changes no bit: every row sum runs over
 the same contiguous row and every column sum adds k = 0..2l in order.
-`SectionBasisGram.log_section_norms` returns a fresh whole array that the
-caller may overwrite.
 """
 
 from __future__ import annotations
@@ -69,10 +67,6 @@ def associated_hermitian_weight(pot: RadialKahlerPotential,
     the metric; the residual scale of the defining section is fixed by a
     unit twisted mass integral.
     """
-    if cone.mu <= 0.0:
-        raise ValueError("cone data must have mu > 0")
-    if cone.lam != 1:
-        raise ValueError("weight assembly implemented for lam = 1")
     grid = pot.grid
     mu, beta = cone.mu, cone.beta
     h, _ = ricci_potential(pot, mu, angle_zero=pot.angle_at_zero)
@@ -95,11 +89,6 @@ class SectionBasisGram:
     ell: int
     weight: HermitianWeight
     log_diag: np.ndarray          # log <z^k, z^k>, k = 0..2l
-
-    def log_section_norms(self) -> np.ndarray:
-        """Fresh (2l+1, n) array of log ||z^k||^2(t)."""
-        return _log_section_norms(self.ell, self.weight.log_weight,
-                                  self.weight.pot.grid.t)
 
 
 def _log_section_norms(ell: int, log_weight: np.ndarray, t: np.ndarray,
@@ -293,46 +282,3 @@ def gradient_estimate_ratio(ells, pot: RadialKahlerPotential,
             worst = max(worst, val)
         out[int(ell)] = worst / math.sqrt(ell)
     return out
-
-
-@dataclass
-class PeakSectionReport:
-    t0: float
-    ell: int
-    k_star: int
-    value_ratio: float        # ||projection||(t0) / ||input||(t0)
-    l2_residual: float        # relative L2 distance input -> holomorphic span
-
-
-def peak_section_experiment(t0: float, ell: int, pot: RadialKahlerPotential,
-                            cone: ConeConfiguration | None = None,
-                            cutoff_width: float = 1.0) -> PeakSectionReport:
-    """Project a cutoff quasi-section peaked at t0 onto the holomorphic span.
-
-    The input is a Gaussian cutoff times the monomial whose norm peaks
-    nearest t0; rotation invariance reduces the orthogonal projection to the
-    single matching Gram entry.  The value ratio at t0 plays the role of the
-    lower bound surviving the correction term.
-    """
-    cone = cone or ConeConfiguration(1.0)
-    grid = pot.grid
-    if abs(t0) > grid.t_max / 2.0:
-        raise ValueError("t0 outside the grid core")
-    weight = associated_hermitian_weight(pot, cone)
-    gram = gram_matrix(ell, weight, pot)
-    wp = d1(weight.log_weight, grid.h)
-    i0 = grid.index_of(t0)
-    k_star = int(np.clip(round(-ell * wp[i0]), 0, 2 * ell))
-    u = _log_section_norms(ell, weight.log_weight, grid.t, slice(k_star, k_star + 1))[0]
-    chi = np.exp(-0.5 * ((grid.t - t0) / cutoff_width) ** 2)
-    meas = grid.weights * pot.phi_doubleprime * 2.0 * np.pi
-    m = u.max()
-    eu = np.exp(u - m)
-    ip = float(np.dot(meas, chi * eu))          # <input, z^k> * e^-m
-    gram_k = float(np.dot(meas, eu))            # <z^k, z^k> * e^-m
-    input_sq = float(np.dot(meas, chi * chi * eu))
-    coeff = ip / gram_k
-    l2_res_sq = max(input_sq - coeff * ip, 0.0) / input_sq
-    value_ratio = coeff / chi[i0]
-    return PeakSectionReport(t0, ell, k_star, float(value_ratio),
-                             float(math.sqrt(l2_res_sq)))

@@ -2,8 +2,7 @@
 
 Subcommands map one-to-one onto the library operations; every run writes
 CSV data files plus a JSON manifest echoing the configuration.  Given the
-same configuration (including seeds) the data files are byte-identical
-across reruns.
+same configuration the data files are byte-identical across reruns.
 
 Exit codes: 0 success, 1 invalid configuration or usage, 2 a solver did
 not converge (Newton divergence or an eigen-solve failure), 3 metric
@@ -81,9 +80,8 @@ def cmd_continue_path(args) -> int:
     cone = ConeConfiguration(args.beta)
     if args.steps is not None and args.steps < 1:
         raise ValueError(f"--steps must be at least 1, got {args.steps}")
-    schedule = "adaptive" if args.steps is None else int(args.steps)
     t0 = time.time()
-    trace = continuity_path(cone, args.delta, schedule=schedule, grid=grid)
+    trace = continuity_path(cone, args.delta, steps=args.steps, grid=grid)
     out = _out_dir(args)
     outputs = ["trace.csv", "functionals.csv"]
     write_csv(out / "trace.csv",
@@ -201,32 +199,49 @@ def _location(loc: str):
     return loc if loc in ("zero", "infinity") else float(loc)
 
 
+def _read_scan_config(path: str) -> tuple[dict, list]:
+    """The `--scan-config` document as (configs, betas)."""
+    def malformed(why):
+        return ValueError(f"--scan-config {path}: {why}")
+    try:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:
+        raise malformed(exc) from None
+    if not (isinstance(doc, dict) and isinstance(doc.get("configs"), dict)
+            and isinstance(doc.get("betas"), list)):
+        raise malformed('expected {"configs": {ID: [[LOC, WEIGHT], ...]}, "betas": [BETA, ...]}')
+    try:
+        configs = {k: [(_location(p), float(w)) for p, w in v]
+                   for k, v in doc["configs"].items()}
+        betas = [float(b) for b in doc["betas"]]
+    except (TypeError, ValueError):
+        raise malformed("each point must be a [location, weight] pair "
+                        "and each beta a number") from None
+    return configs, betas
+
+
 def cmd_log_futaki(args) -> int:
     from .io import format_number, read_potential_csv, write_csv, write_manifest
     from .stability import log_futaki, obstruction_scan
+    scan = _read_scan_config(args.scan_config) if args.scan_config else None
     pot = read_potential_csv(args.metric)
-    out = _out_dir(args)
     t0 = time.time()
-    if args.scan_config:
-        doc = json.loads(Path(args.scan_config).read_text(encoding="utf-8"))
-        configs = {k: [(_location(p), float(w)) for p, w in v]
-                   for k, v in doc["configs"].items()}
-        rows = obstruction_scan(configs, doc["betas"], pot)
-        write_csv(out / "obstruction.csv",
-                  ["config_id", "beta", "log_futaki", "flag"],
-                  [(r.config_id, r.beta, r.log_futaki, r.flag) for r in rows])
-        outputs = ["obstruction.csv"]
+    if scan is not None:
+        rows = obstruction_scan(*scan, pot)
+        name, header = "obstruction.csv", ["config_id", "beta", "log_futaki", "flag"]
+        data = [(r.config_id, r.beta, r.log_futaki, r.flag) for r in rows]
         summary = f"{len(rows)} rows"
     else:
         points = [_parse_pair(item, "--points LOC:WEIGHT", _location, float)
                   for item in args.points.split(",")]
         val = log_futaki(pot, args.beta, points)
-        write_csv(out / "log_futaki.csv", ["beta", "log_futaki"],
-                  [(args.beta, val)])
-        outputs = ["log_futaki.csv"]
+        name, header, data = "log_futaki.csv", ["beta", "log_futaki"], [(args.beta, val)]
         summary = format_number(val)
+    # every input is checked before the output directory is made
+    out = _out_dir(args)
+    write_csv(out / name, header, data)
     write_manifest(out / "manifest.json", "log-futaki", _echo_config(args),
-                   outputs, grid=pot.grid, wall_clock=time.time() - t0)
+                   [name], grid=pot.grid, wall_clock=time.time() - t0)
     print(f"log-futaki: {summary}")
     return EXIT_OK
 
@@ -238,6 +253,8 @@ def cmd_capacity(args) -> int:
                                 selection_log_delta)
     from .io import format_number, write_csv, write_manifest
     model = flat_cone_metric(args.n, args.beta_bar)
+    if not (np.isfinite(args.eps) and args.eps > 0):
+        raise ValueError(f"--eps must be finite and positive, got {args.eps}")
     if args.rule == "auto":
         log_delta = selection_log_delta(args.n, args.eps)
     else:

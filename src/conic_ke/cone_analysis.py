@@ -2,8 +2,7 @@
 
 The model space is C^(n-1) x C_bb where C_bb is the two-dimensional cone
 d rho^2 + bb^2 rho^2 d theta^2 of total angle 2 pi bb.  Points are
-(z', rho, theta) with z' in C^(n-1); distances in the cone factor come
-from unrolling to a planar sector, and all volumes follow the product
+(z', rho, theta) with z' in C^(n-1), and all volumes follow the product
 measure (Lebesgue) x (bb rho d rho d theta).
 
 Capacity integrals exploit the product structure: the angular and flat
@@ -14,7 +13,6 @@ logarithmic bands survive arbitrarily small cutoff parameters.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -44,28 +42,9 @@ class FlatConeModel:
         if not 0.0 < self.beta_bar <= 1.0:
             raise ValueError("beta_bar must lie in (0, 1]")
 
-    def cone_distance(self, rho1, theta1, rho2, theta2):
-        """Geodesic distance in the cone factor by sector unrolling."""
-        dth = np.abs(np.asarray(theta1) - np.asarray(theta2)) % (2.0 * np.pi)
-        dth = np.minimum(dth, 2.0 * np.pi - dth)
-        ang = self.beta_bar * dth
-        return np.sqrt(np.maximum(
-            np.asarray(rho1) ** 2 + np.asarray(rho2) ** 2
-            - 2.0 * np.asarray(rho1) * np.asarray(rho2) * np.cos(ang), 0.0))
-
-    def distance(self, p, q) -> float:
-        """Product distance between points (z', rho, theta)."""
-        z1, r1, th1 = p
-        z2, r2, th2 = q
-        flat = np.linalg.norm(np.asarray(z1, dtype=complex) - np.asarray(z2, dtype=complex))
-        return float(np.hypot(flat, self.cone_distance(r1, th1, r2, th2)))
-
     def vertex_ball_volume(self, r: float) -> float:
         """Volume of B_r about a point on the singular axis (closed form)."""
         return self.beta_bar * unit_ball_volume(2 * self.n) * r ** (2 * self.n)
-
-    def circumference(self, r: float) -> float:
-        return 2.0 * np.pi * self.beta_bar * r
 
 
 def flat_cone_metric(n: int, beta_bar: float) -> FlatConeModel:
@@ -92,7 +71,7 @@ class LogLogCutoff:
     log_delta: float
 
     def __post_init__(self):
-        if self.eps_bar <= 0.0:
+        if not self.eps_bar > 0.0:
             raise ValueError("eps_bar must be positive")
         if self.log_delta >= math.log(1.0 / 3.0):
             raise ValueError("delta must be smaller than 1/3")
@@ -194,150 +173,6 @@ def dirichlet_energy(cutoff: LogLogCutoff, model: FlatConeModel,
     bound = unit_ball_volume(2 * model.n - 2) / (cutoff.eps_bar ** (2 * model.n - 2) * s1)
     return CutoffEnergyReport(energy, bound, energy <= bound,
                               radial_quad, radial_coarea)
-
-
-# ---------------------------------------------------------------------------
-# ball covers of deeper singular strata
-
-
-@dataclass(frozen=True)
-class CodimFourSubspace:
-    """Affine subspace of the flat factor, of real codimension two there
-    (total codimension four in the model); the deeper singular stratum."""
-
-    offset: np.ndarray            # shape (2n-2,), real coordinates of the flat factor
-    basis: np.ndarray             # shape (d, 2n-2), orthonormal rows, d = 2n-4
-
-    def points_near(self, radius: float, spacing: float) -> np.ndarray:
-        """Lattice of points of the subspace covering its ball of `radius`."""
-        d = self.basis.shape[0]
-        if d == 0:
-            return self.offset[None, :]
-        m = int(math.ceil(radius / spacing))
-        axes = [np.arange(-m, m + 1) * spacing for _ in range(d)]
-        mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
-        mesh = mesh[np.linalg.norm(mesh, axis=1) <= radius + spacing]
-        return self.offset[None, :] + mesh @ self.basis
-
-
-def _ramp(t):
-    """Appendix ramp: 0 for t <= 1.1, 1 for t >= 1.6, slope 2 between."""
-    return np.clip((np.asarray(t, dtype=float) - 1.1) / 0.5, 0.0, 1.0)
-
-
-class CoverBudgetError(RuntimeError):
-    """The radius budget sum r_a^(2n-3) <= 1 cannot be met at this eps0."""
-
-
-@dataclass
-class BallCoverReport:
-    model: FlatConeModel
-    centers: np.ndarray           # (l, 2n-2) flat-factor coordinates, rho = 0
-    radius: float
-    budget: float                 # sum of r_a^(2n-3)
-    max_overlap: int
-    energy: float
-    energy_stderr: float
-    seed: int
-
-    def chi(self, zflat: np.ndarray, rho: np.ndarray) -> np.ndarray:
-        """Product cutoff at points given by flat coordinates and rho."""
-        d2 = rho.astype(float) ** 2
-        val = np.ones(zflat.shape[0])
-        for c in self.centers:
-            dist = np.sqrt(np.sum((zflat - c[None, :]) ** 2, axis=1) + d2)
-            val = val * _ramp(dist / self.radius)
-        return val
-
-    def to_json(self) -> str:
-        return json.dumps({
-            "n": self.model.n,
-            "beta_bar": self.model.beta_bar,
-            "radius": self.radius,
-            "centers": self.centers.tolist(),
-            "budget": self.budget,
-            "max_overlap": self.max_overlap,
-            "energy": self.energy,
-            "energy_stderr": self.energy_stderr,
-            "seed": self.seed,
-        }, sort_keys=True)
-
-
-def ball_cover_cutoff(model: FlatConeModel, singular: CodimFourSubspace,
-                      eps0: float, region_radius: float = 1.0,
-                      n_samples: int = 200_000, seed: int = 20240,
-                      ) -> BallCoverReport:
-    """Cover the deep stratum by small balls and bound the cutoff energy.
-
-    Ball radii are eps0/2 (so diameters stay below eps0), centers sit on a
-    lattice of the affine stratum with disjoint half-balls, and the product
-    cutoff ramps between 1.1 and 1.6 radii.  The gradient energy over the
-    shells is estimated by seeded Monte Carlo in the product measure; the
-    standard error is reported alongside.
-    """
-    if model.n < 2:
-        raise ValueError("ball covers need n >= 2")
-    r = eps0 / 2.0
-    centers = singular.points_near(region_radius, 1.4 * r)
-    budget = centers.shape[0] * r ** (2 * model.n - 3)
-    if budget > 1.0:
-        raise CoverBudgetError(
-            f"sum r^(2n-3) = {budget:.3g} exceeds 1; decrease eps0 or the region")
-    report = BallCoverReport(model, centers, r, budget, 0, 0.0, 0.0, seed)
-
-    rng = np.random.default_rng(seed)
-    dim_flat = 2 * model.n - 2
-    shell_lo, shell_hi = 1.1 * r, 1.6 * r
-    # sample each shell in Euclideanized coordinates; the cone measure is
-    # beta_bar times Lebesgue on the (rho, theta) plane
-    vol_shell = model.beta_bar * unit_ball_volume(2 * model.n) \
-        * (shell_hi ** (2 * model.n) - shell_lo ** (2 * model.n))
-    contributions = []
-    overlaps = []
-    per_ball = max(1000, n_samples // max(len(centers), 1))
-    for c in centers:
-        u = rng.normal(size=(per_ball, 2 * model.n))
-        u /= np.linalg.norm(u, axis=1, keepdims=True)
-        radii = (rng.uniform(shell_lo ** (2 * model.n), shell_hi ** (2 * model.n),
-                             per_ball)) ** (1.0 / (2 * model.n))
-        pts = u * radii[:, None]
-        zflat = pts[:, :dim_flat] + c[None, :]
-        rho = np.sqrt(pts[:, dim_flat] ** 2 + pts[:, dim_flat + 1] ** 2)
-        # gradient of the product cutoff: sum over balls of the ramp slope
-        # times the distance gradient, the other factors evaluated pointwise
-        grad = np.zeros((per_ball, dim_flat + 1))
-        chi_each = []
-        for cc in centers:
-            diff = zflat - cc[None, :]
-            dist = np.sqrt(np.sum(diff ** 2, axis=1) + rho ** 2)
-            chi_each.append(_ramp(dist / r))
-        chi_each = np.array(chi_each)
-        count_active = np.sum((chi_each > 0.0) & (chi_each < 1.0), axis=0)
-        overlaps.append(int(count_active.max()) if count_active.size else 0)
-        for idx, cc in enumerate(centers):
-            diff = zflat - cc[None, :]
-            dist = np.sqrt(np.sum(diff ** 2, axis=1) + rho ** 2)
-            on = (dist > shell_lo) & (dist < shell_hi)
-            if not np.any(on):
-                continue
-            others = np.prod(np.delete(chi_each, idx, axis=0), axis=0) \
-                if len(centers) > 1 else np.ones(per_ball)
-            slope = (2.0 / r) * others
-            direction = np.concatenate([diff, rho[:, None]], axis=1) \
-                / np.maximum(dist, 1e-300)[:, None]
-            grad[on] += slope[on, None] * direction[on]
-        gsq = np.sum(grad ** 2, axis=1)
-        # correct multiple counting of overlapping shells
-        mult = np.maximum(np.sum((chi_each > 0.0) & (chi_each < 1.0), axis=0), 1)
-        vals = gsq / mult
-        contributions.append((vol_shell * np.mean(vals),
-                              vol_shell * np.std(vals) / math.sqrt(per_ball)))
-    energy = float(sum(c for c, _ in contributions))
-    stderr = float(math.sqrt(sum(s * s for _, s in contributions)))
-    report.energy = energy
-    report.energy_stderr = stderr
-    report.max_overlap = max(overlaps) if overlaps else 0
-    return report
 
 
 # ---------------------------------------------------------------------------

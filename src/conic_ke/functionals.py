@@ -143,42 +143,3 @@ def path_derivative_residual(trace, tau_floor: float = 0.05) -> PathDerivativeRe
 
     return PathDerivativeReport(taus, np.array(onpath_res), np.array(onpath_taus),
                                 np.array(fd_res), np.array(orth))
-
-
-@dataclass
-class PropernessFit:
-    epsilon: float
-    c_epsilon: float
-    detected: bool
-
-
-def properness_fit(samples, grid_resolution: float = 0.01) -> PropernessFit:
-    """Largest linear coercivity slope supported by (J, F) samples.
-
-    For each epsilon on the grid the smallest admissible constant is
-    C_eps = max(eps J - F).  A slope is accepted only when that maximum is
-    not driven by the largest-J tail of the sample (otherwise enlarging the
-    family would push the constant to infinity and no properness is
-    detected); epsilon = 0 with detected=False flags that situation.
-    """
-    pts = [(float(j), float(f)) for j, f in samples]
-    if len(pts) < 10:
-        raise ValueError("need at least 10 samples")
-    jj = np.array([p[0] for p in pts])
-    ff = np.array([p[1] for p in pts])
-    if np.log10(max(jj.max(), 1e-300) / max(jj[jj > 0].min() if np.any(jj > 0) else 1.0,
-                                            1e-300)) < 2.0 and jj.max() > 0:
-        raise ValueError("samples must span at least two decades of J")
-    j_max = jj.max()
-    if j_max <= 0.0:
-        return PropernessFit(1.0, float(np.max(-ff)), True)
-    tail = jj >= j_max / np.sqrt(10.0)
-    if np.all(tail):
-        raise ValueError("no samples below the top half-decade of J")
-    eps_grid = np.round(np.arange(grid_resolution, 1.0 + 1e-9, grid_resolution), 10)
-    for eps in eps_grid[::-1]:
-        vals = eps * jj - ff
-        slack = 1e-9 * (1.0 + np.abs(vals).max())
-        if vals[tail].max() <= vals[~tail].max() + slack:
-            return PropernessFit(float(eps), float(vals.max()), True)
-    return PropernessFit(0.0, float((-ff).max()), False)

@@ -49,6 +49,8 @@ class Grid:
     def __post_init__(self):
         if self.n_nodes < 3 or self.n_nodes % 2 == 0:
             raise ValueError("n_nodes must be odd and >= 3")
+        if not (np.isfinite(self.t_min) and np.isfinite(self.t_max)):
+            raise ValueError(f"grid bounds must be finite, got [{self.t_min}, {self.t_max}]")
         if not self.t_max > self.t_min:
             raise ValueError("empty grid")
         if abs(self.t_min + self.t_max) > 1e-12 * max(1.0, abs(self.t_max)):
@@ -137,33 +139,29 @@ class RadialKahlerPotential:
 
 @dataclass(frozen=True)
 class ConeConfiguration:
-    """Divisor and angle data for the conic problem.
+    """Angle data for the conic problem.
 
-    `lam` is the degree multiplier of the divisor, `beta` the cone fraction
-    and `mu` is always stored as 1 - (1 - beta) * lam (positive by
-    construction).  The solver path only supports lam = 1 with the divisor
-    at the two poles, the unique rotation-invariant smooth configuration.
+    The divisor is the two poles, each with cone fraction `beta`: the
+    unique rotation-invariant configuration.  `mu` = 1 - (1 - beta) is the
+    constant of the conic equation Ric(omega) = mu omega + (1 - beta) [D].
     """
 
     beta: float
-    lam: int = 1
-    cone_points: tuple = ("zero", "infinity")
 
     def __post_init__(self):
         if not 0.0 < self.beta <= 1.0:
             raise ValueError("beta must lie in (0, 1]")
-        if self.lam < 1:
-            raise ValueError("lam must be a positive integer")
         if self.mu <= 0.0:
-            raise ValueError("mu = 1 - (1-beta)*lam must be positive")
+            raise ValueError("mu = 1 - (1-beta) must be positive")
 
     @property
     def mu(self) -> float:
-        return 1.0 - (1.0 - self.beta) * self.lam
-
-    def require_solver_compatible(self):
-        if self.lam != 1 or tuple(self.cone_points) != ("zero", "infinity"):
-            raise ValueError("solver requires lam = 1 and cone points {0, infinity}")
+        # Written as 1 - (1 - beta), not beta: the two differ in the last
+        # bit for most beta (1 - (1 - 0.2013) != 0.2013 in double), and mu
+        # sets the tau = mu targets and the Bergman weight, so the data files
+        # depend on this form.  It rounds to 0 for beta up to ~5.5e-17 (half
+        # an ulp below 1), which __post_init__ rejects.
+        return 1.0 - (1.0 - self.beta)
 
 
 # ---------------------------------------------------------------------------
@@ -292,7 +290,7 @@ def ricci_potential(pot: RadialKahlerPotential, mu: float,
 
     Uses the closed-form primitive h = -log Phi'' - mu*Phi + beta0*t + c,
     valid whenever the class normalization and the angle bookkeeping
-    beta0 + beta_inf = 2*mu*lam-consistency hold; c enforces
+    beta0 + beta_inf = 2 mu hold; c enforces
     integral of (e^h - 1) against omega equal to zero.
     Returns (h profile, normalization constant c).
     """

@@ -92,10 +92,9 @@ def potential_manifest(pot: RadialKahlerPotential) -> dict:
 
 
 def write_manifest(path, command: str, config: dict, outputs: list[str],
-                   grid: Grid | None = None, seed: int | None = None,
-                   wall_clock: float | None = None,
+                   grid: Grid | None = None, wall_clock: float | None = None,
                    extra: dict | None = None) -> None:
-    """Run manifest: config echo, version, outputs, timing, seed.
+    """Run manifest: config echo, version, outputs, timing.
 
     The wall clock is the run's duration in seconds, informational and
     null when not given; reproducibility comparisons cover the data files
@@ -111,8 +110,6 @@ def write_manifest(path, command: str, config: dict, outputs: list[str],
     }
     if grid is not None:
         doc["grid"] = {"t_min": grid.t_min, "t_max": grid.t_max, "n_nodes": grid.n_nodes}
-    if seed is not None:
-        doc["seed"] = seed
     if extra:
         doc.update(extra)
     Path(path).write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n",

@@ -242,8 +242,8 @@ class TwistData:
 
 def build_twist(grid: Grid, beta: float, delta: float) -> TwistData:
     """Assemble the twist density and its semi-infinite tail integrals."""
-    if delta < 0.0:
-        raise ValueError("delta must be nonnegative")
+    if not (math.isfinite(delta) and delta >= 0.0):
+        raise ValueError(f"delta must be finite and nonnegative, got {delta}")
     if delta == 0.0:
         const = compute_a_beta(beta, grid)
     else:
@@ -270,9 +270,8 @@ class SolverConfig:
     newton_tol: float = 1e-11
 
     def __post_init__(self):
-        self.cone.require_solver_compatible()
-        if self.delta < 0.0:
-            raise ValueError("delta must be nonnegative")
+        if not (math.isfinite(self.delta) and self.delta >= 0.0):
+            raise ValueError(f"delta must be finite and nonnegative, got {self.delta}")
         if not 0.0 <= self.tau <= self.cone.mu + 1e-15:
             raise ValueError("tau must lie in [0, mu]")
 
@@ -678,36 +677,23 @@ def _trace_step(tau, sol) -> TraceStep:
 
 
 def continuity_path(cone: ConeConfiguration, delta: float,
-                    schedule: str | int | np.ndarray = "adaptive",
+                    steps: int | None = None,
                     grid: Grid | None = None,
                     newton_tol: float = 1e-11) -> ContinuationTrace:
     """Continuation in tau from the volume-normalized start to tau = mu.
 
-    `schedule` is "adaptive" (step mu/20, doubling after three easy steps,
-    halving on Newton failure down to 1e-5), an integer requesting that
-    many uniform steps, or an explicit increasing array of tau values ending
-    at mu.  Each accepted step records functional values, the spectral gap
-    per angular mode and the Newton work.
+    `steps` uniform steps, or with None adaptive ones (step mu/20, doubling
+    after three easy steps, halving on Newton failure down to 1e-5).  Each
+    accepted step records functional values, the spectral gap per angular
+    mode and the Newton work.
     """
-    cone.require_solver_compatible()
     if delta <= 0.0 and cone.beta < 0.3:
         raise ValueError("delta = 0 requires beta >= 0.3 for a well-conditioned path")
+    if steps is not None and steps < 1:
+        raise ValueError(f"a uniform schedule needs at least 1 step, got {steps}")
     grid = grid or Grid()
     mu = cone.mu
-    if isinstance(schedule, str):
-        if schedule != "adaptive":
-            raise ValueError("schedule must be 'adaptive', an int, or an array")
-        targets = None
-        dtau = mu / 20.0
-    elif isinstance(schedule, (int, np.integer)):
-        if schedule < 1:
-            raise ValueError(f"a uniform schedule needs at least 1 step, got {schedule}")
-        targets = np.linspace(0.0, mu, int(schedule) + 1)[1:]
-    else:
-        targets = np.asarray(schedule, dtype=float)
-        if targets.ndim != 1 or targets.size == 0 or np.any(np.diff(targets) <= 0) \
-                or abs(targets[-1] - mu) > 1e-12:
-            raise ValueError("explicit schedule must increase to mu")
+    targets = None if steps is None else np.linspace(0.0, mu, int(steps) + 1)[1:]
 
     twist = build_twist(grid, cone.beta, delta)
     trace = ContinuationTrace(cone, delta)
@@ -742,6 +728,7 @@ def continuity_path(cone: ConeConfiguration, delta: float,
         trace.status = "complete"
         return trace
 
+    dtau = mu / 20.0
     easy_streak = 0
     tau = 0.0
     while tau < mu - 1e-14:
@@ -789,11 +776,13 @@ def smoothing_family(cone: ConeConfiguration, delta_list,
     """Solve at tau = mu for each delta and compare against the conic limit.
 
     Distances are sup |phi_delta - phi_0| on the full grid and on the core
-    |t| <= T/2; the deltas must be positive and decreasing.
+    |t| <= T/2; the deltas must be finite, positive and decreasing.
     """
     deltas = list(delta_list)
-    if any(d <= 0 for d in deltas) or any(a <= b for a, b in zip(deltas, deltas[1:])):
-        raise ValueError("delta_list must be positive and strictly decreasing")
+    if not (all(math.isfinite(d) and d > 0 for d in deltas)
+            and all(a > b for a, b in zip(deltas, deltas[1:]))):
+        raise ValueError(f"deltas must be finite, positive and strictly decreasing, "
+                         f"got {deltas}")
     grid = grid or Grid()
     mu = cone.mu
     conic = solve_ma(SolverConfig(cone, 0.0, mu), grid=grid)
@@ -831,13 +820,13 @@ def ricci_lower_bound_margin(solution: MASolution) -> RicciMarginReport:
     if abs(cfg.tau - cfg.cone.mu) > 1e-12:
         raise ValueError("margin is defined for solutions at tau = mu")
     grid = solution.grid
-    beta, delta, lam = cfg.cone.beta, cfg.delta, cfg.cone.lam
+    beta, delta = cfg.cone.beta, cfg.delta
     mu = cfg.cone.mu
     p0 = grid.reference.phi_doubleprime
     u = defining_section_norm(grid)
     t = grid.t
     w_prime = (1.0 - np.exp(t)) / (1.0 + np.exp(t))  # d/dt log ||S||_0^2
-    formula = delta * (1.0 - beta) * lam * p0 / (delta + u) \
+    formula = delta * (1.0 - beta) * p0 / (delta + u) \
         + delta * (1.0 - beta) * u * w_prime**2 / (delta + u) ** 2
     density = solution.metric_density
     curv = -d2(np.log(density), grid.h) - mu * density

@@ -28,12 +28,12 @@ def fs(grid):
 @pytest.fixture(scope="session")
 def trace_08(grid):
     """Uniform 100-step continuation at beta = 0.8, delta = 1e-3."""
-    return continuity_path(ConeConfiguration(0.8), 1e-3, schedule=100, grid=grid)
+    return continuity_path(ConeConfiguration(0.8), 1e-3, steps=100, grid=grid)
 
 
 @pytest.fixture(scope="session")
 def trace_08_halved(grid):
-    return continuity_path(ConeConfiguration(0.8), 1e-3, schedule=200, grid=grid)
+    return continuity_path(ConeConfiguration(0.8), 1e-3, steps=200, grid=grid)
 
 
 @pytest.fixture(scope="session")

@@ -7,13 +7,13 @@ from scipy.integrate import quad
 
 from conic_ke.bergman import (
     _blocks,
+    _log_section_norms,
     associated_hermitian_weight,
     bergman_density,
     bochner_residual,
     gradient_estimate_ratio,
     gram_matrix,
     partial_c0_scan,
-    peak_section_experiment,
     section_profiles,
 )
 from conic_ke.geometry import (
@@ -56,7 +56,7 @@ def test_weight_unit_section_mass(grid, fs, fs_weight):
 
 
 def test_weight_collapses_to_potential(grid, fs, fs_weight):
-    # with lam = 1 the assembled weight must equal -Phi up to a constant
+    # on the round metric the assembled weight must equal -Phi up to a constant
     diff = fs_weight.log_weight + fs.values()
     assert diff.max() - diff.min() < 1e-11
 
@@ -74,7 +74,7 @@ def test_conic_weight_bounded_section(grid):
 
 def test_weight_requires_positive_mu(grid, fs):
     with pytest.raises(ValueError):
-        ConeConfiguration(0.4, lam=2)
+        ConeConfiguration(1e-17)  # mu = 1 - (1 - beta) rounds to 0
 
 
 # ---------------------------------------------------------------------------
@@ -110,7 +110,7 @@ def test_gram_off_diagonal_vanishes(grid, fs, fs_weight):
     gram = gram_matrix(2, fs_weight, fs)
     n_theta = 32
     theta = np.linspace(0.0, 2.0 * np.pi, n_theta, endpoint=False)
-    log_norms = gram.log_section_norms()
+    log_norms = _log_section_norms(gram.ell, fs_weight.log_weight, grid.t)
     scale = np.exp(gram.log_diag.max())
     for j, k in ((0, 1), (1, 3), (0, 4)):
         integrand = np.exp(0.5 * (log_norms[j] + log_norms[k]))
@@ -395,25 +395,3 @@ def test_gradient_ratio_scale_invariance(grid, fs, fs_weight):
         _, n_b, g_b, _ = sp(gram_b, k)
         assert np.max(np.abs(n_a - n_b)) < 1e-10 * n_a.max()
         assert np.max(np.abs(g_a - g_b)) < 1e-10 * max(g_a.max(), 1.0)
-
-
-def test_peak_section_round(grid, fs):
-    rep = peak_section_experiment(0.0, 16, fs)
-    assert rep.value_ratio >= 0.9
-
-
-def test_peak_section_football(grid):
-    fb = football_potential(grid, 0.75)
-    rep = peak_section_experiment(2.0, 16, fb, ConeConfiguration(0.75))
-    assert rep.value_ratio >= 0.5
-
-
-def test_peak_section_residual_decreasing(grid, fs):
-    residuals = [peak_section_experiment(0.0, ell, fs).l2_residual
-                 for ell in (4, 8, 16, 32)]
-    assert np.all(np.diff(residuals) < 0.0)
-
-
-def test_peak_section_outside_core(grid, fs):
-    with pytest.raises(ValueError):
-        peak_section_experiment(12.0, 8, fs)

@@ -492,6 +492,25 @@ def test_log_futaki_cli_scan(tmp_path):
     assert flags == ["UNOBSTRUCTED", "UNOBSTRUCTED", "OBSTRUCTED", "OBSTRUCTED"]
 
 
+@pytest.mark.parametrize("text", [
+    '{"betas": [0.5]}',
+    '{"configs": {"sym": [["zero", 1]]}}',
+    '[1, 2]',
+    '{"configs": {"sym": [["zero"]]}, "betas": [0.5]}',
+    '{"configs": {"sym": [["zero", 1]]}',
+], ids=["no-configs", "no-betas", "array", "point-not-a-pair", "not-json"])
+def test_malformed_scan_config(tmp_path, capsys, text):
+    metric = tmp_path / "fs.csv"
+    write_potential_csv(metric, fubini_study_potential(Grid(-16, 16, 257)))
+    scan_path = tmp_path / "scan.json"
+    scan_path.write_text(text)
+    assert run("log-futaki", "--metric", metric, "--scan-config", scan_path,
+               "--out", tmp_path / "lf") == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: --scan-config"), err
+    assert not (tmp_path / "lf").exists()
+
+
 def test_capacity_cli(tmp_path, capsys):
     out = tmp_path / "cap"
     assert run("capacity", "--n", 1, "--eps", 0.1, "--rule", "auto",
@@ -509,6 +528,23 @@ def test_capacity_manual_delta_must_be_positive(tmp_path, capsys, delta):
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("error: --delta"), err
     assert not (tmp_path / "cap").exists()
+
+
+@pytest.mark.parametrize("argv, name", [
+    (("solve", "--beta", 0.75, "--delta", "nan", "--tau", 0.5), "delta"),
+    (("solve", "--beta", 0.75, "--delta", "inf", "--tau", 0.5), "delta"),
+    (("smooth-family", "--beta", 0.75, "--deltas", "1e-1,nan"), "deltas"),
+    (("continue-path", "--beta", 0.8, "--delta", "nan"), "delta"),
+    (("solve", "--beta", 0.75, "--delta", 0, "--tau", 0.5, "--grid-T", "inf"), "grid"),
+    (("capacity", "--n", 1, "--eps", 0), "--eps"),
+    (("capacity", "--n", 1, "--eps", "nan"), "--eps"),
+], ids=["solve-delta-nan", "solve-delta-inf", "family-deltas-nan", "path-delta-nan",
+        "grid-T-inf", "capacity-eps-zero", "capacity-eps-nan"])
+def test_bad_numbers_exit_config(tmp_path, capsys, argv, name):
+    assert run(*argv, "--out", tmp_path / "o") == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ") and name in err, err
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("argv, flag", [

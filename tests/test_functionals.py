@@ -7,7 +7,6 @@ from conic_ke.functionals import (
     f_functional,
     j_functional,
     path_derivative_residual,
-    properness_fit,
 )
 from conic_ke.geometry import ConeConfiguration, Grid
 from conic_ke.ma_solver import SolverConfig, build_twist, solve_ma
@@ -22,11 +21,6 @@ def twist(grid):
 @pytest.fixture(scope="module")
 def conic_twist(grid):
     return build_twist(grid, 0.75, 0.0)
-
-
-def dilation_potential(grid, a):
-    """Pullback potential of the round metric under t -> t + a."""
-    return 2.0 * (np.logaddexp(0.0, grid.t + a) - np.logaddexp(0.0, grid.t))
 
 
 # ---------------------------------------------------------------------------
@@ -165,81 +159,17 @@ def test_orthogonality_first_order(trace_08, trace_08_halved):
 
 def test_trace_too_short(grid):
     from conic_ke.ma_solver import continuity_path
-    tr = continuity_path(ConeConfiguration(0.8), 1e-3, schedule=3, grid=grid)
+    tr = continuity_path(ConeConfiguration(0.8), 1e-3, steps=3, grid=grid)
     with pytest.raises(ValueError):
         path_derivative_residual(tr)
 
 
 def test_trivial_trace_residuals(grid):
     from conic_ke.ma_solver import continuity_path
-    tr = continuity_path(ConeConfiguration(1.0), 1.0, schedule=10, grid=grid)
+    tr = continuity_path(ConeConfiguration(1.0), 1.0, steps=10, grid=grid)
     rep = path_derivative_residual(tr)
     assert rep.max_onpath() < 1e-9
     assert np.all(rep.orthogonality < 1e-9)
-
-
-# ---------------------------------------------------------------------------
-# properness fit
-
-
-def properness_samples(grid, beta=0.9, tau_frac=0.5, n_dilations=16):
-    tw = build_twist(grid, beta, 0.0)
-    tau = tau_frac * beta
-    samples = []
-    for a in np.linspace(0.25, 8.0, n_dilations):
-        rep = f_functional(dilation_potential(grid, a), tau, tw)
-        samples.append((rep.j_value, rep.f_value))
-    for c in np.linspace(0.1, 1.2, 8):
-        rep = f_functional(c / np.cosh(grid.t), tau, tw)
-        samples.append((rep.j_value, rep.f_value))
-    return samples
-
-
-def test_properness_detected(grid):
-    fit = properness_fit(properness_samples(grid))
-    assert fit.detected
-    assert fit.epsilon >= 0.05
-    assert np.isfinite(fit.c_epsilon)
-
-
-def test_properness_stable_under_enrichment(grid):
-    base = properness_fit(properness_samples(grid))
-    tw = build_twist(grid, 0.9, 0.0)
-    extra = properness_samples(grid)
-    for a in np.linspace(9.0, 12.0, 4):
-        rep = f_functional(dilation_potential(grid, a), 0.45, tw)
-        extra.append((rep.j_value, rep.f_value))
-    enriched = properness_fit(extra)
-    assert enriched.detected and enriched.epsilon >= 0.05
-    assert abs(enriched.epsilon - base.epsilon) <= 0.15
-
-
-def test_properness_constant_family():
-    fit = properness_fit([(0.0, 0.0)] * 12)
-    assert fit.epsilon == 1.0
-    assert fit.c_epsilon == pytest.approx(0.0, abs=1e-15)
-
-
-def test_properness_constants_monotone(grid):
-    # C_eps = max(eps J - F) grows with eps for nonnegative J
-    samples = properness_samples(grid)
-    jj = np.array([j for j, _ in samples])
-    ff = np.array([f for _, f in samples])
-    cs = [np.max(e * jj - ff) for e in (0.1, 0.3, 0.5, 0.7)]
-    assert np.all(np.diff(cs) >= 0.0)
-
-
-def test_properness_needs_spread():
-    with pytest.raises(ValueError):
-        properness_fit([(1.0, 0.5)] * 12)
-
-
-def test_properness_undetected_on_flat_tail(grid, fs):
-    # F identically zero while J grows: no linear coercivity can hold
-    jj = np.geomspace(1e-2, 10.0, 14)
-    fit = properness_fit([(j, 0.0) for j in jj])
-    assert not fit.detected
-    assert fit.epsilon == 0.0
 
 
 @settings(max_examples=15, deadline=None)

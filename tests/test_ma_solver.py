@@ -199,7 +199,10 @@ def test_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(cone, -1.0, 0.1)  # negative delta
     with pytest.raises(ValueError):
-        ConeConfiguration(0.2, lam=2)  # mu <= 0
+        ConeConfiguration(1e-17)  # mu = 1 - (1 - beta) rounds to 0
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            SolverConfig(cone, bad, 0.1)
 
 
 def test_smoothed_pole_angle_between(grid):
@@ -236,16 +239,12 @@ def test_trivial_path(grid):
 def test_path_preconditions(grid):
     with pytest.raises(ValueError):
         continuity_path(ConeConfiguration(0.25), 0.0, grid=grid)
-    with pytest.raises(ValueError):
-        continuity_path(ConeConfiguration(0.8), 1e-3, schedule=np.array([0.5, 0.4, 0.8]),
-                        grid=grid)
 
 
-@pytest.mark.parametrize("schedule", [0, -1, -2, np.array([])],
-                         ids=["zero", "minus-one", "minus-two", "empty-array"])
-def test_path_schedule_without_steps_rejected(schedule):
+@pytest.mark.parametrize("steps", [0, -1, -2], ids=["zero", "minus-one", "minus-two"])
+def test_path_schedule_without_steps_rejected(steps):
     with pytest.raises(ValueError, match="schedule"):
-        continuity_path(ConeConfiguration(0.8), 1e-3, schedule=schedule,
+        continuity_path(ConeConfiguration(0.8), 1e-3, steps=steps,
                         grid=Grid(-16, 16, 257))
 
 
@@ -262,7 +261,7 @@ def test_path_builds_reference_once_per_grid(monkeypatch):
         if name.startswith("conic_ke") and getattr(mod, "fubini_study_potential", None) is original:
             monkeypatch.setattr(mod, "fubini_study_potential", counting)
     g = Grid(-16, 16, 257)
-    trace = continuity_path(ConeConfiguration(0.8), 1e-3, schedule=10, grid=g)
+    trace = continuity_path(ConeConfiguration(0.8), 1e-3, steps=10, grid=g)
     assert trace.status == "complete" and len(trace.steps) == 11
     assert len(built) <= 1
 
@@ -376,7 +375,7 @@ def _assert_matches_bisection(potentials):
 def test_first_eigenvalue_bisection_width(grid):
     # the LAPACK default width eps * ||T||_1 is ~1e-6 here, since the 1/Phi''
     # tail entries reach ~4e9; every mode must match a tight bisection
-    trace = continuity_path(ConeConfiguration(0.8), 1e-3, schedule=10, grid=grid)
+    trace = continuity_path(ConeConfiguration(0.8), 1e-3, steps=10, grid=grid)
     _assert_matches_bisection(
         [football_potential(grid, b) for b in (0.1, 0.3, 0.8, 1.0)]
         + [s.solution.potential for s in trace.steps])
@@ -385,7 +384,7 @@ def test_first_eigenvalue_bisection_width(grid):
 def test_first_eigenvalue_rounding_floor(grid):
     # here the Rayleigh quotient flips by ~1e-13 at the rounding floor; a stop
     # on |relative change| <= 1e-13 alone never terminated on this path
-    trace = continuity_path(ConeConfiguration(0.7979), 1e-3, schedule=100, grid=grid)
+    trace = continuity_path(ConeConfiguration(0.7979), 1e-3, steps=100, grid=grid)
     _assert_matches_bisection([s.solution.potential for s in trace.steps])
 
 
