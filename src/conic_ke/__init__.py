@@ -17,10 +17,9 @@ _EXPORTS = {
         "ricci_potential_h0"),
     "errors": ("NewtonDiverged", "PathStalled", "PositivityLost", "SolverError"),
     "ma_solver": (
-        "ContinuationTrace", "MASolution", "SolverConfig", "compute_a_beta",
-        "compute_c_delta", "continuity_path", "first_eigenvalue",
-        "ricci_lower_bound_margin", "smoothing_family", "solve_ma",
-        "two_sided_bound_check"),
+        "ContinuationTrace", "MASolution", "SolverConfig", "continuity_path",
+        "first_eigenvalue", "ricci_lower_bound_margin", "smoothing_family",
+        "solve_ma", "two_sided_bound_check"),
     "functionals": (
         "FunctionalReport", "f_functional", "j_functional",
         "path_derivative_residual"),

@@ -2,7 +2,11 @@
 
 Subcommands map one-to-one onto the library operations; every run writes
 CSV data files plus a JSON manifest echoing the configuration.  Given the
-same configuration the data files are byte-identical across reruns.
+same configuration the data files are byte-identical across reruns.  A
+command checks its inputs and computes before the output directory is made,
+so a command that exits non-zero leaves no output directory; only a failed
+write (exit 1) can leave a partial one.  The manifest's wall clock covers
+the compute and the CSV writes.
 
 Exit codes: 0 success, 1 invalid configuration or usage, 2 a solver did
 not converge (Newton divergence or an eigen-solve failure), 3 metric
@@ -16,6 +20,7 @@ import json
 import sys
 import time
 from pathlib import Path
+from typing import NamedTuple
 
 from . import __version__
 from .errors import NewtonDiverged, PathStalled, PositivityLost, SolverError
@@ -30,112 +35,124 @@ EXIT_POSITIVITY = 3
 EXIT_STALLED = 4
 
 
-def _grid_from(args):
-    from .geometry import Grid
-    return Grid(-args.grid_T, args.grid_T, args.grid_N)
+class Run(NamedTuple):
+    """What a command computed: its tables as {file name: (header, rows)},
+    the text of its summary line, and the grid and extra keys of its
+    manifest."""
+
+    tables: dict
+    summary: str
+    grid: object = None
+    extra: dict | None = None
 
 
-def _out_dir(args) -> Path:
+def _write(args, run: Run, t0: float) -> None:
+    """Make `--out`, write every table and the manifest, print the summary."""
+    from .io import write_csv, write_manifest
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    return out
+    for name, (header, rows) in run.tables.items():
+        write_csv(out / name, header, rows)
+    config = {k: v for k, v in vars(args).items()
+              if k not in ("func", "config", "command")}
+    write_manifest(out / "manifest.json", args.command, config, list(run.tables),
+                   grid=run.grid, wall_clock=time.time() - t0, extra=run.extra)
+    print(f"{args.command}: {run.summary}")
 
 
-def _echo_config(args, skip=("func", "config", "command")) -> dict:
-    return {k: v for k, v in vars(args).items()
-            if k not in skip and not callable(v)}
+def _grid_from(args):
+    from .geometry import Grid
+    try:
+        return Grid(-args.grid_T, args.grid_T, args.grid_N)
+    except ValueError as exc:
+        raise ValueError(f"--grid-T {args.grid_T} --grid-N {args.grid_N}: {exc}") from None
 
 
-def cmd_solve(args) -> int:
+def _comma_list(text: str, flag: str, read) -> list:
+    """Read the comma list of `flag`, each item through `read`."""
+    try:
+        return [read(x) for x in text.split(",")]
+    except ValueError:
+        raise ValueError(f"{flag}: cannot read {text!r}") from None
+
+
+def _profile_table(sol):
+    """The profile table of a solution.  Its potential and number lists are
+    built only when the rows are written, so a long path holds one profile
+    at a time."""
+    from .io import POTENTIAL_HEADER, potential_table
+
+    def rows():
+        yield from potential_table(sol.potential)[1]
+    return POTENTIAL_HEADER, rows()
+
+
+def cmd_solve(args) -> Run:
     from .geometry import ConeConfiguration
-    from .io import (format_number, potential_manifest, write_csv,
-                     write_manifest, write_potential_csv)
+    from .io import format_number, potential_manifest, potential_table
     from .ma_solver import SolverConfig, solve_ma
     grid = _grid_from(args)
     cone = ConeConfiguration(args.beta)
     if args.tau > cone.mu + 1e-15:
         raise ValueError(f"tau={args.tau} exceeds mu={cone.mu}")
-    cfg = SolverConfig(cone, args.delta, args.tau)
-    t0 = time.time()
-    sol = solve_ma(cfg, grid=grid)
-    out = _out_dir(args)
-    write_potential_csv(out / "solution.csv", sol.potential)
-    write_csv(out / "phi.csv", ["t", "phi"], zip(grid.t, sol.phi))
-    write_manifest(out / "manifest.json", "solve", _echo_config(args),
-                   ["solution.csv", "phi.csv"], grid=grid,
-                   wall_clock=time.time() - t0,
-                   extra={"potential": potential_manifest(sol.potential),
-                          "residual": sol.residual, "iterations": sol.iterations})
-    print(f"solve: residual={format_number(sol.residual)} "
-          f"iterations={sol.iterations}")
-    return EXIT_OK
+    sol = solve_ma(SolverConfig(cone, args.delta, args.tau), grid=grid)
+    pot = sol.potential
+    return Run({"solution.csv": potential_table(pot),
+                "phi.csv": (["t", "phi"], zip(grid.t, sol.phi))},
+               f"residual={format_number(sol.residual)} iterations={sol.iterations}",
+               grid, {"potential": potential_manifest(pot),
+                      "residual": sol.residual, "iterations": sol.iterations})
 
 
-def cmd_continue_path(args) -> int:
+def cmd_continue_path(args) -> Run:
     from .functionals import f_functional
     from .geometry import ConeConfiguration
-    from .io import write_csv, write_manifest, write_potential_csv
     from .ma_solver import continuity_path
     grid = _grid_from(args)
     cone = ConeConfiguration(args.beta)
     if args.steps is not None and args.steps < 1:
         raise ValueError(f"--steps must be at least 1, got {args.steps}")
-    t0 = time.time()
     trace = continuity_path(cone, args.delta, steps=args.steps, grid=grid)
-    out = _out_dir(args)
-    outputs = ["trace.csv", "functionals.csv"]
-    write_csv(out / "trace.csv",
-              ["tau", "J", "F", "lambda1", "newton_iters", "residual"],
-              [(s.tau, s.j_value, s.f_value, s.lambda1, s.newton_iters, s.residual)
-               for s in trace.steps])
+    tables = {"trace.csv": (
+        ["tau", "J", "F", "lambda1", "newton_iters", "residual"],
+        [(s.tau, s.j_value, s.f_value, s.lambda1, s.newton_iters, s.residual)
+         for s in trace.steps])}
     frows = []
     for k, s in enumerate(trace.steps):
-        name = f"step_{k:04d}.csv"
-        write_potential_csv(out / name, s.solution.potential)
-        outputs.append(name)
+        tables[f"step_{k:04d}.csv"] = _profile_table(s.solution)
         if s.tau >= 0.05:
             rep = f_functional(s.solution.phi, s.tau, s.solution.twist,
                                dphi=s.solution.dphi)
             frows.append((f"step{k:04d}", s.tau, args.beta, args.delta,
                           rep.j_value, rep.f_value, rep.linear_term, rep.log_term))
-    write_csv(out / "functionals.csv",
-              ["tag", "tau", "beta", "delta", "J", "F", "linear", "logterm"], frows)
-    write_manifest(out / "manifest.json", "continue-path", _echo_config(args),
-                   outputs, grid=grid, wall_clock=time.time() - t0)
-    print(f"continue-path: {len(trace.steps)} steps, status {trace.status}")
-    return EXIT_OK
+    tables["functionals.csv"] = (
+        ["tag", "tau", "beta", "delta", "J", "F", "linear", "logterm"], frows)
+    return Run(tables, f"{len(trace.steps)} steps, status {trace.status}", grid)
 
 
-def cmd_smooth_family(args) -> int:
+def cmd_smooth_family(args) -> Run:
     from .geometry import ConeConfiguration
-    from .io import format_number, write_csv, write_manifest, write_potential_csv
+    from .io import format_number
     from .ma_solver import ricci_lower_bound_margin, smoothing_family, two_sided_bound_check
     grid = _grid_from(args)
     cone = ConeConfiguration(args.beta)
-    deltas = [float(x) for x in args.deltas.split(",")]
-    t0 = time.time()
+    deltas = _comma_list(args.deltas, "--deltas", float)
     rep = smoothing_family(cone, deltas, grid)
-    out = _out_dir(args)
-    outputs = ["family.csv", "margins.csv", "two_sided.csv"]
-    write_csv(out / "family.csv",
-              ["delta", "sup_distance", "core_distance"],
-              zip(rep.deltas, rep.sup_distances, rep.core_distances))
     margins = [ricci_lower_bound_margin(sol) for sol in rep.solutions]
-    write_csv(out / "margins.csv",
-              ["delta", "min_ricci_margin", "margin_route_discrepancy", "newton_iters"],
-              [(d, m.min_margin, m.discrepancy, sol.iterations)
-               for d, m, sol in zip(rep.deltas, margins, rep.solutions)])
     bounds = two_sided_bound_check(rep)
-    write_csv(out / "two_sided.csv", ["lower_constant", "upper_constant", "argmin_t"],
-              [(bounds.lower_constant, bounds.upper_constant, bounds.argmin_t)])
+    tables = {
+        "family.csv": (["delta", "sup_distance", "core_distance"],
+                       zip(rep.deltas, rep.sup_distances, rep.core_distances)),
+        "margins.csv": (["delta", "min_ricci_margin", "margin_route_discrepancy",
+                         "newton_iters"],
+                        [(d, m.min_margin, m.discrepancy, sol.iterations)
+                         for d, m, sol in zip(rep.deltas, margins, rep.solutions)]),
+        "two_sided.csv": (["lower_constant", "upper_constant", "argmin_t"],
+                          [(bounds.lower_constant, bounds.upper_constant, bounds.argmin_t)]),
+    }
     for d, sol in zip(rep.deltas, rep.solutions):
-        name = f"solution_{d:.0e}.csv"
-        write_potential_csv(out / name, sol.potential)
-        outputs.append(name)
-    write_manifest(out / "manifest.json", "smooth-family", _echo_config(args),
-                   outputs, grid=grid, wall_clock=time.time() - t0)
-    print(f"smooth-family: distances {[format_number(x) for x in rep.sup_distances]}")
-    return EXIT_OK
+        tables[f"solution_{d:.0e}.csv"] = _profile_table(sol)
+    return Run(tables, f"distances {[format_number(x) for x in rep.sup_distances]}", grid)
 
 
 def _parse_pair(item: str, flag: str, first, second):
@@ -147,52 +164,41 @@ def _parse_pair(item: str, flag: str, first, second):
         raise ValueError(f"{flag}: cannot read {item!r}") from None
 
 
-def cmd_bergman_scan(args) -> int:
+def cmd_bergman_scan(args) -> Run:
     from .bergman import (associated_hermitian_weight, bergman_density,
                           gram_matrix, partial_c0_scan)
     from .geometry import ConeConfiguration, football_potential
-    from .io import format_number, write_csv, write_manifest
+    from .io import format_number
     grid = _grid_from(args)
-    betas = [float(x) for x in args.betas.split(",")]
-    ells = [int(x) for x in args.ells.split(",")]
-    t0 = time.time()
+    betas = _comma_list(args.betas, "--betas", float)
+    ells = _comma_list(args.ells, "--ells", int)
+    density = _parse_pair(args.density, "--density BETA:ELL", float, int) \
+        if args.density else None
     rows = [(r.beta, r.ell, r.inf_rho, r.sup_rho, r.trace_check)
             for r in partial_c0_scan(betas, ells, grid)]
-    out = _out_dir(args)
-    outputs = ["scan.csv"]
-    write_csv(out / "scan.csv", ["beta", "ell", "inf_rho", "sup_rho", "trace_check"], rows)
-    if args.density:
-        b, ell = _parse_pair(args.density, "--density BETA:ELL", float, int)
+    tables = {"scan.csv": (["beta", "ell", "inf_rho", "sup_rho", "trace_check"], rows)}
+    if density is not None:
+        b, ell = density
         pot = football_potential(grid, b)
         weight = associated_hermitian_weight(pot, ConeConfiguration(b))
         rep = bergman_density(gram_matrix(ell, weight, pot), pot)
-        write_csv(out / "density.csv", ["t", "rho"], zip(grid.t, rep.rho))
-        outputs.append("density.csv")
-    write_manifest(out / "manifest.json", "bergman-scan", _echo_config(args),
-                   outputs, grid=grid, wall_clock=time.time() - t0)
-    print(f"bergman-scan: {len(rows)} cells, min inf rho "
-          f"{format_number(min(r[2] for r in rows))}")
-    return EXIT_OK
+        tables["density.csv"] = (["t", "rho"], zip(grid.t, rep.rho))
+    return Run(tables, f"{len(rows)} cells, min inf rho "
+                       f"{format_number(min(r[2] for r in rows))}", grid)
 
 
-def cmd_futaki(args) -> int:
-    from .io import format_number, read_potential_csv, write_csv, write_manifest
+def cmd_futaki(args) -> Run:
+    from .io import format_number, read_potential_csv
     from .stability import futaki
     pot = read_potential_csv(args.metric)
-    t0 = time.time()
     rep = futaki(pot)
-    out = _out_dir(args)
     # conic inputs only support the theta route; the gradient column is nan
     grad = float("nan") if rep.via_gradient is None else rep.via_gradient
     disc = float("nan") if rep.discrepancy is None else rep.discrepancy
-    write_csv(out / "futaki.csv",
-              ["via_gradient", "via_theta", "discrepancy"],
-              [(grad, rep.via_theta, disc)])
-    write_manifest(out / "manifest.json", "futaki", _echo_config(args),
-                   ["futaki.csv"], grid=pot.grid, wall_clock=time.time() - t0)
-    print(f"futaki: via_gradient={format_number(grad)} "
-          f"via_theta={format_number(rep.via_theta)}")
-    return EXIT_OK
+    return Run({"futaki.csv": (["via_gradient", "via_theta", "discrepancy"],
+                               [(grad, rep.via_theta, disc)])},
+               f"via_gradient={format_number(grad)} "
+               f"via_theta={format_number(rep.via_theta)}", pot.grid)
 
 
 def _location(loc: str):
@@ -220,38 +226,30 @@ def _read_scan_config(path: str) -> tuple[dict, list]:
     return configs, betas
 
 
-def cmd_log_futaki(args) -> int:
-    from .io import format_number, read_potential_csv, write_csv, write_manifest
+def cmd_log_futaki(args) -> Run:
+    from .io import format_number, read_potential_csv
     from .stability import log_futaki, obstruction_scan
     scan = _read_scan_config(args.scan_config) if args.scan_config else None
     pot = read_potential_csv(args.metric)
-    t0 = time.time()
     if scan is not None:
         rows = obstruction_scan(*scan, pot)
-        name, header = "obstruction.csv", ["config_id", "beta", "log_futaki", "flag"]
-        data = [(r.config_id, r.beta, r.log_futaki, r.flag) for r in rows]
-        summary = f"{len(rows)} rows"
-    else:
-        points = [_parse_pair(item, "--points LOC:WEIGHT", _location, float)
-                  for item in args.points.split(",")]
-        val = log_futaki(pot, args.beta, points)
-        name, header, data = "log_futaki.csv", ["beta", "log_futaki"], [(args.beta, val)]
-        summary = format_number(val)
-    # every input is checked before the output directory is made
-    out = _out_dir(args)
-    write_csv(out / name, header, data)
-    write_manifest(out / "manifest.json", "log-futaki", _echo_config(args),
-                   [name], grid=pot.grid, wall_clock=time.time() - t0)
-    print(f"log-futaki: {summary}")
-    return EXIT_OK
+        return Run({"obstruction.csv": (["config_id", "beta", "log_futaki", "flag"],
+                                        [(r.config_id, r.beta, r.log_futaki, r.flag)
+                                         for r in rows])},
+                   f"{len(rows)} rows", pot.grid)
+    points = [_parse_pair(item, "--points LOC:WEIGHT", _location, float)
+              for item in args.points.split(",")]
+    val = log_futaki(pot, args.beta, points)
+    return Run({"log_futaki.csv": (["beta", "log_futaki"], [(args.beta, val)])},
+               format_number(val), pot.grid)
 
 
-def cmd_capacity(args) -> int:
+def cmd_capacity(args) -> Run:
     import numpy as np
 
     from .cone_analysis import (dirichlet_energy, flat_cone_metric, loglog_cutoff,
                                 selection_log_delta)
-    from .io import format_number, write_csv, write_manifest
+    from .io import format_number
     model = flat_cone_metric(args.n, args.beta_bar)
     if not (np.isfinite(args.eps) and args.eps > 0):
         raise ValueError(f"--eps must be finite and positive, got {args.eps}")
@@ -263,22 +261,16 @@ def cmd_capacity(args) -> int:
         if not args.delta > 0:
             raise ValueError(f"--delta must be positive, got {args.delta}")
         log_delta = float(np.log(args.delta))
-    cut = loglog_cutoff(args.eps, log_delta=log_delta)
-    t0 = time.time()
-    rep = dirichlet_energy(cut, model)
-    out = _out_dir(args)
-    write_csv(out / "capacity.csv",
-              ["n", "beta_bar", "eps", "log_delta", "energy",
-               "closed_form_bound", "coarea_quadrature", "coarea_closed_form"],
-              [(args.n, args.beta_bar, args.eps, log_delta, rep.energy,
-                rep.closed_form_bound, rep.radial_factor_quadrature,
-                rep.radial_factor_coarea)])
-    write_manifest(out / "manifest.json", "capacity", _echo_config(args),
-                   ["capacity.csv"], wall_clock=time.time() - t0)
-    print(f"capacity: energy={format_number(rep.energy)} "
-          f"bound={format_number(rep.closed_form_bound)} "
-          f"within_eps={rep.energy <= args.eps}")
-    return EXIT_OK
+    rep = dirichlet_energy(loglog_cutoff(args.eps, log_delta=log_delta), model)
+    return Run({"capacity.csv": (
+        ["n", "beta_bar", "eps", "log_delta", "energy",
+         "closed_form_bound", "coarea_quadrature", "coarea_closed_form"],
+        [(args.n, args.beta_bar, args.eps, log_delta, rep.energy,
+          rep.closed_form_bound, rep.radial_factor_quadrature,
+          rep.radial_factor_coarea)])},
+        f"energy={format_number(rep.energy)} "
+        f"bound={format_number(rep.closed_form_bound)} "
+        f"within_eps={rep.energy <= args.eps}")
 
 
 def _parse_source(item: str) -> tuple:
@@ -293,45 +285,34 @@ def _parse_source(item: str) -> tuple:
     raise ValueError(f"--source fs|football:BETA|cone:N:BETA_BAR: cannot read {item!r}")
 
 
-def cmd_volume_scan(args) -> int:
+def cmd_volume_scan(args) -> Run:
     import numpy as np
 
     from .cone_analysis import flat_cone_metric, tube_volume, volume_ratio_profile
     from .geometry import football_potential
-    from .io import format_number, write_csv, write_manifest
+    from .io import format_number
     radii = np.linspace(args.r_min, args.r_max, args.num)
     kind, *params = _parse_source(args.source)
-    t0 = time.time()
-    out = _out_dir(args)
     if args.mode == "tube":
         if kind != "cone":
             raise ValueError("tube mode needs --source cone:N:BETA_BAR")
         annulus = _parse_pair(args.annulus, "--annulus A:B", float, float)
         rep = tube_volume(flat_cone_metric(*params), annulus, radii)
-        write_csv(out / "profile.csv", ["r", "value"], zip(rep.radii, rep.volumes))
-        write_csv(out / "fit.csv", ["exponent", "constant"],
-                  [(rep.exponent, rep.constant)])
-        outputs = ["profile.csv", "fit.csv"]
-        summary = f"exponent={format_number(rep.exponent)}"
+        return Run({"profile.csv": (["r", "value"], zip(rep.radii, rep.volumes)),
+                    "fit.csv": (["exponent", "constant"], [(rep.exponent, rep.constant)])},
+                   f"exponent={format_number(rep.exponent)}")
+    if kind == "cone":
+        source = flat_cone_metric(*params)
+        center = "vertex"
     else:
-        if kind == "cone":
-            source = flat_cone_metric(*params)
-            center = "vertex"
-        else:
-            grid = _grid_from(args)
-            source = grid.reference if kind == "fs" \
-                else football_potential(grid, *params)
-            center = args.center
-        rep = volume_ratio_profile(source, center, radii)
-        write_csv(out / "profile.csv", ["r", "value"], zip(rep.radii, rep.ratios))
-        write_csv(out / "fit.csv", ["angle_estimate", "monotone_defect"],
-                  [(rep.angle_estimate, rep.monotone_defect)])
-        outputs = ["profile.csv", "fit.csv"]
-        summary = f"angle={format_number(rep.angle_estimate)}"
-    write_manifest(out / "manifest.json", "volume-scan", _echo_config(args),
-                   outputs, wall_clock=time.time() - t0)
-    print(f"volume-scan: {summary}")
-    return EXIT_OK
+        grid = _grid_from(args)
+        source = grid.reference if kind == "fs" else football_potential(grid, *params)
+        center = args.center
+    rep = volume_ratio_profile(source, center, radii)
+    return Run({"profile.csv": (["r", "value"], zip(rep.radii, rep.ratios)),
+                "fit.csv": (["angle_estimate", "monotone_defect"],
+                            [(rep.angle_estimate, rep.monotone_defect)])},
+               f"angle={format_number(rep.angle_estimate)}")
 
 
 def _add_grid_flags(p):
@@ -456,9 +437,10 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
         argv = _merge_config_file(argv)
-        parser = build_parser()
-        args = parser.parse_args(argv)
-        return args.func(args)
+        args = build_parser().parse_args(argv)
+        t0 = time.time()
+        _write(args, args.func(args), t0)
+        return EXIT_OK
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

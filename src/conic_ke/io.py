@@ -57,10 +57,13 @@ def _node_column(grid: Grid) -> tuple[str, ...]:
     return tuple(FMT % x for x in grid.t.tolist())
 
 
-def write_potential_csv(path, pot: RadialKahlerPotential) -> None:
-    rows = zip(_node_column(pot.grid), pot.phi_prime.tolist(),
-               pot.phi_doubleprime.tolist())
-    write_csv(path, ["t", "phi_prime", "phi_doubleprime"], rows)
+POTENTIAL_HEADER = ["t", "phi_prime", "phi_doubleprime"]
+
+
+def potential_table(pot: RadialKahlerPotential) -> tuple[list[str], zip]:
+    """A profile as (header, rows) for `write_csv`."""
+    return POTENTIAL_HEADER, zip(_node_column(pot.grid), pot.phi_prime.tolist(),
+                                 pot.phi_doubleprime.tolist())
 
 
 def read_potential_csv(path, angle_zero: float = 1.0,

@@ -172,26 +172,6 @@ def _normalized_constant(grid: Grid, beta: float, delta: float) -> float:
     return float(np.log(plain) - np.log(weighted + (tail + tail)))
 
 
-def compute_a_beta(beta: float, grid: Grid) -> float:
-    """Normalizing constant of the conic twist.
-
-    Unique a with  integral of (||S||_0^(-2(1-beta)) e^a - 1) omega0 = 0,
-    the integral taken over the whole sphere (grid rule plus exact tails).
-    """
-    if not 0.0 < beta <= 1.0:
-        raise ValueError("beta must lie in (0, 1]")
-    return _normalized_constant(grid, beta, 0.0)
-
-
-def compute_c_delta(beta: float, delta: float, grid: Grid) -> float:
-    """Normalizing constant of the delta-smoothed twist (delta > 0)."""
-    if delta <= 0.0:
-        raise ValueError("compute_c_delta needs delta > 0")
-    if not 0.0 < beta <= 1.0:
-        raise ValueError("beta must lie in (0, 1]")
-    return _normalized_constant(grid, beta, delta)
-
-
 @dataclass(frozen=True)
 class TwistData:
     """Twist density W = e^h on the grid plus its exact tail integrals.
@@ -241,13 +221,17 @@ class TwistData:
 
 
 def build_twist(grid: Grid, beta: float, delta: float) -> TwistData:
-    """Assemble the twist density and its semi-infinite tail integrals."""
+    """Assemble the twist density and its semi-infinite tail integrals.
+
+    The normalizing constant (a_beta for delta = 0, c_delta for delta > 0)
+    makes the twisted volume of the whole sphere, grid rule plus exact
+    tails, equal the reference volume.
+    """
+    if not 0.0 < beta <= 1.0:
+        raise ValueError(f"beta must lie in (0, 1], got {beta}")
     if not (math.isfinite(delta) and delta >= 0.0):
         raise ValueError(f"delta must be finite and nonnegative, got {delta}")
-    if delta == 0.0:
-        const = compute_a_beta(beta, grid)
-    else:
-        const = compute_c_delta(beta, delta, grid)
+    const = _normalized_constant(grid, beta, delta)
     logw = _raw_log_weight(grid, beta, delta) + const
     scale = math.exp(const)
     tail, corr = _twist_tail(grid.t_min, beta, delta)

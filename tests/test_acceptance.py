@@ -205,9 +205,9 @@ def test_criterion_11_reproducibility(tmp_path):
         ("log-futaki", "--metric", None, "--beta", "0.7",
          "--points", "zero:1,infinity:1"),
     ]
-    from conic_ke.io import write_potential_csv
+    from conic_ke.io import potential_table, write_csv
     metric_path = tmp_path / "fs.csv"
-    write_potential_csv(metric_path, fubini_study_potential(Grid(-16, 16, 1025)))
+    write_csv(metric_path, *potential_table(fubini_study_potential(Grid(-16, 16, 1025))))
     all_equal = True
     checked = 0
     for spec in commands:

@@ -16,11 +16,11 @@ from conic_ke.geometry import ConeConfiguration, Grid, football_potential, fubin
 from conic_ke.io import (
     FMT,
     format_number,
+    potential_table,
     read_manifest,
     read_potential_csv,
     write_csv,
     write_manifest,
-    write_potential_csv,
 )
 from conic_ke.ma_solver import ricci_lower_bound_margin, smoothing_family, two_sided_bound_check
 
@@ -124,7 +124,7 @@ def test_scipy_loaded_only_by_solves(tmp_path):
     # start-up guard: the scipy.linalg package costs ~0.25 s, so no command may
     # load it; solves load its LAPACK extension module alone
     metric = tmp_path / "fb.csv"
-    write_potential_csv(metric, football_potential(Grid(-16, 16, 257), 0.6))
+    write_csv(metric, *potential_table(football_potential(Grid(-16, 16, 257), 0.6)))
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
     out = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, str(tmp_path), str(metric)],
                          env=env, check=True, capture_output=True, text=True).stdout
@@ -225,7 +225,7 @@ def test_malformed_metric_csv(tmp_path, capsys, table, command):
 
 def test_malformed_pair_items_name_their_flag(tmp_path, capsys):
     metric = tmp_path / "fb.csv"
-    write_potential_csv(metric, football_potential(Grid(-16, 16, 257), 0.6))
+    write_csv(metric, *potential_table(football_potential(Grid(-16, 16, 257), 0.6)))
     cases = [(("bergman-scan", "--betas", "1.0", "--ells", "2", "--grid-N", 257,
                "--density", "0.6"), "--density BETA:ELL"),
              (("bergman-scan", "--betas", "1.0", "--ells", "2", "--grid-N", 257,
@@ -361,7 +361,7 @@ def test_potential_csv_node_column_per_grid(tmp_path):
     grids = [Grid(-16, 16, 2049), Grid(-24, 24, 1025), Grid(-16, 16, 2049)]
     for k, g in enumerate(grids):
         pot = football_potential(g, 0.7)
-        write_potential_csv(tmp_path / f"new{k}.csv", pot)
+        write_csv(tmp_path / f"new{k}.csv", *potential_table(pot))
         per_row_write_csv(tmp_path / f"old{k}.csv", ["t", "phi_prime", "phi_doubleprime"],
                           zip(g.t.tolist(), pot.phi_prime.tolist(),
                               pot.phi_doubleprime.tolist()))
@@ -376,6 +376,31 @@ def test_continue_path_needs_a_step(tmp_path, capsys, steps):
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("error: --steps"), err
     assert not (tmp_path / "p").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ("solve", "--beta", 0.8, "--delta", 1e-3, "--tau", 0.5, "--grid-N", 257),
+    ("continue-path", "--beta", 0.8, "--delta", 1e-3, "--steps", 2, "--grid-N", 257),
+    ("smooth-family", "--beta", 0.75, "--deltas", "1e-1,1e-2", "--grid-N", 257),
+    ("bergman-scan", "--betas", "0.7,1.0", "--ells", 2, "--density", "0.7:2",
+     "--grid-N", 257),
+    ("futaki", "--metric", None),
+    ("log-futaki", "--metric", None),
+    ("capacity", "--n", 1, "--eps", 0.1),
+    ("volume-scan", "--source", "football:0.6", "--grid-N", 257),
+], ids=lambda argv: argv[0])
+def test_manifest_lists_every_written_file(tmp_path, capsys, argv):
+    metric = tmp_path / "fb.csv"
+    write_csv(metric, *potential_table(football_potential(Grid(-16, 16, 257), 0.6)))
+    out = tmp_path / "out"
+    argv = [metric if a is None else a for a in argv]
+    assert run(*argv, "--out", out) == 0
+    manifest = read_manifest(out / "manifest.json")
+    assert manifest["outputs"] == sorted(
+        p.name for p in out.iterdir() if p.name != "manifest.json")
+    assert manifest["command"] == argv[0]
+    stdout = capsys.readouterr().out
+    assert stdout.count("\n") == 1 and stdout.startswith(f"{argv[0]}: "), stdout
 
 
 def test_continue_path_one_step(tmp_path, capsys):
@@ -457,7 +482,7 @@ def test_bergman_scan_rows_are_partial_c0_scan(tmp_path):
 
 def test_futaki_cli(tmp_path):
     metric = tmp_path / "fs.csv"
-    write_potential_csv(metric, fubini_study_potential(Grid(-24, 24, 4097)))
+    write_csv(metric, *potential_table(fubini_study_potential(Grid(-24, 24, 4097))))
     out = tmp_path / "fut"
     assert run("futaki", "--metric", metric, "--out", out) == 0
     vals = np.loadtxt(out / "futaki.csv", delimiter=",", skiprows=1)
@@ -467,7 +492,7 @@ def test_futaki_cli(tmp_path):
 def test_futaki_cli_conic_metric(tmp_path):
     # conic profiles only support the theta route; gradient column is nan
     metric = tmp_path / "fb.csv"
-    write_potential_csv(metric, football_potential(Grid(), 0.6))
+    write_csv(metric, *potential_table(football_potential(Grid(), 0.6)))
     out = tmp_path / "futc"
     assert run("futaki", "--metric", metric, "--out", out) == 0
     vals = np.loadtxt(out / "futaki.csv", delimiter=",", skiprows=1)
@@ -477,7 +502,7 @@ def test_futaki_cli_conic_metric(tmp_path):
 
 def test_log_futaki_cli_scan(tmp_path):
     metric = tmp_path / "fs.csv"
-    write_potential_csv(metric, fubini_study_potential(Grid()))
+    write_csv(metric, *potential_table(fubini_study_potential(Grid())))
     scan = {"configs": {"sym": [["zero", 1.0], ["infinity", 1.0]],
                         "tear": [["infinity", 2.0]]},
             "betas": [0.5, 0.8]}
@@ -501,7 +526,7 @@ def test_log_futaki_cli_scan(tmp_path):
 ], ids=["no-configs", "no-betas", "array", "point-not-a-pair", "not-json"])
 def test_malformed_scan_config(tmp_path, capsys, text):
     metric = tmp_path / "fs.csv"
-    write_potential_csv(metric, fubini_study_potential(Grid(-16, 16, 257)))
+    write_csv(metric, *potential_table(fubini_study_potential(Grid(-16, 16, 257))))
     scan_path = tmp_path / "scan.json"
     scan_path.write_text(text)
     assert run("log-futaki", "--metric", metric, "--scan-config", scan_path,
@@ -535,11 +560,21 @@ def test_capacity_manual_delta_must_be_positive(tmp_path, capsys, delta):
     (("solve", "--beta", 0.75, "--delta", "inf", "--tau", 0.5), "delta"),
     (("smooth-family", "--beta", 0.75, "--deltas", "1e-1,nan"), "deltas"),
     (("continue-path", "--beta", 0.8, "--delta", "nan"), "delta"),
-    (("solve", "--beta", 0.75, "--delta", 0, "--tau", 0.5, "--grid-T", "inf"), "grid"),
+    (("solve", "--beta", 0.75, "--delta", 0, "--tau", 0.5, "--grid-T", "inf"), "--grid-T"),
     (("capacity", "--n", 1, "--eps", 0), "--eps"),
     (("capacity", "--n", 1, "--eps", "nan"), "--eps"),
+    (("volume-scan", "--source", "football:0.6", "--r-max", 100), "radius"),
+    (("volume-scan", "--mode", "tube", "--source", "cone:2:0.7", "--annulus", 1), "--annulus"),
+    (("bergman-scan", "--betas", "1.0", "--ells", 2, "--grid-N", 257, "--density", 0.6),
+     "--density"),
+    (("solve", "--beta", 0.75, "--delta", 0, "--tau", 0.5, "--grid-N", 4), "--grid-N"),
+    (("smooth-family", "--beta", 0.75, "--deltas", ""), "--deltas"),
+    (("bergman-scan", "--betas", "1.0,x", "--grid-N", 257), "--betas"),
+    (("bergman-scan", "--betas", "1.0", "--ells", "2.5", "--grid-N", 257), "--ells"),
 ], ids=["solve-delta-nan", "solve-delta-inf", "family-deltas-nan", "path-delta-nan",
-        "grid-T-inf", "capacity-eps-zero", "capacity-eps-nan"])
+        "grid-T-inf", "capacity-eps-zero", "capacity-eps-nan", "volume-radius-off-grid",
+        "tube-annulus-without-b", "density-without-ell", "grid-N-even", "deltas-empty",
+        "betas-not-a-number", "ells-not-an-int"])
 def test_bad_numbers_exit_config(tmp_path, capsys, argv, name):
     assert run(*argv, "--out", tmp_path / "o") == 1
     err = capsys.readouterr().err

@@ -23,8 +23,6 @@ from conic_ke.ma_solver import (
     SolverConfig,
     SolverError,
     build_twist,
-    compute_a_beta,
-    compute_c_delta,
     continuity_path,
     first_eigenvalue,
     ricci_lower_bound_margin,
@@ -47,7 +45,7 @@ def football_oracle_phi(grid, beta, a_beta):
 
 
 def test_a_beta_smooth_case(grid):
-    assert compute_a_beta(1.0, grid) == pytest.approx(0.0, abs=1e-13)
+    assert build_twist(grid, 1.0, 0.0).constant == pytest.approx(0.0, abs=1e-13)
 
 
 def test_a_beta_closed_quadrature_oracle(grid):
@@ -58,35 +56,44 @@ def test_a_beta_closed_quadrature_oracle(grid):
 
     val, _ = quad(integrand, -60, 60, epsabs=1e-14, epsrel=1e-13)
     oracle = np.log(2.0) - np.log(val)  # the 2 pi angular factors cancel
-    assert compute_a_beta(0.5, grid) == pytest.approx(oracle, abs=1e-9)
+    assert build_twist(grid, 0.5, 0.0).constant == pytest.approx(oracle, abs=1e-9)
 
 
 def test_a_beta_monotone_in_weight_strength(grid):
     betas = np.linspace(0.4, 1.0, 13)
-    vals = [compute_a_beta(b, grid) for b in betas]
+    vals = [build_twist(grid, b, 0.0).constant for b in betas]
     assert np.all(np.diff(vals) > 0)  # decreasing in (1 - beta)
     assert all(v <= 1e-13 for v in vals)
 
 
 def test_c_delta_large_delta_limit(grid):
     beta = 0.7
-    c = compute_c_delta(beta, 1e6, grid)
+    c = build_twist(grid, beta, 1e6).constant
     assert c == pytest.approx((1.0 - beta) * np.log(1e6), abs=1e-5)
 
 
 def test_c_delta_smooth_case(grid):
     for d in (1e-4, 1e-1, 1e2):
-        assert compute_c_delta(1.0, d, grid) == pytest.approx(0.0, abs=1e-13)
+        assert build_twist(grid, 1.0, d).constant == pytest.approx(0.0, abs=1e-13)
 
 
 def test_c_delta_approaches_a_beta(grid):
-    gap = abs(compute_c_delta(0.7, 1e-3, grid) - compute_a_beta(0.7, grid))
+    gap = abs(build_twist(grid, 0.7, 1e-3).constant - build_twist(grid, 0.7, 0.0).constant)
     assert gap <= 0.05
 
 
 def test_c_delta_rejects_nonpositive(grid):
-    with pytest.raises(ValueError):
-        compute_c_delta(0.7, 0.0, grid)
+    # delta = 0 is the conic twist, so a negative delta is the one rejected
+    with pytest.raises(ValueError, match="delta"):
+        build_twist(grid, 0.7, -1e-3)
+
+
+@pytest.mark.parametrize("beta, delta, name", [
+    (0.7, float("nan"), "delta"), (0.0, 1e-3, "beta"), (1.5, 0.0, "beta"),
+    (float("nan"), 0.0, "beta")])
+def test_build_twist_rejects_bad_inputs(grid, beta, delta, name):
+    with pytest.raises(ValueError, match=name):
+        build_twist(grid, beta, delta)
 
 
 # ---------------------------------------------------------------------------
