@@ -91,14 +91,16 @@ class SectionBasisGram:
     log_diag: np.ndarray          # log <z^k, z^k>, k = 0..2l
 
 
-def _log_section_norms(ell: int, log_weight: np.ndarray, t: np.ndarray,
+def _log_section_norms(ell: int, ell_log_weight: np.ndarray, t: np.ndarray,
                        k: slice = slice(None), cols: slice = slice(None),
                        out: np.ndarray | None = None) -> np.ndarray:
     # k t + l w(t), summed in place in that order, for the rows k of 0..2l
-    # and the nodes cols; written into out when it is given
-    ks = np.arange(2 * ell + 1)[k]
+    # and the nodes cols, from l w computed once per call; written into out
+    # when it is given.  Float k gives the products numpy's int-to-double
+    # cast gives, without a buffered cast in the loop.
+    ks = np.arange(2 * ell + 1, dtype=float)[k]
     norms = np.multiply(ks[:, None], t[None, cols], out=out)
-    norms += ell * log_weight[None, cols]
+    norms += ell_log_weight[None, cols]
     return norms
 
 
@@ -132,8 +134,9 @@ def gram_matrix(ell: int, weight: HermitianWeight,
     log_diag = np.empty(2 * ell + 1)
     blocks = _blocks(2 * ell + 1, _BLOCK // grid.n_nodes)
     buf = np.empty((_widest(blocks), grid.n_nodes))
+    ell_log_weight = ell * weight.log_weight
     for k in blocks:
-        expo = _log_section_norms(ell, weight.log_weight, grid.t, k,
+        expo = _log_section_norms(ell, ell_log_weight, grid.t, k,
                                   out=buf[:k.stop - k.start])
         expo += log_meas[None, :]
         log_diag[k] = logsumexp_rows(expo)
@@ -161,9 +164,10 @@ def bergman_density(gram: SectionBasisGram,
     log_rho = np.empty(t.size)
     blocks = _blocks(t.size, _BLOCK // dim)
     buf = np.empty(dim * _widest(blocks))
+    ell_log_weight = gram.ell * gram.weight.log_weight
     for cols in blocks:
         width = cols.stop - cols.start
-        log_norms = _log_section_norms(gram.ell, gram.weight.log_weight, t, cols=cols,
+        log_norms = _log_section_norms(gram.ell, ell_log_weight, t, cols=cols,
                                        out=buf[:dim * width].reshape(dim, width))
         log_norms -= gram.log_diag[:, None]
         log_rho[cols] = logsumexp_rows(log_norms, axis=0)
@@ -210,7 +214,7 @@ def section_profiles(gram: SectionBasisGram, k: int):
     """
     pot = gram.weight.pot
     grid = pot.grid
-    u = _log_section_norms(gram.ell, gram.weight.log_weight, grid.t,
+    u = _log_section_norms(gram.ell, gram.ell * gram.weight.log_weight, grid.t,
                            slice(k, k + 1))[0] - gram.log_diag[k]
     up = d1(u, grid.h)
     upp = d2(u, grid.h)

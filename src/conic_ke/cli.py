@@ -137,6 +137,11 @@ def cmd_smooth_family(args) -> Run:
     grid = _grid_from(args)
     cone = ConeConfiguration(args.beta)
     deltas = _comma_list(args.deltas, "--deltas", float)
+    names = [f"solution_{d:.0e}.csv" for d in deltas]
+    for i, name in enumerate(names):
+        if name in names[:i]:
+            raise ValueError(f"--deltas: {deltas[names.index(name)]:g} and {deltas[i]:g} "
+                             f"would both write {name}")
     rep = smoothing_family(cone, deltas, grid)
     margins = [ricci_lower_bound_margin(sol) for sol in rep.solutions]
     bounds = two_sided_bound_check(rep)
@@ -150,8 +155,8 @@ def cmd_smooth_family(args) -> Run:
         "two_sided.csv": (["lower_constant", "upper_constant", "argmin_t"],
                           [(bounds.lower_constant, bounds.upper_constant, bounds.argmin_t)]),
     }
-    for d, sol in zip(rep.deltas, rep.solutions):
-        tables[f"solution_{d:.0e}.csv"] = _profile_table(sol)
+    for name, sol in zip(names, rep.solutions):
+        tables[name] = _profile_table(sol)
     return Run(tables, f"distances {[format_number(x) for x in rep.sup_distances]}", grid)
 
 
@@ -288,7 +293,8 @@ def _parse_source(item: str) -> tuple:
 def cmd_volume_scan(args) -> Run:
     import numpy as np
 
-    from .cone_analysis import flat_cone_metric, tube_volume, volume_ratio_profile
+    from .cone_analysis import (RadiusBeyondGrid, flat_cone_metric, tube_volume,
+                                volume_ratio_profile)
     from .geometry import football_potential
     from .io import format_number
     radii = np.linspace(args.r_min, args.r_max, args.num)
@@ -308,7 +314,10 @@ def cmd_volume_scan(args) -> Run:
         grid = _grid_from(args)
         source = grid.reference if kind == "fs" else football_potential(grid, *params)
         center = args.center
-    rep = volume_ratio_profile(source, center, radii)
+    try:
+        rep = volume_ratio_profile(source, center, radii)
+    except RadiusBeyondGrid as exc:
+        raise ValueError(f"--r-max {args.r_max:g} --grid-T {args.grid_T:g}: {exc}") from None
     return Run({"profile.csv": (["r", "value"], zip(rep.radii, rep.ratios)),
                 "fit.csv": (["angle_estimate", "monotone_defect"],
                             [(rep.angle_estimate, rep.monotone_defect)])},

@@ -179,6 +179,11 @@ def dirichlet_energy(cutoff: LogLogCutoff, model: FlatConeModel,
 # volume comparison
 
 
+class RadiusBeyondGrid(ValueError):
+    """A radius lies past the farthest distance from the center that the
+    grid covers."""
+
+
 @dataclass
 class VolumeRatioReport:
     radii: np.ndarray
@@ -219,8 +224,9 @@ def volume_ratio_profile(source, center, r_list) -> VolumeRatioReport:
         tail = speed[0] * 2.0 / beta_fit
         dist = cumulative_integral(speed, grid.h, tail)
         area = 2.0 * np.pi * prime
-        if np.any(r > dist[-1]):
-            raise ValueError("radius exceeds the grid range")
+        if r[-1] > dist[-1]:
+            raise RadiusBeyondGrid(f"radius {r[-1]:.6g} exceeds {dist[-1]:.6g}, "
+                                   f"the largest radius the grid reaches")
         # invert r -> t and read the area in log space: both quantities are
         # exponential near the pole, so log-linear interpolation is sharp
         tr = np.interp(np.log(r), np.log(dist), grid.t)

@@ -110,7 +110,7 @@ def test_gram_off_diagonal_vanishes(grid, fs, fs_weight):
     gram = gram_matrix(2, fs_weight, fs)
     n_theta = 32
     theta = np.linspace(0.0, 2.0 * np.pi, n_theta, endpoint=False)
-    log_norms = _log_section_norms(gram.ell, fs_weight.log_weight, grid.t)
+    log_norms = _log_section_norms(gram.ell, gram.ell * fs_weight.log_weight, grid.t)
     scale = np.exp(gram.log_diag.max())
     for j, k in ((0, 1), (1, 3), (0, 4)):
         integrand = np.exp(0.5 * (log_norms[j] + log_norms[k]))
@@ -243,6 +243,8 @@ def _out_of_place_kernels(ell, weight, pot):
     pytest.param("grid", 1.0, 16, id="1.0-16"),
     # N = 8193: both block loops end on a ragged block; ~22% of lanes underflow
     pytest.param("fine_grid", 0.6, 64, id="fine_grid-0.6-64"),
+    # T = 40: 53% of lanes underflow to zero and 1.3% are subnormal
+    pytest.param("wide_grid", 0.6, 64, id="wide_grid-0.6-64"),
 ])
 def test_in_place_kernels_bit_identical(request, grid_name, beta, ell):
     grid = request.getfixturevalue(grid_name)
@@ -299,13 +301,15 @@ def test_logsumexp_rows_matches_plain_formula():
     rng = np.random.default_rng(11)
     rows = rng.uniform(-4000.0, 0.0, (9, 300)) + rng.uniform(-50.0, 50.0, (9, 1))
     top = rows.max(axis=1, keepdims=True)
-    # after the shift: just normal, subnormal, zero, zero
-    rows[:, :4] = top + np.array([-708.4, -745.1, -745.2, -746.0])
+    # after the shift: normal (exp = 2.239e-308), subnormal (2.217e-308, below
+    # the smallest normal double 2.225e-308), subnormal, zero, zero
+    rows[:, :5] = top + np.array([-708.39, -708.40, -745.1, -745.2, -746.0])
     assert np.mean(rows - top <= -746.0) > 0.5
-    no_dead = np.maximum(rows, top - 745.1)     # takes the unmasked branch
+    no_dead = np.maximum(rows, top - 708.39)    # takes the unmasked branch
     for a, axis in ((rows, -1), (rows.T.copy(), 0), (no_dead, -1)):
         expected = _plain_logsumexp(a, axis)
         shifted = np.exp(a - np.max(a, axis=axis, keepdims=True))
+        shifted[shifted < np.finfo(float).tiny] = 0.0   # subnormal lanes skip exp
         work = a.copy()
         assert np.array_equal(logsumexp_rows(work, axis=axis), expected)
         assert np.array_equal(work, shifted)      # the argument is overwritten

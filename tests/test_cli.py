@@ -435,6 +435,16 @@ def test_smooth_family_outputs(tmp_path):
     assert np.all(np.diff(fam[:, 1]) < 0)
 
 
+def test_smooth_family_rejects_deltas_sharing_a_file_name(tmp_path, capsys):
+    # both deltas format as 1e-01: one profile would overwrite the other
+    assert run("smooth-family", "--beta", 0.75, "--deltas", "1.2e-1,1e-1",
+               "--grid-N", 257, "--out", tmp_path / "f") == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: --deltas"), err
+    assert "solution_1e-01.csv" in err, err
+    assert not (tmp_path / "f").exists()
+
+
 def test_smooth_family_margin_tables(tmp_path):
     out = tmp_path / "f"
     deltas = [1e-1, 1e-2]
@@ -591,6 +601,16 @@ def test_volume_scan_malformed_items_name_their_flag(tmp_path, capsys, argv, fla
     assert run("volume-scan", *argv, "--out", tmp_path / "vol") == 1
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith(f"error: {flag}"), err
+
+
+def test_volume_scan_radius_off_grid_names_its_flags(tmp_path, capsys):
+    assert run("volume-scan", "--source", "football:0.6", "--r-max", 100,
+               "--grid-T", 8, "--out", tmp_path / "vol") == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: --r-max 100 --grid-T 8: "), err
+    reach = float(err.split("exceeds ")[1].split(",")[0])    # the largest radius
+    assert 0 < reach < 100, err
+    assert not (tmp_path / "vol").exists()
 
 
 def test_volume_scan_cli(tmp_path):
