@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -68,6 +69,20 @@ def _grid_from(args):
         raise ValueError(f"--grid-T {args.grid_T} --grid-N {args.grid_N}: {exc}") from None
 
 
+def _cone_from(args):
+    """The cone of `--beta`; `--delta`, where the command has one, is checked
+    finite and nonnegative.  Errors name their flag."""
+    from .geometry import ConeConfiguration
+    try:
+        cone = ConeConfiguration(args.beta)
+    except ValueError as exc:
+        raise ValueError(f"--beta {args.beta}: {exc}") from None
+    delta = getattr(args, "delta", 0.0)
+    if not (math.isfinite(delta) and delta >= 0.0):
+        raise ValueError(f"--delta {delta}: must be finite and nonnegative")
+    return cone
+
+
 def _comma_list(text: str, flag: str, read) -> list:
     """Read the comma list of `flag`, each item through `read`."""
     try:
@@ -88,13 +103,12 @@ def _profile_table(sol):
 
 
 def cmd_solve(args) -> Run:
-    from .geometry import ConeConfiguration
     from .io import format_number, potential_manifest, potential_table
     from .ma_solver import SolverConfig, solve_ma
     grid = _grid_from(args)
-    cone = ConeConfiguration(args.beta)
-    if args.tau > cone.mu + 1e-15:
-        raise ValueError(f"tau={args.tau} exceeds mu={cone.mu}")
+    cone = _cone_from(args)
+    if not 0.0 <= args.tau <= cone.mu + 1e-15:
+        raise ValueError(f"--tau {args.tau}: must lie in [0, mu={cone.mu}]")
     sol = solve_ma(SolverConfig(cone, args.delta, args.tau), grid=grid)
     pot = sol.potential
     return Run({"solution.csv": potential_table(pot),
@@ -106,17 +120,16 @@ def cmd_solve(args) -> Run:
 
 def cmd_continue_path(args) -> Run:
     from .functionals import f_functional
-    from .geometry import ConeConfiguration
     from .ma_solver import continuity_path
     grid = _grid_from(args)
-    cone = ConeConfiguration(args.beta)
+    cone = _cone_from(args)
     if args.steps is not None and args.steps < 1:
         raise ValueError(f"--steps must be at least 1, got {args.steps}")
     trace = continuity_path(cone, args.delta, steps=args.steps, grid=grid)
     tables = {"trace.csv": (
         ["tau", "J", "F", "lambda1", "newton_iters", "residual"],
-        [(s.tau, s.j_value, s.f_value, s.lambda1, s.newton_iters, s.residual)
-         for s in trace.steps])}
+        [(s.tau, s.j_value, s.f_value, s.lambda1, s.solution.iterations,
+          s.solution.residual) for s in trace.steps])}
     frows = []
     for k, s in enumerate(trace.steps):
         tables[f"step_{k:04d}.csv"] = _profile_table(s.solution)
@@ -131,11 +144,10 @@ def cmd_continue_path(args) -> Run:
 
 
 def cmd_smooth_family(args) -> Run:
-    from .geometry import ConeConfiguration
     from .io import format_number
     from .ma_solver import ricci_lower_bound_margin, smoothing_family, two_sided_bound_check
     grid = _grid_from(args)
-    cone = ConeConfiguration(args.beta)
+    cone = _cone_from(args)
     deltas = _comma_list(args.deltas, "--deltas", float)
     names = [f"solution_{d:.0e}.csv" for d in deltas]
     for i, name in enumerate(names):
@@ -422,7 +434,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _merge_config_file(argv):
-    """Support `--config file.json`: keys become flag defaults."""
+    """Support `--config file.json`: keys become flag defaults.  Their flags go
+    right after the subcommand, so every flag on the command line, in any form
+    argparse reads (`--flag=value`, an abbreviation), comes later and wins."""
     if "--config" not in argv:
         return argv
     i = argv.index("--config")
@@ -433,13 +447,11 @@ def _merge_config_file(argv):
     if not isinstance(doc, dict):
         raise ValueError(f"--config {path}: expected a JSON object")
     rest = argv[:i] + argv[i + 2:]
-    extra = []
-    for key, val in doc.items():
-        flag = "--" + key.replace("_", "-")
-        if flag in rest:
-            continue
-        extra.extend([flag, str(val)])
-    return rest + extra
+    extra = [item for key, val in doc.items()
+             for item in ("--" + key.replace("_", "-"), str(val))]
+    # options before the subcommand take no value, so it is the first positional
+    k = next((j + 1 for j, a in enumerate(rest) if not a.startswith("-")), len(rest))
+    return rest[:k] + extra + rest[k:]
 
 
 def main(argv=None) -> int:

@@ -139,11 +139,6 @@ def _raw_log_weight(grid: Grid, beta: float, delta: float) -> np.ndarray:
     return -(1.0 - beta) * np.log(delta + np.exp(log_norm))
 
 
-def _plain_tail(edge: float) -> float:
-    """Integral of Phi0'' over (-inf, edge]."""
-    return 2.0 * float(_sigmoid(np.array([edge]))[0])
-
-
 def _closure_quadrature_weights(grid: Grid) -> np.ndarray:
     """Node weights of the quadrature induced by the discrete system.
 
@@ -157,19 +152,6 @@ def _closure_quadrature_weights(grid: Grid) -> np.ndarray:
     w[0] = w[-1] = grid.h * 5.0 / 12.0
     w[1] = w[-2] = grid.h * 13.0 / 12.0
     return w
-
-
-def _normalized_constant(grid: Grid, beta: float, delta: float) -> float:
-    """Constant c with full-line integral of Phi0''(e^(raw+c) - 1) equal zero."""
-    raw = _raw_log_weight(grid, beta, delta)
-    p0 = grid.reference.phi_doubleprime
-    w = _closure_quadrature_weights(grid) * p0
-    m = raw.max()
-    weighted = math.exp(m) * float(np.dot(w, np.exp(raw - m)))
-    tail = _twist_tail(grid.t_min, beta, delta)[0]
-    plain_tail = _plain_tail(grid.t_min)
-    plain = float(w.sum()) + plain_tail + plain_tail
-    return float(np.log(plain) - np.log(weighted + (tail + tail)))
 
 
 @dataclass(frozen=True)
@@ -231,12 +213,19 @@ def build_twist(grid: Grid, beta: float, delta: float) -> TwistData:
         raise ValueError(f"beta must lie in (0, 1], got {beta}")
     if not (math.isfinite(delta) and delta >= 0.0):
         raise ValueError(f"delta must be finite and nonnegative, got {delta}")
-    const = _normalized_constant(grid, beta, delta)
-    logw = _raw_log_weight(grid, beta, delta) + const
-    scale = math.exp(const)
+    raw = _raw_log_weight(grid, beta, delta)
     tail, corr = _twist_tail(grid.t_min, beta, delta)
-    return TwistData(grid, beta, delta, const, logw, scale * tail,
-                     _plain_tail(grid.t_min), scale * corr)
+    # the integral of Phi0'' over (-inf, t_min], and the constant c that makes
+    # the full-line integral of Phi0'' (e^(raw + c) - 1) zero
+    plain_tail = 2.0 * float(_sigmoid(np.array([grid.t_min]))[0])
+    w = _closure_quadrature_weights(grid) * grid.reference.phi_doubleprime
+    m = raw.max()
+    weighted = math.exp(m) * float(np.dot(w, np.exp(raw - m)))
+    plain = float(w.sum()) + plain_tail + plain_tail
+    const = float(np.log(plain) - np.log(weighted + (tail + tail)))
+    scale = math.exp(const)
+    return TwistData(grid, beta, delta, const, raw + const, scale * tail,
+                     plain_tail, scale * corr)
 
 
 # ---------------------------------------------------------------------------
@@ -250,8 +239,6 @@ class SolverConfig:
     cone: ConeConfiguration
     delta: float
     tau: float
-    newton_max_iter: int = 50
-    newton_tol: float = 1e-11
 
     def __post_init__(self):
         if not (math.isfinite(self.delta) and self.delta >= 0.0):
@@ -440,16 +427,17 @@ def _solve_linear_mean_zero(twist, p0, grid):
     return phi
 
 
-def solve_ma(cfg: SolverConfig, guess: RadialKahlerPotential | np.ndarray | None = None,
+def solve_ma(cfg: SolverConfig, guess: np.ndarray | None = None,
              grid: Grid | None = None, twist: TwistData | None = None) -> MASolution:
     """Damped-Newton solve of the radial twisted equation.
 
-    `guess` may be a relative-potential array, a RadialKahlerPotential whose
-    density seeds phi through the equation, or None for the flat start.
-    tau = 0 short-circuits to a single constrained linear solve.
+    `guess` is a relative-potential array on `grid`, or None for the flat
+    start phi = 0; either is projected onto even profiles first.  The
+    iteration stops once the residual's max norm is at most _NEWTON_TOL and
+    raises NewtonDiverged after _NEWTON_MAX_ITER steps.  tau = 0
+    short-circuits to a single constrained linear solve and ignores `guess`.
     """
-    if grid is None:
-        grid = guess.grid if isinstance(guess, RadialKahlerPotential) else Grid()
+    grid = grid or Grid()
     if twist is None:
         twist = build_twist(grid, cfg.cone.beta, cfg.delta)
     p0 = grid.reference.phi_doubleprime
@@ -467,15 +455,8 @@ def solve_ma(cfg: SolverConfig, guess: RadialKahlerPotential | np.ndarray | None
         res = float(np.max(np.abs(_linearize(phi, 0.0, twist, p0, h)[0])))
         iters = 0
     else:
-        if guess is None:
-            phi = np.zeros(grid.n_nodes)
-        elif isinstance(guess, RadialKahlerPotential):
-            guess.require_positive()
-            phi = (twist.log_weight
-                   - np.log(guess.phi_doubleprime / p0)) / cfg.tau
-        else:
-            phi = np.array(guess, dtype=float)
-        phi = project(phi)
+        phi = project(np.zeros(grid.n_nodes) if guess is None
+                      else np.asarray(guess, dtype=float))
         if not np.all(_implied_density(phi, p0, h) > 0.0):
             raise PositivityLost("initial guess is not a positive metric")
 
@@ -483,10 +464,10 @@ def solve_ma(cfg: SolverConfig, guess: RadialKahlerPotential | np.ndarray | None
         if res == math.inf:
             raise NewtonDiverged("Newton system is not finite at the initial guess")
         iters = 0
-        while res > cfg.newton_tol:
-            if iters >= cfg.newton_max_iter:
+        while res > _NEWTON_TOL:
+            if iters >= _NEWTON_MAX_ITER:
                 raise NewtonDiverged(
-                    f"no convergence in {cfg.newton_max_iter} iterations "
+                    f"no convergence in {_NEWTON_MAX_ITER} iterations "
                     f"(residual {res:.3e})")
             try:
                 step = _solve_tridiagonal(ab, -r)
@@ -532,7 +513,10 @@ _RAYLEIGH_STALL = 1e-13
 # Iteration budget per mode.  Footballs with beta in [0.01, 1], T <= 40 and
 # N <= 32769 take at most 8 iterations, continuation steps 3-7.
 _EIGEN_MAX_ITER = 20
-# Newton line search: the step shrinks by _DAMPING up to _MAX_HALVINGS times.
+# Newton: the residual's max norm to reach and the step budget; the line
+# search shrinks each step by _DAMPING up to _MAX_HALVINGS times.
+_NEWTON_TOL = 1e-11
+_NEWTON_MAX_ITER = 50
 _DAMPING = 0.5
 _MAX_HALVINGS = 8
 # Smallest adaptive continuation step before the path counts as stalled.
@@ -621,13 +605,10 @@ def first_eigenvalue(pot: RadialKahlerPotential) -> tuple[float, dict]:
 @dataclass
 class TraceStep:
     tau: float
-    solution: MASolution
+    solution: MASolution        # its `iterations` and `residual` are the Newton work
     j_value: float
     f_value: float              # on-path value J - mean(phi)
     lambda1: float
-    lambda1_per_mode: dict
-    newton_iters: int
-    residual: float
 
 
 @dataclass
@@ -641,35 +622,36 @@ class ContinuationTrace:
     def taus(self) -> np.ndarray:
         return np.array([s.tau for s in self.steps])
 
-    def validate(self, tol: float = 1e-11):
+    def validate(self):
         taus = self.taus
         if np.any(np.diff(taus) <= 0.0):
             raise ValueError("tau must be strictly increasing along the trace")
         if self.status == "complete":
             if taus[0] != 0.0 or abs(taus[-1] - self.cone.mu) > 1e-14:
                 raise ValueError("complete traces must run from 0 to mu")
-        bad = [s.tau for s in self.steps if s.residual > tol]
+        bad = [s.tau for s in self.steps if s.solution.residual > _NEWTON_TOL]
         if bad:
             raise ValueError(f"stored solutions above residual tolerance at tau={bad}")
 
 
 def _trace_step(tau, sol) -> TraceStep:
     jv = j_functional(sol.phi, sol.grid, dphi=sol.dphi)
-    lam_min, per_mode = first_eigenvalue(sol.potential)
     return TraceStep(tau, sol, jv, jv - sol.twist.reference_mean(sol.phi),
-                     lam_min, per_mode, sol.iterations, sol.residual)
+                     first_eigenvalue(sol.potential)[0])
 
 
 def continuity_path(cone: ConeConfiguration, delta: float,
                     steps: int | None = None,
-                    grid: Grid | None = None,
-                    newton_tol: float = 1e-11) -> ContinuationTrace:
+                    grid: Grid | None = None) -> ContinuationTrace:
     """Continuation in tau from the volume-normalized start to tau = mu.
 
-    `steps` uniform steps, or with None adaptive ones (step mu/20, doubling
-    after three easy steps, halving on Newton failure down to 1e-5).  Each
-    accepted step records functional values, the spectral gap per angular
-    mode and the Newton work.
+    With `steps` the taus are np.linspace(0, mu, steps + 1) and a failed
+    solve raises its own SolverError.  With None the steps are adaptive: the
+    first is mu/20, three accepted steps of at most 5 Newton iterations in a
+    row double it (up to mu/8), and a failed solve halves it; below
+    _MIN_STEP the path raises PathStalled.  Each solve starts from the linear
+    extrapolation through the last two accepted solutions.  Each accepted
+    step records J, F and the spectral gap.
     """
     if delta <= 0.0 and cone.beta < 0.3:
         raise ValueError("delta = 0 requires beta >= 0.3 for a well-conditioned path")
@@ -677,59 +659,39 @@ def continuity_path(cone: ConeConfiguration, delta: float,
         raise ValueError(f"a uniform schedule needs at least 1 step, got {steps}")
     grid = grid or Grid()
     mu = cone.mu
-    targets = None if steps is None else np.linspace(0.0, mu, int(steps) + 1)[1:]
-
+    uniform = None if steps is None else np.linspace(0.0, mu, int(steps) + 1)[1:]
     twist = build_twist(grid, cone.beta, delta)
     trace = ContinuationTrace(cone, delta)
 
     def solve_at(tau, guess):
-        cfg = SolverConfig(cone, delta, tau, newton_tol=newton_tol)
-        return solve_ma(cfg, guess=guess, grid=grid, twist=twist)
+        return solve_ma(SolverConfig(cone, delta, tau), guess=guess, grid=grid, twist=twist)
 
-    sol = solve_at(0.0, None)
-    trace.steps.append(_trace_step(0.0, sol))
-
-    prev_phi = None
-    prev_tau = 0.0
-
-    def predictor(tau_next):
-        cur = trace.steps[-1].solution.phi
-        if prev_phi is None or tau_next == trace.steps[-1].tau:
-            return cur.copy()
-        span = trace.steps[-1].tau - prev_tau
-        if span <= 0:
-            return cur.copy()
-        slope = (cur - prev_phi) / span
-        return cur + slope * (tau_next - trace.steps[-1].tau)
-
-    if targets is not None:
-        for tau in targets:
-            guess = predictor(tau)
-            sol = solve_at(float(tau), guess)
-            prev_phi = trace.steps[-1].solution.phi
-            prev_tau = trace.steps[-1].tau
-            trace.steps.append(_trace_step(float(tau), sol))
-        trace.status = "complete"
-        return trace
-
+    trace.steps.append(_trace_step(0.0, solve_at(0.0, None)))
     dtau = mu / 20.0
     easy_streak = 0
-    tau = 0.0
-    while tau < mu - 1e-14:
-        tau_next = min(tau + dtau, mu)
-        guess = predictor(tau_next)
+    # the linspace ends exactly at mu; adaptive steps may stop short by rounding
+    end = mu if uniform is not None else mu - 1e-14
+    while trace.steps[-1].tau < end:
+        cur = trace.steps[-1]
+        tau_next = min(cur.tau + dtau, mu) if uniform is None \
+            else float(uniform[len(trace.steps) - 1])
+        guess = cur.solution.phi
+        if len(trace.steps) > 1:
+            prev = trace.steps[-2]
+            slope = (cur.solution.phi - prev.solution.phi) / (cur.tau - prev.tau)
+            guess = guess + slope * (tau_next - cur.tau)
         try:
             sol = solve_at(tau_next, guess)
         except SolverError:
+            if uniform is not None:
+                raise
             dtau *= 0.5
             if dtau < _MIN_STEP:
-                trace.status = f"stalled at tau={tau:.6g}"
-                raise PathStalled(f"minimum step reached at tau={tau:.6g}", tau, trace)
+                trace.status = f"stalled at tau={cur.tau:.6g}"
+                raise PathStalled(f"minimum step reached at tau={cur.tau:.6g}",
+                                  cur.tau, trace)
             continue
-        prev_phi = trace.steps[-1].solution.phi
-        prev_tau = trace.steps[-1].tau
         trace.steps.append(_trace_step(tau_next, sol))
-        tau = tau_next
         easy_streak = easy_streak + 1 if sol.iterations <= 5 else 0
         if easy_streak >= 3:
             dtau = min(2.0 * dtau, mu / 8.0)

@@ -258,6 +258,19 @@ def test_config_file_round_trip(tmp_path):
     assert hash_file(tmp_path / "c3" / "solution.csv") == h1
 
 
+@pytest.mark.parametrize("flags, config, key, expected", [
+    (("--beta", 1, "--grid-N=257"), {"grid_N": 129}, "grid_N", 257),
+    (("--bet", 1, "--grid-N", 129), {"beta": 0.9}, "beta", 1.0),
+], ids=["equals-form", "abbreviation"])
+def test_command_line_beats_config_file(tmp_path, flags, config, key, expected):
+    cfg_path = tmp_path / "c.json"
+    cfg_path.write_text(json.dumps(config))
+    out = tmp_path / "o"
+    assert run("solve", *flags, "--delta", 0, "--tau", 1, "--config", cfg_path,
+               "--out", out) == 0
+    assert read_manifest(out / "manifest.json")["config"][key] == expected
+
+
 def test_exit_code_taxonomy(tmp_path, monkeypatch):
     import conic_ke.ma_solver as ma_solver
     from conic_ke.ma_solver import NewtonDiverged, PathStalled, PositivityLost
@@ -581,10 +594,15 @@ def test_capacity_manual_delta_must_be_positive(tmp_path, capsys, delta):
     (("smooth-family", "--beta", 0.75, "--deltas", ""), "--deltas"),
     (("bergman-scan", "--betas", "1.0,x", "--grid-N", 257), "--betas"),
     (("bergman-scan", "--betas", "1.0", "--ells", "2.5", "--grid-N", 257), "--ells"),
+    (("solve", "--beta", 0.75, "--delta", 0, "--tau", -0.1), "error: --tau -0.1: "),
+    (("solve", "--beta", 1.5, "--delta", 0, "--tau", 0.5), "error: --beta 1.5: "),
+    (("continue-path", "--beta", 0, "--delta", 0.1), "error: --beta 0.0: "),
+    (("solve", "--beta", 0.75, "--delta", -1, "--tau", 0.5), "error: --delta -1.0: "),
 ], ids=["solve-delta-nan", "solve-delta-inf", "family-deltas-nan", "path-delta-nan",
         "grid-T-inf", "capacity-eps-zero", "capacity-eps-nan", "volume-radius-off-grid",
         "tube-annulus-without-b", "density-without-ell", "grid-N-even", "deltas-empty",
-        "betas-not-a-number", "ells-not-an-int"])
+        "betas-not-a-number", "ells-not-an-int", "solve-tau-negative", "solve-beta-above-1",
+        "path-beta-zero", "solve-delta-negative"])
 def test_bad_numbers_exit_config(tmp_path, capsys, argv, name):
     assert run(*argv, "--out", tmp_path / "o") == 1
     err = capsys.readouterr().err

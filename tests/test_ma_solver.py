@@ -163,9 +163,11 @@ def test_positivity_guard(grid):
         solve_ma(cfg, guess=bad_guess, grid=grid)
 
 
-def test_newton_budget_exhaustion(grid):
-    cfg = SolverConfig(ConeConfiguration(0.5), 0.0, 0.5,
-                       newton_max_iter=1, newton_tol=1e-13)
+def test_newton_budget_exhaustion(grid, monkeypatch):
+    import conic_ke.ma_solver as ma_solver
+    monkeypatch.setattr(ma_solver, "_NEWTON_MAX_ITER", 1)
+    monkeypatch.setattr(ma_solver, "_NEWTON_TOL", 1e-13)
+    cfg = SolverConfig(ConeConfiguration(0.5), 0.0, 0.5)
     with pytest.raises(NewtonDiverged):
         solve_ma(cfg, grid=grid)
 
@@ -191,10 +193,12 @@ def test_singular_newton_system_diverges(grid, monkeypatch):
         solve_ma(SolverConfig(ConeConfiguration(0.8), 0.01, 0.5), grid=grid)
 
 
-def test_path_stall_reports_last_tau():
+def test_path_stall_reports_last_tau(monkeypatch):
+    import conic_ke.ma_solver as ma_solver
+    monkeypatch.setattr(ma_solver, "_NEWTON_TOL", 1e-30)
     g = Grid(-16, 16, 513)
     with pytest.raises(PathStalled) as exc:
-        continuity_path(ConeConfiguration(0.8), 1e-3, grid=g, newton_tol=1e-30)
+        continuity_path(ConeConfiguration(0.8), 1e-3, grid=g)
     assert exc.value.last_tau == 0.0
     assert len(exc.value.trace.steps) == 1
 
@@ -228,7 +232,7 @@ def test_adaptive_path_budget(grid):
     assert trace.status == "complete"
     assert len(trace.steps) <= 200
     assert trace.taus[-1] == pytest.approx(0.8, abs=1e-14)
-    trace.validate(tol=1e-11)
+    trace.validate()
 
 
 def test_eigenvalue_gap_along_path(trace_08):
@@ -271,6 +275,39 @@ def test_path_builds_reference_once_per_grid(monkeypatch):
     trace = continuity_path(ConeConfiguration(0.8), 1e-3, steps=10, grid=g)
     assert trace.status == "complete" and len(trace.steps) == 11
     assert len(built) <= 1
+
+
+def test_uniform_path_failure_is_the_solves_own(monkeypatch):
+    import conic_ke.ma_solver as ma_solver
+    g = Grid(-16, 16, 257)
+    cone = ConeConfiguration(0.8)
+    targets = np.linspace(0.0, cone.mu, 5)
+    assert np.array_equal(continuity_path(cone, 1e-3, steps=4, grid=g).taus, targets)
+    tried = []
+    solve = ma_solver.solve_ma
+
+    def recording(cfg, **kwargs):
+        tried.append(cfg.tau)
+        return solve(cfg, **kwargs)
+
+    monkeypatch.setattr(ma_solver, "solve_ma", recording)
+    monkeypatch.setattr(ma_solver, "_NEWTON_MAX_ITER", 1)
+    with pytest.raises(NewtonDiverged):         # not PathStalled, a sibling class
+        continuity_path(cone, 1e-3, steps=4, grid=g)
+    assert tried == list(targets[:2])      # no retry at a shorter step
+
+
+@pytest.mark.parametrize("delta", [0.0, 1e-3])
+def test_build_twist_evaluates_each_tail_once(grid, monkeypatch, delta):
+    import conic_ke.ma_solver as ma_solver
+    calls = []
+    for name in ("_twist_tail", "_raw_log_weight"):
+        def counting(*args, _name=name, _f=getattr(ma_solver, name)):
+            calls.append(_name)
+            return _f(*args)
+        monkeypatch.setattr(ma_solver, name, counting)
+    build_twist(grid, 0.7, delta)
+    assert sorted(calls) == ["_raw_log_weight", "_twist_tail"]
 
 
 # ---------------------------------------------------------------------------
