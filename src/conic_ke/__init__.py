@@ -17,7 +17,7 @@ _EXPORTS = {
         "ricci_potential_h0"),
     "errors": ("NewtonDiverged", "PathStalled", "PositivityLost", "SolverError"),
     "ma_solver": (
-        "ContinuationTrace", "MASolution", "SolverConfig", "continuity_path",
+        "ContinuationTrace", "MASolution", "build_twist", "continuity_path",
         "first_eigenvalue", "ricci_lower_bound_margin", "smoothing_family",
         "solve_ma", "two_sided_bound_check"),
     "functionals": (

@@ -46,7 +46,6 @@ class HermitianWeight:
     """
 
     pot: RadialKahlerPotential
-    cone: ConeConfiguration
     log_weight: np.ndarray
     log_section_scale: float
 
@@ -79,7 +78,7 @@ def associated_hermitian_weight(pot: RadialKahlerPotential,
     log_scale = -mu * log_q   # log |c_S|^2
     log_weight = h / mu + ((1.0 - beta) / mu) * (log_scale + log_pp) \
         + log_pp - grid.t
-    return HermitianWeight(pot, cone, log_weight, log_scale)
+    return HermitianWeight(pot, log_weight, log_scale)
 
 
 @dataclass

@@ -104,12 +104,12 @@ def _profile_table(sol):
 
 def cmd_solve(args) -> Run:
     from .io import format_number, potential_manifest, potential_table
-    from .ma_solver import SolverConfig, solve_ma
+    from .ma_solver import build_twist, solve_ma
     grid = _grid_from(args)
     cone = _cone_from(args)
     if not 0.0 <= args.tau <= cone.mu + 1e-15:
         raise ValueError(f"--tau {args.tau}: must lie in [0, mu={cone.mu}]")
-    sol = solve_ma(SolverConfig(cone, args.delta, args.tau), grid=grid)
+    sol = solve_ma(build_twist(grid, cone.beta, args.delta), args.tau)
     pot = sol.potential
     return Run({"solution.csv": potential_table(pot),
                 "phi.csv": (["t", "phi"], zip(grid.t, sol.phi))},
@@ -119,7 +119,7 @@ def cmd_solve(args) -> Run:
 
 
 def cmd_continue_path(args) -> Run:
-    from .functionals import f_functional
+    from .functionals import TAU_FLOOR, f_functional
     from .ma_solver import continuity_path
     grid = _grid_from(args)
     cone = _cone_from(args)
@@ -133,7 +133,7 @@ def cmd_continue_path(args) -> Run:
     frows = []
     for k, s in enumerate(trace.steps):
         tables[f"step_{k:04d}.csv"] = _profile_table(s.solution)
-        if s.tau >= 0.05:
+        if s.tau >= TAU_FLOOR:
             rep = f_functional(s.solution.phi, s.tau, s.solution.twist,
                                dphi=s.solution.dphi)
             frows.append((f"step{k:04d}", s.tau, args.beta, args.delta,
@@ -436,7 +436,8 @@ def build_parser() -> argparse.ArgumentParser:
 def _merge_config_file(argv):
     """Support `--config file.json`: keys become flag defaults.  Their flags go
     right after the subcommand, so every flag on the command line, in any form
-    argparse reads (`--flag=value`, an abbreviation), comes later and wins."""
+    argparse reads (`--flag=value`, an abbreviation), comes later and wins.
+    A null key, a manifest's echo of an unset flag, keeps the flag's default."""
     if "--config" not in argv:
         return argv
     i = argv.index("--config")
@@ -447,7 +448,7 @@ def _merge_config_file(argv):
     if not isinstance(doc, dict):
         raise ValueError(f"--config {path}: expected a JSON object")
     rest = argv[:i] + argv[i + 2:]
-    extra = [item for key, val in doc.items()
+    extra = [item for key, val in doc.items() if val is not None
              for item in ("--" + key.replace("_", "-"), str(val))]
     # options before the subcommand take no value, so it is the first positional
     k = next((j + 1 for j, a in enumerate(rest) if not a.startswith("-")), len(rest))

@@ -22,6 +22,8 @@ from .geometry import RadialKahlerPotential, cone_angle_at_pole
 from .numerics import cumulative_integral, simpson_weights
 
 LOG3 = math.log(3.0)
+_ENERGY_NODES = 4097    # Simpson nodes of the band integral in dirichlet_energy
+_TUBE_NODES = 2049      # Simpson nodes of each cone disc in tube_volume
 
 
 def unit_ball_volume(dim: int) -> float:
@@ -128,10 +130,9 @@ def loglog_cutoff(eps_bar: float, delta: float | None = None,
     return LogLogCutoff(eps_bar, ld)
 
 
-def selection_log_delta(n: int, eps_bar: float, margin: float = 1.0) -> float:
+def selection_log_delta(n: int, eps_bar: float) -> float:
     """log delta from the band-selection rule a_(n-1) <= eps^(2n-1) (-log delta)."""
-    a = unit_ball_volume(2 * n - 2)
-    return -margin * a / eps_bar ** (2 * n - 1)
+    return -unit_ball_volume(2 * n - 2) / eps_bar ** (2 * n - 1)
 
 
 @dataclass
@@ -147,9 +148,7 @@ class CutoffEnergyReport:
             / abs(self.radial_factor_coarea)
 
 
-def dirichlet_energy(cutoff: LogLogCutoff, model: FlatConeModel,
-                     region_radius: float | None = None,
-                     n_radial: int = 4097) -> CutoffEnergyReport:
+def dirichlet_energy(cutoff: LogLogCutoff, model: FlatConeModel) -> CutoffEnergyReport:
     """Energy of the cutoff gradient over the ball of radius 1/eps_bar.
 
     Product quadrature: the angular factor 2 pi bb and the flat-slice ball
@@ -157,10 +156,10 @@ def dirichlet_energy(cutoff: LogLogCutoff, model: FlatConeModel,
     logarithmic coordinate.  The co-area reorganization of the same band
     integral is returned as a cross-check.
     """
-    R = 1.0 / cutoff.eps_bar if region_radius is None else region_radius
+    R = 1.0 / cutoff.eps_bar
     s1, s2 = cutoff.band_s
-    s = np.linspace(s1, s2, n_radial if n_radial % 2 == 1 else n_radial + 1)
-    w = simpson_weights(s.size, s[1] - s[0])
+    s = np.linspace(s1, s2, _ENERGY_NODES)
+    w = simpson_weights(_ENERGY_NODES, s[1] - s[0])
     rho_sq = np.exp(np.maximum(2.0 * (math.log(cutoff.eps_bar) - s), -745.0))
     slice_vol = unit_ball_volume(2 * model.n - 2) \
         * np.maximum(R * R - rho_sq, 0.0) ** (model.n - 1)
@@ -249,7 +248,7 @@ class TubeVolumeReport:
 
 
 def tube_volume(model: FlatConeModel, flat_annulus: tuple[float, float],
-                r_list, n_radial: int = 2049) -> TubeVolumeReport:
+                r_list) -> TubeVolumeReport:
     """Volume of the tube around the singular axis inside a compact slab.
 
     The compact set is {a <= |z'| <= b} in the flat factor; the tube of
@@ -268,8 +267,8 @@ def tube_volume(model: FlatConeModel, flat_annulus: tuple[float, float],
     flat_vol = unit_ball_volume(dim) * (b ** dim - a ** dim)
     vols = []
     for x in r:
-        rho = np.linspace(0.0, x, n_radial)
-        w = simpson_weights(n_radial, rho[1] - rho[0])
+        rho = np.linspace(0.0, x, _TUBE_NODES)
+        w = simpson_weights(_TUBE_NODES, rho[1] - rho[0])
         disc = 2.0 * np.pi * model.beta_bar * float(np.dot(w, rho))
         vols.append(flat_vol * disc)
     vols = np.array(vols)

@@ -23,6 +23,8 @@ import numpy as np
 from .geometry import Grid
 from .numerics import d1
 
+TAU_FLOOR = 0.05    # the log term of F is ill-conditioned below this tau
+
 
 def j_functional(phi: np.ndarray, grid: Grid,
                  dphi: np.ndarray | None = None) -> float:
@@ -81,7 +83,7 @@ def f_functional(phi: np.ndarray, tau: float, twist,
 @dataclass
 class PathDerivativeReport:
     taus: np.ndarray
-    onpath_residuals: np.ndarray     # |F_full - (J - linear)| where tau >= tau_floor
+    onpath_residuals: np.ndarray     # |F_full - (J - linear)| where tau >= TAU_FLOOR
     onpath_taus: np.ndarray
     fd_vs_formula: np.ndarray        # relative residual at interior steps
     orthogonality: np.ndarray        # |mean_omega(phi + tau dphi/dtau)| forward FD
@@ -93,11 +95,11 @@ class PathDerivativeReport:
         return float(self.fd_vs_formula.max()) if self.fd_vs_formula.size else 0.0
 
 
-def path_derivative_residual(trace, tau_floor: float = 0.05) -> PathDerivativeReport:
+def path_derivative_residual(trace) -> PathDerivativeReport:
     """Check the variational identities along a continuation trace.
 
     (a) on-path reduction F = J - (1/V) int phi omega0 at every step with
-        tau >= tau_floor (the log term is ill-conditioned below it);
+        tau >= TAU_FLOOR (the log term is ill-conditioned below it);
     (b) centered differences of F along tau against the closed derivative
         (1/(tau V)) int phi omega_phi, as a relative residual;
     (c) the differentiated-equation orthogonality
@@ -112,7 +114,7 @@ def path_derivative_residual(trace, tau_floor: float = 0.05) -> PathDerivativeRe
 
     onpath_res, onpath_taus = [], []
     for s in steps:
-        if s.tau >= tau_floor:
+        if s.tau >= TAU_FLOOR:
             rep = f_functional(s.solution.phi, s.tau, s.solution.twist,
                                dphi=s.solution.dphi)
             onpath_res.append(abs(rep.f_value - s.f_value))
@@ -120,7 +122,7 @@ def path_derivative_residual(trace, tau_floor: float = 0.05) -> PathDerivativeRe
 
     fd_res = []
     for k in range(1, len(steps) - 1):
-        if taus[k] < tau_floor:
+        if taus[k] < TAU_FLOOR:
             continue
         dm = taus[k] - taus[k - 1]
         dp = taus[k + 1] - taus[k]

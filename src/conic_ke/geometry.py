@@ -27,6 +27,7 @@ import numpy as np
 from .numerics import cumulative_integral, d1, d2, simpson_weights
 
 STANDARD_AREA = 4.0 * np.pi
+_FIT_FRACTION = 0.2     # share of the nodes next to a pole in cone_angle_at_pole's fit
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -238,17 +239,16 @@ def gauss_curvature(pot: RadialKahlerPotential, t: float) -> float:
 
 
 def cone_angle_at_pole(pot: RadialKahlerPotential, pole: str,
-                       fit_fraction: float = 0.2,
                        residual_threshold: float = 0.2) -> float:
     """Cone fraction from the asymptotic slope of log Phi''.
 
-    A line is fitted to log Phi'' over the outer `fit_fraction` of the grid;
+    A line is fitted to log Phi'' over the outer _FIT_FRACTION of the grid;
     the slope tends to +beta at the zero pole and -beta at infinity.  A large
     fit residual signals non-conic asymptotics and raises.
     """
     pot.require_positive()
     n = pot.grid.n_nodes
-    k = max(8, int(fit_fraction * n))
+    k = max(8, int(_FIT_FRACTION * n))
     if pole == "zero":
         sl = slice(0, k)
         sign = 1.0
@@ -259,7 +259,7 @@ def cone_angle_at_pole(pot: RadialKahlerPotential, pole: str,
         raise ValueError("pole must be 'zero' or 'infinity'")
     x = pot.grid.t[sl]
     y = np.log(pot.phi_doubleprime[sl])
-    coeff, res = np.polyfit(x, y, 1), None
+    coeff = np.polyfit(x, y, 1)
     fit = np.polyval(coeff, x)
     res = float(np.sqrt(np.mean((y - fit) ** 2)))
     if res > residual_threshold:

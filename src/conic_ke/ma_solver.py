@@ -158,13 +158,13 @@ def _closure_quadrature_weights(grid: Grid) -> np.ndarray:
 class TwistData:
     """Twist density W = e^h on the grid plus its exact tail integrals.
 
-    The twist is the one source of every full-sphere integral of the twisted
-    problem: the grid rule against the round reference of `grid` plus the
-    tail masses beyond t_min and t_max.  Each tail is stored once.  The
-    twist and the reference are even in t, and `Grid` requires
-    |t_min + t_max| <= 1e-12 T, so the tail beyond t_max is taken equal to
-    the one below t_min (the CLI grids are exactly symmetric, where the two
-    are identical).
+    The twist is the one source of a solve's grid, cone (beta, mu) and
+    delta, and of every full-sphere integral of the twisted problem: the
+    grid rule against the round reference of `grid` plus the tail masses
+    beyond t_min and t_max.  Each tail is stored once.  The twist and the
+    reference are even in t, and `Grid` requires |t_min + t_max| <= 1e-12 T,
+    so the tail beyond t_max is taken equal to the one below t_min (the CLI
+    grids are exactly symmetric, where the two are identical).
 
     The correction integral weights the tail by the relative potential's
     modeled decay profile; it upgrades the Robin closure from a constant
@@ -172,7 +172,7 @@ class TwistData:
     """
 
     grid: Grid
-    beta: float
+    cone: ConeConfiguration
     delta: float
     constant: float           # a_beta (delta = 0) or c_delta (delta > 0)
     log_weight: np.ndarray    # h(t) per node, constant included
@@ -207,10 +207,10 @@ def build_twist(grid: Grid, beta: float, delta: float) -> TwistData:
 
     The normalizing constant (a_beta for delta = 0, c_delta for delta > 0)
     makes the twisted volume of the whole sphere, grid rule plus exact
-    tails, equal the reference volume.
+    tails, equal the reference volume.  A beta outside (0, 1] or a delta
+    that is negative or not finite raises ValueError.
     """
-    if not 0.0 < beta <= 1.0:
-        raise ValueError(f"beta must lie in (0, 1], got {beta}")
+    cone = ConeConfiguration(beta)
     if not (math.isfinite(delta) and delta >= 0.0):
         raise ValueError(f"delta must be finite and nonnegative, got {delta}")
     raw = _raw_log_weight(grid, beta, delta)
@@ -224,35 +224,21 @@ def build_twist(grid: Grid, beta: float, delta: float) -> TwistData:
     plain = float(w.sum()) + plain_tail + plain_tail
     const = float(np.log(plain) - np.log(weighted + (tail + tail)))
     scale = math.exp(const)
-    return TwistData(grid, beta, delta, const, raw + const, scale * tail,
+    return TwistData(grid, cone, delta, const, raw + const, scale * tail,
                      plain_tail, scale * corr)
 
 
 # ---------------------------------------------------------------------------
-# solver configuration and result
-
-
-@dataclass(frozen=True)
-class SolverConfig:
-    """Parameters of one twisted solve."""
-
-    cone: ConeConfiguration
-    delta: float
-    tau: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.delta) and self.delta >= 0.0):
-            raise ValueError(f"delta must be finite and nonnegative, got {self.delta}")
-        if not 0.0 <= self.tau <= self.cone.mu + 1e-15:
-            raise ValueError("tau must lie in [0, mu]")
+# solution
 
 
 @dataclass
 class MASolution:
-    """Solved twisted equation at one (beta, delta, tau)."""
+    """Solved twisted equation at one tau; beta, delta and the grid are
+    those of its twist."""
 
-    config: SolverConfig
     twist: TwistData
+    tau: float
     phi: np.ndarray
     dphi: np.ndarray
     residual: float
@@ -265,14 +251,14 @@ class MASolution:
     @property
     def metric_density(self) -> np.ndarray:
         """Phi''(t), evaluated through the equation (exact at the solution)."""
-        return self.twist.density(self.phi, self.config.tau)
+        return self.twist.density(self.phi, self.tau)
 
     def mean(self, f: np.ndarray) -> float:
         """Mean of f against the solved metric over the whole sphere; each
         tail carries f at its edge node.  By the twist's normalization the
         solved volume is the reference volume."""
         tw = self.twist
-        tau, phi = self.config.tau, self.phi
+        tau, phi = self.tau, self.phi
         tails = math.exp(-tau * phi[0]) * tw.tail_weighted * f[0] \
             + math.exp(-tau * phi[-1]) * tw.tail_weighted * f[-1]
         wphi = self.grid.weights * self.metric_density
@@ -281,9 +267,8 @@ class MASolution:
     @property
     def potential(self) -> RadialKahlerPotential:
         base = self.grid.reference
-        beta = self.config.cone.beta
-        conic = self.config.delta == 0.0 and beta < 1.0
-        ang = beta if conic else 1.0
+        # conic angles for delta = 0 (beta = 1 is smooth), smooth once smoothed
+        ang = self.twist.cone.beta if self.twist.delta == 0.0 else 1.0
         return RadialKahlerPotential(
             self.grid,
             base.phi_prime + self.dphi,
@@ -405,15 +390,14 @@ def _newton_system(phi, tau, twist, p0, h):
     return r, ab, res
 
 
-def _solve_linear_mean_zero(twist, p0, grid):
+def _solve_linear_mean_zero(twist, p0):
     """Calabi-Yau step tau = 0: one banded solve with the mean-zero gauge.
 
     The Numerov system is singular along constants; the middle row is
     replaced by a pin and the solution shifted to reference-mean zero.
     """
-    h = grid.h
-    n = grid.n_nodes
-    r, ab = _linearize(np.zeros(n), 0.0, twist, p0, h)
+    n = twist.grid.n_nodes
+    r, ab = _linearize(np.zeros(n), 0.0, twist, p0, twist.grid.h)
     mid = n // 2
     # pin row `mid`: A[mid, mid] = 1, neighbors zero
     ab[1, mid] = 1.0
@@ -427,19 +411,22 @@ def _solve_linear_mean_zero(twist, p0, grid):
     return phi
 
 
-def solve_ma(cfg: SolverConfig, guess: np.ndarray | None = None,
-             grid: Grid | None = None, twist: TwistData | None = None) -> MASolution:
-    """Damped-Newton solve of the radial twisted equation.
+def solve_ma(twist: TwistData, tau: float,
+             guess: np.ndarray | None = None) -> MASolution:
+    """Damped-Newton solve of the radial twisted equation at tau in [0, mu].
 
-    `guess` is a relative-potential array on `grid`, or None for the flat
-    start phi = 0; either is projected onto even profiles first.  The
-    iteration stops once the residual's max norm is at most _NEWTON_TOL and
-    raises NewtonDiverged after _NEWTON_MAX_ITER steps.  tau = 0
-    short-circuits to a single constrained linear solve and ignores `guess`.
+    The twist carries the grid, beta, mu and delta; a tau outside [0, mu]
+    raises ValueError.  `guess` is a relative-potential array on the twist's
+    grid, or None for the flat start phi = 0; either is projected onto even
+    profiles first.  The iteration stops once the residual's max norm is at
+    most _NEWTON_TOL and raises NewtonDiverged after _NEWTON_MAX_ITER steps.
+    tau = 0 short-circuits to a single constrained linear solve and ignores
+    `guess`.
     """
-    grid = grid or Grid()
-    if twist is None:
-        twist = build_twist(grid, cfg.cone.beta, cfg.delta)
+    mu = twist.cone.mu
+    if not 0.0 <= tau <= mu + 1e-15:
+        raise ValueError(f"tau must lie in [0, mu={mu}], got {tau}")
+    grid = twist.grid
     p0 = grid.reference.phi_doubleprime
     h = grid.h
 
@@ -450,8 +437,8 @@ def solve_ma(cfg: SolverConfig, guess: np.ndarray | None = None,
         # profiles to select the centered representative.
         return 0.5 * (v + v[::-1])
 
-    if cfg.tau == 0.0:
-        phi = project(_solve_linear_mean_zero(twist, p0, grid))
+    if tau == 0.0:
+        phi = project(_solve_linear_mean_zero(twist, p0))
         res = float(np.max(np.abs(_linearize(phi, 0.0, twist, p0, h)[0])))
         iters = 0
     else:
@@ -460,7 +447,7 @@ def solve_ma(cfg: SolverConfig, guess: np.ndarray | None = None,
         if not np.all(_implied_density(phi, p0, h) > 0.0):
             raise PositivityLost("initial guess is not a positive metric")
 
-        r, ab, res = _newton_system(phi, cfg.tau, twist, p0, h)
+        r, ab, res = _newton_system(phi, tau, twist, p0, h)
         if res == math.inf:
             raise NewtonDiverged("Newton system is not finite at the initial guess")
         iters = 0
@@ -483,7 +470,7 @@ def solve_ma(cfg: SolverConfig, guess: np.ndarray | None = None,
                     positivity_blocked = True
                     alpha *= _DAMPING
                     continue
-                trial_r, trial_ab, trial_res = _newton_system(trial, cfg.tau, twist, p0, h)
+                trial_r, trial_ab, trial_res = _newton_system(trial, tau, twist, p0, h)
                 if trial_res < res:
                     phi, r, ab, res = trial, trial_r, trial_ab, trial_res
                     accepted = True
@@ -497,9 +484,9 @@ def solve_ma(cfg: SolverConfig, guess: np.ndarray | None = None,
                     f"damping budget exhausted at residual {res:.3e}")
             iters += 1
 
-    _, fac_l, flux_l = _closure(twist, cfg.tau, phi[0])
-    dphi = cumulative_integral(twist.density(phi, cfg.tau) - p0, h, flux_l / fac_l)
-    return MASolution(cfg, twist, phi, dphi, res, iters)
+    _, fac_l, flux_l = _closure(twist, tau, phi[0])
+    dphi = cumulative_integral(twist.density(phi, tau) - p0, h, flux_l / fac_l)
+    return MASolution(twist, tau, phi, dphi, res, iters)
 
 
 # ---------------------------------------------------------------------------
@@ -614,7 +601,6 @@ class TraceStep:
 @dataclass
 class ContinuationTrace:
     cone: ConeConfiguration
-    delta: float
     steps: list[TraceStep] = field(default_factory=list)
     status: str = "incomplete"
 
@@ -634,9 +620,9 @@ class ContinuationTrace:
             raise ValueError(f"stored solutions above residual tolerance at tau={bad}")
 
 
-def _trace_step(tau, sol) -> TraceStep:
+def _trace_step(sol) -> TraceStep:
     jv = j_functional(sol.phi, sol.grid, dphi=sol.dphi)
-    return TraceStep(tau, sol, jv, jv - sol.twist.reference_mean(sol.phi),
+    return TraceStep(sol.tau, sol, jv, jv - sol.twist.reference_mean(sol.phi),
                      first_eigenvalue(sol.potential)[0])
 
 
@@ -657,16 +643,11 @@ def continuity_path(cone: ConeConfiguration, delta: float,
         raise ValueError("delta = 0 requires beta >= 0.3 for a well-conditioned path")
     if steps is not None and steps < 1:
         raise ValueError(f"a uniform schedule needs at least 1 step, got {steps}")
-    grid = grid or Grid()
     mu = cone.mu
     uniform = None if steps is None else np.linspace(0.0, mu, int(steps) + 1)[1:]
-    twist = build_twist(grid, cone.beta, delta)
-    trace = ContinuationTrace(cone, delta)
-
-    def solve_at(tau, guess):
-        return solve_ma(SolverConfig(cone, delta, tau), guess=guess, grid=grid, twist=twist)
-
-    trace.steps.append(_trace_step(0.0, solve_at(0.0, None)))
+    twist = build_twist(grid or Grid(), cone.beta, delta)
+    trace = ContinuationTrace(cone)
+    trace.steps.append(_trace_step(solve_ma(twist, 0.0)))
     dtau = mu / 20.0
     easy_streak = 0
     # the linspace ends exactly at mu; adaptive steps may stop short by rounding
@@ -681,7 +662,7 @@ def continuity_path(cone: ConeConfiguration, delta: float,
             slope = (cur.solution.phi - prev.solution.phi) / (cur.tau - prev.tau)
             guess = guess + slope * (tau_next - cur.tau)
         try:
-            sol = solve_at(tau_next, guess)
+            sol = solve_ma(twist, tau_next, guess)
         except SolverError:
             if uniform is not None:
                 raise
@@ -691,7 +672,7 @@ def continuity_path(cone: ConeConfiguration, delta: float,
                 raise PathStalled(f"minimum step reached at tau={cur.tau:.6g}",
                                   cur.tau, trace)
             continue
-        trace.steps.append(_trace_step(tau_next, sol))
+        trace.steps.append(_trace_step(sol))
         easy_streak = easy_streak + 1 if sol.iterations <= 5 else 0
         if easy_streak >= 3:
             dtau = min(2.0 * dtau, mu / 8.0)
@@ -730,13 +711,12 @@ def smoothing_family(cone: ConeConfiguration, delta_list,
         raise ValueError(f"deltas must be finite, positive and strictly decreasing, "
                          f"got {deltas}")
     grid = grid or Grid()
-    mu = cone.mu
-    conic = solve_ma(SolverConfig(cone, 0.0, mu), grid=grid)
+    conic = solve_ma(build_twist(grid, cone.beta, 0.0), cone.mu)
     core = np.abs(grid.t) <= grid.t_max / 2.0
     sols, sup_d, core_d = [], [], []
     guess = None
     for d in deltas:
-        sol = solve_ma(SolverConfig(cone, d, mu), guess=guess, grid=grid)
+        sol = solve_ma(build_twist(grid, cone.beta, d), cone.mu, guess)
         sols.append(sol)
         diff = np.abs(sol.phi - conic.phi)
         sup_d.append(float(diff.max()))
@@ -762,12 +742,10 @@ def ricci_lower_bound_margin(solution: MASolution) -> RicciMarginReport:
     minimum uses route (b) (route (a) carries the O(h^2) stencil error and
     is returned for the refinement cross-check).
     """
-    cfg = solution.config
-    if abs(cfg.tau - cfg.cone.mu) > 1e-12:
+    tw, grid = solution.twist, solution.grid
+    beta, delta, mu = tw.cone.beta, tw.delta, tw.cone.mu
+    if abs(solution.tau - mu) > 1e-12:
         raise ValueError("margin is defined for solutions at tau = mu")
-    grid = solution.grid
-    beta, delta = cfg.cone.beta, cfg.delta
-    mu = cfg.cone.mu
     p0 = grid.reference.phi_doubleprime
     u = defining_section_norm(grid)
     t = grid.t

@@ -17,6 +17,8 @@ import numpy as np
 from .geometry import RadialKahlerPotential, cone_angle_at_pole, ricci_potential_h0
 from .numerics import d1, d2
 
+_UNOBSTRUCTED_TOL = 1e-4   # obstruction_scan: |invariant| at most this is UNOBSTRUCTED
+
 
 @dataclass
 class HamiltonianPotential:
@@ -150,12 +152,11 @@ class ObstructionRow:
     flag: str                 # OBSTRUCTED or UNOBSTRUCTED
 
 
-def obstruction_scan(configs, beta_grid, pot: RadialKahlerPotential,
-                     threshold: float = 1e-4) -> list[ObstructionRow]:
+def obstruction_scan(configs, beta_grid, pot: RadialKahlerPotential) -> list[ObstructionRow]:
     """Tabulate the logarithmic invariant over point configurations.
 
     `configs` maps an identifier to a list of (location, weight) pairs.
-    Values within `threshold` of zero are flagged UNOBSTRUCTED; the
+    Values within _UNOBSTRUCTED_TOL of zero are flagged UNOBSTRUCTED; the
     symmetric two-pole rows are the ones a solver run can realize, while
     obstructed rows (the teardrop family) admit no solution and are only
     flagged.
@@ -164,6 +165,6 @@ def obstruction_scan(configs, beta_grid, pot: RadialKahlerPotential,
     for config_id, pts in configs.items():
         for beta in beta_grid:
             val = log_futaki(pot, float(beta), pts)
-            flag = "UNOBSTRUCTED" if abs(val) <= threshold else "OBSTRUCTED"
+            flag = "UNOBSTRUCTED" if abs(val) <= _UNOBSTRUCTED_TOL else "OBSTRUCTED"
             rows.append(ObstructionRow(config_id, float(beta), val, flag))
     return rows

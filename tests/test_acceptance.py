@@ -33,7 +33,7 @@ from conic_ke.geometry import (
 )
 from conic_ke.io import read_manifest
 from conic_ke.ma_solver import (
-    SolverConfig,
+    build_twist,
     first_eigenvalue,
     ricci_lower_bound_margin,
     solve_ma,
@@ -53,7 +53,7 @@ def test_criterion_1_football_recovery(grid):
     worst_err, worst_iters = 0.0, 0
     core = np.abs(grid.t) <= 8.0
     for beta in (0.5, 0.75, 0.9):
-        sol = solve_ma(SolverConfig(ConeConfiguration(beta), 0.0, beta), grid=grid)
+        sol = solve_ma(build_twist(grid, beta, 0.0), beta)
         c_star = (sol.twist.constant - np.log(beta)
                   - (1.0 - beta) * np.log(4.0)) / beta
         err = np.max(np.abs(sol.phi - (football_phi(grid, beta) + c_star))[core])

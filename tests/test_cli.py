@@ -252,10 +252,21 @@ def test_config_file_round_trip(tmp_path):
     # the manifest echo reruns to identical outputs
     echoed = read_manifest(tmp_path / "c1" / "manifest.json")["config"]
     echoed["out"] = str(tmp_path / "c3")
-    (tmp_path / "cfg2.json").write_text(json.dumps(
-        {k: v for k, v in echoed.items() if v is not None}))
+    (tmp_path / "cfg2.json").write_text(json.dumps(echoed))
     assert run("solve", "--config", tmp_path / "cfg2.json") == 0
     assert hash_file(tmp_path / "c3" / "solution.csv") == h1
+
+
+def test_continue_path_echo_round_trip(tmp_path):
+    # the adaptive path echoes "steps": null, which keeps --steps at its default
+    assert run("continue-path", "--beta", 0.9, "--delta", 0.1, "--grid-N", 129,
+               "--out", tmp_path / "p1") == 0
+    echoed = read_manifest(tmp_path / "p1" / "manifest.json")["config"]
+    assert echoed["steps"] is None
+    echoed["out"] = str(tmp_path / "p2")
+    (tmp_path / "cfg.json").write_text(json.dumps(echoed))
+    assert run("continue-path", "--config", tmp_path / "cfg.json") == 0
+    assert hash_outputs(tmp_path / "p2") == hash_outputs(tmp_path / "p1")
 
 
 @pytest.mark.parametrize("flags, config, key, expected", [

@@ -9,7 +9,7 @@ from conic_ke.functionals import (
     path_derivative_residual,
 )
 from conic_ke.geometry import ConeConfiguration, Grid
-from conic_ke.ma_solver import SolverConfig, build_twist, solve_ma
+from conic_ke.ma_solver import build_twist, solve_ma
 from conic_ke.numerics import d2
 
 
@@ -88,7 +88,7 @@ def test_f_rejects_tau_zero(grid, twist):
 
 def test_conic_solution_minimizes_f(grid, fs, conic_twist):
     beta = 0.75
-    sol = solve_ma(SolverConfig(ConeConfiguration(beta), 0.0, beta), grid=grid)
+    sol = solve_ma(build_twist(grid, beta, 0.0), beta)
     f_ke = f_functional(sol.phi, beta, conic_twist, dphi=sol.dphi).f_value
     tested = 0
     for a in (-0.3, -0.2, -0.1, -0.05, 0.05, 0.1, 0.2, 0.3, 0.4, -0.4):
@@ -105,7 +105,7 @@ def test_f_flat_along_solution_orbit(grid, conic_twist):
     # pullbacks of the conic solution by dilations keep the same energy;
     # the vanishing symmetric obstruction in action
     beta = 0.75
-    sol = solve_ma(SolverConfig(ConeConfiguration(beta), 0.0, beta), grid=grid)
+    sol = solve_ma(build_twist(grid, beta, 0.0), beta)
     f_ke = f_functional(sol.phi, beta, conic_twist, dphi=sol.dphi).f_value
     for a in (0.5, 1.0, 2.0):
         phi_a = (2.0 / beta) * np.logaddexp(0.0, beta * (grid.t + a)) \

@@ -20,7 +20,6 @@ from conic_ke.ma_solver import (
     NewtonDiverged,
     PathStalled,
     PositivityLost,
-    SolverConfig,
     SolverError,
     build_twist,
     continuity_path,
@@ -102,8 +101,7 @@ def test_build_twist_rejects_bad_inputs(grid, beta, delta, name):
 
 @pytest.mark.parametrize("beta", [0.5, 0.75, 0.9])
 def test_football_recovery(grid, beta):
-    cfg = SolverConfig(ConeConfiguration(beta), 0.0, beta)
-    sol = solve_ma(cfg, grid=grid)
+    sol = solve_ma(build_twist(grid, beta, 0.0), beta)
     oracle = football_oracle_phi(grid, beta, sol.twist.constant)
     core = np.abs(grid.t) <= 8.0
     assert sol.iterations <= 25
@@ -115,13 +113,12 @@ def test_football_recovery(grid, beta):
 
 def test_smooth_fixed_point(grid):
     for delta in (0.0, 1e-3, 1.0):
-        sol = solve_ma(SolverConfig(ConeConfiguration(1.0), delta, 1.0), grid=grid)
+        sol = solve_ma(build_twist(grid, 1.0, delta), 1.0)
         assert np.max(np.abs(sol.phi)) < 1e-9
 
 
 def test_tau_zero_double_quadrature_oracle(grid):
-    cfg = SolverConfig(ConeConfiguration(0.75), 1e-2, 0.0)
-    sol = solve_ma(cfg, grid=grid)
+    sol = solve_ma(build_twist(grid, 0.75, 1e-2), 0.0)
     # independent route: integrate the source twice and remove the mean
     tw = sol.twist
     p0 = fubini_study_potential(grid).phi_doubleprime
@@ -137,19 +134,19 @@ def test_tau_zero_double_quadrature_oracle(grid):
 
 def test_solution_residuals_below_invariant(grid):
     for beta, delta, tau in ((0.75, 0.0, 0.75), (0.8, 1e-3, 0.4), (0.9, 1e-2, 0.0)):
-        sol = solve_ma(SolverConfig(ConeConfiguration(beta), delta, tau), grid=grid)
+        sol = solve_ma(build_twist(grid, beta, delta), tau)
         assert sol.residual <= 1e-10
 
 
 def test_uniqueness_from_random_guesses(grid):
     rng = np.random.default_rng(7)
-    cfg = SolverConfig(ConeConfiguration(0.75), 1e-3, 0.45)
+    twist = build_twist(grid, 0.75, 1e-3)
     base = None
     for _ in range(5):
         amps = rng.uniform(-0.05, 0.05, 3)
         locs = rng.uniform(-1.0, 1.0, 3)
         guess = sum(a / np.cosh(grid.t - b) for a, b in zip(amps, locs))
-        sol = solve_ma(cfg, guess=guess, grid=grid)
+        sol = solve_ma(twist, 0.45, guess)
         if base is None:
             base = sol.phi
         else:
@@ -157,19 +154,19 @@ def test_uniqueness_from_random_guesses(grid):
 
 
 def test_positivity_guard(grid):
-    cfg = SolverConfig(ConeConfiguration(0.75), 1e-3, 0.45)
+    twist = build_twist(grid, 0.75, 1e-3)
     bad_guess = 10.0 / np.cosh(grid.t)  # density turns negative
     with pytest.raises(PositivityLost):
-        solve_ma(cfg, guess=bad_guess, grid=grid)
+        solve_ma(twist, 0.45, bad_guess)
 
 
 def test_newton_budget_exhaustion(grid, monkeypatch):
     import conic_ke.ma_solver as ma_solver
     monkeypatch.setattr(ma_solver, "_NEWTON_MAX_ITER", 1)
     monkeypatch.setattr(ma_solver, "_NEWTON_TOL", 1e-13)
-    cfg = SolverConfig(ConeConfiguration(0.5), 0.0, 0.5)
+    twist = build_twist(grid, 0.5, 0.0)
     with pytest.raises(NewtonDiverged):
-        solve_ma(cfg, grid=grid)
+        solve_ma(twist, 0.5)
 
 
 @pytest.mark.parametrize("guess", [
@@ -177,9 +174,9 @@ def test_newton_budget_exhaustion(grid, monkeypatch):
     lambda t: np.full(t.size, -2000.0),            # e^(-tau phi) overflows at the closures
 ])
 def test_overflowing_newton_system_diverges(grid, guess):
-    cfg = SolverConfig(ConeConfiguration(0.8), 0.01, 0.5)
+    twist = build_twist(grid, 0.8, 0.01)
     with pytest.raises(NewtonDiverged, match="not finite"):
-        solve_ma(cfg, guess=guess(grid.t), grid=grid)
+        solve_ma(twist, 0.5, guess(grid.t))
 
 
 def test_singular_newton_system_diverges(grid, monkeypatch):
@@ -190,7 +187,7 @@ def test_singular_newton_system_diverges(grid, monkeypatch):
 
     monkeypatch.setattr(ma_solver, "_solve_tridiagonal", singular)
     with pytest.raises(NewtonDiverged, match="singular"):
-        solve_ma(SolverConfig(ConeConfiguration(0.8), 0.01, 0.5), grid=grid)
+        solve_ma(build_twist(grid, 0.8, 0.01), 0.5)
 
 
 def test_path_stall_reports_last_tau(monkeypatch):
@@ -203,22 +200,31 @@ def test_path_stall_reports_last_tau(monkeypatch):
     assert len(exc.value.trace.steps) == 1
 
 
-def test_config_validation():
-    cone = ConeConfiguration(0.5)
+def test_config_validation(grid):
     with pytest.raises(ValueError):
-        SolverConfig(cone, 0.0, 0.7)   # tau above mu
+        solve_ma(build_twist(grid, 0.5, 0.0), 0.7)   # tau above mu
     with pytest.raises(ValueError):
-        SolverConfig(cone, -1.0, 0.1)  # negative delta
+        build_twist(grid, 0.5, -1.0)  # negative delta
     with pytest.raises(ValueError):
         ConeConfiguration(1e-17)  # mu = 1 - (1 - beta) rounds to 0
     for bad in (float("nan"), float("inf")):
         with pytest.raises(ValueError):
-            SolverConfig(cone, bad, 0.1)
+            build_twist(grid, 0.5, bad)
+
+
+@pytest.mark.parametrize("beta, delta, angle", [
+    (0.6, 0.0, 0.6), (0.6, 1e-2, 1.0), (1.0, 0.0, 1.0)])
+def test_potential_angles_come_from_the_twist(beta, delta, angle):
+    g = Grid(-16, 16, 257)
+    sol = solve_ma(build_twist(g, beta, delta), 0.0)
+    assert sol.twist.cone.beta == beta and sol.twist.delta == delta
+    pot = sol.potential
+    assert pot.angle_at_zero == pot.angle_at_infinity == angle
 
 
 def test_smoothed_pole_angle_between(grid):
     # smoothing regularizes the cone: fitted fraction sits strictly between
-    sol = solve_ma(SolverConfig(ConeConfiguration(0.6), 1e-2, 0.6), grid=grid)
+    sol = solve_ma(build_twist(grid, 0.6, 1e-2), 0.6)
     ang = cone_angle_at_pole(sol.potential, "zero", residual_threshold=1.0)
     assert 0.6 < ang < 1.0
 
@@ -286,9 +292,9 @@ def test_uniform_path_failure_is_the_solves_own(monkeypatch):
     tried = []
     solve = ma_solver.solve_ma
 
-    def recording(cfg, **kwargs):
-        tried.append(cfg.tau)
-        return solve(cfg, **kwargs)
+    def recording(twist, tau, guess=None):
+        tried.append(tau)
+        return solve(twist, tau, guess)
 
     monkeypatch.setattr(ma_solver, "solve_ma", recording)
     monkeypatch.setattr(ma_solver, "_NEWTON_MAX_ITER", 1)
@@ -340,7 +346,7 @@ def test_ricci_margin_nonnegative(smoothing_075):
 
 
 def test_ricci_margin_trivial(grid):
-    sol = solve_ma(SolverConfig(ConeConfiguration(1.0), 1e-2, 1.0), grid=grid)
+    sol = solve_ma(build_twist(grid, 1.0, 1e-2), 1.0)
     rep = ricci_lower_bound_margin(sol)
     assert np.max(np.abs(rep.margin_formula)) < 1e-8
 
@@ -349,7 +355,7 @@ def test_ricci_margin_discrepancy_second_order():
     vals = []
     for n in (1025, 2049):
         g = Grid(-16, 16, n)
-        sol = solve_ma(SolverConfig(ConeConfiguration(0.7), 1e-2, 0.7), grid=g)
+        sol = solve_ma(build_twist(g, 0.7, 1e-2), 0.7)
         vals.append(ricci_lower_bound_margin(sol).discrepancy)
     assert vals[0] / vals[1] >= 3.5
 
@@ -366,7 +372,7 @@ def test_first_eigenvalue_round(fs):
 
 
 def test_first_eigenvalue_midpath(grid):
-    sol = solve_ma(SolverConfig(ConeConfiguration(0.8), 1e-3, 0.4), grid=grid)
+    sol = solve_ma(build_twist(grid, 0.8, 1e-3), 0.4)
     lam, _ = first_eigenvalue(sol.potential)
     assert lam > 0.4
 
@@ -469,8 +475,8 @@ def test_lapack_kernels_match_scipy_linalg(grid, monkeypatch):
 
     monkeypatch.setattr(ma_solver, "_solve_tridiagonal", record)
     cone = ConeConfiguration(0.8)
-    solve_ma(SolverConfig(cone, 1e-3, 0.0), grid=grid)
-    sol = solve_ma(SolverConfig(cone, 1e-3, cone.mu), grid=grid)
+    solve_ma(build_twist(grid, cone.beta, 1e-3), 0.0)
+    sol = solve_ma(build_twist(grid, cone.beta, 1e-3), cone.mu)
     assert len(systems) == 1 + sol.iterations >= 3
     for ab, rhs in systems:
         assert np.array_equal(solve(ab, rhs), solve_banded((1, 1), ab, rhs))

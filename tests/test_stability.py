@@ -4,13 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conic_ke.geometry import (
-    ConeConfiguration,
     Grid,
     RadialKahlerPotential,
     football_potential,
     fubini_study_potential,
 )
-from conic_ke.ma_solver import SolverConfig, solve_ma
+from conic_ke.ma_solver import build_twist, solve_ma
 from conic_ke.numerics import cumulative_integral
 from conic_ke.stability import (
     futaki,
@@ -183,5 +182,5 @@ def test_obstruction_scan(grid, fs):
             assert r.log_futaki == pytest.approx(1.0 * (1.0 - r.beta), abs=1e-6)
     # cross-check: the unobstructed configuration is realized by the solver
     for beta in betas:
-        sol = solve_ma(SolverConfig(ConeConfiguration(beta), 0.0, beta), grid=grid)
+        sol = solve_ma(build_twist(grid, beta, 0.0), beta)
         assert sol.residual < 1e-10
