@@ -11,9 +11,8 @@ __version__ = "0.1.0"
 # first read (PEP 562), so `import conic_ke` alone loads no numpy.
 _EXPORTS = {
     "geometry": (
-        "ConeConfiguration", "Grid", "RadialKahlerPotential", "area",
-        "cone_angle_at_pole", "defining_section_norm", "football_potential",
-        "fubini_study_potential", "gauss_curvature", "gauss_curvature_profile",
+        "ConeConfiguration", "Grid", "RadialKahlerPotential", "cone_angle_at_pole",
+        "defining_section_norm", "football_potential", "fubini_study_potential",
         "ricci_potential_h0"),
     "errors": ("NewtonDiverged", "PathStalled", "PositivityLost", "SolverError"),
     "ma_solver": (

@@ -104,11 +104,13 @@ def _profile_table(sol):
 
 def cmd_solve(args) -> Run:
     from .io import format_number, potential_manifest, potential_table
-    from .ma_solver import build_twist, solve_ma
+    from .ma_solver import build_twist, check_tau, solve_ma
     grid = _grid_from(args)
     cone = _cone_from(args)
-    if not 0.0 <= args.tau <= cone.mu + 1e-15:
-        raise ValueError(f"--tau {args.tau}: must lie in [0, mu={cone.mu}]")
+    try:
+        check_tau(args.tau, cone.mu)
+    except ValueError as exc:
+        raise ValueError(f"--tau {args.tau}: {exc}") from None
     sol = solve_ma(build_twist(grid, cone.beta, args.delta), args.tau)
     pot = sol.potential
     return Run({"solution.csv": potential_table(pot),
@@ -159,11 +161,12 @@ def cmd_smooth_family(args) -> Run:
     bounds = two_sided_bound_check(rep)
     tables = {
         "family.csv": (["delta", "sup_distance", "core_distance"],
-                       zip(rep.deltas, rep.sup_distances, rep.core_distances)),
+                       [(sol.twist.delta, sup, core) for sol, sup, core in
+                        zip(rep.solutions, rep.sup_distances, rep.core_distances)]),
         "margins.csv": (["delta", "min_ricci_margin", "margin_route_discrepancy",
                          "newton_iters"],
-                        [(d, m.min_margin, m.discrepancy, sol.iterations)
-                         for d, m, sol in zip(rep.deltas, margins, rep.solutions)]),
+                        [(sol.twist.delta, m.min_margin, m.discrepancy, sol.iterations)
+                         for m, sol in zip(margins, rep.solutions)]),
         "two_sided.csv": (["lower_constant", "upper_constant", "argmin_t"],
                           [(bounds.lower_constant, bounds.upper_constant, bounds.argmin_t)]),
     }

@@ -64,9 +64,10 @@ class LogLogCutoff:
 
     Vanishes for rho <= delta^3 eps_bar, equals one for rho >= delta
     eps_bar, with |grad gamma| <= 1/(rho (-log(rho/eps_bar))).  The ramp is
-    the piecewise-linear profile of slope 1/log 3, so the stated gradient
-    bound holds with margin.  delta is carried through its logarithm: the
-    selection rule can push delta below the smallest positive double.
+    the piecewise-linear profile of slope 1/log 3 < 1 in log(-log), so the
+    stated gradient bound holds with margin.  delta is carried through its
+    logarithm: the selection rule can push delta below the smallest positive
+    double.
     """
 
     eps_bar: float
@@ -100,25 +101,6 @@ class LogLogCutoff:
         out[s <= 0.0] = 1.0
         out[~pos] = 0.0
         return out
-
-    def gradient_magnitude(self, rho):
-        """|d gamma / d rho|, supported on the gradient band."""
-        rho = np.asarray(rho, dtype=float)
-        s1, s2 = self.band_s
-        out = np.zeros_like(rho)
-        pos = rho > 0.0
-        s = np.where(pos, -np.log(np.where(pos, rho, 1.0) / self.eps_bar), np.inf)
-        band = (s > s1) & (s < s2)
-        # the ramp runs linearly in log(-log(rho/eps_bar)) over a window of
-        # width log 3, so the chain rule gives slope (1/log 3)/(rho s)
-        out[band] = (1.0 / LOG3) / (rho[band] * s[band])
-        return out
-
-    def gradient_bound(self, rho):
-        """The stated envelope 1/(rho (-log(rho/eps_bar)))."""
-        rho = np.asarray(rho, dtype=float)
-        s = -np.log(rho / self.eps_bar)
-        return 1.0 / (rho * s)
 
 
 def loglog_cutoff(eps_bar: float, delta: float | None = None,

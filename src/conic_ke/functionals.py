@@ -45,12 +45,6 @@ class FunctionalReport:
     f_value: float
     linear_term: float      # (1/V) int phi omega0
     log_term: float         # log of the normalized twisted volume
-    tau: float
-
-    def assembly_residual(self) -> float:
-        """Internal consistency F = J - linear - log/tau, exact to rounding."""
-        return abs(self.f_value
-                   - (self.j_value - self.linear_term - self.log_term / self.tau))
 
 
 def f_functional(phi: np.ndarray, tau: float, twist,
@@ -77,7 +71,7 @@ def f_functional(phi: np.ndarray, tau: float, twist,
         + math.exp(-tau * phi[0]) * tw + math.exp(-tau * phi[-1]) * tw
     log_term = float(np.log(twisted / twist.reference_volume))
     fv = jv - linear - log_term / tau
-    return FunctionalReport(jv, fv, linear, log_term, tau)
+    return FunctionalReport(jv, fv, linear, log_term)
 
 
 @dataclass

@@ -24,9 +24,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .numerics import cumulative_integral, d1, d2, simpson_weights
+from .numerics import cumulative_integral, simpson_weights
 
-STANDARD_AREA = 4.0 * np.pi
 _FIT_FRACTION = 0.2     # share of the nodes next to a pole in cone_angle_at_pole's fit
 
 
@@ -80,12 +79,6 @@ class Grid:
     def integrate(self, values: np.ndarray) -> float:
         return float(np.dot(self.weights, values))
 
-    def index_of(self, t: float) -> int:
-        i = int(round((t - self.t_min) / self.h))
-        if i < 0 or i >= self.n_nodes:
-            raise ValueError(f"t={t} outside grid")
-        return i
-
 
 @dataclass
 class RadialKahlerPotential:
@@ -114,28 +107,13 @@ class RadialKahlerPotential:
             if not 0.0 < a <= 1.0:
                 raise ValueError("cone fractions must lie in (0, 1]")
 
-    @property
-    def is_positive(self) -> bool:
-        return bool(np.all(self.phi_doubleprime > 0.0))
-
     def require_positive(self):
-        if not self.is_positive:
+        if not np.all(self.phi_doubleprime > 0.0):
             raise ValueError("metric positivity violated: Phi'' <= 0 somewhere")
 
     def values(self) -> np.ndarray:
         """Potential values Phi(t) reconstructed by cumulative quadrature."""
         return cumulative_integral(self.phi_prime, self.grid.h, self.base_offset)
-
-    def scaled(self, c: float) -> "RadialKahlerPotential":
-        """Metric scaled by c > 0 (leaves the projective class; diagnostics only)."""
-        return RadialKahlerPotential(
-            self.grid, c * self.phi_prime, c * self.phi_doubleprime,
-            c * self.base_offset, self.angle_at_zero, self.angle_at_infinity)
-
-    def consistency_residual(self) -> float:
-        """sup |d/dt Phi' - Phi''| over interior nodes, O(h^2) for smooth data."""
-        dp = d1(self.phi_prime, self.grid.h)
-        return float(np.max(np.abs(dp[1:-1] - self.phi_doubleprime[1:-1])))
 
 
 @dataclass(frozen=True)
@@ -218,26 +196,6 @@ def football_phi(grid: Grid, beta: float) -> np.ndarray:
 # pointwise and integral diagnostics
 
 
-def area(pot: RadialKahlerPotential) -> float:
-    """Total area 2 pi (Phi'(t_max) - Phi'(t_min)); 4 pi up to truncation."""
-    return float(2.0 * np.pi * (pot.phi_prime[-1] - pot.phi_prime[0]))
-
-
-def gauss_curvature_profile(pot: RadialKahlerPotential) -> np.ndarray:
-    """K(t) = -(log Phi'')''/Phi'' at every node, centered differences."""
-    pot.require_positive()
-    lg = np.log(pot.phi_doubleprime)
-    return -d2(lg, pot.grid.h) / pot.phi_doubleprime
-
-
-def gauss_curvature(pot: RadialKahlerPotential, t: float) -> float:
-    """Curvature at the node nearest t; t must sit away from the boundary."""
-    i = pot.grid.index_of(t)
-    if i < 2 or i > pot.grid.n_nodes - 3:
-        raise ValueError("node too close to the grid boundary")
-    return float(gauss_curvature_profile(pot)[i])
-
-
 def cone_angle_at_pole(pot: RadialKahlerPotential, pole: str,
                        residual_threshold: float = 0.2) -> float:
     """Cone fraction from the asymptotic slope of log Phi''.
@@ -317,12 +275,3 @@ def ricci_potential_h0(pot0: RadialKahlerPotential) -> tuple[np.ndarray, float]:
             raise ValueError("ricci_potential_h0 requires a smooth (angle-1) metric")
     return ricci_potential(pot0, 1.0, angle_zero=1.0)
 
-
-def gauss_bonnet_defect(pot: RadialKahlerPotential) -> float:
-    """4 pi minus the curvature integral plus the two cone-point deficits."""
-    k = gauss_curvature_profile(pot)
-    integral = pot.grid.integrate(k * pot.phi_doubleprime) * 2.0 * np.pi
-    b0 = cone_angle_at_pole(pot, "zero")
-    b1 = cone_angle_at_pole(pot, "infinity")
-    total = integral + 2.0 * np.pi * (1.0 - b0) + 2.0 * np.pi * (1.0 - b1)
-    return float(STANDARD_AREA - total)

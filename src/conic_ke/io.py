@@ -66,8 +66,8 @@ def potential_table(pot: RadialKahlerPotential) -> tuple[list[str], zip]:
                                  pot.phi_doubleprime.tolist())
 
 
-def read_potential_csv(path, angle_zero: float = 1.0,
-                       angle_infinity: float = 1.0) -> RadialKahlerPotential:
+def read_potential_csv(path) -> RadialKahlerPotential:
+    """A `potential_table` CSV as a profile: base offset 0, cone fractions 1."""
     path = Path(path)
     with warnings.catch_warnings():      # an empty table is reported below
         warnings.simplefilter("ignore", UserWarning)
@@ -80,8 +80,7 @@ def read_potential_csv(path, angle_zero: float = 1.0,
     grid = Grid(float(t[0]), float(t[-1]), n)
     if not np.allclose(grid.t, t, rtol=0, atol=1e-12):
         raise ValueError(f"{path}: nodes are not a uniform symmetric grid")
-    return RadialKahlerPotential(grid, data[:, 1], data[:, 2],
-                                 0.0, angle_zero, angle_infinity)
+    return RadialKahlerPotential(grid, data[:, 1], data[:, 2])
 
 
 def potential_manifest(pot: RadialKahlerPotential) -> dict:

@@ -16,9 +16,10 @@ the semi-infinite integrals of the twist over each tail together with a
 first-order model of the potential's tail decay.  With u = sigma(t) the
 tails are integrals over [0, sigma(-T)]: for delta = 0 incomplete beta
 functions summed as series, for delta > 0 smooth integrals taken by a
-tanh-sinh rule, both to rounding.  The remaining closure error is second
-order in the tail mass: it scales as the product of the twist and reference
-tail masses (measured on the football at beta = 0.5 and 0.8, T = 4..12).
+tanh-sinh rule, both to rounding.  The remaining closure error is set by
+the twist's tail mass alone and grows faster than linearly in it: on the
+football at tau = mu, T = 16, a tail mass of 9.1e-3 (beta = 0.3) leaves
+2.3e-6 and one of 4.3e-2 (beta = 0.2) leaves 1.75e-4 (ROADMAP item 12).
 The damped Newton iteration keeps the system tridiagonal throughout.
 
 Spectral gap: each angular mode of the metric Laplacian is one SPD Jacobi
@@ -411,6 +412,12 @@ def _solve_linear_mean_zero(twist, p0):
     return phi
 
 
+def check_tau(tau: float, mu: float) -> None:
+    """Raise ValueError unless 0 <= tau <= mu, up to a 1e-15 slack above mu."""
+    if not 0.0 <= tau <= mu + 1e-15:
+        raise ValueError(f"tau must lie in [0, mu={mu}], got {tau}")
+
+
 def solve_ma(twist: TwistData, tau: float,
              guess: np.ndarray | None = None) -> MASolution:
     """Damped-Newton solve of the radial twisted equation at tau in [0, mu].
@@ -423,9 +430,7 @@ def solve_ma(twist: TwistData, tau: float,
     tau = 0 short-circuits to a single constrained linear solve and ignores
     `guess`.
     """
-    mu = twist.cone.mu
-    if not 0.0 <= tau <= mu + 1e-15:
-        raise ValueError(f"tau must lie in [0, mu={mu}], got {tau}")
+    check_tau(tau, twist.cone.mu)
     grid = twist.grid
     p0 = grid.reference.phi_doubleprime
     h = grid.h
@@ -591,16 +596,18 @@ def first_eigenvalue(pot: RadialKahlerPotential) -> tuple[float, dict]:
 
 @dataclass
 class TraceStep:
-    tau: float
     solution: MASolution        # its `iterations` and `residual` are the Newton work
     j_value: float
     f_value: float              # on-path value J - mean(phi)
     lambda1: float
 
+    @property
+    def tau(self) -> float:
+        return self.solution.tau
+
 
 @dataclass
 class ContinuationTrace:
-    cone: ConeConfiguration
     steps: list[TraceStep] = field(default_factory=list)
     status: str = "incomplete"
 
@@ -613,7 +620,8 @@ class ContinuationTrace:
         if np.any(np.diff(taus) <= 0.0):
             raise ValueError("tau must be strictly increasing along the trace")
         if self.status == "complete":
-            if taus[0] != 0.0 or abs(taus[-1] - self.cone.mu) > 1e-14:
+            mu = self.steps[-1].solution.twist.cone.mu
+            if taus[0] != 0.0 or abs(taus[-1] - mu) > 1e-14:
                 raise ValueError("complete traces must run from 0 to mu")
         bad = [s.tau for s in self.steps if s.solution.residual > _NEWTON_TOL]
         if bad:
@@ -622,7 +630,7 @@ class ContinuationTrace:
 
 def _trace_step(sol) -> TraceStep:
     jv = j_functional(sol.phi, sol.grid, dphi=sol.dphi)
-    return TraceStep(sol.tau, sol, jv, jv - sol.twist.reference_mean(sol.phi),
+    return TraceStep(sol, jv, jv - sol.twist.reference_mean(sol.phi),
                      first_eigenvalue(sol.potential)[0])
 
 
@@ -646,7 +654,7 @@ def continuity_path(cone: ConeConfiguration, delta: float,
     mu = cone.mu
     uniform = None if steps is None else np.linspace(0.0, mu, int(steps) + 1)[1:]
     twist = build_twist(grid or Grid(), cone.beta, delta)
-    trace = ContinuationTrace(cone)
+    trace = ContinuationTrace()
     trace.steps.append(_trace_step(solve_ma(twist, 0.0)))
     dtau = mu / 20.0
     easy_streak = 0
@@ -687,9 +695,7 @@ def continuity_path(cone: ConeConfiguration, delta: float,
 
 @dataclass
 class SmoothingReport:
-    cone: ConeConfiguration
-    deltas: list
-    solutions: list            # MASolution per delta, same order
+    solutions: list            # MASolution per delta, in the order given
     conic_solution: MASolution
     sup_distances: np.ndarray
     core_distances: np.ndarray
@@ -722,14 +728,12 @@ def smoothing_family(cone: ConeConfiguration, delta_list,
         sup_d.append(float(diff.max()))
         core_d.append(float(diff[core].max()))
         guess = sol.phi
-    return SmoothingReport(cone, deltas, sols, conic,
-                           np.array(sup_d), np.array(core_d))
+    return SmoothingReport(sols, conic, np.array(sup_d), np.array(core_d))
 
 
 @dataclass
 class RicciMarginReport:
     margin_formula: np.ndarray   # three-term expression, manifestly >= 0
-    margin_curvature: np.ndarray # -(log Phi'')'' - mu Phi'' from the solution
     min_margin: float
     discrepancy: float           # sup |formula - curvature| over the interior
 
@@ -739,8 +743,8 @@ def ricci_lower_bound_margin(solution: MASolution) -> RicciMarginReport:
 
     Route (a) differentiates the solved profile; route (b) evaluates the
     closed three-term expression in the smoothing parameter.  The reported
-    minimum uses route (b) (route (a) carries the O(h^2) stencil error and
-    is returned for the refinement cross-check).
+    minimum uses route (b); route (a), -(log Phi'')'' - mu Phi'', carries the
+    O(h^2) stencil error and enters only the discrepancy between the two.
     """
     tw, grid = solution.twist, solution.grid
     beta, delta, mu = tw.cone.beta, tw.delta, tw.cone.mu
@@ -756,7 +760,7 @@ def ricci_lower_bound_margin(solution: MASolution) -> RicciMarginReport:
     curv = -d2(np.log(density), grid.h) - mu * density
     inner = slice(2, grid.n_nodes - 2)
     return RicciMarginReport(
-        formula, curv,
+        formula,
         float(formula.min()),
         float(np.max(np.abs(formula[inner] - curv[inner]))))
 
@@ -773,12 +777,12 @@ def two_sided_bound_check(report: SmoothingReport) -> TwoSidedBounds:
     grid = report.conic_solution.grid
     p0 = grid.reference.phi_doubleprime
     u = defining_section_norm(grid)
-    beta = report.cone.beta
     lower = -np.inf
     upper = -np.inf
     argmin_t = 0.0
     best_ratio = np.inf
-    for sol, d in zip(report.solutions, report.deltas):
+    for sol in report.solutions:
+        beta, d = sol.twist.cone.beta, sol.twist.delta
         ratio = sol.metric_density / p0
         lower = max(lower, float((1.0 / ratio).max()))
         i = int(np.argmin(ratio))

@@ -28,12 +28,6 @@ class HamiltonianPotential:
     theta: np.ndarray
     mean_removed: float
 
-    def relation_residual(self) -> float:
-        """sup |theta' - Phi''| over interior nodes (defining relation)."""
-        grid = self.pot.grid
-        dt = d1(self.theta, grid.h)
-        return float(np.max(np.abs(dt[2:-2] - self.pot.phi_doubleprime[2:-2])))
-
     def limit_at(self, pole: str) -> float:
         """Asymptotic value of theta at a pole, via the fitted tail slope.
 

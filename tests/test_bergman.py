@@ -22,7 +22,7 @@ from conic_ke.geometry import (
     football_potential,
     fubini_study_potential,
 )
-from conic_ke.numerics import logsumexp_rows
+from conic_ke.numerics import d2, logsumexp_rows
 
 FOUR_PI = 4.0 * np.pi
 CONE_ONE = ConeConfiguration(1.0)
@@ -38,11 +38,13 @@ def fs_weight(fs):
 
 
 def test_weight_curvature_second_order():
+    # the weight's curvature -(log weight)'' is the metric Phi''
     res = []
     for n in (1025, 2049):
         g = Grid(-16, 16, n)
         w = associated_hermitian_weight(fubini_study_potential(g), CONE_ONE)
-        res.append(w.curvature_residual())
+        resid = -d2(w.log_weight, g.h) - w.pot.phi_doubleprime
+        res.append(np.max(np.abs(resid[2:-2])))
     assert res[0] / res[1] >= 3.5
     assert res[1] < 1e-4
 
@@ -133,7 +135,7 @@ def test_gram_positive_definite(grid):
 def test_density_trace_identity(grid, fs, fs_weight):
     for ell in (1, 8, 64):
         rep = bergman_density(gram_matrix(ell, fs_weight, fs), fs)
-        assert rep.trace_defect() < 1e-8
+        assert abs(rep.trace_integral - (2 * ell + 1)) < 1e-8
 
 
 def test_density_round_constant():
@@ -154,7 +156,7 @@ def test_density_conic_positive(grid):
     w = associated_hermitian_weight(fb, ConeConfiguration(0.6))
     rep = bergman_density(gram_matrix(8, w, fb), fb)
     assert rep.inf_rho > 0.0
-    assert rep.trace_defect() < 1e-8
+    assert abs(rep.trace_integral - (2 * 8 + 1)) < 1e-8
     # the cone points carry the density peak (about 1/beta times the bulk)
     assert rep.rho[0] == pytest.approx(rep.sup_rho, rel=1e-6)
 

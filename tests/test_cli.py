@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -22,7 +23,13 @@ from conic_ke.io import (
     write_csv,
     write_manifest,
 )
-from conic_ke.ma_solver import ricci_lower_bound_margin, smoothing_family, two_sided_bound_check
+from conic_ke.ma_solver import (
+    build_twist,
+    ricci_lower_bound_margin,
+    smoothing_family,
+    solve_ma,
+    two_sided_bound_check,
+)
 
 
 def run(*argv):
@@ -57,7 +64,7 @@ def test_solve_football_oracle(tmp_path):
     out = tmp_path / "fb"
     assert run("solve", "--beta", 0.75, "--delta", 0, "--tau", 0.75,
                "--out", out) == 0
-    pot = read_potential_csv(out / "solution.csv", 0.75, 0.75)
+    pot = read_potential_csv(out / "solution.csv")
     oracle = football_potential(pot.grid, 0.75)
     assert np.max(np.abs(pot.phi_doubleprime - oracle.phi_doubleprime)) < 1e-8
 
@@ -67,6 +74,29 @@ def test_solve_invalid_config(tmp_path, capsys):
                "--out", tmp_path / "bad")
     assert code == 1
     assert "error:" in capsys.readouterr().err
+
+
+TAU_BETA = 0.8
+TAU_MU = ConeConfiguration(TAU_BETA).mu
+
+
+@pytest.mark.parametrize("tau, accepted", [
+    (TAU_MU + 5e-16, True), (TAU_MU + 3e-15, False), (-1e-300, False), (math.nan, False),
+], ids=["mu-plus-5e-16", "mu-plus-3e-15", "minus-1e-300", "nan"])
+def test_tau_range_same_in_cli_and_library(tmp_path, capsys, tau, accepted):
+    # `solve --tau` and `solve_ma` accept and reject the same tau; the `=`
+    # form keeps argparse from reading -1e-300 as an option
+    code = run("solve", "--beta", TAU_BETA, "--delta", 1e-2, f"--tau={tau}",
+               "--grid-T", 8, "--grid-N", 129, "--out", tmp_path / "o")
+    twist = build_twist(Grid(-8.0, 8.0, 129), TAU_BETA, 1e-2)
+    if accepted:
+        assert code == 0
+        assert solve_ma(twist, tau).tau == tau
+    else:
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"error: --tau {tau}: tau must lie")
+        with pytest.raises(ValueError, match="tau must lie"):
+            solve_ma(twist, tau)
 
 
 def test_reproducible_outputs(tmp_path):

@@ -68,7 +68,7 @@ def test_f_constant_vanishes(grid, twist):
     for c in (-2.0, 1.0, 5.0):
         rep = f_functional(np.full(grid.n_nodes, c), 0.4, twist)
         assert abs(rep.f_value) < 1e-10
-        assert rep.assembly_residual() < 1e-13
+        assert abs(rep.f_value - (rep.j_value - rep.linear_term - rep.log_term / 0.4)) < 1e-13
 
 
 def test_f_offset_invariance(grid, twist):

@@ -6,19 +6,25 @@ from hypothesis import strategies as st
 from conic_ke.geometry import (
     Grid,
     RadialKahlerPotential,
-    area,
     cone_angle_at_pole,
     defining_section_norm,
     football_potential,
     fubini_study_potential,
-    gauss_bonnet_defect,
-    gauss_curvature,
-    gauss_curvature_profile,
     ricci_potential_h0,
 )
-from conic_ke.numerics import d2
+from conic_ke.numerics import d1, d2
 
 FOUR_PI = 4.0 * np.pi
+
+
+def area(pot):
+    """2 pi (Phi'(t_max) - Phi'(t_min)), the area the grid covers."""
+    return 2.0 * np.pi * (pot.phi_prime[-1] - pot.phi_prime[0])
+
+
+def curvature(pot):
+    """Gauss curvature -(log Phi'')''/Phi'' by centered differences."""
+    return -d2(np.log(pot.phi_doubleprime), pot.grid.h) / pot.phi_doubleprime
 
 
 def perturbed_smooth(grid, amp=0.01):
@@ -43,7 +49,7 @@ def test_grid_invariants():
 
 def test_fubini_study_midpoint(grid):
     fs = fubini_study_potential(grid)
-    assert fs.phi_prime[grid.index_of(0.0)] == pytest.approx(1.0, abs=1e-14)
+    assert fs.phi_prime[grid.n_nodes // 2] == pytest.approx(1.0, abs=1e-14)
 
 
 def test_fubini_study_area_closed_form(wide_grid):
@@ -58,7 +64,8 @@ def test_football_area_gauss_bonnet(wide_grid):
 
 def test_fubini_study_curvature():
     g = Grid(-16, 16, 16385)
-    assert gauss_curvature(fubini_study_potential(g), 0.0) == pytest.approx(1.0, abs=1e-6)
+    assert curvature(fubini_study_potential(g))[g.n_nodes // 2] \
+        == pytest.approx(1.0, abs=1e-6)
 
 
 def test_football_curvature_symbolic():
@@ -66,29 +73,18 @@ def test_football_curvature_symbolic():
     # bottoms out near 4e-7 (stencil rounding), see the decisions notes
     g = Grid(-16, 16, 8193)
     fb = football_potential(g, 0.5)
-    prof = gauss_curvature_profile(fb)
+    prof = curvature(fb)
     assert np.max(np.abs(prof[2:-2] - 0.5)) < 1e-6
-    assert gauss_curvature(football_potential(g, 0.75), 3.0) == pytest.approx(0.75, abs=1e-6)
-
-
-def test_flat_cylinder_curvature(grid):
-    pot = RadialKahlerPotential(grid, 0.1 * (grid.t - grid.t_min),
-                                np.full(grid.n_nodes, 0.1))
-    prof = gauss_curvature_profile(pot)
-    assert np.max(np.abs(prof[2:-2])) < 1e-12
+    at_3 = int(round((3.0 - g.t_min) / g.h))
+    assert curvature(football_potential(g, 0.75))[at_3] == pytest.approx(0.75, abs=1e-6)
 
 
 def test_curvature_refinement_second_order():
     res = []
     for g in (Grid(-16, 16, 1025), Grid(-16, 16, 2049)):
-        prof = gauss_curvature_profile(football_potential(g, 0.6))
+        prof = curvature(football_potential(g, 0.6))
         res.append(np.max(np.abs(prof[2:-2] - 0.6)))
     assert res[0] / res[1] >= 3.5
-
-
-def test_curvature_near_boundary_rejected(grid):
-    with pytest.raises(ValueError):
-        gauss_curvature(fubini_study_potential(grid), grid.t_max)
 
 
 def test_cone_angle_extraction(grid):
@@ -109,7 +105,7 @@ def test_cone_angle_rejects_non_conic(grid):
 
 def test_defining_section_norm(grid):
     s = defining_section_norm(grid)
-    assert s[grid.index_of(0.0)] == pytest.approx(1.0, abs=1e-14)
+    assert s[grid.n_nodes // 2] == pytest.approx(1.0, abs=1e-14)
     # closed form 4 e^t/(1+e^t)^2 at every node; 0.64 at t = log 4
     expect = 4.0 * np.exp(grid.t) / (1.0 + np.exp(grid.t)) ** 2
     assert np.max(np.abs(s - expect)) < 1e-13
@@ -137,7 +133,7 @@ def test_ricci_potential_roundtrip(grid):
     pot = perturbed_smooth(grid)
     h, _ = ricci_potential_h0(pot)
     lhs = d2(h, grid.h) + pot.phi_doubleprime
-    rhs = gauss_curvature_profile(pot) * pot.phi_doubleprime
+    rhs = curvature(pot) * pot.phi_doubleprime
     assert np.max(np.abs(lhs - rhs)[2:-2]) < 1e-4
 
 
@@ -156,7 +152,9 @@ def test_football_matches_round_at_beta_one(grid):
 def test_consistency_residual_second_order():
     res = []
     for g in (Grid(-16, 16, 1025), Grid(-16, 16, 2049)):
-        res.append(football_potential(g, 0.7).consistency_residual())
+        fb = football_potential(g, 0.7)
+        # sup |d/dt Phi' - Phi''| over the interior nodes
+        res.append(np.max(np.abs(d1(fb.phi_prime, g.h) - fb.phi_doubleprime)[1:-1]))
     assert res[0] / res[1] >= 3.5
     assert res[1] < 1e-4
 
@@ -166,7 +164,7 @@ def test_consistency_residual_second_order():
 def test_football_positivity_and_class(beta):
     g = Grid(-16, 16, 513)
     fb = football_potential(g, beta)
-    assert fb.is_positive
+    fb.require_positive()
     # moment profile increasing, endpoints near 0 and 2 at the conic rate
     assert np.all(np.diff(fb.phi_prime) > 0)
     assert fb.phi_prime[0] <= 10.0 * np.exp(beta * g.t_min)
@@ -175,24 +173,10 @@ def test_football_positivity_and_class(beta):
     assert abs(area(fb) - FOUR_PI) <= truncation + 1e-10
 
 
-@settings(max_examples=10, deadline=None)
-@given(beta=st.floats(0.45, 1.0))
-def test_gauss_bonnet(beta):
-    g = Grid(-40, 40, 4097)
-    assert abs(gauss_bonnet_defect(football_potential(g, beta))) < 1e-4
-
-
-def test_gauss_bonnet_perturbed(wide_grid):
-    assert abs(gauss_bonnet_defect(perturbed_smooth(wide_grid))) < 1e-4
-
-
 def test_base_offset_invariance(grid):
     fb = football_potential(grid, 0.7)
     shifted = RadialKahlerPotential(grid, fb.phi_prime, fb.phi_doubleprime,
                                     fb.base_offset + 3.7, 0.7, 0.7)
-    assert area(shifted) == area(fb)
-    assert np.array_equal(gauss_curvature_profile(shifted),
-                          gauss_curvature_profile(fb))
     assert cone_angle_at_pole(shifted, "zero") == cone_angle_at_pole(fb, "zero")
 
 
@@ -205,9 +189,10 @@ def test_potential_values_reconstruction(grid):
 def test_positivity_validation(grid):
     bad = RadialKahlerPotential(grid, np.linspace(0, 2, grid.n_nodes),
                                 np.full(grid.n_nodes, -1.0))
-    assert not bad.is_positive
     with pytest.raises(ValueError):
-        gauss_curvature_profile(bad)
+        bad.require_positive()
+    with pytest.raises(ValueError):
+        cone_angle_at_pole(bad, "zero")
 
 
 def test_grid_data_cached_and_read_only():

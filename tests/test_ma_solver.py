@@ -9,6 +9,7 @@ from conic_ke import geometry
 from conic_ke.geometry import (
     ConeConfiguration,
     Grid,
+    RadialKahlerPotential,
     cone_angle_at_pole,
     football_phi,
     football_potential,
@@ -379,7 +380,8 @@ def test_first_eigenvalue_midpath(grid):
 
 def test_eigenvalue_scaling(fs):
     lam, _ = first_eigenvalue(fs)
-    lam_scaled, _ = first_eigenvalue(fs.scaled(2.0))
+    doubled = RadialKahlerPotential(fs.grid, 2.0 * fs.phi_prime, 2.0 * fs.phi_doubleprime)
+    lam_scaled, _ = first_eigenvalue(doubled)
     assert lam_scaled == pytest.approx(lam / 2.0, rel=1e-12)
 
 
