@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 import time
 from pathlib import Path
@@ -37,9 +38,9 @@ EXIT_STALLED = 4
 
 
 class Run(NamedTuple):
-    """What a command computed: its tables as {file name: (header, rows)},
-    the text of its summary line, and the grid and extra keys of its
-    manifest."""
+    """What a command computed: its tables as {file name: (header, columns)}
+    in the form `io.write_csv` takes, the text of its summary line, and the
+    grid and extra keys of its manifest."""
 
     tables: dict
     summary: str
@@ -52,8 +53,8 @@ def _write(args, run: Run, t0: float) -> None:
     from .io import write_csv, write_manifest
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    for name, (header, rows) in run.tables.items():
-        write_csv(out / name, header, rows)
+    for name, (header, columns) in run.tables.items():
+        write_csv(out / name, header, columns)
     config = {k: v for k, v in vars(args).items()
               if k not in ("func", "config", "command")}
     write_manifest(out / "manifest.json", args.command, config, list(run.tables),
@@ -62,11 +63,18 @@ def _write(args, run: Run, t0: float) -> None:
 
 
 def _grid_from(args):
+    """The grid of `--grid-T` and `--grid-N`, with at least the nodes that
+    cumulative integration, used by every command with a grid, needs."""
     from .geometry import Grid
+    from .numerics import CUMULATIVE_MIN_NODES
     try:
-        return Grid(-args.grid_T, args.grid_T, args.grid_N)
+        grid = Grid(-args.grid_T, args.grid_T, args.grid_N)
     except ValueError as exc:
         raise ValueError(f"--grid-T {args.grid_T} --grid-N {args.grid_N}: {exc}") from None
+    if grid.n_nodes < CUMULATIVE_MIN_NODES:
+        raise ValueError(f"--grid-N {args.grid_N}: cumulative integration needs "
+                         f"at least {CUMULATIVE_MIN_NODES} nodes")
+    return grid
 
 
 def _cone_from(args):
@@ -92,14 +100,13 @@ def _comma_list(text: str, flag: str, read) -> list:
 
 
 def _profile_table(sol):
-    """The profile table of a solution.  Its potential and number lists are
-    built only when the rows are written, so a long path holds one profile
-    at a time."""
+    """The profile table of a solution.  Its potential is built only when
+    the table is written, so a long path holds one profile at a time."""
     from .io import POTENTIAL_HEADER, potential_table
 
-    def rows():
+    def columns():
         yield from potential_table(sol.potential)[1]
-    return POTENTIAL_HEADER, rows()
+    return POTENTIAL_HEADER, columns()
 
 
 def cmd_solve(args) -> Run:
@@ -114,7 +121,7 @@ def cmd_solve(args) -> Run:
     sol = solve_ma(build_twist(grid, cone.beta, args.delta), args.tau)
     pot = sol.potential
     return Run({"solution.csv": potential_table(pot),
-                "phi.csv": (["t", "phi"], zip(grid.t, sol.phi))},
+                "phi.csv": (["t", "phi"], [grid.t, sol.phi])},
                f"residual={format_number(sol.residual)} iterations={sol.iterations}",
                grid, {"potential": potential_manifest(pot),
                       "residual": sol.residual, "iterations": sol.iterations})
@@ -130,8 +137,8 @@ def cmd_continue_path(args) -> Run:
     trace = continuity_path(cone, args.delta, steps=args.steps, grid=grid)
     tables = {"trace.csv": (
         ["tau", "J", "F", "lambda1", "newton_iters", "residual"],
-        [(s.tau, s.j_value, s.f_value, s.lambda1, s.solution.iterations,
-          s.solution.residual) for s in trace.steps])}
+        zip(*[(s.tau, s.j_value, s.f_value, s.lambda1, s.solution.iterations,
+               s.solution.residual) for s in trace.steps]))}
     frows = []
     for k, s in enumerate(trace.steps):
         tables[f"step_{k:04d}.csv"] = _profile_table(s.solution)
@@ -141,7 +148,7 @@ def cmd_continue_path(args) -> Run:
             frows.append((f"step{k:04d}", s.tau, args.beta, args.delta,
                           rep.j_value, rep.f_value, rep.linear_term, rep.log_term))
     tables["functionals.csv"] = (
-        ["tag", "tau", "beta", "delta", "J", "F", "linear", "logterm"], frows)
+        ["tag", "tau", "beta", "delta", "J", "F", "linear", "logterm"], zip(*frows))
     return Run(tables, f"{len(trace.steps)} steps, status {trace.status}", grid)
 
 
@@ -161,14 +168,15 @@ def cmd_smooth_family(args) -> Run:
     bounds = two_sided_bound_check(rep)
     tables = {
         "family.csv": (["delta", "sup_distance", "core_distance"],
-                       [(sol.twist.delta, sup, core) for sol, sup, core in
-                        zip(rep.solutions, rep.sup_distances, rep.core_distances)]),
+                       zip(*[(sol.twist.delta, sup, core) for sol, sup, core in
+                             zip(rep.solutions, rep.sup_distances, rep.core_distances)])),
         "margins.csv": (["delta", "min_ricci_margin", "margin_route_discrepancy",
                          "newton_iters"],
-                        [(sol.twist.delta, m.min_margin, m.discrepancy, sol.iterations)
-                         for m, sol in zip(margins, rep.solutions)]),
+                        zip(*[(sol.twist.delta, m.min_margin, m.discrepancy, sol.iterations)
+                              for m, sol in zip(margins, rep.solutions)])),
         "two_sided.csv": (["lower_constant", "upper_constant", "argmin_t"],
-                          [(bounds.lower_constant, bounds.upper_constant, bounds.argmin_t)]),
+                          [[bounds.lower_constant], [bounds.upper_constant],
+                           [bounds.argmin_t]]),
     }
     for name, sol in zip(names, rep.solutions):
         tables[name] = _profile_table(sol)
@@ -196,13 +204,13 @@ def cmd_bergman_scan(args) -> Run:
         if args.density else None
     rows = [(r.beta, r.ell, r.inf_rho, r.sup_rho, r.trace_check)
             for r in partial_c0_scan(betas, ells, grid)]
-    tables = {"scan.csv": (["beta", "ell", "inf_rho", "sup_rho", "trace_check"], rows)}
+    tables = {"scan.csv": (["beta", "ell", "inf_rho", "sup_rho", "trace_check"], zip(*rows))}
     if density is not None:
         b, ell = density
         pot = football_potential(grid, b)
         weight = associated_hermitian_weight(pot, ConeConfiguration(b))
         rep = bergman_density(gram_matrix(ell, weight, pot), pot)
-        tables["density.csv"] = (["t", "rho"], zip(grid.t, rep.rho))
+        tables["density.csv"] = (["t", "rho"], [grid.t, rep.rho])
     return Run(tables, f"{len(rows)} cells, min inf rho "
                        f"{format_number(min(r[2] for r in rows))}", grid)
 
@@ -216,7 +224,7 @@ def cmd_futaki(args) -> Run:
     grad = float("nan") if rep.via_gradient is None else rep.via_gradient
     disc = float("nan") if rep.discrepancy is None else rep.discrepancy
     return Run({"futaki.csv": (["via_gradient", "via_theta", "discrepancy"],
-                               [(grad, rep.via_theta, disc)])},
+                               [[grad], [rep.via_theta], [disc]])},
                f"via_gradient={format_number(grad)} "
                f"via_theta={format_number(rep.via_theta)}", pot.grid)
 
@@ -254,13 +262,13 @@ def cmd_log_futaki(args) -> Run:
     if scan is not None:
         rows = obstruction_scan(*scan, pot)
         return Run({"obstruction.csv": (["config_id", "beta", "log_futaki", "flag"],
-                                        [(r.config_id, r.beta, r.log_futaki, r.flag)
-                                         for r in rows])},
+                                        zip(*[(r.config_id, r.beta, r.log_futaki, r.flag)
+                                              for r in rows]))},
                    f"{len(rows)} rows", pot.grid)
     points = [_parse_pair(item, "--points LOC:WEIGHT", _location, float)
               for item in args.points.split(",")]
     val = log_futaki(pot, args.beta, points)
-    return Run({"log_futaki.csv": (["beta", "log_futaki"], [(args.beta, val)])},
+    return Run({"log_futaki.csv": (["beta", "log_futaki"], [[args.beta], [val]])},
                format_number(val), pot.grid)
 
 
@@ -285,9 +293,9 @@ def cmd_capacity(args) -> Run:
     return Run({"capacity.csv": (
         ["n", "beta_bar", "eps", "log_delta", "energy",
          "closed_form_bound", "coarea_quadrature", "coarea_closed_form"],
-        [(args.n, args.beta_bar, args.eps, log_delta, rep.energy,
-          rep.closed_form_bound, rep.radial_factor_quadrature,
-          rep.radial_factor_coarea)])},
+        [[x] for x in (args.n, args.beta_bar, args.eps, log_delta, rep.energy,
+                       rep.closed_form_bound, rep.radial_factor_quadrature,
+                       rep.radial_factor_coarea)])},
         f"energy={format_number(rep.energy)} "
         f"bound={format_number(rep.closed_form_bound)} "
         f"within_eps={rep.energy <= args.eps}")
@@ -319,8 +327,8 @@ def cmd_volume_scan(args) -> Run:
             raise ValueError("tube mode needs --source cone:N:BETA_BAR")
         annulus = _parse_pair(args.annulus, "--annulus A:B", float, float)
         rep = tube_volume(flat_cone_metric(*params), annulus, radii)
-        return Run({"profile.csv": (["r", "value"], zip(rep.radii, rep.volumes)),
-                    "fit.csv": (["exponent", "constant"], [(rep.exponent, rep.constant)])},
+        return Run({"profile.csv": (["r", "value"], [rep.radii, rep.volumes]),
+                    "fit.csv": (["exponent", "constant"], [[rep.exponent], [rep.constant]])},
                    f"exponent={format_number(rep.exponent)}")
     if kind == "cone":
         source = flat_cone_metric(*params)
@@ -333,9 +341,9 @@ def cmd_volume_scan(args) -> Run:
         rep = volume_ratio_profile(source, center, radii)
     except RadiusBeyondGrid as exc:
         raise ValueError(f"--r-max {args.r_max:g} --grid-T {args.grid_T:g}: {exc}") from None
-    return Run({"profile.csv": (["r", "value"], zip(rep.radii, rep.ratios)),
+    return Run({"profile.csv": (["r", "value"], [rep.radii, rep.ratios]),
                 "fit.csv": (["angle_estimate", "monotone_defect"],
-                            [(rep.angle_estimate, rep.monotone_defect)])},
+                            [[rep.angle_estimate], [rep.monotone_defect]])},
                f"angle={format_number(rep.angle_estimate)}")
 
 
@@ -348,7 +356,14 @@ def _add_grid_flags(p):
 
 class _Parser(argparse.ArgumentParser):
     """Usage errors raise ValueError (exit 1, one line) instead of exiting 2,
-    the code of a solver failure; --help and --version still exit 0."""
+    the code of a solver failure; --help and --version still exit 0.  A
+    negative number in any form `float` reads (`-1e-3`, `-inf`) is a value,
+    not an option, so it reaches the range check of its flag."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(
+            r"^-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$|^-(inf|infinity|nan)$", re.IGNORECASE)
 
     def error(self, message):
         raise ValueError(f"{self.prog}: {message}")

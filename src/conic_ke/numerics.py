@@ -29,6 +29,9 @@ def _interval_weights(alignment: int) -> np.ndarray:
 
 _CUM_WEIGHTS = [_interval_weights(c) for c in range(5)]
 
+# the fewest nodes `cumulative_integral` takes: one quintic window
+CUMULATIVE_MIN_NODES = 6
+
 
 def cumulative_integral(values: np.ndarray, h: float, initial: float = 0.0) -> np.ndarray:
     """Cumulative integral along a uniform grid.
@@ -39,8 +42,8 @@ def cumulative_integral(values: np.ndarray, h: float, initial: float = 0.0) -> n
     """
     v = np.asarray(values, dtype=float)
     n = v.size
-    if n < 6:
-        raise ValueError("cumulative integration needs at least 6 nodes")
+    if n < CUMULATIVE_MIN_NODES:
+        raise ValueError(f"cumulative integration needs at least {CUMULATIVE_MIN_NODES} nodes")
     incr = np.empty(n - 1)
     windows = sliding_window_view(v, 6)
     incr[2:n - 3] = windows[: n - 5] @ _CUM_WEIGHTS[2]

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conic_ke import io
 from conic_ke.bergman import partial_c0_scan
 from conic_ke.cli import main
 from conic_ke.geometry import ConeConfiguration, Grid, football_potential, fubini_study_potential
@@ -30,6 +31,7 @@ from conic_ke.ma_solver import (
     solve_ma,
     two_sided_bound_check,
 )
+from conic_ke.numerics import CUMULATIVE_MIN_NODES
 
 
 def run(*argv):
@@ -80,13 +82,15 @@ TAU_BETA = 0.8
 TAU_MU = ConeConfiguration(TAU_BETA).mu
 
 
-@pytest.mark.parametrize("tau, accepted", [
-    (TAU_MU + 5e-16, True), (TAU_MU + 3e-15, False), (-1e-300, False), (math.nan, False),
-], ids=["mu-plus-5e-16", "mu-plus-3e-15", "minus-1e-300", "nan"])
-def test_tau_range_same_in_cli_and_library(tmp_path, capsys, tau, accepted):
-    # `solve --tau` and `solve_ma` accept and reject the same tau; the `=`
-    # form keeps argparse from reading -1e-300 as an option
-    code = run("solve", "--beta", TAU_BETA, "--delta", 1e-2, f"--tau={tau}",
+@pytest.mark.parametrize("tau, accepted, form", [
+    (TAU_MU + 5e-16, True, "plain"), (TAU_MU + 3e-15, False, "plain"),
+    (-1e-300, False, "plain"), (math.nan, False, "plain"), (-1e-300, False, "equals"),
+], ids=["mu-plus-5e-16", "mu-plus-3e-15", "minus-1e-300", "nan", "minus-1e-300-equals"])
+def test_tau_range_same_in_cli_and_library(tmp_path, capsys, tau, accepted, form):
+    # `solve --tau` and `solve_ma` accept and reject the same tau, and
+    # `--tau -1e-300` is read as a value like `--tau=-1e-300`
+    flag = ("--tau", tau) if form == "plain" else (f"--tau={tau}",)
+    code = run("solve", "--beta", TAU_BETA, "--delta", 1e-2, *flag,
                "--grid-T", 8, "--grid-N", 129, "--out", tmp_path / "o")
     twist = build_twist(Grid(-8.0, 8.0, 129), TAU_BETA, 1e-2)
     if accepted:
@@ -346,6 +350,11 @@ def test_eigen_solve_failure_exit_code(tmp_path, monkeypatch, capsys):
     assert err.count("\n") == 1 and "synthetic eigen-solve failure" in err
 
 
+def columns_of(rows, width):
+    """The columns of a list of rows of `width` cells."""
+    return [[row[i] for row in rows] for i in range(width)]
+
+
 def test_write_csv_matches_per_cell_format(tmp_path):
     rows = [("a", 1, True, np.int64(-7), np.float64(0.1), np.float32(0.1)),
             ("b", 2**60, False, np.int64(2**62), float("nan"), np.float32(-0.0)),
@@ -353,13 +362,18 @@ def test_write_csv_matches_per_cell_format(tmp_path):
     expected = "x,y,z,u,v,w\n" + "".join(
         ",".join(x if isinstance(x, str) else FMT % float(x) for x in row) + "\n"
         for row in rows)
-    write_csv(tmp_path / "g.csv", ["x", "y", "z", "u", "v", "w"], rows)
+    write_csv(tmp_path / "g.csv", ["x", "y", "z", "u", "v", "w"], columns_of(rows, 6))
     assert (tmp_path / "g.csv").read_text(encoding="utf-8") == expected
-    # a row whose text columns differ from the first row's raises
+    # numpy arrays of any number dtype print as their cells do
+    text, *numbers = columns_of(rows, 6)
+    write_csv(tmp_path / "a.csv", ["x", "y", "z", "u", "v", "w"],
+              [text, *map(np.array, numbers)])
+    assert (tmp_path / "a.csv").read_text(encoding="utf-8") == expected
+    # a text column with a number, or a number column with text, raises
     with pytest.raises(TypeError):
-        write_csv(tmp_path / "bad1.csv", ["x", "y"], [("a", 1.0), (2.0, 1.0)])
+        write_csv(tmp_path / "bad1.csv", ["x", "y"], [["a", 2.0], [1.0, 1.0]])
     with pytest.raises(TypeError):
-        write_csv(tmp_path / "bad2.csv", ["x", "y"], [("a", 1.0), ("b", "c")])
+        write_csv(tmp_path / "bad2.csv", ["x", "y"], [["a", "b"], [1.0, "c"]])
 
 
 def per_row_write_csv(path, header, rows):
@@ -398,17 +412,78 @@ def test_write_csv_matches_per_row_writer(tmp_path_factory, table):
     kinds, rows = table
     tmp = tmp_path_factory.mktemp("csv")
     header = [f"c{i}" for i in range(len(kinds))]
-    write_csv(tmp / "new.csv", header, rows)
+    write_csv(tmp / "new.csv", header, columns_of(rows, len(kinds)))
     per_row_write_csv(tmp / "old.csv", header, rows)
     assert (tmp / "new.csv").read_bytes() == (tmp / "old.csv").read_bytes()
 
 
 def test_write_csv_ragged_and_empty(tmp_path):
-    # one `%` over the whole table would let a short and a long row cancel
     with pytest.raises(TypeError):
-        write_csv(tmp_path / "r.csv", ["x", "y"], [(1.0, 2.0), (3.0,), (4.0, 5.0, 6.0)])
-    write_csv(tmp_path / "e.csv", ["x", "y"], [])
-    assert (tmp_path / "e.csv").read_text(encoding="utf-8") == "x,y\n"
+        write_csv(tmp_path / "r.csv", ["x", "y"], [[1.0, 3.0, 4.0], [2.0, 5.0]])
+    with pytest.raises(TypeError):
+        write_csv(tmp_path / "r.csv", ["x", "y", "z"], [["a", "b"], [2.0, 5.0], ["c"]])
+    for empty in ([], [[], []], [np.array([]), []]):
+        write_csv(tmp_path / "e.csv", ["x", "y"], empty)
+        assert (tmp_path / "e.csv").read_text(encoding="utf-8") == "x,y\n"
+
+
+def cell_texts(cells):
+    """The rows of `_format_column` cells without their padding."""
+    assert cells.shape[1] == io._WIDTH
+    lines = np.hstack([cells, np.full((len(cells), 1), ord("\n"), np.uint8)])
+    return lines.tobytes().translate(None, b"\xff").split(b"\n")[:-1]
+
+
+def _edge_doubles():
+    """Named edge classes of the %.17g layout and rounding."""
+    powers = np.array([float(f"1e{k}") for k in range(-323, 309)])
+    return {
+        "powers of ten and one ulp off": np.concatenate(
+            [powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf)]),
+        "layout boundaries": np.array([1e-5, 9.9999999999999991e-6, 1.0000000000000001e-5,
+                                       1e-4, 9.9999999999999991e-5, 1.0000000000000002e-4,
+                                       99999999999999984.0, 1e17, 1.0000000000000002e17,
+                                       9999999999999998.0, 1e16, 10000000000000002.0]),
+        # 18 significant digits ending in 5: round half to even decides
+        "exact decimal ties": np.array([1000000000000000.25, 1000000000000000.75,
+                                        100000000000000.125, 100000000000000.375,
+                                        10000000000000.0625, 10000000000000.1875]),
+        "subnormals": np.array([5e-324, 1e-323, 2.2250738585072009e-308,
+                                2.2250738585072014e-308, 1.5e-315, 4.9e-320]),
+        "zeros, infinities and NaN": np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan]),
+        "integers above 2**53": np.array([2.0**53 + 2, 2.0**60, 2.0**63, 1e20 + 2**17,
+                                          123456789012345678.0, 2.0**1023,
+                                          1.7976931348623157e308]),
+        "dyadic rationals": np.arange(-4096, 4097) / 1024.0,
+    }
+
+
+@pytest.mark.parametrize("case", ["random bits", *_edge_doubles()])
+def test_format_column_matches_fmt(case):
+    if case == "random bits":
+        x = np.random.default_rng(20).integers(0, 2**64, 10**5, dtype=np.uint64).view(np.float64)
+    else:
+        x = _edge_doubles()[case]
+    x = np.concatenate([x, -x])
+    assert cell_texts(io._format_column(x)) == [(FMT % v).encode() for v in x.tolist()]
+
+
+def test_format_column_fallback_for_every_lane(monkeypatch):
+    rng = np.random.default_rng(21)
+    x = np.concatenate([rng.integers(0, 2**64, 20_000, dtype=np.uint64).view(np.float64),
+                        *_edge_doubles().values()])
+    fast = cell_texts(io._format_column(x))
+    monkeypatch.setattr(io, "_LD_EPS", 1.0)          # an error bound of y or more
+    calls = []
+    real_fmt = io.FMT
+
+    class CountingFormat(str):
+        def __mod__(self, v):
+            calls.append(v)
+            return real_fmt % v
+    monkeypatch.setattr(io, "FMT", CountingFormat(real_fmt))
+    assert cell_texts(io._format_column(x)) == fast
+    assert len(calls) == x.size
 
 
 def test_potential_csv_node_column_per_grid(tmp_path):
@@ -639,11 +714,17 @@ def test_capacity_manual_delta_must_be_positive(tmp_path, capsys, delta):
     (("solve", "--beta", 1.5, "--delta", 0, "--tau", 0.5), "error: --beta 1.5: "),
     (("continue-path", "--beta", 0, "--delta", 0.1), "error: --beta 0.0: "),
     (("solve", "--beta", 0.75, "--delta", -1, "--tau", 0.5), "error: --delta -1.0: "),
+    (("solve", "--beta", 0.75, "--delta", "-1e-3", "--tau", 0.5), "error: --delta -0.001: "),
+    (("solve", "--beta", 0.75, "--delta", "-inf", "--tau", 0.5), "error: --delta -inf: "),
+    (("continue-path", "--beta", 0.8, "--delta", "-1E-3"), "error: --delta -0.001: "),
+    (("capacity", "--n", 1, "--eps", 0.1, "--rule", "manual", "--delta", "-1e-3"),
+     "error: --delta must be positive"),
 ], ids=["solve-delta-nan", "solve-delta-inf", "family-deltas-nan", "path-delta-nan",
         "grid-T-inf", "capacity-eps-zero", "capacity-eps-nan", "volume-radius-off-grid",
         "tube-annulus-without-b", "density-without-ell", "grid-N-even", "deltas-empty",
         "betas-not-a-number", "ells-not-an-int", "solve-tau-negative", "solve-beta-above-1",
-        "path-beta-zero", "solve-delta-negative"])
+        "path-beta-zero", "solve-delta-negative", "solve-delta-exponent-form",
+        "solve-delta-minus-inf", "path-delta-exponent-form", "capacity-delta-exponent-form"])
 def test_bad_numbers_exit_config(tmp_path, capsys, argv, name):
     assert run(*argv, "--out", tmp_path / "o") == 1
     err = capsys.readouterr().err
@@ -683,3 +764,21 @@ def test_volume_scan_cli(tmp_path):
                "--r-min", 0.01, "--r-max", 0.5, "--num", 12, "--out", out2) == 0
     fit2 = np.loadtxt(out2 / "fit.csv", delimiter=",", skiprows=1)
     assert fit2[0] == pytest.approx(2.0, abs=0.05)
+
+
+@pytest.mark.parametrize("n", [3, 5])
+@pytest.mark.parametrize("argv", [
+    ("solve", "--beta", 0.8, "--delta", 1e-2, "--tau", 0.5),
+    ("continue-path", "--beta", 0.8, "--delta", 1e-2, "--steps", 2),
+    ("smooth-family", "--beta", 0.8),
+    ("bergman-scan", "--betas", "0.8", "--ells", "2"),
+    ("volume-scan", "--source", "fs"),
+], ids=lambda a: a[0])
+def test_grid_below_cumulative_integration_names_grid_n(tmp_path, capsys, argv, n):
+    # a grid too small for cumulative integration fails before any compute,
+    # not with exit 3 or a message that names no flag
+    assert run(*argv, "--grid-N", n, "--out", tmp_path / "o") == 1
+    err = capsys.readouterr().err
+    assert err == (f"error: --grid-N {n}: cumulative integration needs at least "
+                   f"{CUMULATIVE_MIN_NODES} nodes\n")
+    assert not (tmp_path / "o").exists()
