@@ -30,8 +30,8 @@ _EXPORTS = {
         "HamiltonianPotential", "futaki", "hamiltonian_theta", "linearity_check",
         "log_futaki", "obstruction_scan"),
     "cone_analysis": (
-        "FlatConeModel", "dirichlet_energy", "flat_cone_metric", "loglog_cutoff",
-        "selection_log_delta", "tube_volume", "volume_ratio_profile"),
+        "FlatConeModel", "LogLogCutoff", "dirichlet_energy", "selection_log_delta",
+        "tube_volume", "volume_ratio_profile"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

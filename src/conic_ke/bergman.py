@@ -23,13 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import (
-    ConeConfiguration,
-    Grid,
-    RadialKahlerPotential,
-    football_potential,
-    ricci_potential,
-)
+from .geometry import Grid, RadialKahlerPotential, football_potential, ricci_potential
 from .numerics import d1, d2, logsumexp_rows
 
 # doubles in the reused buffer of a Gram or density block (1 MB)
@@ -50,18 +44,17 @@ class HermitianWeight:
     log_section_scale: float
 
 
-def associated_hermitian_weight(pot: RadialKahlerPotential,
-                                cone: ConeConfiguration) -> HermitianWeight:
+def associated_hermitian_weight(pot: RadialKahlerPotential) -> HermitianWeight:
     """Metric-adapted Hermitian weight on the anticanonical bundle.
 
     The twisted Ricci potential h, the defining-section factor and the
     determinant factor combine so the curvature of the resulting norm is
     the metric; the residual scale of the defining section is fixed by a
-    unit twisted mass integral.
+    unit twisted mass integral.  beta and mu are those of `pot.cone`.
     """
     grid = pot.grid
-    mu, beta = cone.mu, cone.beta
-    h, _ = ricci_potential(pot, mu, angle_zero=pot.angle_at_zero)
+    mu, beta = pot.cone.mu, pot.cone.beta
+    h, _ = ricci_potential(pot)
     log_pp = np.log(pot.phi_doubleprime)
     # unit twisted mass: integral of e^(h/mu) (c Phi'')^(1/mu) omega = 1
     expo = h / mu + log_pp / mu + log_pp
@@ -117,10 +110,13 @@ def gram_matrix(ell: int, weight: HermitianWeight,
     """Gram diagonal by radial quadrature in log space.
 
     Angular integration kills every off-diagonal pairing of distinct
-    monomials, so only the 2l+1 diagonal entries are computed.
+    monomials, so only the 2l+1 diagonal entries are computed.  `pot` must
+    be the potential the weight was built from.
     """
     if ell < 1:
         raise ValueError("ell must be a positive integer")
+    if pot is not weight.pot:
+        raise ValueError("the weight belongs to another potential")
     grid = pot.grid
     log_meas = np.log(grid.weights) + np.log(pot.phi_doubleprime) + math.log(2.0 * np.pi)
     log_diag = np.empty(2 * ell + 1)
@@ -143,11 +139,12 @@ class DensityReport:
     trace_integral: float     # integral of rho against the metric volume (2l+1)
 
 
-def bergman_density(gram: SectionBasisGram,
-                    pot: RadialKahlerPotential) -> DensityReport:
-    """Density of states rho(t) = sum_k ||z^k||^2 / <z^k, z^k>."""
+def bergman_density(gram: SectionBasisGram) -> DensityReport:
+    """Density of states rho(t) = sum_k ||z^k||^2 / <z^k, z^k>, against
+    the metric of the Gram's weight."""
+    pot = gram.weight.pot
     grid = pot.grid
-    t = gram.weight.pot.grid.t
+    t = grid.t
     dim = 2 * gram.ell + 1
     log_rho = np.empty(t.size)
     blocks = _blocks(t.size, _BLOCK // dim)
@@ -179,9 +176,9 @@ def partial_c0_scan(beta_list, ell_list, grid: Grid | None = None) -> list[ScanR
     rows = []
     for beta in beta_list:
         pot = football_potential(grid, beta)
-        weight = associated_hermitian_weight(pot, ConeConfiguration(beta))
+        weight = associated_hermitian_weight(pot)
         for ell in ell_list:
-            rep = bergman_density(gram_matrix(ell, weight, pot), pot)
+            rep = bergman_density(gram_matrix(ell, weight, pot))
             rows.append(ScanRow(float(beta), int(ell), rep.inf_rho,
                                 rep.sup_rho, rep.trace_integral))
     return rows
@@ -225,29 +222,26 @@ class BochnerReport:
 
 
 def bochner_residual(k: int, pot: RadialKahlerPotential, ell: int,
-                     cone: ConeConfiguration | None = None,
                      window: float | None = None) -> BochnerReport:
     """Defects of the two curvature identities for sigma = z^k.
 
     First:   Lap ||sigma||^2 = ||grad sigma||^2 - l ||sigma||^2.
     Second:  Lap ||grad sigma||^2
              = ||hess sigma||^2 - (3 l - mu) ||grad sigma||^2,
-    the second holding when the metric is Einstein with constant mu.  Both
-    sides are assembled by centered differences of the log-space norms, so
-    the sups vanish at O(h^2).
+    the second holding when the metric is Einstein with constant mu, that
+    of `pot.cone`.  Both sides are assembled by centered differences of the
+    log-space norms, so the sups vanish at O(h^2).
     """
-    cone = cone or ConeConfiguration(1.0)
     if not 0 <= k <= 2 * ell:
         raise ValueError("monomial index out of range")
     grid = pot.grid
-    weight = associated_hermitian_weight(pot, cone)
-    gram = gram_matrix(ell, weight, pot)
+    gram = gram_matrix(ell, associated_hermitian_weight(pot), pot)
     u, norm2, grad2, hess2 = section_profiles(gram, k)
     pp = pot.phi_doubleprime
     lap_norm2 = d2(norm2, grid.h) / pp
     lap_grad2 = d2(grad2, grid.h) / pp
     r1 = lap_norm2 - (grad2 - ell * norm2)
-    r2 = lap_grad2 - (hess2 - (3.0 * ell - cone.mu) * grad2)
+    r2 = lap_grad2 - (hess2 - (3.0 * ell - pot.cone.mu) * grad2)
     half = grid.t_max / 2.0 if window is None else window
     inner = np.abs(grid.t) <= half
     inner[:2] = inner[-2:] = False
@@ -255,15 +249,13 @@ def bochner_residual(k: int, pot: RadialKahlerPotential, ell: int,
                          float(np.max(np.abs(r2[inner]))))
 
 
-def gradient_estimate_ratio(ells, pot: RadialKahlerPotential,
-                            cone: ConeConfiguration | None = None) -> dict:
+def gradient_estimate_ratio(ells, pot: RadialKahlerPotential) -> dict:
     """sup (||sigma|| + l^(-1/2) ||grad sigma||) / l^(1/2) over the basis.
 
     Sections are L2-normalized, so a bounded return across l certifies the
     dimension-free sup bound with an l-uniform constant.
     """
-    cone = cone or ConeConfiguration(1.0)
-    weight = associated_hermitian_weight(pot, cone)
+    weight = associated_hermitian_weight(pot)
     out = {}
     for ell in ells:
         gram = gram_matrix(ell, weight, pot)

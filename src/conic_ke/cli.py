@@ -135,6 +135,7 @@ def cmd_continue_path(args) -> Run:
     if args.steps is not None and args.steps < 1:
         raise ValueError(f"--steps must be at least 1, got {args.steps}")
     trace = continuity_path(cone, args.delta, steps=args.steps, grid=grid)
+    trace.validate()
     tables = {"trace.csv": (
         ["tau", "J", "F", "lambda1", "newton_iters", "residual"],
         zip(*[(s.tau, s.j_value, s.f_value, s.lambda1, s.solution.iterations,
@@ -195,7 +196,7 @@ def _parse_pair(item: str, flag: str, first, second):
 def cmd_bergman_scan(args) -> Run:
     from .bergman import (associated_hermitian_weight, bergman_density,
                           gram_matrix, partial_c0_scan)
-    from .geometry import ConeConfiguration, football_potential
+    from .geometry import football_potential
     from .io import format_number
     grid = _grid_from(args)
     betas = _comma_list(args.betas, "--betas", float)
@@ -208,8 +209,7 @@ def cmd_bergman_scan(args) -> Run:
     if density is not None:
         b, ell = density
         pot = football_potential(grid, b)
-        weight = associated_hermitian_weight(pot, ConeConfiguration(b))
-        rep = bergman_density(gram_matrix(ell, weight, pot), pot)
+        rep = bergman_density(gram_matrix(ell, associated_hermitian_weight(pot), pot))
         tables["density.csv"] = (["t", "rho"], [grid.t, rep.rho])
     return Run(tables, f"{len(rows)} cells, min inf rho "
                        f"{format_number(min(r[2] for r in rows))}", grid)
@@ -275,10 +275,9 @@ def cmd_log_futaki(args) -> Run:
 def cmd_capacity(args) -> Run:
     import numpy as np
 
-    from .cone_analysis import (dirichlet_energy, flat_cone_metric, loglog_cutoff,
-                                selection_log_delta)
+    from .cone_analysis import FlatConeModel, LogLogCutoff, dirichlet_energy, selection_log_delta
     from .io import format_number
-    model = flat_cone_metric(args.n, args.beta_bar)
+    model = FlatConeModel(args.n, args.beta_bar)
     if not (np.isfinite(args.eps) and args.eps > 0):
         raise ValueError(f"--eps must be finite and positive, got {args.eps}")
     if args.rule == "auto":
@@ -289,7 +288,7 @@ def cmd_capacity(args) -> Run:
         if not args.delta > 0:
             raise ValueError(f"--delta must be positive, got {args.delta}")
         log_delta = float(np.log(args.delta))
-    rep = dirichlet_energy(loglog_cutoff(args.eps, log_delta=log_delta), model)
+    rep = dirichlet_energy(LogLogCutoff(args.eps, log_delta), model)
     return Run({"capacity.csv": (
         ["n", "beta_bar", "eps", "log_delta", "energy",
          "closed_form_bound", "coarea_quadrature", "coarea_closed_form"],
@@ -316,7 +315,7 @@ def _parse_source(item: str) -> tuple:
 def cmd_volume_scan(args) -> Run:
     import numpy as np
 
-    from .cone_analysis import (RadiusBeyondGrid, flat_cone_metric, tube_volume,
+    from .cone_analysis import (FlatConeModel, RadiusBeyondGrid, tube_volume,
                                 volume_ratio_profile)
     from .geometry import football_potential
     from .io import format_number
@@ -326,12 +325,12 @@ def cmd_volume_scan(args) -> Run:
         if kind != "cone":
             raise ValueError("tube mode needs --source cone:N:BETA_BAR")
         annulus = _parse_pair(args.annulus, "--annulus A:B", float, float)
-        rep = tube_volume(flat_cone_metric(*params), annulus, radii)
+        rep = tube_volume(FlatConeModel(*params), annulus, radii)
         return Run({"profile.csv": (["r", "value"], [rep.radii, rep.volumes]),
                     "fit.csv": (["exponent", "constant"], [[rep.exponent], [rep.constant]])},
                    f"exponent={format_number(rep.exponent)}")
     if kind == "cone":
-        source = flat_cone_metric(*params)
+        source = FlatConeModel(*params)
         center = "vertex"
     else:
         grid = _grid_from(args)

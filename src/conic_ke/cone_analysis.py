@@ -49,11 +49,6 @@ class FlatConeModel:
         return self.beta_bar * unit_ball_volume(2 * self.n) * r ** (2 * self.n)
 
 
-def flat_cone_metric(n: int, beta_bar: float) -> FlatConeModel:
-    """Construct the product cone model (validates the parameter ranges)."""
-    return FlatConeModel(n, beta_bar)
-
-
 # ---------------------------------------------------------------------------
 # doubly logarithmic cutoff and its energy
 
@@ -80,10 +75,6 @@ class LogLogCutoff:
             raise ValueError("delta must be smaller than 1/3")
 
     @property
-    def delta(self) -> float:
-        return math.exp(self.log_delta)
-
-    @property
     def band_s(self) -> tuple[float, float]:
         """Support of the gradient in s = -log(rho/eps_bar)."""
         return -self.log_delta, -3.0 * self.log_delta
@@ -103,15 +94,6 @@ class LogLogCutoff:
         return out
 
 
-def loglog_cutoff(eps_bar: float, delta: float | None = None,
-                  log_delta: float | None = None) -> LogLogCutoff:
-    """Cutoff from the band parameter delta < 1/3 (or its log directly)."""
-    if (delta is None) == (log_delta is None):
-        raise ValueError("give exactly one of delta, log_delta")
-    ld = math.log(delta) if delta is not None else float(log_delta)
-    return LogLogCutoff(eps_bar, ld)
-
-
 def selection_log_delta(n: int, eps_bar: float) -> float:
     """log delta from the band-selection rule a_(n-1) <= eps^(2n-1) (-log delta)."""
     return -unit_ball_volume(2 * n - 2) / eps_bar ** (2 * n - 1)
@@ -121,7 +103,6 @@ def selection_log_delta(n: int, eps_bar: float) -> float:
 class CutoffEnergyReport:
     energy: float
     closed_form_bound: float       # a_(n-1) / (eps^(2n-2) (-log delta))
-    bound_holds: bool
     radial_factor_quadrature: float
     radial_factor_coarea: float    # closed-form reorganization of the band integral
 
@@ -152,8 +133,7 @@ def dirichlet_energy(cutoff: LogLogCutoff, model: FlatConeModel) -> CutoffEnergy
     energy = 2.0 * np.pi * model.beta_bar \
         * float(np.dot(w, (1.0 / LOG3) ** 2 / (s * s) * slice_vol))
     bound = unit_ball_volume(2 * model.n - 2) / (cutoff.eps_bar ** (2 * model.n - 2) * s1)
-    return CutoffEnergyReport(energy, bound, energy <= bound,
-                              radial_quad, radial_coarea)
+    return CutoffEnergyReport(energy, bound, radial_quad, radial_coarea)
 
 
 # ---------------------------------------------------------------------------

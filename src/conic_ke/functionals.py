@@ -8,14 +8,14 @@ J is the Aubin-type gradient energy, F its Lagrangian
 with h the twist exponent used by the solver.  Every integral is taken over
 the whole sphere: the grid Simpson sum against the round reference density
 of the grid plus the exact tail masses of the solver's `TwistData`, whose
-`reference_mean` and the solution's `MASolution.mean` are the one source of
-those sums.  So the algebraic identities (vanishing on constants, the
+`reference_mean` and `twisted_mean` are the one source of those sums (the
+log term above and the solution's `MASolution.mean` both call
+`twisted_mean`).  So the algebraic identities (vanishing on constants, the
 on-path reduction) hold to rounding and not merely to quadrature order.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,14 +62,9 @@ def f_functional(phi: np.ndarray, tau: float, twist,
     if tau <= 0.0:
         raise ValueError("f_functional requires tau > 0")
     phi = np.asarray(phi, dtype=float)
-    tw = twist.tail_weighted
     jv = j_functional(phi, twist.grid, dphi=dphi)
     linear = twist.reference_mean(phi)
-    expo = twist.log_weight - tau * phi
-    m = expo.max()
-    twisted = math.exp(m) * float(np.dot(twist.reference_weights, np.exp(expo - m))) \
-        + math.exp(-tau * phi[0]) * tw + math.exp(-tau * phi[-1]) * tw
-    log_term = float(np.log(twisted / twist.reference_volume))
+    log_term = float(np.log(twist.twisted_mean(phi, tau, 1.0)))
     fv = jv - linear - log_term / tau
     return FunctionalReport(jv, fv, linear, log_term)
 

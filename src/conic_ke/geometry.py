@@ -80,42 +80,6 @@ class Grid:
         return float(np.dot(self.weights, values))
 
 
-@dataclass
-class RadialKahlerPotential:
-    """Profile of a rotation-invariant Kahler potential.
-
-    `phi_prime` and `phi_doubleprime` hold Phi'(t) and Phi''(t) per node,
-    `base_offset` is the value of Phi at t_min (physical outputs never
-    depend on it), and the two angle fields record the intended cone
-    fractions at z = 0 and z = infinity.
-    """
-
-    grid: Grid
-    phi_prime: np.ndarray
-    phi_doubleprime: np.ndarray
-    base_offset: float = 0.0
-    angle_at_zero: float = 1.0
-    angle_at_infinity: float = 1.0
-
-    def __post_init__(self):
-        self.phi_prime = np.asarray(self.phi_prime, dtype=float)
-        self.phi_doubleprime = np.asarray(self.phi_doubleprime, dtype=float)
-        n = self.grid.n_nodes
-        if self.phi_prime.shape != (n,) or self.phi_doubleprime.shape != (n,):
-            raise ValueError("profile length does not match grid")
-        for a in (self.angle_at_zero, self.angle_at_infinity):
-            if not 0.0 < a <= 1.0:
-                raise ValueError("cone fractions must lie in (0, 1]")
-
-    def require_positive(self):
-        if not np.all(self.phi_doubleprime > 0.0):
-            raise ValueError("metric positivity violated: Phi'' <= 0 somewhere")
-
-    def values(self) -> np.ndarray:
-        """Potential values Phi(t) reconstructed by cumulative quadrature."""
-        return cumulative_integral(self.phi_prime, self.grid.h, self.base_offset)
-
-
 @dataclass(frozen=True)
 class ConeConfiguration:
     """Angle data for the conic problem.
@@ -143,6 +107,39 @@ class ConeConfiguration:
         return 1.0 - (1.0 - self.beta)
 
 
+@dataclass
+class RadialKahlerPotential:
+    """Profile of a rotation-invariant Kahler potential.
+
+    `phi_prime` and `phi_doubleprime` hold Phi'(t) and Phi''(t) per node,
+    `base_offset` is the value of Phi at t_min (physical outputs never
+    depend on it), and `cone` is the intended cone configuration: the
+    fraction beta at both poles and the constant mu.  Every diagnostic of
+    the potential reads beta and mu from it.
+    """
+
+    grid: Grid
+    phi_prime: np.ndarray
+    phi_doubleprime: np.ndarray
+    base_offset: float = 0.0
+    cone: ConeConfiguration = ConeConfiguration(1.0)
+
+    def __post_init__(self):
+        self.phi_prime = np.asarray(self.phi_prime, dtype=float)
+        self.phi_doubleprime = np.asarray(self.phi_doubleprime, dtype=float)
+        n = self.grid.n_nodes
+        if self.phi_prime.shape != (n,) or self.phi_doubleprime.shape != (n,):
+            raise ValueError("profile length does not match grid")
+
+    def require_positive(self):
+        if not np.all(self.phi_doubleprime > 0.0):
+            raise ValueError("metric positivity violated: Phi'' <= 0 somewhere")
+
+    def values(self) -> np.ndarray:
+        """Potential values Phi(t) reconstructed by cumulative quadrature."""
+        return cumulative_integral(self.phi_prime, self.grid.h, self.base_offset)
+
+
 # ---------------------------------------------------------------------------
 # reference metrics
 
@@ -163,7 +160,7 @@ def fubini_study_potential(grid: Grid) -> RadialKahlerPotential:
     pp = 2.0 * _sigmoid(t)
     ppp = 2.0 * _sigmoid(t) * _sigmoid(-t)
     offset = 2.0 * np.log1p(np.exp(grid.t_min))
-    return RadialKahlerPotential(grid, pp, ppp, offset, 1.0, 1.0)
+    return RadialKahlerPotential(grid, pp, ppp, offset)
 
 
 def football_potential(grid: Grid, beta: float) -> RadialKahlerPotential:
@@ -172,13 +169,12 @@ def football_potential(grid: Grid, beta: float) -> RadialKahlerPotential:
     Phi'(t) = 2 e^(beta t) / (1 + e^(beta t)); curvature is beta away from
     the poles and beta = 1 reproduces the round metric.
     """
-    if not 0.0 < beta <= 1.0:
-        raise ValueError("beta must lie in (0, 1]")
+    cone = ConeConfiguration(beta)
     t = grid.t
     pp = 2.0 * _sigmoid(beta * t)
     ppp = 2.0 * beta * _sigmoid(beta * t) * _sigmoid(-beta * t)
     offset = (2.0 / beta) * np.log1p(np.exp(beta * grid.t_min))
-    return RadialKahlerPotential(grid, pp, ppp, offset, beta, beta)
+    return RadialKahlerPotential(grid, pp, ppp, offset, cone)
 
 
 def football_phi(grid: Grid, beta: float) -> np.ndarray:
@@ -242,21 +238,21 @@ def log_defining_section_norm(grid: Grid) -> np.ndarray:
     return np.log(4.0) + t - 2.0 * np.logaddexp(0.0, t)
 
 
-def ricci_potential(pot: RadialKahlerPotential, mu: float,
-                    angle_zero: float | None = None) -> tuple[np.ndarray, float]:
+def ricci_potential(pot: RadialKahlerPotential) -> tuple[np.ndarray, float]:
     """Potential h with Ricci(omega) = mu*omega + cone terms + i ddbar h.
 
-    Uses the closed-form primitive h = -log Phi'' - mu*Phi + beta0*t + c,
-    valid whenever the class normalization and the angle bookkeeping
-    beta0 + beta_inf = 2 mu hold; c enforces
+    Uses the closed-form primitive h = -log Phi'' - mu*Phi + beta*t + c
+    with beta and mu from `pot.cone`.  It is valid whenever the class
+    normalization and the angle bookkeeping beta0 + beta_inf = 2 mu hold,
+    as they do for one cone fraction at both poles; c enforces
     integral of (e^h - 1) against omega equal to zero.
     Returns (h profile, normalization constant c).
     """
     pot.require_positive()
-    b0 = pot.angle_at_zero if angle_zero is None else angle_zero
+    cone = pot.cone
     t = pot.grid.t
     phi_vals = pot.values()
-    raw = -np.log(pot.phi_doubleprime) - mu * phi_vals + b0 * t
+    raw = -np.log(pot.phi_doubleprime) - cone.mu * phi_vals + cone.beta * t
     w = pot.grid.weights * pot.phi_doubleprime
     m = np.max(raw)
     c = np.log(np.dot(w, np.ones_like(raw))) - (m + np.log(np.dot(w, np.exp(raw - m))))
@@ -266,12 +262,16 @@ def ricci_potential(pot: RadialKahlerPotential, mu: float,
 def ricci_potential_h0(pot0: RadialKahlerPotential) -> tuple[np.ndarray, float]:
     """Smooth-case Ricci potential: Ric(omega0) - omega0 = i ddbar h0.
 
-    Requires a smooth input (both angles 1); the constant is fixed by the
+    Requires a smooth input: a potential whose cone has beta = 1 and whose
+    fitted angle at both poles is 1.  The constant is fixed by the
     vanishing of the integral of (e^{h0} - 1) against omega0.
     """
+    if pot0.cone.beta != 1.0:
+        raise ValueError(f"ricci_potential_h0 requires a smooth metric, "
+                         f"got a cone of beta = {pot0.cone.beta:g}")
     for pole in ("zero", "infinity"):
         b = cone_angle_at_pole(pot0, pole)
         if abs(b - 1.0) > 5e-2:
             raise ValueError("ricci_potential_h0 requires a smooth (angle-1) metric")
-    return ricci_potential(pot0, 1.0, angle_zero=1.0)
+    return ricci_potential(pot0)
 

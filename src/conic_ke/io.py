@@ -248,13 +248,8 @@ def read_potential_csv(path) -> RadialKahlerPotential:
 
 
 def potential_manifest(pot: RadialKahlerPotential) -> dict:
-    return {
-        "grid": {"t_min": pot.grid.t_min, "t_max": pot.grid.t_max,
-                 "n_nodes": pot.grid.n_nodes},
-        "base_offset": pot.base_offset,
-        "angle_at_zero": pot.angle_at_zero,
-        "angle_at_infinity": pot.angle_at_infinity,
-    }
+    """The potential's manifest keys; its grid is the manifest's own `grid`."""
+    return {"base_offset": pot.base_offset, "cone_angle": pot.cone.beta}
 
 
 def write_manifest(path, command: str, config: dict, outputs: list[str],

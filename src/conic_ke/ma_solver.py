@@ -202,6 +202,19 @@ class TwistData:
         """Phi0'' e^(h - tau phi): the twisted metric density at phi."""
         return self.grid.reference.phi_doubleprime * np.exp(self.log_weight - tau * phi)
 
+    def twisted_mean(self, phi: np.ndarray, tau: float, f) -> float:
+        """Integral of f against the twisted density e^(h - tau phi) omega0
+        over the whole sphere, over the reference volume; each tail carries
+        f and phi at its edge node.  `f` is an array or a number.  The
+        exponent is shifted by its maximum before the grid sum."""
+        f = np.broadcast_to(f, phi.shape)
+        expo = self.log_weight - tau * phi
+        m = expo.max()
+        tw = self.tail_weighted
+        total = math.exp(m) * float(np.dot(self.reference_weights, np.exp(expo - m) * f)) \
+            + math.exp(-tau * phi[0]) * tw * f[0] + math.exp(-tau * phi[-1]) * tw * f[-1]
+        return float(total / self.reference_volume)
+
 
 def build_twist(grid: Grid, beta: float, delta: float) -> TwistData:
     """Assemble the twist density and its semi-infinite tail integrals.
@@ -255,27 +268,22 @@ class MASolution:
         return self.twist.density(self.phi, self.tau)
 
     def mean(self, f: np.ndarray) -> float:
-        """Mean of f against the solved metric over the whole sphere; each
-        tail carries f at its edge node.  By the twist's normalization the
-        solved volume is the reference volume."""
-        tw = self.twist
-        tau, phi = self.tau, self.phi
-        tails = math.exp(-tau * phi[0]) * tw.tail_weighted * f[0] \
-            + math.exp(-tau * phi[-1]) * tw.tail_weighted * f[-1]
-        wphi = self.grid.weights * self.metric_density
-        return float((np.dot(wphi, f) + tails) / tw.reference_volume)
+        """Mean of f against the solved metric over the whole sphere (the
+        twist's `twisted_mean`).  By the twist's normalization the solved
+        volume is the reference volume."""
+        return self.twist.twisted_mean(self.phi, self.tau, f)
 
     @property
     def potential(self) -> RadialKahlerPotential:
         base = self.grid.reference
-        # conic angles for delta = 0 (beta = 1 is smooth), smooth once smoothed
-        ang = self.twist.cone.beta if self.twist.delta == 0.0 else 1.0
+        # the twist's cone for delta = 0, smooth once smoothed
+        cone = self.twist.cone if self.twist.delta == 0.0 else ConeConfiguration(1.0)
         return RadialKahlerPotential(
             self.grid,
             base.phi_prime + self.dphi,
             self.metric_density,
             base.base_offset + self.phi[0],
-            ang, ang)
+            cone)
 
 
 def _closure(twist, tau, edge_phi):
@@ -616,16 +624,18 @@ class ContinuationTrace:
         return np.array([s.tau for s in self.steps])
 
     def validate(self):
+        """Raise SolverError unless tau increases strictly, a complete trace
+        runs from 0 to mu, and every stored residual is within _NEWTON_TOL."""
         taus = self.taus
         if np.any(np.diff(taus) <= 0.0):
-            raise ValueError("tau must be strictly increasing along the trace")
+            raise SolverError("tau must be strictly increasing along the trace")
         if self.status == "complete":
             mu = self.steps[-1].solution.twist.cone.mu
             if taus[0] != 0.0 or abs(taus[-1] - mu) > 1e-14:
-                raise ValueError("complete traces must run from 0 to mu")
+                raise SolverError("complete traces must run from 0 to mu")
         bad = [s.tau for s in self.steps if s.solution.residual > _NEWTON_TOL]
         if bad:
-            raise ValueError(f"stored solutions above residual tolerance at tau={bad}")
+            raise SolverError(f"stored solutions above residual tolerance at tau={bad}")
 
 
 def _trace_step(sol) -> TraceStep:

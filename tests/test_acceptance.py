@@ -15,9 +15,9 @@ from conic_ke.bergman import (
 )
 from conic_ke.cli import main as cli_main
 from conic_ke.cone_analysis import (
+    FlatConeModel,
+    LogLogCutoff,
     dirichlet_energy,
-    flat_cone_metric,
-    loglog_cutoff,
     selection_log_delta,
     tube_volume,
     volume_ratio_profile,
@@ -113,8 +113,7 @@ def test_criterion_6_bochner():
     for n in (2049, 4097):
         g = Grid(-16, 16, n)
         pairs.append((bochner_residual(0, fubini_study_potential(g), 1, window=4.0),
-                      bochner_residual(2, football_potential(g, 0.75), 4,
-                                       ConeConfiguration(0.75), window=8.0)))
+                      bochner_residual(2, football_potential(g, 0.75), 4, window=8.0)))
     (r_fs_c, r_fb_c), (r_fs_f, r_fb_f) = pairs
     ratios = (r_fs_c.residual_first / r_fs_f.residual_first,
               r_fs_c.residual_second / r_fs_f.residual_second,
@@ -164,14 +163,15 @@ def test_criterion_8_obstruction_invariants(grid, fs):
 def test_criterion_9_capacity():
     results = []
     for n, eps in ((1, 0.1), (2, 0.2)):
-        cut = loglog_cutoff(eps, log_delta=selection_log_delta(n, eps))
-        rep = dirichlet_energy(cut, flat_cone_metric(n, 0.25))
+        cut = LogLogCutoff(eps, selection_log_delta(n, eps))
+        rep = dirichlet_energy(cut, FlatConeModel(n, 0.25))
         results.append((n, eps, rep))
-    ok = all(r.energy <= eps and r.bound_holds
+    ok = all(r.energy <= eps and r.energy <= r.closed_form_bound
              and r.coarea_relative_difference() <= 1e-6
              for _, eps, r in results)
     detail = "; ".join(
-        f"n={n}: energy {r.energy:.4f} <= eps {eps}, bound holds {r.bound_holds}, "
+        f"n={n}: energy {r.energy:.4f} <= eps {eps}, "
+        f"bound holds {r.energy <= r.closed_form_bound}, "
         f"co-area diff {r.coarea_relative_difference():.1e}"
         for n, eps, r in results)
     report(9, ok, detail)
@@ -182,9 +182,9 @@ def test_criterion_10_volume_comparison(grid):
     ratio = volume_ratio_profile(fb, "zero", np.linspace(0.1, 1.5, 24))
     density_ok = abs(ratio.angle_estimate * np.pi - np.pi * 0.6) <= 0.01 * np.pi * 0.6
     mono_ok = ratio.monotone_defect <= 1e-12
-    cone_ratio = volume_ratio_profile(flat_cone_metric(1, 0.5), "vertex",
+    cone_ratio = volume_ratio_profile(FlatConeModel(1, 0.5), "vertex",
                                       np.linspace(0.1, 2.0, 12))
-    tube = tube_volume(flat_cone_metric(2, 0.7), (1.0, 2.0),
+    tube = tube_volume(FlatConeModel(2, 0.7), (1.0, 2.0),
                        np.geomspace(0.01, 0.5, 12))
     ok = (density_ok and mono_ok and cone_ratio.monotone_defect <= 1e-6
           and abs(tube.exponent - 2.0) <= 0.05)

@@ -25,12 +25,11 @@ from conic_ke.geometry import (
 from conic_ke.numerics import d2, logsumexp_rows
 
 FOUR_PI = 4.0 * np.pi
-CONE_ONE = ConeConfiguration(1.0)
 
 
 @pytest.fixture(scope="module")
 def fs_weight(fs):
-    return associated_hermitian_weight(fs, CONE_ONE)
+    return associated_hermitian_weight(fs)
 
 
 # ---------------------------------------------------------------------------
@@ -42,7 +41,7 @@ def test_weight_curvature_second_order():
     res = []
     for n in (1025, 2049):
         g = Grid(-16, 16, n)
-        w = associated_hermitian_weight(fubini_study_potential(g), CONE_ONE)
+        w = associated_hermitian_weight(fubini_study_potential(g))
         resid = -d2(w.log_weight, g.h) - w.pot.phi_doubleprime
         res.append(np.max(np.abs(resid[2:-2])))
     assert res[0] / res[1] >= 3.5
@@ -66,7 +65,7 @@ def test_weight_collapses_to_potential(grid, fs, fs_weight):
 def test_conic_weight_bounded_section(grid):
     beta = 0.75
     fb = football_potential(grid, beta)
-    w = associated_hermitian_weight(fb, ConeConfiguration(beta))
+    w = associated_hermitian_weight(fb)
     # the section factor cancels the conic blow-up: the twisted section norm
     # stays bounded and vanishes toward the divisor
     log_section = w.log_weight + grid.t + w.log_section_scale
@@ -87,7 +86,7 @@ def test_gram_round_degree_one_ratios():
     # oracle: <z^k, z^k> proportional to Beta(k+1, 3-k) for the round weight
     g = Grid(-40, 40, 4097)
     fs0 = fubini_study_potential(g)
-    w = associated_hermitian_weight(fs0, CONE_ONE)
+    w = associated_hermitian_weight(fs0)
     gram = gram_matrix(1, w, fs0)
     diag = np.exp(gram.log_diag - gram.log_diag[0])
 
@@ -102,7 +101,7 @@ def test_gram_round_degree_one_ratios():
 
 def test_gram_reflection_symmetry(grid):
     fb = football_potential(grid, 0.7)
-    w = associated_hermitian_weight(fb, ConeConfiguration(0.7))
+    w = associated_hermitian_weight(fb)
     gram = gram_matrix(8, w, fb)
     assert np.max(np.abs(gram.log_diag - gram.log_diag[::-1])) < 1e-10
 
@@ -121,9 +120,18 @@ def test_gram_off_diagonal_vanishes(grid, fs, fs_weight):
         assert abs(radial * angular) < 1e-12 * scale
 
 
+def test_gram_rejects_weight_of_another_potential(grid, fs_weight):
+    # the weight fixes the metric: a Gram against a second potential, even
+    # one with equal profiles, would pair two sources of beta and mu
+    with pytest.raises(ValueError, match="another potential"):
+        gram_matrix(2, fs_weight, football_potential(grid, 0.7))
+    with pytest.raises(ValueError, match="another potential"):
+        gram_matrix(2, fs_weight, fubini_study_potential(grid))
+
+
 def test_gram_positive_definite(grid):
     fb = football_potential(grid, 0.5)
-    w = associated_hermitian_weight(fb, ConeConfiguration(0.5))
+    w = associated_hermitian_weight(fb)
     gram = gram_matrix(64, w, fb)
     assert np.isfinite(gram.log_diag).all()
 
@@ -134,7 +142,7 @@ def test_gram_positive_definite(grid):
 
 def test_density_trace_identity(grid, fs, fs_weight):
     for ell in (1, 8, 64):
-        rep = bergman_density(gram_matrix(ell, fs_weight, fs), fs)
+        rep = bergman_density(gram_matrix(ell, fs_weight, fs))
         assert abs(rep.trace_integral - (2 * ell + 1)) < 1e-8
 
 
@@ -143,9 +151,9 @@ def test_density_round_constant():
     # tail mass of the extreme monomials at rate e^(-T)
     g = Grid(-24, 24, 3073)
     fs0 = fubini_study_potential(g)
-    w = associated_hermitian_weight(fs0, CONE_ONE)
+    w = associated_hermitian_weight(fs0)
     for ell in (1, 4, 16):
-        rep = bergman_density(gram_matrix(ell, w, fs0), fs0)
+        rep = bergman_density(gram_matrix(ell, w, fs0))
         expect = (2 * ell + 1) / FOUR_PI
         assert rep.inf_rho == pytest.approx(expect, abs=1e-6)
         assert rep.sup_rho == pytest.approx(expect, abs=1e-6)
@@ -153,8 +161,8 @@ def test_density_round_constant():
 
 def test_density_conic_positive(grid):
     fb = football_potential(grid, 0.6)
-    w = associated_hermitian_weight(fb, ConeConfiguration(0.6))
-    rep = bergman_density(gram_matrix(8, w, fb), fb)
+    w = associated_hermitian_weight(fb)
+    rep = bergman_density(gram_matrix(8, w, fb))
     assert rep.inf_rho > 0.0
     assert abs(rep.trace_integral - (2 * 8 + 1)) < 1e-8
     # the cone points carry the density peak (about 1/beta times the bulk)
@@ -165,8 +173,8 @@ def test_density_invariant_under_weight_rescale(grid, fs, fs_weight):
     import dataclasses
     shifted = dataclasses.replace(fs_weight,
                                   log_weight=fs_weight.log_weight + 2.5 / 8.0)
-    a = bergman_density(gram_matrix(8, fs_weight, fs), fs)
-    b = bergman_density(gram_matrix(8, shifted, fs), fs)
+    a = bergman_density(gram_matrix(8, fs_weight, fs))
+    b = bergman_density(gram_matrix(8, shifted, fs))
     assert np.max(np.abs(a.rho - b.rho)) < 1e-12 * a.sup_rho
 
 
@@ -212,8 +220,8 @@ def test_football_gram_and_density_closed_form(wide_grid, beta, ell):
     # and 3.2e-13 for inf rho
     tol = 5e-8 if beta < 0.8 else 5e-11
     fb = football_potential(wide_grid, beta)
-    gram = gram_matrix(ell, associated_hermitian_weight(fb, ConeConfiguration(beta)), fb)
-    rep = bergman_density(gram, fb)
+    gram = gram_matrix(ell, associated_hermitian_weight(fb), fb)
+    rep = bergman_density(gram)
     log_ratio, rho = _football_closed_form(beta, ell, wide_grid.t)
     assert np.max(np.abs(gram.log_diag - gram.log_diag[ell] - log_ratio)) < tol
     assert np.max(np.abs(rep.rho / rho - 1.0)) < tol
@@ -251,9 +259,9 @@ def _out_of_place_kernels(ell, weight, pot):
 def test_in_place_kernels_bit_identical(request, grid_name, beta, ell):
     grid = request.getfixturevalue(grid_name)
     fb = football_potential(grid, beta)
-    weight = associated_hermitian_weight(fb, ConeConfiguration(beta))
+    weight = associated_hermitian_weight(fb)
     gram = gram_matrix(ell, weight, fb)
-    rep = bergman_density(gram, fb)
+    rep = bergman_density(gram)
     log_diag, rho, trace = _out_of_place_kernels(ell, weight, fb)
     assert np.array_equal(gram.log_diag, log_diag)
     assert np.array_equal(rep.rho, rho)
@@ -274,10 +282,10 @@ def test_kernels_allocate_blocks_not_arrays(fine_grid):
     # each Gram build and density holds ~1 MB blocks, never a whole
     # (2l+1) x n array (8.5 MB here); measured 1.24 / 1.32 MiB
     fb = football_potential(fine_grid, 0.7)
-    weight = associated_hermitian_weight(fb, ConeConfiguration(0.7))
+    weight = associated_hermitian_weight(fb)
     ell = 64
     gram, gram_peak = _traced_peak(lambda: gram_matrix(ell, weight, fb))
-    _, density_peak = _traced_peak(lambda: bergman_density(gram, fb))
+    _, density_peak = _traced_peak(lambda: bergman_density(gram))
     assert gram_peak < 2 * 2**20, gram_peak
     assert density_peak < 2 * 2**20, density_peak
 
@@ -343,11 +351,8 @@ def test_bochner_second_order():
 
 
 def test_bochner_football_interior():
-    cone = ConeConfiguration(0.75)
-    r_coarse = bochner_residual(2, football_potential(Grid(-16, 16, 4097), 0.75), 4,
-                                cone, window=8.0)
-    r_fine = bochner_residual(2, football_potential(Grid(-16, 16, 8193), 0.75), 4,
-                              cone, window=8.0)
+    r_coarse = bochner_residual(2, football_potential(Grid(-16, 16, 4097), 0.75), 4, window=8.0)
+    r_fine = bochner_residual(2, football_potential(Grid(-16, 16, 8193), 0.75), 4, window=8.0)
     assert r_fine.residual_first <= 1e-5
     assert r_coarse.residual_first / r_fine.residual_first >= 3.5
     assert r_coarse.residual_second / r_fine.residual_second >= 3.5
@@ -383,7 +388,7 @@ def test_gradient_ratio_round_uniform(grid, fs):
 def test_gradient_ratio_conic_comparable(grid):
     fb = football_potential(grid, 0.7)
     fs0 = fubini_study_potential(grid)
-    conic = gradient_estimate_ratio((2, 4, 8, 16, 32), fb, ConeConfiguration(0.7))
+    conic = gradient_estimate_ratio((2, 4, 8, 16, 32), fb)
     smooth = gradient_estimate_ratio((2, 4, 8, 16, 32), fs0)
     for ell in conic:
         assert conic[ell] <= 2.0 * smooth[ell]

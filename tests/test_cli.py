@@ -350,6 +350,35 @@ def test_eigen_solve_failure_exit_code(tmp_path, monkeypatch, capsys):
     assert err.count("\n") == 1 and "synthetic eigen-solve failure" in err
 
 
+def test_continue_path_checks_its_trace(tmp_path, monkeypatch, capsys):
+    # one stored residual above the Newton tolerance fails the trace's
+    # contract: exit 2 before any table is built, so no output directory
+    import conic_ke.ma_solver as ma_solver
+    real = ma_solver.continuity_path
+
+    def loose(*args, **kwargs):
+        trace = real(*args, **kwargs)
+        trace.steps[1].solution.residual = 2.0 * ma_solver._NEWTON_TOL
+        return trace
+
+    monkeypatch.setattr(ma_solver, "continuity_path", loose)
+    out = tmp_path / "p"
+    assert run("continue-path", "--beta", 0.8, "--delta", 1e-3, "--steps", 2,
+               "--grid-N", 257, "--out", out) == 2
+    assert not out.exists()
+    assert "above residual tolerance" in capsys.readouterr().err
+
+
+def test_solve_manifest_potential_keys(tmp_path):
+    out = tmp_path / "s"
+    assert run("solve", "--beta", 0.75, "--delta", 0, "--tau", 0.75,
+               "--grid-N", 257, "--out", out) == 0
+    manifest = read_manifest(out / "manifest.json")
+    assert manifest["potential"].keys() == {"base_offset", "cone_angle"}
+    assert manifest["potential"]["cone_angle"] == 0.75
+    assert manifest["grid"]["n_nodes"] == 257
+
+
 def columns_of(rows, width):
     """The columns of a list of rows of `width` cells."""
     return [[row[i] for row in rows] for i in range(width)]

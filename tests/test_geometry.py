@@ -142,6 +142,13 @@ def test_ricci_potential_rejects_conic(grid):
         ricci_potential_h0(football_potential(grid, 0.6))
 
 
+def test_ricci_potential_rejects_near_smooth_cone():
+    # beta = 0.97 passes the 5e-2 fit of the pole angles; the cone still
+    # says the metric is conic, and h0 assumes beta = mu = 1
+    with pytest.raises(ValueError, match="smooth"):
+        ricci_potential_h0(football_potential(Grid(), 0.97))
+
+
 def test_football_matches_round_at_beta_one(grid):
     fb = football_potential(grid, 1.0)
     fs = fubini_study_potential(grid)
@@ -176,7 +183,7 @@ def test_football_positivity_and_class(beta):
 def test_base_offset_invariance(grid):
     fb = football_potential(grid, 0.7)
     shifted = RadialKahlerPotential(grid, fb.phi_prime, fb.phi_doubleprime,
-                                    fb.base_offset + 3.7, 0.7, 0.7)
+                                    fb.base_offset + 3.7, fb.cone)
     assert cone_angle_at_pole(shifted, "zero") == cone_angle_at_pole(fb, "zero")
 
 

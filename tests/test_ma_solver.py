@@ -219,8 +219,7 @@ def test_potential_angles_come_from_the_twist(beta, delta, angle):
     g = Grid(-16, 16, 257)
     sol = solve_ma(build_twist(g, beta, delta), 0.0)
     assert sol.twist.cone.beta == beta and sol.twist.delta == delta
-    pot = sol.potential
-    assert pot.angle_at_zero == pot.angle_at_infinity == angle
+    assert sol.potential.cone == ConeConfiguration(angle)
 
 
 def test_smoothed_pole_angle_between(grid):
