@@ -11,15 +11,19 @@ where W = exp(h) is the twist density: either the genuinely conic weight
 volume of the whole sphere equals the reference volume.
 
 Discretization: Numerov compact fourth-order stencil in the interior with
-tail-matched Robin closures at the truncation boundary.  The closures use
-the semi-infinite integrals of the twist over each tail together with a
-first-order model of the potential's tail decay.  With u = sigma(t) the
-tails are integrals over [0, sigma(-T)]: for delta = 0 incomplete beta
-functions summed as series, for delta > 0 smooth integrals taken by a
-tanh-sinh rule, both to rounding.  The remaining closure error is set by
-the twist's tail mass alone and grows faster than linearly in it: on the
-football at tau = mu, T = 16, a tail mass of 9.1e-3 (beta = 0.3) leaves
-2.3e-6 and one of 4.3e-2 (beta = 0.2) leaves 1.75e-4 (ROADMAP item 12).
+tail-matched Robin closures at the truncation boundary.  Each closure takes
+phi'(t_min) from the first integral of Liouville's tail equation
+phi'' = A e^(r s - tau phi), with the decay rate r read off the twist
+(`_closure`).  With u = sigma(t) the tail masses are integrals over
+[0, sigma(-T)]: for delta = 0 incomplete beta functions summed as series,
+for delta > 0 smooth integrals taken by a tanh-sinh rule, both to rounding.
+On the football at tau = mu, T = 16, N = 2049, the error over |t| <= 8 is
+1.4e-7 at beta = 0.1, 3.0e-8 at beta = 0.2 and below 1e-8 from beta = 0.3
+up.  In the smoothing knee (delta near 4 e^(-T)) r is not exact: at
+beta = 0.2, delta = 1e-10 the core moves by 1.7e-3 from T = 16 to T = 32.
+Where the first integral has no real root the closure row is not finite:
+a Newton trial step there is damped, and at the initial guess the solve
+raises NewtonDiverged (conic beta = 0.02 from the flat start).
 The damped Newton iteration keeps the system tridiagonal throughout.
 
 Spectral gap: each angular mode of the metric Laplacian is one SPD Jacobi
@@ -89,47 +93,32 @@ def _incomplete_beta_series(a: float, b: float, x: float) -> float:
     return float(np.sum(coeff * x ** k / (k + a)))
 
 
-def _twist_tail(edge: float, beta: float, delta: float) -> tuple[float, float]:
-    """Semi-infinite tail integrals of the unnormalized twist below `edge`.
-
-    Returns (W, C) with W the integral of Phi0'' (delta + ||S||_0^2)^(beta-1)
-    over (-inf, edge] and C the same integral weighted by the modeled tail
-    decay (1 - e^(rate (s - edge))) / rate of the relative potential: phi'
-    decays at the rate beta of the cone, or at rate 1 once smoothed.  By the
-    reflection t -> -t the right tail above t_max is this routine at
-    edge = -t_max.
+def _twist_tail(edge: float, beta: float, delta: float) -> float:
+    """Integral of Phi0'' (delta + ||S||_0^2)^(beta-1), the unnormalized
+    twist, over (-inf, edge].  By the reflection t -> -t the right tail above
+    t_max is this routine at edge = -t_max.
 
     In u = sigma(s) the measure Phi0'' ds is 2 du and ||S||_0^2 = 4u(1-u),
     so the tail is an integral over [0, x] with x = sigma(edge) < 1/2.  For
-    delta = 0 both integrals are incomplete beta functions summed as series;
-    for delta > 0 the integrand is smooth and tanh-sinh runs in u on
+    delta = 0 it is an incomplete beta function summed as a series; for
+    delta > 0 the integrand is smooth and tanh-sinh runs in u on
     [0, min(x, delta/4)] and in log u on [delta/4, x], where the integrand
     turns from constant to the conic power u^(beta-1).
     """
     x = float(_sigmoid(np.array([edge]))[0])
     if delta == 0.0:
-        # e^(beta (s - edge)) = (u (1 - x) / (x (1 - u)))^beta
-        scale = 2.0 * 4.0 ** (beta - 1.0) * x ** beta
-        plain = scale * _incomplete_beta_series(beta, beta, x)
-        decayed = scale * (1.0 - x) ** beta * _incomplete_beta_series(2.0 * beta, 0.0, x)
-        return plain, (plain - decayed) / beta
+        return 2.0 * 4.0 ** (beta - 1.0) * x ** beta * _incomplete_beta_series(beta, beta, x)
 
-    log_x = math.log(x)
-    log_1mx = -math.log1p(math.exp(edge))
-
-    def integrals(u, du):
-        g = 2.0 * (delta + 4.0 * u * (1.0 - u)) ** (beta - 1.0) * du
-        s_minus_edge = np.log(u) - log_x + log_1mx - np.log1p(-u)
-        return float(g.sum()), float(np.dot(g, -np.expm1(s_minus_edge)))
+    def integral(u, du):
+        return float(np.sum(2.0 * (delta + 4.0 * u * (1.0 - u)) ** (beta - 1.0) * du))
 
     knee = min(x, 0.25 * delta)
-    plain, corr = integrals(knee * _TS_NODES, knee * _TS_WEIGHTS)
+    total = integral(knee * _TS_NODES, knee * _TS_WEIGHTS)
     if knee < x:
-        span = log_x - math.log(knee)
+        span = math.log(x) - math.log(knee)
         u = knee * np.exp(span * _TS_NODES)
-        p, c = integrals(u, span * _TS_WEIGHTS * u)
-        plain, corr = plain + p, corr + c
-    return plain, corr
+        total += integral(u, span * _TS_WEIGHTS * u)
+    return total
 
 
 def _raw_log_weight(grid: Grid, beta: float, delta: float) -> np.ndarray:
@@ -167,9 +156,11 @@ class TwistData:
     so the tail beyond t_max is taken equal to the one below t_min (the CLI
     grids are exactly symmetric, where the two are identical).
 
-    The correction integral weights the tail by the relative potential's
-    modeled decay profile; it upgrades the Robin closure from a constant
-    tail potential to a first-order one.
+    The Robin closure (`_closure`) reads its decay rate off these fields:
+    the edge density Phi0'' e^h at t_min over `tail_weighted`.  That rate is
+    beta for a conic tail and 1 once delta >> 4 e^(-T), where the closure is
+    exact up to the reference's own e^(-T); in the knee between, at T = 16,
+    it leaves up to 1.7e-3 (beta = 0.2, delta = 1e-10).
     """
 
     grid: Grid
@@ -179,7 +170,6 @@ class TwistData:
     log_weight: np.ndarray    # h(t) per node, constant included
     tail_weighted: float      # integral of Phi0'' e^h over (-inf, t_min]
     tail_plain: float         # integral of Phi0'' over (-inf, t_min]
-    tail_correction: float
 
     @property
     def reference_weights(self) -> np.ndarray:
@@ -228,7 +218,7 @@ def build_twist(grid: Grid, beta: float, delta: float) -> TwistData:
     if not (math.isfinite(delta) and delta >= 0.0):
         raise ValueError(f"delta must be finite and nonnegative, got {delta}")
     raw = _raw_log_weight(grid, beta, delta)
-    tail, corr = _twist_tail(grid.t_min, beta, delta)
+    tail = _twist_tail(grid.t_min, beta, delta)
     # the integral of Phi0'' over (-inf, t_min], and the constant c that makes
     # the full-line integral of Phi0'' (e^(raw + c) - 1) zero
     plain_tail = 2.0 * float(_sigmoid(np.array([grid.t_min]))[0])
@@ -237,9 +227,8 @@ def build_twist(grid: Grid, beta: float, delta: float) -> TwistData:
     weighted = math.exp(m) * float(np.dot(w, np.exp(raw - m)))
     plain = float(w.sum()) + plain_tail + plain_tail
     const = float(np.log(plain) - np.log(weighted + (tail + tail)))
-    scale = math.exp(const)
-    return TwistData(grid, cone, delta, const, raw + const, scale * tail,
-                     plain_tail, scale * corr)
+    return TwistData(grid, cone, delta, const, raw + const, math.exp(const) * tail,
+                     plain_tail)
 
 
 # ---------------------------------------------------------------------------
@@ -287,19 +276,30 @@ class MASolution:
 
 
 def _closure(twist, tau, edge_phi):
-    """Tail terms of the Robin closure row at an edge value of phi:
-    e^(-tau phi), the first-order decay factor and the tail flux, whose
-    ratio flux / factor is phi' at the edge."""
-    e = math.exp(-tau * edge_phi)
-    factor = 1.0 - tau * e * twist.tail_correction
-    return e, factor, e * twist.tail_weighted - twist.tail_plain
+    """phi'(t_min) from the first integral of the tail equation, and its
+    derivative in the edge value phi_0 = `edge_phi`.
+
+    Below t_min the equation is taken as Liouville's phi'' = A e^(r s - tau
+    phi), with r the twist's edge density over its tail mass (beta for a
+    conic tail, 1 once smoothed).  With phi' -> 0 at the pole, its first
+    integral gives phi'(t_min) = 2E / (r + S) - tail_plain, where
+    E = r tail_weighted e^(-tau phi_0), the twisted density at t_min, and
+    S = sqrt(r^2 - 2 tau E); the derivative is -tau E / S.  For S^2 < 0
+    both are NaN.
+    """
+    edge = twist.grid.reference.phi_doubleprime[0] * np.exp(twist.log_weight[0])
+    rate = edge / twist.tail_weighted
+    e = edge * np.exp(-tau * edge_phi)
+    s = np.sqrt(rate * rate - 2.0 * tau * e)
+    return 2.0 * e / (rate + s) - twist.tail_plain, -tau * e / s
 
 
 def _linearize(phi, tau, twist, p0, h):
     """Residual and its tridiagonal Jacobian (solve_banded layout (1,1)).
 
     The residual is the Numerov interior rows plus Taylor-corrected Robin
-    closure rows.  The two-point closure derivative
+    closure rows, each matching its one-sided derivative to `_closure`.
+    The two-point closure derivative
     (phi1 - phi0)/h - h (f0/3 + f1/6) approximates phi'(t_min) to O(h^3)
     and, unlike wider one-sided stencils, telescopes exactly against the
     interior stencil, so the tau = 0 system is discretely compatible.
@@ -311,28 +311,22 @@ def _linearize(phi, tau, twist, p0, h):
     r = np.empty_like(phi)
     r[1:-1] = (phi[:-2] - 2.0 * phi[1:-1] + phi[2:]) / (h * h) \
         - (f[:-2] + 10.0 * f[1:-1] + f[2:]) / 12.0
-    el, fac_l, flux_l = _closure(twist, tau, phi[0])
-    er, fac_r, flux_r = _closure(twist, tau, phi[-1])
+    slope_l, dslope_l = _closure(twist, tau, phi[0])
+    slope_r, dslope_r = _closure(twist, tau, phi[-1])   # phi'(t_max) = -slope_r
     dl = (phi[1] - phi[0]) / h - h * (f[0] / 3.0 + f[1] / 6.0)
     dr = (phi[-1] - phi[-2]) / h + h * (f[-1] / 3.0 + f[-2] / 6.0)
-    r[0] = dl * fac_l - flux_l
-    r[-1] = dr * fac_r + flux_r
+    r[0] = dl - slope_l
+    r[-1] = dr + slope_r
 
     ab = np.zeros((3, n))
     inv_h2 = 1.0 / (h * h)
     ab[0, 2:] = inv_h2 + g[2:] / 12.0          # A[i, i+1]
     ab[1, 1:-1] = -2.0 * inv_h2 + 10.0 * g[1:-1] / 12.0
     ab[2, :-2] = inv_h2 + g[:-2] / 12.0        # A[i, i-1]
-    # left closure row
-    ab[1, 0] = (-1.0 / h + h * g[0] / 3.0) * fac_l \
-        + dl * tau * tau * el * twist.tail_correction \
-        + tau * el * twist.tail_weighted
-    ab[0, 1] = (1.0 / h + h * g[1] / 6.0) * fac_l
-    # right closure row
-    ab[1, -1] = (1.0 / h - h * g[-1] / 3.0) * fac_r \
-        + dr * tau * tau * er * twist.tail_correction \
-        - tau * er * twist.tail_weighted
-    ab[2, -2] = (-1.0 / h - h * g[-2] / 6.0) * fac_r
+    ab[1, 0] = -1.0 / h + h * g[0] / 3.0 - dslope_l
+    ab[0, 1] = 1.0 / h + h * g[1] / 6.0
+    ab[1, -1] = 1.0 / h - h * g[-1] / 3.0 + dslope_r
+    ab[2, -2] = -1.0 / h - h * g[-2] / 6.0
     return r, ab
 
 
@@ -387,12 +381,10 @@ def _implied_density(phi, p0, h):
 def _newton_system(phi, tau, twist, p0, h):
     """`_linearize` and the residual's max norm, which is inf when the
     residual or the Jacobian is not finite: e^(-tau phi) overflows on an
-    iterate that is negative enough."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        try:
-            r, ab = _linearize(phi, tau, twist, p0, h)
-        except OverflowError:           # math.exp at a closure row
-            return None, None, math.inf
+    iterate that is negative enough, and a closure row has no real root
+    when its tail is too heavy (`_closure`)."""
+    with np.errstate(all="ignore"):
+        r, ab = _linearize(phi, tau, twist, p0, h)
     res = float(np.max(np.abs(r)))
     if not (math.isfinite(res) and np.isfinite(ab).all()):
         return r, ab, math.inf
@@ -403,7 +395,8 @@ def _solve_linear_mean_zero(twist, p0):
     """Calabi-Yau step tau = 0: one banded solve with the mean-zero gauge.
 
     The Numerov system is singular along constants; the middle row is
-    replaced by a pin and the solution shifted to reference-mean zero.
+    replaced by a pin and the solution shifted to mean zero against the
+    reference metric over the whole sphere (`TwistData.reference_mean`).
     """
     n = twist.grid.n_nodes
     r, ab = _linearize(np.zeros(n), 0.0, twist, p0, twist.grid.h)
@@ -415,9 +408,7 @@ def _solve_linear_mean_zero(twist, p0):
     rhs = -r
     rhs[mid] = 0.0
     phi = _solve_tridiagonal(ab, rhs)
-    w = twist.reference_weights
-    phi -= np.dot(w, phi) / w.sum()
-    return phi
+    return phi - twist.reference_mean(phi)
 
 
 def check_tau(tau: float, mu: float) -> None:
@@ -497,8 +488,8 @@ def solve_ma(twist: TwistData, tau: float,
                     f"damping budget exhausted at residual {res:.3e}")
             iters += 1
 
-    _, fac_l, flux_l = _closure(twist, tau, phi[0])
-    dphi = cumulative_integral(twist.density(phi, tau) - p0, h, flux_l / fac_l)
+    dphi = cumulative_integral(twist.density(phi, tau) - p0, h,
+                               _closure(twist, tau, phi[0])[0])
     return MASolution(twist, tau, phi, dphi, res, iters)
 
 
