@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import Grid, RadialKahlerPotential, football_potential, ricci_potential
-from .numerics import d1, d2, logsumexp_rows
+from .numerics import d1, d2, logsumexp_rows, weighted_sum
 
 # doubles in the reused buffer of a Gram or density block (1 MB)
 _BLOCK = 1 << 17
@@ -60,7 +60,7 @@ def associated_hermitian_weight(pot: RadialKahlerPotential) -> HermitianWeight:
     expo = h / mu + log_pp / mu + log_pp
     w = grid.weights * 2.0 * np.pi
     m = expo.max()
-    log_q = m + math.log(float(np.dot(w, np.exp(expo - m))))
+    log_q = m + math.log(weighted_sum(w, np.exp(expo - m)))
     log_scale = -mu * log_q   # log |c_S|^2
     log_weight = h / mu + ((1.0 - beta) / mu) * (log_scale + log_pp) \
         + log_pp - grid.t

@@ -5,13 +5,15 @@ J is the Aubin-type gradient energy, F its Lagrangian
     F_tau(phi) = J(phi) - (1/V) int phi omega0
                  - (1/tau) log( (1/V) int e^(h - tau phi) omega0 ),
 
-with h the twist exponent used by the solver.  Every integral is taken over
-the whole sphere: the grid Simpson sum against the round reference density
-of the grid plus the exact tail masses of the solver's `TwistData`, whose
-`reference_mean` and `twisted_mean` are the one source of those sums (the
-log term above and the solution's `MASolution.mean` both call
-`twisted_mean`).  So the algebraic identities (vanishing on constants, the
-on-path reduction) hold to rounding and not merely to quadrature order.
+with h the twist exponent used by the solver.  Every integral but J's is
+taken over the whole sphere by the solver's `TwistData`: the node rule its
+discrete rows induce, against the round reference density, plus one mass
+per tail, the same mass the closure rows use.  Its `reference_mean` and
+`twisted_mean` are the one source of those sums (the log term above and
+`MASolution.mean` both call `twisted_mean`).  So the algebraic identities
+(vanishing on constants, the on-path reduction) hold to rounding, and at a
+solution the log term vanishes to the Newton residual, so F equals
+J - (1/V) int phi omega0 there.
 """
 
 from __future__ import annotations

@@ -9,8 +9,12 @@ Phi'(t) (the moment coordinate, increasing from 0 to 2) and Phi''(t)
     area       = 2 pi (Phi'(+T) - Phi'(-T)),
     curvature  = -(log Phi'')'' / Phi''.
 
-All derivative stencils are second-order centered differences and all
-quadrature is composite Simpson; both are validated by refinement tests.
+All derivative stencils are second-order centered differences and
+`Grid.integrate` is composite Simpson, both validated by refinement tests;
+a solve's whole-sphere integrals use its own node rule and tail masses
+(`ma_solver.TwistData`).  Every sum over the nodes is
+`numerics.weighted_sum`, so no grid integral depends on the BLAS thread
+count.
 
 A `Grid` computes its nodes, its Simpson weights and the round reference
 profile once, on first access, and hands out the same read-only arrays
@@ -24,7 +28,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .numerics import cumulative_integral, simpson_weights
+from .numerics import cumulative_integral, simpson_weights, weighted_sum
 
 _FIT_FRACTION = 0.2     # share of the nodes next to a pole in cone_angle_at_pole's fit
 
@@ -77,7 +81,7 @@ class Grid:
         return pot
 
     def integrate(self, values: np.ndarray) -> float:
-        return float(np.dot(self.weights, values))
+        return weighted_sum(self.weights, values)
 
 
 @dataclass(frozen=True)
@@ -255,7 +259,7 @@ def ricci_potential(pot: RadialKahlerPotential) -> tuple[np.ndarray, float]:
     raw = -np.log(pot.phi_doubleprime) - cone.mu * phi_vals + cone.beta * t
     w = pot.grid.weights * pot.phi_doubleprime
     m = np.max(raw)
-    c = np.log(np.dot(w, np.ones_like(raw))) - (m + np.log(np.dot(w, np.exp(raw - m))))
+    c = np.log(w.sum()) - (m + np.log(weighted_sum(w, np.exp(raw - m))))
     return raw + c, float(c)
 
 

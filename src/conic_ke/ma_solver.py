@@ -11,10 +11,12 @@ where W = exp(h) is the twist density: either the genuinely conic weight
 volume of the whole sphere equals the reference volume.
 
 Discretization: Numerov compact fourth-order stencil in the interior with
-tail-matched Robin closures at the truncation boundary.  Each closure takes
-phi'(t_min) from the first integral of Liouville's tail equation
-phi'' = A e^(r s - tau phi), with the decay rate r read off the twist
-(`_closure`).  With u = sigma(t) the tail masses are integrals over
+tail-matched Robin closures at the truncation boundary.  Each closure sets
+phi'(t_min) to the tail's twisted mass less its reference mass; that mass
+(`TwistData.tail_mass`) is the first integral of Liouville's tail equation
+phi'' = A e^(r s - tau phi), with the decay rate r read off the twist, and
+with the node rule the rows induce it closes every whole-sphere integral of
+a solve.  With u = sigma(t) the tail masses are integrals over
 [0, sigma(-T)]: for delta = 0 incomplete beta functions summed as series,
 for delta > 0 smooth integrals taken by a tanh-sinh rule, both to rounding.
 On the football at tau = mu, T = 16, N = 2049, the error over |t| <= 8 is
@@ -60,7 +62,7 @@ from .geometry import (
     defining_section_norm,
     log_defining_section_norm,
 )
-from .numerics import cumulative_integral, d2
+from .numerics import cumulative_integral, d2, weighted_sum
 
 
 # ---------------------------------------------------------------------------
@@ -129,38 +131,17 @@ def _raw_log_weight(grid: Grid, beta: float, delta: float) -> np.ndarray:
     return -(1.0 - beta) * np.log(delta + np.exp(log_norm))
 
 
-def _closure_quadrature_weights(grid: Grid) -> np.ndarray:
-    """Node weights of the quadrature induced by the discrete system.
-
-    Summing the interior Numerov rows and the closure rows (the exact left
-    null of the tau = 0 operator) integrates the source with these weights;
-    they equal the end-corrected trapezoid rule and are fourth order.
-    Normalizing the twist against this rule plus the tail integrals makes
-    the tau = 0 system compatible to rounding.
-    """
-    w = np.full(grid.n_nodes, grid.h)
-    w[0] = w[-1] = grid.h * 5.0 / 12.0
-    w[1] = w[-2] = grid.h * 13.0 / 12.0
-    return w
-
-
 @dataclass(frozen=True)
 class TwistData:
     """Twist density W = e^h on the grid plus its exact tail integrals.
 
     The twist is the one source of a solve's grid, cone (beta, mu) and
-    delta, and of every full-sphere integral of the twisted problem: the
-    grid rule against the round reference of `grid` plus the tail masses
-    beyond t_min and t_max.  Each tail is stored once.  The twist and the
-    reference are even in t, and `Grid` requires |t_min + t_max| <= 1e-12 T,
-    so the tail beyond t_max is taken equal to the one below t_min (the CLI
-    grids are exactly symmetric, where the two are identical).
-
-    The Robin closure (`_closure`) reads its decay rate off these fields:
-    the edge density Phi0'' e^h at t_min over `tail_weighted`.  That rate is
-    beta for a conic tail and 1 once delta >> 4 e^(-T), where the closure is
-    exact up to the reference's own e^(-T); in the knee between, at T = 16,
-    it leaves up to 1.7e-3 (beta = 0.2, delta = 1e-10).
+    delta, and of every whole-sphere integral of the twisted problem: one
+    node rule (`reference_weights`) plus one mass per tail (`tail_mass`).
+    Each tail is stored once.  The twist and the reference are even in t,
+    and `Grid` requires |t_min + t_max| <= 1e-12 T, so the tail beyond t_max
+    is taken equal to the one below t_min (the CLI grids are exactly
+    symmetric, where the two are identical).
     """
 
     grid: Grid
@@ -173,36 +154,59 @@ class TwistData:
 
     @property
     def reference_weights(self) -> np.ndarray:
-        """Grid rule of the reference measure Phi0'' dt, tails excluded."""
-        return self.grid.weights * self.grid.reference.phi_doubleprime
+        """Node rule of the reference measure Phi0'' dt, tails excluded: the
+        end-corrected trapezoid rule, fourth order, that summing the Numerov
+        and closure rows induces.  So at a solution the rows telescope, and
+        the twisted volume is the reference volume to the Newton residual."""
+        w = np.full(self.grid.n_nodes, self.grid.h)
+        w[0] = w[-1] = self.grid.h * 5.0 / 12.0
+        w[1] = w[-2] = self.grid.h * 13.0 / 12.0
+        return w * self.grid.reference.phi_doubleprime
 
     @property
     def reference_volume(self) -> float:
-        """Reference volume of the whole sphere over 2 pi: grid rule plus tails."""
+        """Reference volume of the whole sphere over 2 pi: node rule plus tails."""
         return self.reference_weights.sum() + self.tail_plain + self.tail_plain
 
     def reference_mean(self, f: np.ndarray) -> float:
         """Mean of f against the reference metric over the whole sphere; each
         tail carries f at its edge node."""
         tp = self.tail_plain
-        return float((np.dot(self.reference_weights, f) + f[0] * tp + f[-1] * tp)
+        return float((weighted_sum(self.reference_weights, f) + f[0] * tp + f[-1] * tp)
                      / self.reference_volume)
 
     def density(self, phi: np.ndarray, tau: float) -> np.ndarray:
         """Phi0'' e^(h - tau phi): the twisted metric density at phi."""
         return self.grid.reference.phi_doubleprime * np.exp(self.log_weight - tau * phi)
 
+    def tail_mass(self, tau: float, edge_phi: float) -> tuple[float, float]:
+        """Twisted mass of the tail below t_min and its derivative in the edge
+        value phi_0 = `edge_phi` (the tail beyond t_max is this at phi[-1]).
+
+        Below t_min the equation is taken as Liouville's phi'' = A e^(r s -
+        tau phi), with r the edge density over `tail_weighted`: beta for a
+        conic tail, 1 once delta >> 4 e^(-T), and off by up to 1.7e-3 in the
+        knee between (T = 16, beta = 0.2, delta = 1e-10).  With phi' -> 0 at
+        the pole its first integral gives the mass 2E / (r + S), E the twisted
+        density at t_min and S = sqrt(r^2 - 2 tau E), and the derivative
+        -tau E / S: `tail_weighted` at tau = 0, NaN for S^2 < 0."""
+        edge = self.grid.reference.phi_doubleprime[0] * np.exp(self.log_weight[0])
+        rate = edge / self.tail_weighted
+        e = edge * np.exp(-tau * edge_phi)
+        s = np.sqrt(rate * rate - 2.0 * tau * e)
+        return 2.0 * e / (rate + s), -tau * e / s
+
     def twisted_mean(self, phi: np.ndarray, tau: float, f) -> float:
         """Integral of f against the twisted density e^(h - tau phi) omega0
         over the whole sphere, over the reference volume; each tail carries
-        f and phi at its edge node.  `f` is an array or a number.  The
-        exponent is shifted by its maximum before the grid sum."""
+        f at its edge node and the mass `tail_mass`, so the mean is NaN where
+        that mass is.  `f` is an array or a number.  The exponent is shifted
+        by its maximum before the node sum."""
         f = np.broadcast_to(f, phi.shape)
         expo = self.log_weight - tau * phi
         m = expo.max()
-        tw = self.tail_weighted
-        total = math.exp(m) * float(np.dot(self.reference_weights, np.exp(expo - m) * f)) \
-            + math.exp(-tau * phi[0]) * tw * f[0] + math.exp(-tau * phi[-1]) * tw * f[-1]
+        total = math.exp(m) * weighted_sum(self.reference_weights, np.exp(expo - m) * f) \
+            + self.tail_mass(tau, phi[0])[0] * f[0] + self.tail_mass(tau, phi[-1])[0] * f[-1]
         return float(total / self.reference_volume)
 
 
@@ -210,23 +214,18 @@ def build_twist(grid: Grid, beta: float, delta: float) -> TwistData:
     """Assemble the twist density and its semi-infinite tail integrals.
 
     The normalizing constant (a_beta for delta = 0, c_delta for delta > 0)
-    makes the twisted volume of the whole sphere, grid rule plus exact
-    tails, equal the reference volume.  A beta outside (0, 1] or a delta
-    that is negative or not finite raises ValueError.
+    makes the twisted volume of the whole sphere at phi = 0, node rule plus
+    exact tails, equal the reference volume.  A beta outside (0, 1] or a
+    delta that is negative or not finite raises ValueError.
     """
     cone = ConeConfiguration(beta)
     if not (math.isfinite(delta) and delta >= 0.0):
         raise ValueError(f"delta must be finite and nonnegative, got {delta}")
     raw = _raw_log_weight(grid, beta, delta)
     tail = _twist_tail(grid.t_min, beta, delta)
-    # the integral of Phi0'' over (-inf, t_min], and the constant c that makes
-    # the full-line integral of Phi0'' (e^(raw + c) - 1) zero
-    plain_tail = 2.0 * float(_sigmoid(np.array([grid.t_min]))[0])
-    w = _closure_quadrature_weights(grid) * grid.reference.phi_doubleprime
-    m = raw.max()
-    weighted = math.exp(m) * float(np.dot(w, np.exp(raw - m)))
-    plain = float(w.sum()) + plain_tail + plain_tail
-    const = float(np.log(plain) - np.log(weighted + (tail + tail)))
+    plain_tail = 2.0 * float(_sigmoid(np.array([grid.t_min]))[0])  # Phi0'' over (-inf, t_min]
+    unnormalized = TwistData(grid, cone, delta, 0.0, raw, tail, plain_tail)
+    const = -math.log(unnormalized.twisted_mean(np.zeros(grid.n_nodes), 0.0, 1.0))
     return TwistData(grid, cone, delta, const, raw + const, math.exp(const) * tail,
                      plain_tail)
 
@@ -258,8 +257,8 @@ class MASolution:
 
     def mean(self, f: np.ndarray) -> float:
         """Mean of f against the solved metric over the whole sphere (the
-        twist's `twisted_mean`).  By the twist's normalization the solved
-        volume is the reference volume."""
+        twist's `twisted_mean`).  The solved volume is the reference volume
+        to the Newton residual, so the mean of 1 is 1."""
         return self.twist.twisted_mean(self.phi, self.tau, f)
 
     @property
@@ -275,30 +274,12 @@ class MASolution:
             cone)
 
 
-def _closure(twist, tau, edge_phi):
-    """phi'(t_min) from the first integral of the tail equation, and its
-    derivative in the edge value phi_0 = `edge_phi`.
-
-    Below t_min the equation is taken as Liouville's phi'' = A e^(r s - tau
-    phi), with r the twist's edge density over its tail mass (beta for a
-    conic tail, 1 once smoothed).  With phi' -> 0 at the pole, its first
-    integral gives phi'(t_min) = 2E / (r + S) - tail_plain, where
-    E = r tail_weighted e^(-tau phi_0), the twisted density at t_min, and
-    S = sqrt(r^2 - 2 tau E); the derivative is -tau E / S.  For S^2 < 0
-    both are NaN.
-    """
-    edge = twist.grid.reference.phi_doubleprime[0] * np.exp(twist.log_weight[0])
-    rate = edge / twist.tail_weighted
-    e = edge * np.exp(-tau * edge_phi)
-    s = np.sqrt(rate * rate - 2.0 * tau * e)
-    return 2.0 * e / (rate + s) - twist.tail_plain, -tau * e / s
-
-
 def _linearize(phi, tau, twist, p0, h):
     """Residual and its tridiagonal Jacobian (solve_banded layout (1,1)).
 
     The residual is the Numerov interior rows plus Taylor-corrected Robin
-    closure rows, each matching its one-sided derivative to `_closure`.
+    closure rows, each matching its one-sided derivative to the tail's
+    twisted mass less its reference mass (`TwistData.tail_mass`).
     The two-point closure derivative
     (phi1 - phi0)/h - h (f0/3 + f1/6) approximates phi'(t_min) to O(h^3)
     and, unlike wider one-sided stencils, telescopes exactly against the
@@ -311,21 +292,21 @@ def _linearize(phi, tau, twist, p0, h):
     r = np.empty_like(phi)
     r[1:-1] = (phi[:-2] - 2.0 * phi[1:-1] + phi[2:]) / (h * h) \
         - (f[:-2] + 10.0 * f[1:-1] + f[2:]) / 12.0
-    slope_l, dslope_l = _closure(twist, tau, phi[0])
-    slope_r, dslope_r = _closure(twist, tau, phi[-1])   # phi'(t_max) = -slope_r
+    mass_l, dmass_l = twist.tail_mass(tau, phi[0])     # phi'(t_min) = mass_l - tail_plain
+    mass_r, dmass_r = twist.tail_mass(tau, phi[-1])    # phi'(t_max) = tail_plain - mass_r
     dl = (phi[1] - phi[0]) / h - h * (f[0] / 3.0 + f[1] / 6.0)
     dr = (phi[-1] - phi[-2]) / h + h * (f[-1] / 3.0 + f[-2] / 6.0)
-    r[0] = dl - slope_l
-    r[-1] = dr + slope_r
+    r[0] = dl - (mass_l - twist.tail_plain)
+    r[-1] = dr + (mass_r - twist.tail_plain)
 
     ab = np.zeros((3, n))
     inv_h2 = 1.0 / (h * h)
     ab[0, 2:] = inv_h2 + g[2:] / 12.0          # A[i, i+1]
     ab[1, 1:-1] = -2.0 * inv_h2 + 10.0 * g[1:-1] / 12.0
     ab[2, :-2] = inv_h2 + g[:-2] / 12.0        # A[i, i-1]
-    ab[1, 0] = -1.0 / h + h * g[0] / 3.0 - dslope_l
+    ab[1, 0] = -1.0 / h + h * g[0] / 3.0 - dmass_l
     ab[0, 1] = 1.0 / h + h * g[1] / 6.0
-    ab[1, -1] = 1.0 / h - h * g[-1] / 3.0 + dslope_r
+    ab[1, -1] = 1.0 / h - h * g[-1] / 3.0 + dmass_r
     ab[2, -2] = -1.0 / h - h * g[-2] / 6.0
     return r, ab
 
@@ -382,7 +363,7 @@ def _newton_system(phi, tau, twist, p0, h):
     """`_linearize` and the residual's max norm, which is inf when the
     residual or the Jacobian is not finite: e^(-tau phi) overflows on an
     iterate that is negative enough, and a closure row has no real root
-    when its tail is too heavy (`_closure`)."""
+    when its tail is too heavy (`TwistData.tail_mass`)."""
     with np.errstate(all="ignore"):
         r, ab = _linearize(phi, tau, twist, p0, h)
     res = float(np.max(np.abs(r)))
@@ -489,7 +470,7 @@ def solve_ma(twist: TwistData, tau: float,
             iters += 1
 
     dphi = cumulative_integral(twist.density(phi, tau) - p0, h,
-                               _closure(twist, tau, phi[0])[0])
+                               twist.tail_mass(tau, phi[0])[0] - twist.tail_plain)
     return MASolution(twist, tau, phi, dphi, res, iters)
 
 
@@ -554,15 +535,16 @@ def _lowest_eigenvalue(diag: np.ndarray, off: np.ndarray) -> float:
         raise SolverError("eigen-solve: mode matrix is not positive definite")
     sigma = 0.0
     x = 1.0 / diag                       # positive, decays into the tails
-    x /= np.linalg.norm(x)
+    x /= math.sqrt(weighted_sum(x, x))
     last = math.inf
     for _ in range(_EIGEN_MAX_ITER):
         y = dpttrs(ld, le, x)[0]
-        norm_y = np.linalg.norm(y)
+        norm_y = math.sqrt(weighted_sum(y, y))
         # Rayleigh quotient of (T - sigma I) at y and the residual norm of
         # x_new = y / |y|, both from y alone: (T - sigma I) y = x.
-        shifted = float(np.dot(y, x)) / (norm_y * norm_y)
-        resid = float(np.linalg.norm(x - shifted * y)) / norm_y
+        shifted = weighted_sum(y, x) / (norm_y * norm_y)
+        z = x - shifted * y
+        resid = math.sqrt(weighted_sum(z, z)) / norm_y
         theta = sigma + shifted
         if last - theta <= _RAYLEIGH_STALL * theta:
             return min(theta, last)
@@ -579,13 +561,15 @@ def _lowest_eigenvalue(diag: np.ndarray, off: np.ndarray) -> float:
 def first_eigenvalue(pot: RadialKahlerPotential) -> tuple[float, dict]:
     """Smallest nonzero eigenvalue of the metric Laplacian.
 
-    Per angular mode m = 0, 1, 2 the lowest eigenvalue of `_mode_matrix` is
+    Per angular mode m = 0, 1 the lowest eigenvalue of `_mode_matrix` is
     taken by certified inverse iteration (`_lowest_eigenvalue`); on the
-    default grid it agrees with a tight bisection to ~1e-11 relative.  Raises
-    SolverError when the iteration does not settle within its budget.
+    default grid it agrees with a tight bisection to ~1e-11 relative.  Modes
+    m >= 2 are not taken: each matrix is mode 1's plus a positive diagonal,
+    so its lowest eigenvalue lies above mode 1's (Weyl).  Raises SolverError
+    when the iteration does not settle within its budget.
     """
     pot.require_positive()
-    per_mode = {m: _lowest_eigenvalue(*_mode_matrix(pot, m)) for m in (0, 1, 2)}
+    per_mode = {m: _lowest_eigenvalue(*_mode_matrix(pot, m)) for m in (0, 1)}
     return min(per_mode.values()), per_mode
 
 

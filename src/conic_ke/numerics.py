@@ -18,6 +18,13 @@ def simpson_weights(n_nodes: int, h: float) -> np.ndarray:
     return w * (h / 3.0)
 
 
+def weighted_sum(weights: np.ndarray, values) -> float:
+    """Sum of weights * values, the one reduction behind every grid sum:
+    numpy's pairwise sum runs in one thread, where a BLAS `np.dot` of more
+    than 10^4 terms depends on the thread count."""
+    return float(np.sum(weights * values))
+
+
 def _interval_weights(alignment: int) -> np.ndarray:
     """Weights integrating the quintic through 6 unit-spaced nodes over
     the sub-interval [alignment, alignment + 1]."""

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import RadialKahlerPotential, cone_angle_at_pole, ricci_potential_h0
-from .numerics import d1, d2
+from .numerics import d1, d2, weighted_sum
 
 _UNOBSTRUCTED_TOL = 1e-4   # obstruction_scan: |invariant| at most this is UNOBSTRUCTED
 
@@ -59,7 +59,7 @@ def hamiltonian_theta(pot: RadialKahlerPotential) -> HamiltonianPotential:
     pot.require_positive()
     grid = pot.grid
     w = grid.weights * pot.phi_doubleprime
-    mean = float(np.dot(w, pot.phi_prime) / w.sum())
+    mean = weighted_sum(w, pot.phi_prime) / float(w.sum())
     return HamiltonianPotential(pot, pot.phi_prime - mean, mean)
 
 
@@ -79,7 +79,7 @@ def futaki_theta_route(pot: RadialKahlerPotential) -> float:
     grid = pot.grid
     theta = hamiltonian_theta(pot)
     defect = -d2(np.log(pot.phi_doubleprime), grid.h) - pot.phi_doubleprime
-    return -2.0 * np.pi * float(np.dot(grid.weights, theta.theta * defect))
+    return -2.0 * np.pi * grid.integrate(theta.theta * defect)
 
 
 def futaki(pot: RadialKahlerPotential) -> FutakiReport:
@@ -98,7 +98,7 @@ def futaki(pot: RadialKahlerPotential) -> FutakiReport:
     except ValueError:
         return FutakiReport(None, via_theta, None)
     hp = d1(h, grid.h)
-    via_gradient = 2.0 * np.pi * float(np.dot(grid.weights, hp * pot.phi_doubleprime))
+    via_gradient = 2.0 * np.pi * grid.integrate(hp * pot.phi_doubleprime)
     return FutakiReport(via_gradient, via_theta, abs(via_gradient - via_theta))
 
 

@@ -291,6 +291,24 @@ def test_config_file_round_trip(tmp_path):
     assert hash_file(tmp_path / "c3" / "solution.csv") == h1
 
 
+def test_data_files_independent_of_blas_threads(tmp_path):
+    # every grid sum is one single-thread reduction (numerics.weighted_sum);
+    # a BLAS dot over more than 10^4 nodes changed with the thread count
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    commands = (("bergman-scan", "--betas", "0.6,1.0", "--ells", "2,8"),
+                ("continue-path", "--beta", "1.0", "--delta", "0.1", "--steps", "2"))
+    for k, argv in enumerate(commands):
+        hashes = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"{k}-{threads}"
+            subprocess.run([sys.executable, "-m", "conic_ke.cli", *argv,
+                            "--grid-N", "10241", "--out", str(out)],
+                           env={**env, "OPENBLAS_NUM_THREADS": threads},
+                           check=True, capture_output=True)
+            hashes.append(hash_outputs(out))
+        assert hashes[0] and hashes[0] == hashes[1], argv
+
+
 def test_continue_path_echo_round_trip(tmp_path):
     # the adaptive path echoes "steps": null, which keeps --steps at its default
     assert run("continue-path", "--beta", 0.9, "--delta", 0.1, "--grid-N", 129,

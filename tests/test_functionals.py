@@ -9,7 +9,7 @@ from conic_ke.functionals import (
     path_derivative_residual,
 )
 from conic_ke.geometry import ConeConfiguration, Grid
-from conic_ke.ma_solver import build_twist, solve_ma
+from conic_ke.ma_solver import build_twist, continuity_path, solve_ma
 from conic_ke.numerics import d2
 
 
@@ -126,6 +126,16 @@ def test_f_bounded_along_path(trace_08):
 def test_onpath_reduction(trace_08):
     rep = path_derivative_residual(trace_08)
     assert rep.max_onpath() <= 1e-8
+
+
+def test_onpath_reduction_heavy_tails(grid):
+    # trace.csv's F (J - mean phi) and functionals.csv's F (with the log term)
+    # agree where the tails carry visible mass: the twisted mean gives each
+    # tail the solve's own mass
+    trace = continuity_path(ConeConfiguration(0.35), 0.0, steps=20, grid=grid)
+    rep = path_derivative_residual(trace)
+    assert rep.onpath_taus.size == 18
+    assert rep.max_onpath() <= 1e-9
 
 
 def test_onpath_value_is_f_without_log_term(trace_08):
