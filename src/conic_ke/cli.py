@@ -64,7 +64,8 @@ def _write(args, run: Run, t0: float) -> None:
 
 def _grid_from(args):
     """The grid of `--grid-T` and `--grid-N`, with at least the nodes that
-    cumulative integration, used by every command with a grid, needs."""
+    cumulative integration, used by every command with a grid, needs, and
+    ends where the round density is not 0 (it underflows from |T| ~ 745)."""
     from .geometry import Grid
     from .numerics import CUMULATIVE_MIN_NODES
     try:
@@ -74,6 +75,9 @@ def _grid_from(args):
     if grid.n_nodes < CUMULATIVE_MIN_NODES:
         raise ValueError(f"--grid-N {args.grid_N}: cumulative integration needs "
                          f"at least {CUMULATIVE_MIN_NODES} nodes")
+    if grid.reference.phi_doubleprime[0] == 0.0:
+        raise ValueError(f"--grid-T {args.grid_T}: the round metric's density "
+                         f"underflows to 0 at the grid ends")
     return grid
 
 
@@ -220,12 +224,9 @@ def cmd_futaki(args) -> Run:
     from .stability import futaki
     pot = read_potential_csv(args.metric)
     rep = futaki(pot)
-    # conic inputs only support the theta route; the gradient column is nan
-    grad = float("nan") if rep.via_gradient is None else rep.via_gradient
-    disc = float("nan") if rep.discrepancy is None else rep.discrepancy
     return Run({"futaki.csv": (["via_gradient", "via_theta", "discrepancy"],
-                               [[grad], [rep.via_theta], [disc]])},
-               f"via_gradient={format_number(grad)} "
+                               [[rep.via_gradient], [rep.via_theta], [rep.discrepancy]])},
+               f"via_gradient={format_number(rep.via_gradient)} "
                f"via_theta={format_number(rep.via_theta)}", pot.grid)
 
 

@@ -159,12 +159,9 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
 
 
 def fubini_study_potential(grid: Grid) -> RadialKahlerPotential:
-    """Round reference metric: Phi'(t) = 2 e^t / (1 + e^t)."""
-    t = grid.t
-    pp = 2.0 * _sigmoid(t)
-    ppp = 2.0 * _sigmoid(t) * _sigmoid(-t)
-    offset = 2.0 * np.log1p(np.exp(grid.t_min))
-    return RadialKahlerPotential(grid, pp, ppp, offset)
+    """Round reference metric, Phi'(t) = 2 e^t / (1 + e^t): the football of
+    beta = 1."""
+    return football_potential(grid, 1.0)
 
 
 def football_potential(grid: Grid, beta: float) -> RadialKahlerPotential:

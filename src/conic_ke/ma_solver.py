@@ -62,7 +62,7 @@ from .geometry import (
     defining_section_norm,
     log_defining_section_norm,
 )
-from .numerics import cumulative_integral, d2, weighted_sum
+from .numerics import cumulative_integral, d2, second_difference_floor, weighted_sum
 
 
 # ---------------------------------------------------------------------------
@@ -155,9 +155,11 @@ class TwistData:
     @property
     def reference_weights(self) -> np.ndarray:
         """Node rule of the reference measure Phi0'' dt, tails excluded: the
-        end-corrected trapezoid rule, fourth order, that summing the Numerov
-        and closure rows induces.  So at a solution the rows telescope, and
-        the twisted volume is the reference volume to the Newton residual."""
+        end-corrected trapezoid rule that summing the Numerov and closure
+        rows induces.  So at a solution the rows telescope, and the twisted
+        volume is the reference volume to the Newton residual.  Its end error
+        is h^3/24 (f''(t_min) + f''(t_max)), third order for a general f; a
+        solve's integrands carry Phi0'' and vanish at the ends."""
         w = np.full(self.grid.n_nodes, self.grid.h)
         w[0] = w[-1] = self.grid.h * 5.0 / 12.0
         w[1] = w[-2] = self.grid.h * 13.0 / 12.0
@@ -223,7 +225,7 @@ def build_twist(grid: Grid, beta: float, delta: float) -> TwistData:
         raise ValueError(f"delta must be finite and nonnegative, got {delta}")
     raw = _raw_log_weight(grid, beta, delta)
     tail = _twist_tail(grid.t_min, beta, delta)
-    plain_tail = 2.0 * float(_sigmoid(np.array([grid.t_min]))[0])  # Phi0'' over (-inf, t_min]
+    plain_tail = float(grid.reference.phi_prime[0])   # Phi0'' over (-inf, t_min]
     unnormalized = TwistData(grid, cone, delta, 0.0, raw, tail, plain_tail)
     const = -math.log(unnormalized.twisted_mean(np.zeros(grid.n_nodes), 0.0, 1.0))
     return TwistData(grid, cone, delta, const, raw + const, math.exp(const) * tail,
@@ -354,9 +356,12 @@ def _solve_tridiagonal(ab, rhs):
     return x
 
 
-def _implied_density(phi, p0, h):
-    """Phi'' of an iterate read through the plain difference stencil."""
-    return p0 + d2(phi, h)
+def _implied_density_positive(phi, p0, h) -> bool:
+    """Whether Phi'' of an iterate, read through the plain difference
+    stencil, lies above minus the stencil's rounding floor at every node
+    (above 0 at phi = 0).  Near the ends of a wide grid p0 is below that
+    floor, so there the sign of p0 + d2(phi) is noise."""
+    return bool(np.all(p0 + d2(phi, h) > -second_difference_floor(phi, h)))
 
 
 def _newton_system(phi, tau, twist, p0, h):
@@ -429,7 +434,7 @@ def solve_ma(twist: TwistData, tau: float,
     else:
         phi = project(np.zeros(grid.n_nodes) if guess is None
                       else np.asarray(guess, dtype=float))
-        if not np.all(_implied_density(phi, p0, h) > 0.0):
+        if not _implied_density_positive(phi, p0, h):
             raise PositivityLost("initial guess is not a positive metric")
 
         r, ab, res = _newton_system(phi, tau, twist, p0, h)
@@ -451,7 +456,7 @@ def solve_ma(twist: TwistData, tau: float,
             positivity_blocked = False
             for _ in range(_MAX_HALVINGS + 1):
                 trial = project(phi + alpha * step)
-                if not np.all(_implied_density(trial, p0, h) > 0.0):
+                if not _implied_density_positive(trial, p0, h):
                     positivity_blocked = True
                     alpha *= _DAMPING
                     continue

@@ -87,6 +87,12 @@ def d2(values: np.ndarray, h: float) -> np.ndarray:
     return out
 
 
+def second_difference_floor(values: np.ndarray, h: float) -> float:
+    """Rounding floor of `d2(values, h)`, 4 eps max|values| / h^2: a second
+    difference of doubles below it in size is rounding noise."""
+    return 4.0 * np.finfo(float).eps * float(np.max(np.abs(values))) / (h * h)
+
+
 # exp(x) is subnormal or zero exactly when x < log(smallest normal double),
 # about -708.396; numpy's SIMD exp takes a slow scalar path on such inputs
 _EXP_NORMAL = math.log(np.finfo(float).tiny)

@@ -10,6 +10,7 @@ of theta over the marked points.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,16 +36,10 @@ class HamiltonianPotential:
         by the cone fraction, so Phi'(inf) is extrapolated as
         Phi'(T) + Phi''(T)/beta rather than read off the last node.
         """
-        grid = self.pot.grid
-        if pole == "infinity":
-            b = cone_angle_at_pole(self.pot, "infinity")
-            return float(self.pot.phi_prime[-1] + self.pot.phi_doubleprime[-1] / b
-                         - self.mean_removed)
-        if pole == "zero":
-            b = cone_angle_at_pole(self.pot, "zero")
-            return float(self.pot.phi_prime[0] - self.pot.phi_doubleprime[0] / b
-                         - self.mean_removed)
-        raise ValueError("pole must be 'zero' or 'infinity'")
+        b = cone_angle_at_pole(self.pot, pole)    # raises for another pole name
+        end, sign = (-1, 1.0) if pole == "infinity" else (0, -1.0)
+        return float(self.pot.phi_prime[end] + sign * self.pot.phi_doubleprime[end] / b
+                     - self.mean_removed)
 
     def at(self, location) -> float:
         """theta at a pole name or an interior t-location."""
@@ -65,9 +60,11 @@ def hamiltonian_theta(pot: RadialKahlerPotential) -> HamiltonianPotential:
 
 @dataclass
 class FutakiReport:
-    via_gradient: float | None  # pairing of the field with grad of the Ricci potential
-    via_theta: float            # -integral of theta (Ricci - metric)
-    discrepancy: float | None
+    """The obstruction integral by two routes; NaN marks a route not taken."""
+
+    via_gradient: float     # grad-of-Ricci-potential pairing; NaN for a conic input
+    via_theta: float        # -integral of theta (Ricci - metric)
+    discrepancy: float      # |via_gradient - via_theta|
 
 
 def futaki_theta_route(pot: RadialKahlerPotential) -> float:
@@ -89,14 +86,15 @@ def futaki(pot: RadialKahlerPotential) -> FutakiReport:
     (angle-1) input, since the Ricci potential blows up at cone points;
     route two pairs the mean-normalized Hamiltonian with the Einstein
     defect and is evaluated for any input.  On smooth metrics the two
-    agree up to discretization and both vanish in this class.
+    agree up to discretization and both vanish in this class; on conic ones
+    route one and the discrepancy are NaN.
     """
     grid = pot.grid
     via_theta = futaki_theta_route(pot)
     try:
         h, _ = ricci_potential_h0(pot)
     except ValueError:
-        return FutakiReport(None, via_theta, None)
+        return FutakiReport(math.nan, via_theta, math.nan)
     hp = d1(h, grid.h)
     via_gradient = 2.0 * np.pi * grid.integrate(hp * pot.phi_doubleprime)
     return FutakiReport(via_gradient, via_theta, abs(via_gradient - via_theta))

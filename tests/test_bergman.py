@@ -134,6 +134,8 @@ def test_gram_positive_definite(grid):
     w = associated_hermitian_weight(fb)
     gram = gram_matrix(64, w, fb)
     assert np.isfinite(gram.log_diag).all()
+    with pytest.raises(ValueError, match="positive integer"):
+        gram_matrix(0, w, fb)
 
 
 # ---------------------------------------------------------------------------

@@ -180,19 +180,6 @@ def test_version_and_usage_errors_leave_numpy_unloaded():
     assert out.splitlines() == ["0.1.0", "[]"]
 
 
-def test_package_exports_resolve_lazily():
-    import conic_ke
-    import conic_ke.ma_solver as ma_solver
-
-    for name, module in conic_ke._MODULE_OF.items():
-        assert getattr(conic_ke, name) is getattr(
-            sys.modules[f"conic_ke.{module}"], name), name
-        assert name in dir(conic_ke)
-    assert conic_ke.NewtonDiverged is ma_solver.NewtonDiverged
-    with pytest.raises(AttributeError, match="no_such_name"):
-        conic_ke.no_such_name
-
-
 def test_config_flag_without_path(capsys):
     assert run("solve", "--config") == 1
     err = capsys.readouterr().err
@@ -766,12 +753,23 @@ def test_capacity_manual_delta_must_be_positive(tmp_path, capsys, delta):
     (("continue-path", "--beta", 0.8, "--delta", "-1E-3"), "error: --delta -0.001: "),
     (("capacity", "--n", 1, "--eps", 0.1, "--rule", "manual", "--delta", "-1e-3"),
      "error: --delta must be positive"),
+    (("capacity", "--n", 1, "--eps", 0.1, "--rule", "manual"),
+     "error: --rule manual requires --delta"),
+    (("volume-scan", "--mode", "tube", "--source", "football:0.6"),
+     "error: tube mode needs --source cone:N:BETA_BAR"),
+    (("volume-scan", "--source", "football:abc"), "error: --source"),
+    # Phi0'' = 2 e^t / (1 + e^t)^2 is 0 in double at t = -800, where the
+    # tail closure would divide 0 by 0 (warnings are errors in this suite)
+    (("solve", "--beta", 0.8, "--delta", 0, "--tau", 0.4, "--grid-T", 800),
+     "error: --grid-T 800"),
 ], ids=["solve-delta-nan", "solve-delta-inf", "family-deltas-nan", "path-delta-nan",
         "grid-T-inf", "capacity-eps-zero", "capacity-eps-nan", "volume-radius-off-grid",
         "tube-annulus-without-b", "density-without-ell", "grid-N-even", "deltas-empty",
         "betas-not-a-number", "ells-not-an-int", "solve-tau-negative", "solve-beta-above-1",
         "path-beta-zero", "solve-delta-negative", "solve-delta-exponent-form",
-        "solve-delta-minus-inf", "path-delta-exponent-form", "capacity-delta-exponent-form"])
+        "solve-delta-minus-inf", "path-delta-exponent-form", "capacity-delta-exponent-form",
+        "capacity-manual-without-delta", "tube-from-football", "football-beta-not-a-number",
+        "grid-T-round-density-underflows"])
 def test_bad_numbers_exit_config(tmp_path, capsys, argv, name):
     assert run(*argv, "--out", tmp_path / "o") == 1
     err = capsys.readouterr().err
@@ -811,6 +809,41 @@ def test_volume_scan_cli(tmp_path):
                "--r-min", 0.01, "--r-max", 0.5, "--num", 12, "--out", out2) == 0
     fit2 = np.loadtxt(out2 / "fit.csv", delimiter=",", skiprows=1)
     assert fit2[0] == pytest.approx(2.0, abs=0.05)
+
+
+@pytest.mark.parametrize("argv, table, column, expected", [
+    (("capacity", "--n", 1, "--eps", 0.1, "--rule", "manual", "--delta", 1e-3),
+     "capacity.csv", 3, math.log(1e-3)),
+    (("volume-scan", "--source", "cone:2:0.25"), "fit.csv", 0, 0.25),
+], ids=["capacity-manual", "ratio-of-cone"])
+def test_capacity_manual_and_cone_ratio(tmp_path, argv, table, column, expected):
+    out = tmp_path / "o"
+    assert run(*argv, "--out", out) == 0
+    row = np.loadtxt(out / table, delimiter=",", skiprows=1)
+    assert row[column] == pytest.approx(expected, rel=1e-12)
+
+
+@pytest.mark.parametrize("tau", [0.8, 0.4])
+def test_wide_grid_solve_passes_the_positivity_guard(tmp_path, tau):
+    # exit 3 ("metric positivity lost") while the guard ignored the rounding
+    # floor of the second difference at the grid ends
+    out = tmp_path / "s"
+    assert run("solve", "--beta", 0.8, "--delta", 0, "--tau", tau, "--grid-T", 40,
+               "--out", out) == 0
+    if tau == 0.8:
+        pot = read_potential_csv(out / "solution.csv")
+        core = np.abs(pot.grid.t) <= 20.0
+        oracle = football_potential(pot.grid, 0.8)
+        assert np.max(np.abs(pot.phi_doubleprime - oracle.phi_doubleprime)[core]) < 1e-6
+
+
+def test_wide_grid_path_completes(tmp_path):
+    out = tmp_path / "p"
+    assert run("continue-path", "--beta", 0.8, "--delta", 1e-3, "--grid-T", 32,
+               "--grid-N", 4097, "--out", out) == 0
+    trace = np.loadtxt(out / "trace.csv", delimiter=",", skiprows=1)
+    assert trace[-1, 0] == pytest.approx(0.8, abs=1e-14)
+    assert np.all(trace[:, 5] <= 1e-11)
 
 
 @pytest.mark.parametrize("n", [3, 5])

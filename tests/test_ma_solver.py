@@ -218,6 +218,34 @@ def test_positivity_guard(grid):
         solve_ma(twist, 0.45, bad_guess)
 
 
+@pytest.mark.parametrize("beta, T", [(0.8, 40), (0.95, 40), (0.9, 38), (0.95, 36)])
+def test_wide_grid_footballs_pass_the_positivity_guard(beta, T):
+    # at the grid ends Phi0'' is below the rounding floor of d2(phi), where
+    # the sign of the implied density is noise; these raised PositivityLost
+    # when every node had to be strictly positive
+    g = Grid(-T, T, 2049)
+    sol = solve_ma(build_twist(g, beta, 0.0), beta)
+    core = np.abs(g.t) <= T / 2
+    oracle = football_oracle_phi(g, beta, sol.twist.constant)
+    assert np.max(np.abs(sol.phi - oracle)[core]) < 1e-6
+
+
+def test_wide_grid_smoothed_solve_passes_the_positivity_guard():
+    g = Grid(-32, 32, 4097)
+    sol = solve_ma(build_twist(g, 0.8, 1e-3), 0.8)
+    assert sol.residual <= 1e-11 and sol.iterations <= 5
+
+
+def test_line_search_refuses_a_step_that_is_not_positive(grid, monkeypatch):
+    # every damped trial of a concave bump of height 1e4 / 2^k, k <= 8, has
+    # Phi'' < 0 at t = 0 far above the rounding floor
+    import conic_ke.ma_solver as ma_solver
+    monkeypatch.setattr(ma_solver, "_solve_tridiagonal",
+                        lambda ab, rhs: 1e4 / np.cosh(grid.t))
+    with pytest.raises(PositivityLost, match="damping budget exhausted"):
+        solve_ma(build_twist(grid, 0.75, 1e-3), 0.45)
+
+
 def test_newton_budget_exhaustion(grid, monkeypatch):
     import conic_ke.ma_solver as ma_solver
     monkeypatch.setattr(ma_solver, "_NEWTON_MAX_ITER", 1)
