@@ -8,12 +8,29 @@ inside double range.  The inner product always pairs the weight with the
 volume form of the same metric; no auxiliary volume forms enter.
 
 Gram diagonals and densities are log-sum-exp reductions of the (2l+1) x n
-array of log-norms.  Each call builds and reduces it in blocks of about
-1 MB in one reused buffer: the Gram in blocks of rows, the density in
-blocks of columns.  At l = 64 and n = 32769 the whole array is 34 MB,
-which would stream through the cache several times and cost more than
-the exponentials.  The blocking changes no bit: every row sum runs over
-the same contiguous row and every column sum adds k = 0..2l in order.
+array of log-norms, and most of its terms cannot change them.  Each sum
+skips the terms that lie more than _cut(count) = log(2^53 count) + 1
+below one of its terms, so that all it drops, count terms at most, adds
+less than 2^-53 of what it keeps.  The kept terms form a window:
+  - Gram row k sums e^(f_k + log meas) with f_k = k t + l w concave in t,
+    as -w'' = Phi'' > 0; the row keeps the nodes where f_k + max log meas
+    is above the cut, one interval.
+  - The density at node t sums e^(k t + l w - log <z^k, z^k>), concave in
+    k because any Gram diagonal, continuous or a node sum, is log-convex in
+    k (Cauchy-Schwarz); the node keeps one run of rows, and both of its
+    ends move up with t.
+The windows are placed from 129 sampled nodes.  Concavity holds only to
+rounding, and for a solved metric only to the discretization error, in
+far tails where Phi'' is tiny, so each block checks the terms at its two
+window ends; a row or node whose end term is not below the cut is summed
+whole.  The results then match the plain formula to a few ulps (4e-15
+relative is tested), not bit for bit.
+
+Each call builds and reduces its windows in blocks of at most 1 MB in one
+reused buffer (a lone row or node run longer than that is one block): the
+Gram in blocks of rows, the density in blocks of columns, each over the
+union of its windows.  At l = 64 and n = 32769 the whole array is 34 MB,
+and the windows hold about a quarter of it.
 """
 
 from __future__ import annotations
@@ -28,6 +45,8 @@ from .numerics import d1, d2, logsumexp_rows, weighted_sum
 
 # doubles in the reused buffer of a Gram or density block (1 MB)
 _BLOCK = 1 << 17
+# nodes at which each kernel samples its terms to place its windows
+_SAMPLES = 129
 
 
 @dataclass
@@ -77,32 +96,96 @@ class SectionBasisGram:
 
 
 def _log_section_norms(ell: int, ell_log_weight: np.ndarray, t: np.ndarray,
-                       k: slice = slice(None), cols: slice = slice(None),
+                       k=slice(None), cols=slice(None),
                        out: np.ndarray | None = None) -> np.ndarray:
     # k t + l w(t), summed in place in that order, for the rows k of 0..2l
-    # and the nodes cols, from l w computed once per call; written into out
-    # when it is given.  Float k gives the products numpy's int-to-double
-    # cast gives, without a buffered cast in the loop.
+    # and the nodes cols (slices or index arrays), from l w computed once
+    # per call; written into out when it is given.  Float k gives the
+    # products numpy's int-to-double cast gives, without a buffered cast in
+    # the loop.
     ks = np.arange(2 * ell + 1, dtype=float)[k]
     norms = np.multiply(ks[:, None], t[None, cols], out=out)
     norms += ell_log_weight[None, cols]
     return norms
 
 
-def _blocks(count: int, size: int) -> list[slice]:
-    """Slices of about `size` (at least 2) items covering range(count).
+def _cut(count: int) -> float:
+    """How far below one term of a sum each of `count` dropped terms must
+    lie for all of them to add less than 2^-53 of the sum: log(2^53
+    count), plus one for rounding."""
+    return 53.0 * math.log(2.0) + math.log(count) + 1.0
 
-    A lone last item joins the block before it: numpy sums a one-column
-    block pairwise, not in row order, which could change the last bit.
+
+def _samples(n: int) -> np.ndarray:
+    """Up to _SAMPLES increasing node indices, both ends among them."""
+    return np.rint(np.linspace(0, n - 1, min(n, _SAMPLES))).astype(np.intp)
+
+
+def _group(lo: np.ndarray, hi: np.ndarray, sizes: np.ndarray) -> list[tuple[int, int, int, int]]:
+    """Consecutive items in blocks of at most _BLOCK doubles (or one item).
+
+    Item i is sizes[i] lines long and needs the span [lo[i], hi[i]) across
+    them, with lo and hi nondecreasing, so a block's span runs from its
+    first item's lo to its last item's hi.  A block ends before half its
+    span would lie outside its items' own spans.  Returns (first item, end
+    item, span start, span end) for each block.
     """
-    edges = list(range(0, count, max(size, 2))) + [count]
-    if len(edges) > 2 and count - edges[-2] == 1:
-        del edges[-2]
-    return [slice(a, b) for a, b in zip(edges, edges[1:])]
+    lines = np.cumsum(sizes)
+    own = np.cumsum(sizes * (hi - lo))
+    blocks, i0 = [], 0
+    while i0 < lo.size:
+        before = (lines[i0 - 1], own[i0 - 1]) if i0 else (0, 0)
+        cost = (lines[i0:] - before[0]) * (hi[i0:] - lo[i0])
+        misfits = np.flatnonzero((cost > _BLOCK) | (2 * (cost - (own[i0:] - before[1])) > cost))
+        i1 = i0 + max(1, int(misfits[0]) if misfits.size else cost.size)
+        blocks.append((i0, i1, int(lo[i0]), int(hi[i1 - 1])))
+        i0 = i1
+    return blocks
 
 
-def _widest(blocks: list[slice]) -> int:
-    return max(b.stop - b.start for b in blocks)
+def _parts(indices: list, line: int) -> list[np.ndarray]:
+    """`indices`, sorted and unique, in chunks of about _BLOCK doubles of
+    `line` each."""
+    if not indices:
+        return []
+    unique = np.unique(np.array(indices, np.intp))
+    return np.array_split(unique, -(-unique.size * line // _BLOCK))
+
+
+def _cut_ends(span: slice, count: int) -> list[int]:
+    """The ends of `span` that have indices of range(count) beyond them."""
+    return [i for i, inner in ((span.start, span.start > 0), (span.stop - 1, span.stop < count))
+            if inner]
+
+
+def _view(buf: np.ndarray, rows: slice, cols: slice) -> np.ndarray:
+    shape = (rows.stop - rows.start, cols.stop - cols.start)
+    return buf[:shape[0] * shape[1]].reshape(shape)
+
+
+def _gram_blocks(ell: int, ell_log_weight: np.ndarray, t: np.ndarray,
+                 log_meas: np.ndarray, top: float) -> list[tuple[slice, slice]]:
+    """(rows, nodes) of the Gram blocks over the rows' windows.
+
+    Row k's window runs from the last sample below its cut before the
+    first sample above it to the first sample below it after the last one
+    above: f_k + top, with f_k = k t + l w and top = max log meas, is
+    compared with _cut(n) below the row's largest sampled term.  Both ends
+    are then made nondecreasing in k.
+    """
+    n = t.size
+    idx = _samples(n)
+    f = _log_section_norms(ell, ell_log_weight, t, cols=idx)
+    lead = np.max(f + log_meas[idx], axis=1)
+    above = f >= (lead - _cut(n) - top)[:, None]
+    first = np.argmax(above, axis=1)
+    last = idx.size - 1 - np.argmax(above[:, ::-1], axis=1)
+    lo = np.where(first > 0, idx[first - 1], 0)
+    hi = np.where(last < idx.size - 1, idx[np.minimum(last + 1, idx.size - 1)] + 1, n)
+    lo = np.minimum.accumulate(lo[::-1])[::-1]
+    hi = np.maximum.accumulate(hi)
+    return [(slice(r0, r1), slice(a, b))
+            for r0, r1, a, b in _group(lo, hi, np.ones(lo.size, np.intp))]
 
 
 def gram_matrix(ell: int, weight: HermitianWeight,
@@ -112,22 +195,38 @@ def gram_matrix(ell: int, weight: HermitianWeight,
     Angular integration kills every off-diagonal pairing of distinct
     monomials, so only the 2l+1 diagonal entries are computed.  `pot` must
     be the potential the weight was built from.
+
+    Row k sums e^(f_k + log meas) with f_k = k t + l w concave in t, as
+    -w'' = Phi'' > 0.  Nodes where f_k + max log meas lies _cut(n) below
+    the row's sum are skipped; a row whose two window ends are not below
+    that cut is summed whole.
     """
     if ell < 1:
         raise ValueError("ell must be a positive integer")
     if pot is not weight.pot:
         raise ValueError("the weight belongs to another potential")
     grid = pot.grid
+    t, n, dim = grid.t, grid.n_nodes, 2 * ell + 1
     log_meas = np.log(grid.weights) + np.log(pot.phi_doubleprime) + math.log(2.0 * np.pi)
-    log_diag = np.empty(2 * ell + 1)
-    blocks = _blocks(2 * ell + 1, _BLOCK // grid.n_nodes)
-    buf = np.empty((_widest(blocks), grid.n_nodes))
     ell_log_weight = ell * weight.log_weight
-    for k in blocks:
-        expo = _log_section_norms(ell, ell_log_weight, grid.t, k,
-                                  out=buf[:k.stop - k.start])
+    top = float(np.max(log_meas))
+    blocks = _gram_blocks(ell, ell_log_weight, t, log_meas, top)
+    buf = np.empty(max((r.stop - r.start) * (c.stop - c.start) for r, c in blocks))
+    log_diag = np.empty(dim)
+    whole = []
+    for rows, cols in blocks:
+        expo = _log_section_norms(ell, ell_log_weight, t, rows, cols, out=_view(buf, rows, cols))
+        expo += log_meas[None, cols]
+        log_diag[rows] = logsumexp_rows(expo)
+        ends = _cut_ends(cols, n)
+        if ends:
+            f = _log_section_norms(ell, ell_log_weight, t, rows, ends)
+            over = f + top > (log_diag[rows] - _cut(n))[:, None]
+            whole.extend(rows.start + np.flatnonzero(over.any(axis=1)))
+    for part in _parts(whole, n):
+        expo = _log_section_norms(ell, ell_log_weight, t, part)
         expo += log_meas[None, :]
-        log_diag[k] = logsumexp_rows(expo)
+        log_diag[part] = logsumexp_rows(expo)
     return SectionBasisGram(ell, weight, log_diag)
 
 
@@ -139,23 +238,62 @@ class DensityReport:
     trace_integral: float     # integral of rho against the metric volume (2l+1)
 
 
+def _density_blocks(ell: int, ell_log_weight: np.ndarray, t: np.ndarray,
+                    log_diag: np.ndarray) -> list[tuple[slice, slice]]:
+    """(rows, nodes) of the density blocks over the nodes' windows.
+
+    A sample needs the rows from one below the first term within
+    _cut(2l+1) of its largest to one above the last; made nondecreasing in
+    t, the window ends of two samples bound those of the nodes between.
+    """
+    n, dim = t.size, log_diag.size
+    idx = _samples(n)
+    terms = _log_section_norms(ell, ell_log_weight, t, cols=idx)
+    terms -= log_diag[:, None]
+    above = terms >= np.max(terms, axis=0) - _cut(dim)
+    klo = np.maximum(np.argmax(above, axis=0) - 1, 0)
+    khi = np.minimum(dim - np.argmax(above[::-1], axis=0), dim - 1)
+    klo = np.minimum.accumulate(klo[::-1])[::-1]
+    khi = np.maximum.accumulate(khi)
+    starts, ends = idx[:-1], np.append(idx[1:-1], n)
+    return [(slice(ka, kb), slice(int(starts[i0]), int(ends[i1 - 1])))
+            for i0, i1, ka, kb in _group(klo[:-1], khi[1:] + 1, ends - starts)]
+
+
 def bergman_density(gram: SectionBasisGram) -> DensityReport:
     """Density of states rho(t) = sum_k ||z^k||^2 / <z^k, z^k>, against
-    the metric of the Gram's weight."""
+    the metric of the Gram's weight.
+
+    At a node the terms k t + l w - log <z^k, z^k> are concave in k, as
+    any Gram diagonal is log-convex in k; rows _cut(2l+1) below the
+    node's sum are skipped.  A node whose two window ends are not below
+    that cut is summed whole.
+    """
     pot = gram.weight.pot
     grid = pot.grid
-    t = grid.t
-    dim = 2 * gram.ell + 1
-    log_rho = np.empty(t.size)
-    blocks = _blocks(t.size, _BLOCK // dim)
-    buf = np.empty(dim * _widest(blocks))
-    ell_log_weight = gram.ell * gram.weight.log_weight
-    for cols in blocks:
-        width = cols.stop - cols.start
-        log_norms = _log_section_norms(gram.ell, ell_log_weight, t, cols=cols,
-                                       out=buf[:dim * width].reshape(dim, width))
-        log_norms -= gram.log_diag[:, None]
+    t, n = grid.t, grid.n_nodes
+    ell, log_diag = gram.ell, gram.log_diag
+    dim = 2 * ell + 1
+    ell_log_weight = ell * gram.weight.log_weight
+    blocks = _density_blocks(ell, ell_log_weight, t, log_diag)
+    buf = np.empty(max((r.stop - r.start) * (c.stop - c.start) for r, c in blocks))
+    log_rho = np.empty(n)
+    whole = []
+    for rows, cols in blocks:
+        log_norms = _log_section_norms(ell, ell_log_weight, t, rows, cols,
+                                       out=_view(buf, rows, cols))
+        log_norms -= log_diag[rows, None]
         log_rho[cols] = logsumexp_rows(log_norms, axis=0)
+        ends = _cut_ends(rows, dim)
+        if ends:
+            terms = _log_section_norms(ell, ell_log_weight, t, ends, cols)
+            terms -= log_diag[ends, None]
+            over = terms > log_rho[cols] - _cut(dim)
+            whole.extend(cols.start + np.flatnonzero(over.any(axis=0)))
+    for part in _parts(whole, dim):
+        log_norms = _log_section_norms(ell, ell_log_weight, t, cols=part)
+        log_norms -= log_diag[:, None]
+        log_rho[part] = logsumexp_rows(log_norms, axis=0)
     rho = np.exp(log_rho)
     trace = float(grid.integrate(rho * pot.phi_doubleprime) * 2.0 * np.pi)
     return DensityReport(rho, float(rho.min()), float(rho.max()), trace)

@@ -64,8 +64,7 @@ def _write(args, run: Run, t0: float) -> None:
 
 def _grid_from(args):
     """The grid of `--grid-T` and `--grid-N`, with at least the nodes that
-    cumulative integration, used by every command with a grid, needs, and
-    ends where the round density is not 0 (it underflows from |T| ~ 745)."""
+    cumulative integration, used by every command with a grid, needs."""
     from .geometry import Grid
     from .numerics import CUMULATIVE_MIN_NODES
     try:
@@ -75,9 +74,6 @@ def _grid_from(args):
     if grid.n_nodes < CUMULATIVE_MIN_NODES:
         raise ValueError(f"--grid-N {args.grid_N}: cumulative integration needs "
                          f"at least {CUMULATIVE_MIN_NODES} nodes")
-    if grid.reference.phi_doubleprime[0] == 0.0:
-        raise ValueError(f"--grid-T {args.grid_T}: the round metric's density "
-                         f"underflows to 0 at the grid ends")
     return grid
 
 

@@ -17,7 +17,8 @@ a solve's whole-sphere integrals use its own node rule and tail masses
 count.
 
 A `Grid` computes its nodes, its Simpson weights and the round reference
-profile once, on first access, and hands out the same read-only arrays
+profile once (the reference at construction, which refuses ends where its
+density underflows to 0) and hands out the same read-only arrays
 afterwards: copy them before changing them in place.
 """
 
@@ -59,6 +60,9 @@ class Grid:
             raise ValueError("empty grid")
         if abs(self.t_min + self.t_max) > 1e-12 * max(1.0, abs(self.t_max)):
             raise ValueError("grid must be symmetric about t = 0")
+        # every solve divides by the round density; it underflows from |T| ~ 745
+        if self.reference.phi_doubleprime[0] == 0.0:
+            raise ValueError("the round metric's density underflows to 0 at the grid ends")
 
     @property
     def h(self) -> float:

@@ -634,8 +634,10 @@ def continuity_path(cone: ConeConfiguration, delta: float,
     first is mu/20, three accepted steps of at most 5 Newton iterations in a
     row double it (up to mu/8), and a failed solve halves it; below
     _MIN_STEP the path raises PathStalled.  Each solve starts from the linear
-    extrapolation through the last two accepted solutions.  Each accepted
-    step records J, F and the spectral gap.
+    extrapolation through the last two accepted solutions; when that guess
+    or a step from it loses positivity, the solve is tried once more from
+    the last accepted solution before the step counts as failed.  Each
+    accepted step records J, F and the spectral gap.
     """
     if delta <= 0.0 and cone.beta < 0.3:
         raise ValueError("delta = 0 requires beta >= 0.3 for a well-conditioned path")
@@ -660,7 +662,14 @@ def continuity_path(cone: ConeConfiguration, delta: float,
             slope = (cur.solution.phi - prev.solution.phi) / (cur.tau - prev.tau)
             guess = guess + slope * (tau_next - cur.tau)
         try:
-            sol = solve_ma(twist, tau_next, guess)
+            try:
+                sol = solve_ma(twist, tau_next, guess)
+            except PositivityLost:
+                if guess is cur.solution.phi:
+                    raise
+                # the extrapolation can leave the cone where the last
+                # solution does not: start the step once from that
+                sol = solve_ma(twist, tau_next, cur.solution.phi)
         except SolverError:
             if uniform is not None:
                 raise

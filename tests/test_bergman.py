@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from conic_ke import bergman
 from conic_ke.bergman import (
-    _blocks,
+    _group,
     _log_section_norms,
     associated_hermitian_weight,
     bergman_density,
@@ -22,6 +23,7 @@ from conic_ke.geometry import (
     football_potential,
     fubini_study_potential,
 )
+from conic_ke.ma_solver import build_twist, solve_ma
 from conic_ke.numerics import d2, logsumexp_rows
 
 FOUR_PI = 4.0 * np.pi
@@ -232,8 +234,8 @@ def test_football_gram_and_density_closed_form(wide_grid, beta, ell):
 
 
 def _out_of_place_kernels(ell, weight, pot):
-    """Gram diagonal, density and trace by the out-of-place formulas that
-    the in-place kernels replaced; the in-place ones must match bit for bit."""
+    """Gram diagonal, density and trace by the plain formulas: every term
+    of every sum, out of place."""
     grid = pot.grid
 
     def lse(a):
@@ -249,6 +251,22 @@ def _out_of_place_kernels(ell, weight, pot):
     return log_diag, rho, trace
 
 
+# The windows drop less than 2^-53 of each sum; summing fewer terms, in
+# blocks of another shape, moves the rest by a few ulps.  Relative bound
+# on the Gram diagonal (against max(1, |log_diag|)), the density and its
+# inf, sup and trace; measured at most 2.2e-15 (the density, N = 32769).
+WINDOW_BOUND = 4e-15
+
+
+def _assert_match_plain(gram, rep, log_diag, rho, trace):
+    assert np.max(np.abs(gram.log_diag - log_diag) / np.maximum(1.0, np.abs(log_diag))) \
+        <= WINDOW_BOUND
+    assert np.max(np.abs(rep.rho / rho - 1.0)) <= WINDOW_BOUND
+    assert rep.inf_rho == pytest.approx(rho.min(), rel=WINDOW_BOUND, abs=0.0)
+    assert rep.sup_rho == pytest.approx(rho.max(), rel=WINDOW_BOUND, abs=0.0)
+    assert rep.trace_integral == pytest.approx(trace, rel=WINDOW_BOUND, abs=0.0)
+
+
 @pytest.mark.parametrize("grid_name, beta, ell", [
     pytest.param("grid", 0.6, 8, id="0.6-8"),
     pytest.param("grid", 0.85, 64, id="0.85-64"),
@@ -259,15 +277,77 @@ def _out_of_place_kernels(ell, weight, pot):
     pytest.param("wide_grid", 0.6, 64, id="wide_grid-0.6-64"),
 ])
 def test_in_place_kernels_bit_identical(request, grid_name, beta, ell):
+    # the in-place, windowed kernels meet the plain formula to WINDOW_BOUND
     grid = request.getfixturevalue(grid_name)
     fb = football_potential(grid, beta)
     weight = associated_hermitian_weight(fb)
     gram = gram_matrix(ell, weight, fb)
-    rep = bergman_density(gram)
-    log_diag, rho, trace = _out_of_place_kernels(ell, weight, fb)
-    assert np.array_equal(gram.log_diag, log_diag)
-    assert np.array_equal(rep.rho, rho)
-    assert (rep.inf_rho, rep.sup_rho, rep.trace_integral) == (rho.min(), rho.max(), trace)
+    _assert_match_plain(gram, bergman_density(gram), *_out_of_place_kernels(ell, weight, fb))
+
+
+@pytest.fixture(scope="module")
+def solved_07(grid):
+    """The solved beta = 0.7, delta = 1e-3 metric at tau = mu."""
+    return solve_ma(build_twist(grid, 0.7, 1e-3), 0.7).potential
+
+
+@pytest.mark.parametrize("metric", ["football", "solved"])
+def test_log_diag_convex_in_k(grid, solved_07, metric):
+    # the density window's premise: <z^k, z^k> = sum_j c_j e^(k t_j) with
+    # c_j > 0 is log-convex in k (Cauchy-Schwarz), to rounding
+    pot = football_potential(grid, 0.7) if metric == "football" else solved_07
+    log_diag = gram_matrix(64, associated_hermitian_weight(pot), pot).log_diag
+    ulp = np.finfo(float).eps * np.abs(log_diag[1:-1])
+    assert np.all(np.diff(log_diag, 2) >= -4.0 * ulp)
+
+
+def _sums_taken(monkeypatch):
+    """Terms of every log-norm array the kernels build, summed per call."""
+    built = []
+
+    def counting(*args, **kwargs):
+        norms = _log_section_norms(*args, **kwargs)
+        built.append(norms.size)
+        return norms
+
+    monkeypatch.setattr(bergman, "_log_section_norms", counting)
+    return built
+
+
+@pytest.mark.parametrize("grid_name", ["grid", "fine_grid", "wide_grid"])
+def test_windowed_kernels_skip_terms_and_match_plain(request, monkeypatch, solved_07,
+                                                     grid_name):
+    # at l = 64 each kernel builds a fraction of the (2l+1) x n terms, its
+    # samples and end checks included (measured 0.23-0.48), and still meets
+    # the plain formula
+    grid = request.getfixturevalue(grid_name)
+    pots = [football_potential(grid, 0.7)] + ([solved_07] if grid_name == "grid" else [])
+    for pot in pots:
+        weight = associated_hermitian_weight(pot)
+        plain = _out_of_place_kernels(64, weight, pot)
+        built = _sums_taken(monkeypatch)
+        gram = gram_matrix(64, weight, pot)
+        gram_terms = sum(built)
+        rep = bergman_density(gram)
+        density_terms = sum(built) - gram_terms
+        monkeypatch.undo()
+        assert max(gram_terms, density_terms) < 0.6 * 129 * grid.n_nodes
+        _assert_match_plain(gram, rep, *plain)
+
+
+def test_window_that_cuts_mass_is_summed_whole(fine_grid, monkeypatch):
+    # windows a third of the true width drop mass above the cut: their end
+    # terms show it, and every such row and node is summed whole
+    fb = football_potential(fine_grid, 0.7)
+    weight = associated_hermitian_weight(fb)
+    plain = _out_of_place_kernels(64, weight, fb)
+    n, dim = fine_grid.n_nodes, 129
+    monkeypatch.setattr(bergman, "_gram_blocks", lambda *args: [
+        (slice(r, r + 43), slice(n // 3, 2 * n // 3)) for r in (0, 43, 86)])
+    monkeypatch.setattr(bergman, "_density_blocks", lambda *args: [
+        (slice(dim // 3, 2 * dim // 3), slice(c, min(c + 2731, n))) for c in range(0, n, 2731)])
+    gram = gram_matrix(64, weight, fb)
+    _assert_match_plain(gram, bergman_density(gram), *plain)
 
 
 def _traced_peak(func):
@@ -292,16 +372,21 @@ def test_kernels_allocate_blocks_not_arrays(fine_grid):
     assert density_peak < 2 * 2**20, density_peak
 
 
-def test_blocks_cover_without_a_lone_item():
-    # numpy sums a one-column block pairwise, not in row order
-    assert _blocks(2033, 1016) == [slice(0, 1016), slice(1016, 2033)]
-    assert _blocks(129, 15)[-1] == slice(120, 129)
-    assert _blocks(3, 1) == [slice(0, 3)]
-    for count, size in ((3, 1016), (129, 4), (8193, 1016), (32769, 131072)):
-        blocks = _blocks(count, size)
-        assert [b.start for b in blocks[1:]] == [b.stop for b in blocks[:-1]]
-        assert (blocks[0].start, blocks[-1].stop) == (0, count)
-        assert all(2 <= b.stop - b.start <= size + 1 for b in blocks)
+def test_group_blocks_cover_items():
+    # items with nondecreasing spans; a block holds at most _BLOCK doubles
+    # (or one item) and wastes under half its span
+    lo = np.array([0, 0, 10, 40, 40, 90, 200])
+    hi = np.array([30, 50, 60, 100, 120, 150, 300])
+    sizes = np.array([1000, 500, 700, 900, 200, 3000, 100])
+    blocks = _group(lo, hi, sizes)
+    assert [b[0] for b in blocks[1:]] == [b[1] for b in blocks[:-1]]
+    assert (blocks[0][0], blocks[-1][1]) == (0, lo.size)
+    for i0, i1, a, b in blocks:
+        assert (a, b) == (lo[i0], hi[i1 - 1])
+        cost = sizes[i0:i1].sum() * (b - a)
+        assert i1 - i0 == 1 or cost <= bergman._BLOCK
+        assert 2 * (cost - np.sum(sizes[i0:i1] * (hi[i0:i1] - lo[i0:i1]))) <= cost
+    assert _group(np.array([0]), np.array([10**6]), np.array([10])) == [(0, 1, 0, 10**6)]
 
 
 def _plain_logsumexp(a, axis):

@@ -846,6 +846,18 @@ def test_wide_grid_path_completes(tmp_path):
     assert np.all(trace[:, 5] <= 1e-11)
 
 
+def test_wide_grid_path_retries_a_refused_extrapolation(tmp_path):
+    # exit 4, stalled at tau = 0.2127, while a step whose extrapolated guess
+    # lost positivity was only halved and never tried from the last solution
+    out = tmp_path / "p"
+    assert run("continue-path", "--beta", 0.8, "--delta", 1e-3, "--grid-T", 40,
+               "--out", out) == 0
+    trace = np.loadtxt(out / "trace.csv", delimiter=",", skiprows=1)
+    assert trace[-1, 0] == pytest.approx(0.8, abs=1e-14)
+    assert trace[-1, 3] == pytest.approx(0.8042, abs=1e-4)
+    assert np.all(trace[:, 5] <= 1e-11)
+
+
 @pytest.mark.parametrize("n", [3, 5])
 @pytest.mark.parametrize("argv", [
     ("solve", "--beta", 0.8, "--delta", 1e-2, "--tau", 0.5),

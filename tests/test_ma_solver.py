@@ -230,6 +230,14 @@ def test_wide_grid_footballs_pass_the_positivity_guard(beta, T):
     assert np.max(np.abs(sol.phi - oracle)[core]) < 1e-6
 
 
+def test_grid_whose_round_density_underflows_is_refused():
+    # Phi0'' = 2 e^t / (1 + e^t)^2 is 0 in double from |t| ~ 745; the solve
+    # warned "invalid value" dividing 0 by 0 and then raised PositivityLost
+    assert Grid(-745, 745, 2049).reference.phi_doubleprime[0] > 0.0
+    with pytest.raises(ValueError, match="density underflows to 0 at the grid ends"):
+        solve_ma(build_twist(Grid(-800, 800, 2049), 0.8, 0.0), 0.4)
+
+
 def test_wide_grid_smoothed_solve_passes_the_positivity_guard():
     g = Grid(-32, 32, 4097)
     sol = solve_ma(build_twist(g, 0.8, 1e-3), 0.8)

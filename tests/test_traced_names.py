@@ -1,7 +1,10 @@
-"""Every function the benchmark traces by name still exists in conic_ke."""
+"""Every function the benchmark traces by name still exists in conic_ke,
+and its hooks read the arguments conic_ke passes."""
 
 import importlib
+import importlib.util
 import json
+from collections import defaultdict
 from pathlib import Path
 
 SUFFIXES = (".calls", ".self_s", ".total_s", ".failed")
@@ -18,3 +21,33 @@ def test_benchmark_layers_name_existing_functions():
         if not callable(getattr(importlib.import_module(f"conic_ke.{module}"), func, None)):
             missing.append(name)
     assert not missing, missing
+
+
+def test_gram_hook_reads_a_real_scan_call(monkeypatch):
+    # the traced benchmark run reads gram_matrix's arguments in a hook; a
+    # signature the hook cannot read would fail that run, and here first
+    bench = Path(__file__).resolve().parents[1] / "perfbench"
+    monkeypatch.syspath_prepend(str(bench))
+    spec = importlib.util.spec_from_file_location("perfbench_run", bench / "run.py")
+    run = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(run)
+
+    from conic_ke import bergman
+    from conic_ke.geometry import Grid
+    calls = []
+    real = bergman.gram_matrix
+
+    def recording(*args, **kwargs):
+        result = real(*args, **kwargs)
+        calls.append((args, kwargs, result))
+        return result
+
+    monkeypatch.setattr(bergman, "gram_matrix", recording)
+    grid = Grid(-16.0, 16.0, 65)
+    bergman.partial_c0_scan([0.8], [2, 3], grid)
+    assert len(calls) == 2
+    counters = defaultdict(int)
+    hook = run.make_hooks(counters)["bergman.gram_matrix"]
+    for args, kwargs, result in calls:
+        hook(args, kwargs, result)
+    assert counters["bergman.bytes_computed"] == (5 + 7) * grid.n_nodes * 8
