@@ -7,30 +7,30 @@ exp(k t + l w(t)) with w the log frame weight, so powers up to l = 64 stay
 inside double range.  The inner product always pairs the weight with the
 volume form of the same metric; no auxiliary volume forms enter.
 
-Gram diagonals and densities are log-sum-exp reductions of the (2l+1) x n
-array of log-norms, and most of its terms cannot change them.  Each sum
-skips the terms that lie more than _cut(count) = log(2^53 count) + 1
-below one of its terms, so that all it drops, count terms at most, adds
-less than 2^-53 of what it keeps.  The kept terms form a window:
-  - Gram row k sums e^(f_k + log meas) with f_k = k t + l w concave in t,
-    as -w'' = Phi'' > 0; the row keeps the nodes where f_k + max log meas
-    is above the cut, one interval.
-  - The density at node t sums e^(k t + l w - log <z^k, z^k>), concave in
-    k because any Gram diagonal, continuous or a node sum, is log-convex in
-    k (Cauchy-Schwarz); the node keeps one run of rows, and both of its
-    ends move up with t.
-The windows are placed from 129 sampled nodes.  Concavity holds only to
-rounding, and for a solved metric only to the discretization error, in
-far tails where Phi'' is tiny, so each block checks the terms at its two
-window ends; a row or node whose end term is not below the cut is summed
-whole.  The results then match the plain formula to a few ulps (4e-15
-relative is tested), not bit for bit.
+Gram diagonals and densities are log-sum-exp reductions of one
+(2l+1) x n array, k t + l w, by one routine, _windowed_logsumexp:
+  - gram_matrix adds log meas(t) and sums each row k over the nodes;
+    k t + l w + max log meas is concave in t, as -w'' = Phi'' > 0.
+  - bergman_density subtracts log <z^k, z^k> and sums each node over the
+    rows; the terms are concave in k, because any Gram diagonal,
+    continuous or a node sum, is log-convex in k (Cauchy-Schwarz).
+Most terms cannot change a sum.  Each sum skips the terms that lie more
+than _cut(count) = log(2^53 count) + 1 below one of its terms, so that all
+it drops, count terms at most, adds less than 2^-53 of what it keeps; by
+concavity the kept terms form one window, and both its ends move up along
+the kept axis.  The windows are placed from the terms at 129 sampled
+nodes.  Concavity holds only to rounding, and for a solved metric only to
+the discretization error, in far tails where Phi'' is tiny, so each block
+checks the terms at its two window ends; a sum whose end term is not below
+the cut is summed whole.  The results then match the plain formula to a
+few ulps (4e-15 relative is tested), not bit for bit.
 
-Each call builds and reduces its windows in blocks of at most 1 MB in one
-reused buffer (a lone row or node run longer than that is one block): the
-Gram in blocks of rows, the density in blocks of columns, each over the
-union of its windows.  At l = 64 and n = 32769 the whole array is 34 MB,
-and the windows hold about a quarter of it.
+Each call builds its windows in blocks of at most 1 MB in one reused
+buffer (a lone row or node run longer than that is one block), always as
+(rows, nodes), and reduces each block along the summed axis: the Gram in
+blocks of rows, the density in blocks of columns, each over the union of
+its windows.  At l = 64 and n = 32769 the whole array is 34 MB, and the
+windows hold about a quarter of it.
 """
 
 from __future__ import annotations
@@ -95,6 +95,12 @@ class SectionBasisGram:
     log_diag: np.ndarray          # log <z^k, z^k>, k = 0..2l
 
 
+def check_ell(ell: int) -> None:
+    """Raise ValueError unless the power `ell` of the line bundle is positive."""
+    if ell < 1:
+        raise ValueError("ell must be a positive integer")
+
+
 def _log_section_norms(ell: int, ell_log_weight: np.ndarray, t: np.ndarray,
                        k=slice(None), cols=slice(None),
                        out: np.ndarray | None = None) -> np.ndarray:
@@ -152,40 +158,65 @@ def _parts(indices: list, line: int) -> list[np.ndarray]:
     return np.array_split(unique, -(-unique.size * line // _BLOCK))
 
 
-def _cut_ends(span: slice, count: int) -> list[int]:
-    """The ends of `span` that have indices of range(count) beyond them."""
-    return [i for i, inner in ((span.start, span.start > 0), (span.stop - 1, span.stop < count))
-            if inner]
+def _windowed_logsumexp(ell: int, ell_log_weight: np.ndarray, t: np.ndarray, axis: int,
+                        add: np.ndarray, bound: float | np.ndarray) -> np.ndarray:
+    """log of each sum over `axis` (0: the rows k, 1: the nodes) of
+    e^(k t + l w + add), with `add` and `bound` >= add (or a scalar bound)
+    along `axis`, where k t + l w + bound is concave.
 
-
-def _view(buf: np.ndarray, rows: slice, cols: slice) -> np.ndarray:
-    shape = (rows.stop - rows.start, cols.stop - cols.start)
-    return buf[:shape[0] * shape[1]].reshape(shape)
-
-
-def _gram_blocks(ell: int, ell_log_weight: np.ndarray, t: np.ndarray,
-                 log_meas: np.ndarray, top: float) -> list[tuple[slice, slice]]:
-    """(rows, nodes) of the Gram blocks over the rows' windows.
-
-    Row k's window runs from the last sample below its cut before the
-    first sample above it to the first sample below it after the last one
-    above: f_k + top, with f_k = k t + l w and top = max log meas, is
-    compared with _cut(n) below the row's largest sampled term.  Both ends
-    are then made nondecreasing in k.
+    Each sum at the _samples nodes, viewed as (kept, reduced), keeps from
+    one sample below its first term, taken with `bound`, within _cut(count)
+    of its largest to one sample above its last; both ends are made
+    nondecreasing.  A run of kept sums from one sample up to the next takes
+    the first sample's lower end and the next one's upper end, and a lone
+    sample its own window.
     """
-    n = t.size
-    idx = _samples(n)
-    f = _log_section_norms(ell, ell_log_weight, t, cols=idx)
-    lead = np.max(f + log_meas[idx], axis=1)
-    above = f >= (lead - _cut(n) - top)[:, None]
+    dim, n = 2 * ell + 1, t.size
+    count, kept = (dim, n) if axis == 0 else (n, dim)
+    bound = np.full(count, bound)
+
+    def norms(keep, red, out=None):
+        # k t + l w as (rows, nodes), at the kept indices keep and reduced red
+        rows, cols = (red, keep) if axis == 0 else (keep, red)
+        return _log_section_norms(ell, ell_log_weight, t, rows, cols, out=out)
+
+    def view(a):
+        # the (kept, reduced) view of a (rows, nodes) array
+        return a.T if axis == 0 else a
+
+    def log_sums(keep, red, out=None):
+        block = norms(keep, red, out)
+        block += add[red, None] if axis == 0 else add[red]
+        return logsumexp_rows(block, axis=axis)
+
+    samples, every = _samples(n), np.arange(dim)
+    keep_at, red_at = (samples, every) if axis == 0 else (every, samples)
+    terms = view(norms(keep_at, red_at))
+    lead = np.max(terms + add[red_at], axis=1)
+    above = terms + bound[red_at] >= (lead - _cut(count))[:, None]
     first = np.argmax(above, axis=1)
-    last = idx.size - 1 - np.argmax(above[:, ::-1], axis=1)
-    lo = np.where(first > 0, idx[first - 1], 0)
-    hi = np.where(last < idx.size - 1, idx[np.minimum(last + 1, idx.size - 1)] + 1, n)
-    lo = np.minimum.accumulate(lo[::-1])[::-1]
-    hi = np.maximum.accumulate(hi)
-    return [(slice(r0, r1), slice(a, b))
-            for r0, r1, a, b in _group(lo, hi, np.ones(lo.size, np.intp))]
+    last = red_at.size - 1 - np.argmax(above[:, ::-1], axis=1)
+    lo = np.minimum.accumulate(red_at[np.maximum(first - 1, 0)][::-1])[::-1]
+    hi = np.maximum.accumulate(red_at[np.minimum(last + 1, red_at.size - 1)] + 1)
+    stops = np.concatenate((keep_at[1:], [kept]))
+    sizes = stops - keep_at
+    hi = hi[np.arange(hi.size) + (sizes > 1)]
+    spans = [(slice(keep_at[i0], stops[i1 - 1]), slice(a, b))
+             for i0, i1, a, b in _group(lo, hi, sizes)]
+    buf = np.empty(max((k.stop - k.start) * (r.stop - r.start) for k, r in spans))
+    out = np.empty(kept)
+    whole = []
+    for keep, red in spans:
+        shape = (keep.stop - keep.start, red.stop - red.start)
+        block = buf[:shape[0] * shape[1]].reshape(shape[::-1] if axis == 0 else shape)
+        out[keep] = log_sums(keep, red, block)
+        ends = [red.start] * (red.start > 0) + [red.stop - 1] * (red.stop < count)
+        if ends:
+            over = view(norms(keep, ends)) + bound[ends] > (out[keep] - _cut(count))[:, None]
+            whole.extend(keep.start + np.flatnonzero(over.any(axis=1)))
+    for part in _parts(whole, count):
+        out[part] = log_sums(part, slice(None))
+    return out
 
 
 def gram_matrix(ell: int, weight: HermitianWeight,
@@ -194,39 +225,17 @@ def gram_matrix(ell: int, weight: HermitianWeight,
 
     Angular integration kills every off-diagonal pairing of distinct
     monomials, so only the 2l+1 diagonal entries are computed.  `pot` must
-    be the potential the weight was built from.
-
-    Row k sums e^(f_k + log meas) with f_k = k t + l w concave in t, as
-    -w'' = Phi'' > 0.  Nodes where f_k + max log meas lies _cut(n) below
-    the row's sum are skipped; a row whose two window ends are not below
-    that cut is summed whole.
+    be the potential the weight was built from.  Row k sums
+    e^(k t + l w + log meas) over the nodes; k t + l w + max log meas is
+    concave in t, as -w'' = Phi'' > 0.
     """
-    if ell < 1:
-        raise ValueError("ell must be a positive integer")
+    check_ell(ell)
     if pot is not weight.pot:
         raise ValueError("the weight belongs to another potential")
     grid = pot.grid
-    t, n, dim = grid.t, grid.n_nodes, 2 * ell + 1
     log_meas = np.log(grid.weights) + np.log(pot.phi_doubleprime) + math.log(2.0 * np.pi)
-    ell_log_weight = ell * weight.log_weight
-    top = float(np.max(log_meas))
-    blocks = _gram_blocks(ell, ell_log_weight, t, log_meas, top)
-    buf = np.empty(max((r.stop - r.start) * (c.stop - c.start) for r, c in blocks))
-    log_diag = np.empty(dim)
-    whole = []
-    for rows, cols in blocks:
-        expo = _log_section_norms(ell, ell_log_weight, t, rows, cols, out=_view(buf, rows, cols))
-        expo += log_meas[None, cols]
-        log_diag[rows] = logsumexp_rows(expo)
-        ends = _cut_ends(cols, n)
-        if ends:
-            f = _log_section_norms(ell, ell_log_weight, t, rows, ends)
-            over = f + top > (log_diag[rows] - _cut(n))[:, None]
-            whole.extend(rows.start + np.flatnonzero(over.any(axis=1)))
-    for part in _parts(whole, n):
-        expo = _log_section_norms(ell, ell_log_weight, t, part)
-        expo += log_meas[None, :]
-        log_diag[part] = logsumexp_rows(expo)
+    log_diag = _windowed_logsumexp(ell, ell * weight.log_weight, grid.t, 1,
+                                   log_meas, np.max(log_meas))
     return SectionBasisGram(ell, weight, log_diag)
 
 
@@ -238,62 +247,18 @@ class DensityReport:
     trace_integral: float     # integral of rho against the metric volume (2l+1)
 
 
-def _density_blocks(ell: int, ell_log_weight: np.ndarray, t: np.ndarray,
-                    log_diag: np.ndarray) -> list[tuple[slice, slice]]:
-    """(rows, nodes) of the density blocks over the nodes' windows.
-
-    A sample needs the rows from one below the first term within
-    _cut(2l+1) of its largest to one above the last; made nondecreasing in
-    t, the window ends of two samples bound those of the nodes between.
-    """
-    n, dim = t.size, log_diag.size
-    idx = _samples(n)
-    terms = _log_section_norms(ell, ell_log_weight, t, cols=idx)
-    terms -= log_diag[:, None]
-    above = terms >= np.max(terms, axis=0) - _cut(dim)
-    klo = np.maximum(np.argmax(above, axis=0) - 1, 0)
-    khi = np.minimum(dim - np.argmax(above[::-1], axis=0), dim - 1)
-    klo = np.minimum.accumulate(klo[::-1])[::-1]
-    khi = np.maximum.accumulate(khi)
-    starts, ends = idx[:-1], np.append(idx[1:-1], n)
-    return [(slice(ka, kb), slice(int(starts[i0]), int(ends[i1 - 1])))
-            for i0, i1, ka, kb in _group(klo[:-1], khi[1:] + 1, ends - starts)]
-
-
 def bergman_density(gram: SectionBasisGram) -> DensityReport:
     """Density of states rho(t) = sum_k ||z^k||^2 / <z^k, z^k>, against
     the metric of the Gram's weight.
 
     At a node the terms k t + l w - log <z^k, z^k> are concave in k, as
-    any Gram diagonal is log-convex in k; rows _cut(2l+1) below the
-    node's sum are skipped.  A node whose two window ends are not below
-    that cut is summed whole.
+    any Gram diagonal is log-convex in k.
     """
     pot = gram.weight.pot
     grid = pot.grid
-    t, n = grid.t, grid.n_nodes
-    ell, log_diag = gram.ell, gram.log_diag
-    dim = 2 * ell + 1
-    ell_log_weight = ell * gram.weight.log_weight
-    blocks = _density_blocks(ell, ell_log_weight, t, log_diag)
-    buf = np.empty(max((r.stop - r.start) * (c.stop - c.start) for r, c in blocks))
-    log_rho = np.empty(n)
-    whole = []
-    for rows, cols in blocks:
-        log_norms = _log_section_norms(ell, ell_log_weight, t, rows, cols,
-                                       out=_view(buf, rows, cols))
-        log_norms -= log_diag[rows, None]
-        log_rho[cols] = logsumexp_rows(log_norms, axis=0)
-        ends = _cut_ends(rows, dim)
-        if ends:
-            terms = _log_section_norms(ell, ell_log_weight, t, ends, cols)
-            terms -= log_diag[ends, None]
-            over = terms > log_rho[cols] - _cut(dim)
-            whole.extend(cols.start + np.flatnonzero(over.any(axis=0)))
-    for part in _parts(whole, dim):
-        log_norms = _log_section_norms(ell, ell_log_weight, t, cols=part)
-        log_norms -= log_diag[:, None]
-        log_rho[part] = logsumexp_rows(log_norms, axis=0)
+    neg_log_diag = -gram.log_diag
+    log_rho = _windowed_logsumexp(gram.ell, gram.ell * gram.weight.log_weight, grid.t, 0,
+                                  neg_log_diag, neg_log_diag)
     rho = np.exp(log_rho)
     trace = float(grid.integrate(rho * pot.phi_doubleprime) * 2.0 * np.pi)
     return DensityReport(rho, float(rho.min()), float(rho.max()), trace)

@@ -62,15 +62,22 @@ def _write(args, run: Run, t0: float) -> None:
     print(f"{args.command}: {run.summary}")
 
 
+def _flagged(text: str, check, *args):
+    """check(*args), with `text`, a flag and its value, put before the
+    message of any ValueError it raises."""
+    try:
+        return check(*args)
+    except ValueError as exc:
+        raise ValueError(f"{text}: {exc}") from None
+
+
 def _grid_from(args):
     """The grid of `--grid-T` and `--grid-N`, with at least the nodes that
     cumulative integration, used by every command with a grid, needs."""
     from .geometry import Grid
     from .numerics import CUMULATIVE_MIN_NODES
-    try:
-        grid = Grid(-args.grid_T, args.grid_T, args.grid_N)
-    except ValueError as exc:
-        raise ValueError(f"--grid-T {args.grid_T} --grid-N {args.grid_N}: {exc}") from None
+    grid = _flagged(f"--grid-T {args.grid_T} --grid-N {args.grid_N}", Grid,
+                    -args.grid_T, args.grid_T, args.grid_N)
     if grid.n_nodes < CUMULATIVE_MIN_NODES:
         raise ValueError(f"--grid-N {args.grid_N}: cumulative integration needs "
                          f"at least {CUMULATIVE_MIN_NODES} nodes")
@@ -81,10 +88,7 @@ def _cone_from(args):
     """The cone of `--beta`; `--delta`, where the command has one, is checked
     finite and nonnegative.  Errors name their flag."""
     from .geometry import ConeConfiguration
-    try:
-        cone = ConeConfiguration(args.beta)
-    except ValueError as exc:
-        raise ValueError(f"--beta {args.beta}: {exc}") from None
+    cone = _flagged(f"--beta {args.beta}", ConeConfiguration, args.beta)
     delta = getattr(args, "delta", 0.0)
     if not (math.isfinite(delta) and delta >= 0.0):
         raise ValueError(f"--delta {delta}: must be finite and nonnegative")
@@ -114,10 +118,7 @@ def cmd_solve(args) -> Run:
     from .ma_solver import build_twist, check_tau, solve_ma
     grid = _grid_from(args)
     cone = _cone_from(args)
-    try:
-        check_tau(args.tau, cone.mu)
-    except ValueError as exc:
-        raise ValueError(f"--tau {args.tau}: {exc}") from None
+    _flagged(f"--tau {args.tau}", check_tau, args.tau, cone.mu)
     sol = solve_ma(build_twist(grid, cone.beta, args.delta), args.tau)
     pot = sol.potential
     return Run({"solution.csv": potential_table(pot),
@@ -194,15 +195,22 @@ def _parse_pair(item: str, flag: str, first, second):
 
 
 def cmd_bergman_scan(args) -> Run:
-    from .bergman import (associated_hermitian_weight, bergman_density,
+    from .bergman import (associated_hermitian_weight, bergman_density, check_ell,
                           gram_matrix, partial_c0_scan)
-    from .geometry import football_potential
+    from .geometry import ConeConfiguration, football_potential
     from .io import format_number
     grid = _grid_from(args)
     betas = _comma_list(args.betas, "--betas", float)
     ells = _comma_list(args.ells, "--ells", int)
+    for beta in betas:
+        _flagged(f"--betas {beta}", ConeConfiguration, beta)
+    for ell in ells:
+        _flagged(f"--ells {ell}", check_ell, ell)
     density = _parse_pair(args.density, "--density BETA:ELL", float, int) \
         if args.density else None
+    if density is not None:
+        _flagged(f"--density {args.density}", ConeConfiguration, density[0])
+        _flagged(f"--density {args.density}", check_ell, density[1])
     rows = [(r.beta, r.ell, r.inf_rho, r.sup_rho, r.trace_check)
             for r in partial_c0_scan(betas, ells, grid)]
     tables = {"scan.csv": (["beta", "ell", "inf_rho", "sup_rho", "trace_check"], zip(*rows))}

@@ -9,6 +9,7 @@ from conic_ke import bergman
 from conic_ke.bergman import (
     _group,
     _log_section_norms,
+    _parts,
     associated_hermitian_weight,
     bergman_density,
     bochner_residual,
@@ -267,17 +268,23 @@ def _assert_match_plain(gram, rep, log_diag, rho, trace):
     assert rep.trace_integral == pytest.approx(trace, rel=WINDOW_BOUND, abs=0.0)
 
 
+@pytest.fixture(scope="module")
+def sampled_grid():
+    """65 nodes: every node is sampled, so every node run is a lone sample."""
+    return Grid(-4.0, 4.0, 65)
+
+
 @pytest.mark.parametrize("grid_name, beta, ell", [
     pytest.param("grid", 0.6, 8, id="0.6-8"),
     pytest.param("grid", 0.85, 64, id="0.85-64"),
     pytest.param("grid", 1.0, 16, id="1.0-16"),
-    # N = 8193: both block loops end on a ragged block; ~22% of lanes underflow
+    # N = 8193: the blocks of both kernels end ragged; ~22% of lanes underflow
     pytest.param("fine_grid", 0.6, 64, id="fine_grid-0.6-64"),
     # T = 40: 53% of lanes underflow to zero and 1.3% are subnormal
     pytest.param("wide_grid", 0.6, 64, id="wide_grid-0.6-64"),
+    pytest.param("sampled_grid", 0.6, 64, id="sampled_grid-0.6-64"),
 ])
-def test_in_place_kernels_bit_identical(request, grid_name, beta, ell):
-    # the in-place, windowed kernels meet the plain formula to WINDOW_BOUND
+def test_kernels_match_plain_formula(request, grid_name, beta, ell):
     grid = request.getfixturevalue(grid_name)
     fb = football_potential(grid, beta)
     weight = associated_hermitian_weight(fb)
@@ -335,19 +342,51 @@ def test_windowed_kernels_skip_terms_and_match_plain(request, monkeypatch, solve
         _assert_match_plain(gram, rep, *plain)
 
 
+def _whole_sums(monkeypatch):
+    """Indices of the sums the kernels sum whole, one list per call."""
+    taken = []
+
+    def recording(indices, line):
+        taken.append(list(indices))
+        return _parts(indices, line)
+
+    monkeypatch.setattr(bergman, "_parts", recording)
+    return taken
+
+
 def test_window_that_cuts_mass_is_summed_whole(fine_grid, monkeypatch):
-    # windows a third of the true width drop mass above the cut: their end
-    # terms show it, and every such row and node is summed whole
+    # windows shrunk to the middle third of their span drop mass above the
+    # cut: their end terms show it, and every such row and node is summed whole
     fb = football_potential(fine_grid, 0.7)
     weight = associated_hermitian_weight(fb)
     plain = _out_of_place_kernels(64, weight, fb)
-    n, dim = fine_grid.n_nodes, 129
-    monkeypatch.setattr(bergman, "_gram_blocks", lambda *args: [
-        (slice(r, r + 43), slice(n // 3, 2 * n // 3)) for r in (0, 43, 86)])
-    monkeypatch.setattr(bergman, "_density_blocks", lambda *args: [
-        (slice(dim // 3, 2 * dim // 3), slice(c, min(c + 2731, n))) for c in range(0, n, 2731)])
+
+    def middle_thirds(lo, hi, sizes):
+        return [(i0, i1, a + (b - a) // 3, b - (b - a) // 3)
+                for i0, i1, a, b in _group(lo, hi, sizes)]
+
+    monkeypatch.setattr(bergman, "_group", middle_thirds)
+    whole = _whole_sums(monkeypatch)
     gram = gram_matrix(64, weight, fb)
-    _assert_match_plain(gram, bergman_density(gram), *plain)
+    rep = bergman_density(gram)
+    assert [len(w) > 0 for w in whole] == [True, True]
+    _assert_match_plain(gram, rep, *plain)
+
+
+@pytest.mark.parametrize("grid_name", ["grid", "fine_grid", "wide_grid"])
+def test_windows_hold_every_sum(request, monkeypatch, solved_07, grid_name):
+    # the sampled windows are wide enough that no sum needs the whole-sum
+    # fallback; a placer that is too narrow would only show as lost speed
+    grid = request.getfixturevalue(grid_name)
+    pots = [football_potential(grid, beta) for beta in (0.6, 1.0)]
+    pots += [solved_07] if grid_name == "grid" else []
+    whole = _whole_sums(monkeypatch)
+    for pot in pots:
+        weight = associated_hermitian_weight(pot)
+        for ell in (2, 64):
+            bergman_density(gram_matrix(ell, weight, pot))
+    assert len(whole) == 2 * 2 * len(pots)
+    assert not any(whole)
 
 
 def _traced_peak(func):

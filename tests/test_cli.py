@@ -744,6 +744,10 @@ def test_capacity_manual_delta_must_be_positive(tmp_path, capsys, delta):
     (("smooth-family", "--beta", 0.75, "--deltas", ""), "--deltas"),
     (("bergman-scan", "--betas", "1.0,x", "--grid-N", 257), "--betas"),
     (("bergman-scan", "--betas", "1.0", "--ells", "2.5", "--grid-N", 257), "--ells"),
+    (("bergman-scan", "--betas", "0.6,1.5", "--grid-N", 257), "error: --betas 1.5: "),
+    (("bergman-scan", "--ells", "2,0", "--grid-N", 257), "error: --ells 0: "),
+    (("bergman-scan", "--ells", 2, "--density", "0.6:0", "--grid-N", 257),
+     "error: --density 0.6:0: "),
     (("solve", "--beta", 0.75, "--delta", 0, "--tau", -0.1), "error: --tau -0.1: "),
     (("solve", "--beta", 1.5, "--delta", 0, "--tau", 0.5), "error: --beta 1.5: "),
     (("continue-path", "--beta", 0, "--delta", 0.1), "error: --beta 0.0: "),
@@ -765,7 +769,8 @@ def test_capacity_manual_delta_must_be_positive(tmp_path, capsys, delta):
 ], ids=["solve-delta-nan", "solve-delta-inf", "family-deltas-nan", "path-delta-nan",
         "grid-T-inf", "capacity-eps-zero", "capacity-eps-nan", "volume-radius-off-grid",
         "tube-annulus-without-b", "density-without-ell", "grid-N-even", "deltas-empty",
-        "betas-not-a-number", "ells-not-an-int", "solve-tau-negative", "solve-beta-above-1",
+        "betas-not-a-number", "ells-not-an-int", "betas-beta-above-1", "ells-zero",
+        "density-ell-zero", "solve-tau-negative", "solve-beta-above-1",
         "path-beta-zero", "solve-delta-negative", "solve-delta-exponent-form",
         "solve-delta-minus-inf", "path-delta-exponent-form", "capacity-delta-exponent-form",
         "capacity-manual-without-delta", "tube-from-football", "football-beta-not-a-number",
