@@ -1,11 +1,13 @@
 """Section norms, Gram matrices and density-of-states diagnostics.
 
 Degree-2l sections are spanned by the monomials z^k (k = 0..2l) and a
-rotation-invariant Hermitian weight makes their Gram matrix diagonal.  All
-norms are carried as logarithms: the squared norm of z^k at parameter t is
-exp(k t + l w(t)) with w the log frame weight, so powers up to l = 64 stay
-inside double range.  The inner product always pairs the weight with the
-volume form of the same metric; no auxiliary volume forms enter.
+rotation-invariant Hermitian weight makes their Gram matrix diagonal.  The
+weight is e^(-Phi), read off the potential alone, so a football's Gram
+entries are Beta functions.  All norms are carried as logarithms: the
+squared norm of z^k at parameter t is exp(k t + l w(t)) with w = -Phi the
+log frame weight, so powers up to l = 64 stay inside double range.  The
+inner product always pairs the weight with the volume form of the same
+metric; no auxiliary volume forms enter.
 
 Gram diagonals and densities are log-sum-exp reductions of one
 (2l+1) x n array, k t + l w, by one routine, _windowed_logsumexp:
@@ -40,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Grid, RadialKahlerPotential, football_potential, ricci_potential
+from .geometry import Grid, RadialKahlerPotential, football_potential
 from .numerics import d1, d2, logsumexp_rows, weighted_sum
 
 # doubles in the reused buffer of a Gram or density block (1 MB)
@@ -51,11 +53,11 @@ _SAMPLES = 129
 
 @dataclass
 class HermitianWeight:
-    """Log frame weight w(t) of the metric-adapted norm on the line bundle.
+    """Log frame weight w = -Phi of the metric-adapted norm on the line bundle.
 
-    Built as e^(h/mu) (section factor)^((1-beta)/mu) (density factor) and
-    rescaled so the twisted mass of the defining section is one; its
-    curvature -(log weight)'' is the metric Phi'' itself.
+    Its curvature -w'' is the metric Phi'' itself.  `log_section_scale` is
+    log |c_S|^2, the scale that gives the defining section unit twisted
+    mass: 2 pi times the integral of e^(t + w) Phi'' |c_S|^2 is one.
     """
 
     pot: RadialKahlerPotential
@@ -64,26 +66,18 @@ class HermitianWeight:
 
 
 def associated_hermitian_weight(pot: RadialKahlerPotential) -> HermitianWeight:
-    """Metric-adapted Hermitian weight on the anticanonical bundle.
+    """Metric-adapted Hermitian weight e^(-Phi) on the anticanonical bundle.
 
-    The twisted Ricci potential h, the defining-section factor and the
-    determinant factor combine so the curvature of the resulting norm is
-    the metric; the residual scale of the defining section is fixed by a
-    unit twisted mass integral.  beta and mu are those of `pot.cone`.
+    It depends on the potential alone, not on the cone of `pot`.  Raises
+    ValueError unless Phi'' > 0.
     """
+    pot.require_positive()
     grid = pot.grid
-    mu, beta = pot.cone.mu, pot.cone.beta
-    h, _ = ricci_potential(pot)
-    log_pp = np.log(pot.phi_doubleprime)
-    # unit twisted mass: integral of e^(h/mu) (c Phi'')^(1/mu) omega = 1
-    expo = h / mu + log_pp / mu + log_pp
-    w = grid.weights * 2.0 * np.pi
+    log_weight = -pot.values()
+    expo = grid.t + log_weight + np.log(pot.phi_doubleprime)
     m = expo.max()
-    log_q = m + math.log(weighted_sum(w, np.exp(expo - m)))
-    log_scale = -mu * log_q   # log |c_S|^2
-    log_weight = h / mu + ((1.0 - beta) / mu) * (log_scale + log_pp) \
-        + log_pp - grid.t
-    return HermitianWeight(pot, log_weight, log_scale)
+    log_mass = m + math.log(weighted_sum(grid.weights * 2.0 * np.pi, np.exp(expo - m)))
+    return HermitianWeight(pot, log_weight, -log_mass)
 
 
 @dataclass

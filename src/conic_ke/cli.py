@@ -282,7 +282,8 @@ def cmd_capacity(args) -> Run:
 
     from .cone_analysis import FlatConeModel, LogLogCutoff, dirichlet_energy, selection_log_delta
     from .io import format_number
-    model = FlatConeModel(args.n, args.beta_bar)
+    model = _flagged(f"--n {args.n} --beta-bar {args.beta_bar}", FlatConeModel,
+                     args.n, args.beta_bar)
     if not (np.isfinite(args.eps) and args.eps > 0):
         raise ValueError(f"--eps must be finite and positive, got {args.eps}")
     if args.rule == "auto":
@@ -293,7 +294,9 @@ def cmd_capacity(args) -> Run:
         if not args.delta > 0:
             raise ValueError(f"--delta must be positive, got {args.delta}")
         log_delta = float(np.log(args.delta))
-    rep = dirichlet_energy(LogLogCutoff(args.eps, log_delta), model)
+    delta_flags = f"--delta {args.delta}" if args.rule == "manual" \
+        else f"--eps {args.eps} --rule auto"
+    rep = dirichlet_energy(_flagged(delta_flags, LogLogCutoff, args.eps, log_delta), model)
     return Run({"capacity.csv": (
         ["n", "beta_bar", "eps", "log_delta", "energy",
          "closed_form_bound", "coarea_quadrature", "coarea_closed_form"],
@@ -320,22 +323,29 @@ def _parse_source(item: str) -> tuple:
 def cmd_volume_scan(args) -> Run:
     import numpy as np
 
-    from .cone_analysis import (FlatConeModel, RadiusBeyondGrid, tube_volume,
+    from .cone_analysis import (FlatConeModel, RadiusBeyondGrid, check_radii, tube_volume,
                                 volume_ratio_profile)
     from .geometry import football_potential
     from .io import format_number
+    if args.num < 2:
+        raise ValueError(f"--num {args.num}: need at least two radii")
+    _flagged(f"--r-min {args.r_min:g} --r-max {args.r_max:g}", check_radii,
+             (args.r_min, args.r_max))
     radii = np.linspace(args.r_min, args.r_max, args.num)
     kind, *params = _parse_source(args.source)
+    if kind == "cone":
+        model = _flagged(f"--source {args.source}", FlatConeModel, *params)
     if args.mode == "tube":
         if kind != "cone":
             raise ValueError("tube mode needs --source cone:N:BETA_BAR")
         annulus = _parse_pair(args.annulus, "--annulus A:B", float, float)
-        rep = tube_volume(FlatConeModel(*params), annulus, radii)
+        rep = _flagged(f"--source {args.source} --annulus {args.annulus}", tube_volume,
+                       model, annulus, radii)
         return Run({"profile.csv": (["r", "value"], [rep.radii, rep.volumes]),
                     "fit.csv": (["exponent", "constant"], [[rep.exponent], [rep.constant]])},
                    f"exponent={format_number(rep.exponent)}")
     if kind == "cone":
-        source = FlatConeModel(*params)
+        source = model
         center = "vertex"
     else:
         grid = _grid_from(args)

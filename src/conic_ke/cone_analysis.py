@@ -23,7 +23,6 @@ from .numerics import cumulative_integral, simpson_weights
 
 LOG3 = math.log(3.0)
 _ENERGY_NODES = 4097    # Simpson nodes of the band integral in dirichlet_energy
-_TUBE_NODES = 2049      # Simpson nodes of each cone disc in tube_volume
 
 
 def unit_ball_volume(dim: int) -> float:
@@ -140,6 +139,16 @@ def dirichlet_energy(cutoff: LogLogCutoff, model: FlatConeModel) -> CutoffEnergy
 # volume comparison
 
 
+def check_radii(r_list) -> np.ndarray:
+    """`r_list` as an array; ValueError unless it holds at least two radii,
+    finite, positive and increasing."""
+    r = np.asarray(list(r_list), dtype=float)
+    if r.ndim != 1 or r.size < 2 or not (r[0] > 0 and np.all(np.diff(r) > 0)
+                                         and np.isfinite(r[-1])):
+        raise ValueError("radii must be at least two, finite, positive and increasing")
+    return r
+
+
 class RadiusBeyondGrid(ValueError):
     """A radius lies past the farthest distance from the center that the
     grid covers."""
@@ -162,9 +171,7 @@ def volume_ratio_profile(source, center, r_list) -> VolumeRatioReport:
     enclosed area through the moment coordinate.  The small-radius limit of
     ratio/pi estimates the cone fraction.
     """
-    r = np.asarray(list(r_list), dtype=float)
-    if r.ndim != 1 or r.size < 2 or np.any(np.diff(r) <= 0) or r[0] <= 0:
-        raise ValueError("r_list must be increasing and positive")
+    r = check_radii(r_list)
     if isinstance(source, FlatConeModel):
         if center != "vertex":
             raise ValueError("flat-cone profiles are centered at the vertex")
@@ -214,25 +221,17 @@ def tube_volume(model: FlatConeModel, flat_annulus: tuple[float, float],
     """Volume of the tube around the singular axis inside a compact slab.
 
     The compact set is {a <= |z'| <= b} in the flat factor; the tube of
-    radius r adds the cone disc of area pi bb r^2, integrated numerically
-    in rho.  The fitted exponent must come out quadratic.
+    radius r adds the cone disc of area pi bb r^2.  The fitted exponent
+    must come out quadratic.
     """
     if model.n < 2:
         raise ValueError("tube volumes need n >= 2")
     a, b = flat_annulus
     if not 0.0 <= a < b:
         raise ValueError("bad annulus")
-    r = np.asarray(list(r_list), dtype=float)
-    if np.any(r <= 0):
-        raise ValueError("radii must be positive")
+    r = check_radii(r_list)
     dim = 2 * model.n - 2
     flat_vol = unit_ball_volume(dim) * (b ** dim - a ** dim)
-    vols = []
-    for x in r:
-        rho = np.linspace(0.0, x, _TUBE_NODES)
-        w = simpson_weights(_TUBE_NODES, rho[1] - rho[0])
-        disc = 2.0 * np.pi * model.beta_bar * float(np.dot(w, rho))
-        vols.append(flat_vol * disc)
-    vols = np.array(vols)
+    vols = flat_vol * (np.pi * model.beta_bar * r * r)
     slope, logc = np.polyfit(np.log(r), np.log(vols), 1)
     return TubeVolumeReport(r, vols, float(slope), float(np.exp(logc)))

@@ -14,7 +14,9 @@ All derivative stencils are second-order centered differences and
 a solve's whole-sphere integrals use its own node rule and tail masses
 (`ma_solver.TwistData`).  Every sum over the nodes is
 `numerics.weighted_sum`, so no grid integral depends on the BLAS thread
-count.
+count.  The one Ricci potential here, `ricci_potential_h0`, is that of a
+smooth metric (beta = mu = 1); the Bergman weight needs none, as it is
+e^(-Phi), read off the potential.
 
 A `Grid` computes its nodes, its Simpson weights and the round reference
 profile once (the reference at construction, which refuses ends where its
@@ -109,9 +111,10 @@ class ConeConfiguration:
     def mu(self) -> float:
         # Written as 1 - (1 - beta), not beta: the two differ in the last
         # bit for most beta (1 - (1 - 0.2013) != 0.2013 in double), and mu
-        # sets the tau = mu targets and the Bergman weight, so the data files
-        # depend on this form.  It rounds to 0 for beta up to ~5.5e-17 (half
-        # an ulp below 1), which __post_init__ rejects.
+        # sets the tau = mu targets, so the data files depend on this form
+        # (the Bergman weight e^(-Phi) reads neither beta nor mu).  It rounds
+        # to 0 for beta up to ~5.5e-17 (half an ulp below 1), which
+        # __post_init__ rejects.
         return 1.0 - (1.0 - self.beta)
 
 
@@ -243,33 +246,14 @@ def log_defining_section_norm(grid: Grid) -> np.ndarray:
     return np.log(4.0) + t - 2.0 * np.logaddexp(0.0, t)
 
 
-def ricci_potential(pot: RadialKahlerPotential) -> tuple[np.ndarray, float]:
-    """Potential h with Ricci(omega) = mu*omega + cone terms + i ddbar h.
-
-    Uses the closed-form primitive h = -log Phi'' - mu*Phi + beta*t + c
-    with beta and mu from `pot.cone`.  It is valid whenever the class
-    normalization and the angle bookkeeping beta0 + beta_inf = 2 mu hold,
-    as they do for one cone fraction at both poles; c enforces
-    integral of (e^h - 1) against omega equal to zero.
-    Returns (h profile, normalization constant c).
-    """
-    pot.require_positive()
-    cone = pot.cone
-    t = pot.grid.t
-    phi_vals = pot.values()
-    raw = -np.log(pot.phi_doubleprime) - cone.mu * phi_vals + cone.beta * t
-    w = pot.grid.weights * pot.phi_doubleprime
-    m = np.max(raw)
-    c = np.log(w.sum()) - (m + np.log(weighted_sum(w, np.exp(raw - m))))
-    return raw + c, float(c)
-
-
 def ricci_potential_h0(pot0: RadialKahlerPotential) -> tuple[np.ndarray, float]:
     """Smooth-case Ricci potential: Ric(omega0) - omega0 = i ddbar h0.
 
     Requires a smooth input: a potential whose cone has beta = 1 and whose
-    fitted angle at both poles is 1.  The constant is fixed by the
-    vanishing of the integral of (e^{h0} - 1) against omega0.
+    fitted angle at both poles is 1.  Uses the closed-form primitive
+    h0 = -log Phi'' - Phi + t + c, with c fixed by the vanishing of the
+    integral of (e^{h0} - 1) against omega0.
+    Returns (h0 profile, normalization constant c).
     """
     if pot0.cone.beta != 1.0:
         raise ValueError(f"ricci_potential_h0 requires a smooth metric, "
@@ -278,5 +262,8 @@ def ricci_potential_h0(pot0: RadialKahlerPotential) -> tuple[np.ndarray, float]:
         b = cone_angle_at_pole(pot0, pole)
         if abs(b - 1.0) > 5e-2:
             raise ValueError("ricci_potential_h0 requires a smooth (angle-1) metric")
-    return ricci_potential(pot0)
-
+    raw = -np.log(pot0.phi_doubleprime) - pot0.values() + pot0.grid.t
+    w = pot0.grid.weights * pot0.phi_doubleprime
+    m = np.max(raw)
+    c = np.log(w.sum()) - (m + np.log(weighted_sum(w, np.exp(raw - m))))
+    return raw + c, float(c)

@@ -752,7 +752,7 @@ def ricci_lower_bound_margin(solution: MASolution) -> RicciMarginReport:
     p0 = grid.reference.phi_doubleprime
     u = defining_section_norm(grid)
     t = grid.t
-    w_prime = (1.0 - np.exp(t)) / (1.0 + np.exp(t))  # d/dt log ||S||_0^2
+    w_prime = -np.tanh(0.5 * t)  # d/dt log ||S||_0^2
     formula = delta * (1.0 - beta) * p0 / (delta + u) \
         + delta * (1.0 - beta) * u * w_prime**2 / (delta + u) ** 2
     density = solution.metric_density

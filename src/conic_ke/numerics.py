@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
@@ -93,37 +91,14 @@ def second_difference_floor(values: np.ndarray, h: float) -> float:
     return 4.0 * np.finfo(float).eps * float(np.max(np.abs(values))) / (h * h)
 
 
-# exp(x) is subnormal or zero exactly when x < log(smallest normal double),
-# about -708.396; numpy's SIMD exp takes a slow scalar path on such inputs
-_EXP_NORMAL = math.log(np.finfo(float).tiny)
-
-
 def logsumexp_rows(a: np.ndarray, axis: int = -1) -> np.ndarray:
     """Stable log of the exponential sum of `a` along `axis`.
 
     Overwrites `a`: it is shifted by its maxima m and exponentiated in
     place, so a block of log-norms costs no second array of its size.  On
-    return `a` holds exp(a - m), except that lanes whose `exp` would be
-    subnormal hold +0.0: lanes below log(2^-1022) ~ -708.396 after the
-    shift skip `exp`, because numpy's SIMD `exp` runs over 100x slower on
-    inputs whose result is subnormal.  NaN lanes still go through `exp`,
-    so a NaN still propagates.
-
-    The returned values are those of the plain formula in every case
-    checked, but this is verified, not proven.  Every row or column holds
-    exp(0) = 1, so each sum is at least 1, and each dropped term is below
-    2^-1022, which is 2^-969 below half an ulp of 1.  The result could
-    only change through a chain of exact rounding ties among partial sums
-    near 1e-292.  When no lane is dropped, one plain `exp` runs: a masked
-    `exp` costs ~1.8x a plain one on live lanes, and the masks cost more
-    than they save.
+    return `a` holds exp(a - m), and a NaN lane makes its sum NaN.
     """
     m = np.max(a, axis=axis, keepdims=True)
     a -= m
-    if np.min(a) >= _EXP_NORMAL:
-        np.exp(a, out=a)
-    else:
-        dead = a < _EXP_NORMAL
-        np.exp(a, out=a, where=~dead)
-        np.copyto(a, 0.0, where=dead)
+    np.exp(a, out=a)
     return np.squeeze(m, axis=axis) + np.log(np.sum(a, axis=axis))

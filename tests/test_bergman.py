@@ -21,6 +21,7 @@ from conic_ke.bergman import (
 from conic_ke.geometry import (
     ConeConfiguration,
     Grid,
+    RadialKahlerPotential,
     football_potential,
     fubini_study_potential,
 )
@@ -59,10 +60,20 @@ def test_weight_unit_section_mass(grid, fs, fs_weight):
     assert mass == pytest.approx(1.0, rel=1e-10)
 
 
-def test_weight_collapses_to_potential(grid, fs, fs_weight):
-    # on the round metric the assembled weight must equal -Phi up to a constant
-    diff = fs_weight.log_weight + fs.values()
-    assert diff.max() - diff.min() < 1e-11
+def test_weight_collapses_to_potential(grid, fs, solved_07):
+    # the weight is -Phi up to a constant, on smooth, conic and solved metrics
+    for pot in (fs, football_potential(grid, 0.6), football_potential(grid, 0.75), solved_07):
+        diff = associated_hermitian_weight(pot).log_weight + pot.values()
+        assert diff.max() - diff.min() < 1e-11
+
+
+def test_weight_requires_positive_density(grid):
+    fb = football_potential(grid, 0.75)
+    pp = fb.phi_doubleprime.copy()
+    pp[grid.n_nodes // 2] = 0.0
+    bad = RadialKahlerPotential(grid, fb.phi_prime, pp, fb.base_offset, fb.cone)
+    with pytest.raises(ValueError, match="positivity"):
+        associated_hermitian_weight(bad)
 
 
 def test_conic_weight_bounded_section(grid):
@@ -278,9 +289,11 @@ def sampled_grid():
     pytest.param("grid", 0.6, 8, id="0.6-8"),
     pytest.param("grid", 0.85, 64, id="0.85-64"),
     pytest.param("grid", 1.0, 16, id="1.0-16"),
-    # N = 8193: the blocks of both kernels end ragged; ~22% of lanes underflow
+    # N = 8193: the blocks of both kernels end ragged; the windows sum ~39%
+    # of the terms, none more than 430 below its sum's largest (in log)
     pytest.param("fine_grid", 0.6, 64, id="fine_grid-0.6-64"),
-    # T = 40: 53% of lanes underflow to zero and 1.3% are subnormal
+    # T = 40: the windows sum ~21% of the terms, none more than 646 below
+    # its sum's largest, so no exp is subnormal (that takes 708.4)
     pytest.param("wide_grid", 0.6, 64, id="wide_grid-0.6-64"),
     pytest.param("sampled_grid", 0.6, 64, id="sampled_grid-0.6-64"),
 ])
@@ -441,11 +454,10 @@ def test_logsumexp_rows_matches_plain_formula():
     # the smallest normal double 2.225e-308), subnormal, zero, zero
     rows[:, :5] = top + np.array([-708.39, -708.40, -745.1, -745.2, -746.0])
     assert np.mean(rows - top <= -746.0) > 0.5
-    no_dead = np.maximum(rows, top - 708.39)    # takes the unmasked branch
-    for a, axis in ((rows, -1), (rows.T.copy(), 0), (no_dead, -1)):
+    all_normal = np.maximum(rows, top - 708.39)    # no lane subnormal or zero
+    for a, axis in ((rows, -1), (rows.T.copy(), 0), (all_normal, -1)):
         expected = _plain_logsumexp(a, axis)
         shifted = np.exp(a - np.max(a, axis=axis, keepdims=True))
-        shifted[shifted < np.finfo(float).tiny] = 0.0   # subnormal lanes skip exp
         work = a.copy()
         assert np.array_equal(logsumexp_rows(work, axis=axis), expected)
         assert np.array_equal(work, shifted)      # the argument is overwritten

@@ -631,6 +631,15 @@ def test_smooth_family_margin_tables(tmp_path):
     assert {"margins.csv", "two_sided.csv"} <= set(outputs)
 
 
+def test_smooth_family_margins_finite_on_a_wide_grid(tmp_path):
+    # w' = (1 - e^t) / (1 + e^t) overflowed above t ~ 709 and wrote NaN margins
+    out = tmp_path / "f"
+    assert run("smooth-family", "--beta", 0.8, "--deltas", "1e-1", "--grid-T", 720,
+               "--out", out) == 0
+    row = np.loadtxt(out / "margins.csv", delimiter=",", skiprows=1)
+    assert np.all(np.isfinite(row)), row
+
+
 def test_bergman_scan_config_file(tmp_path):
     cfg = {"betas": "0.7,1.0", "ells": "2,4", "grid_N": 1025,
            "out": str(tmp_path / "bsc")}
@@ -766,6 +775,20 @@ def test_capacity_manual_delta_must_be_positive(tmp_path, capsys, delta):
     # tail closure would divide 0 by 0 (warnings are errors in this suite)
     (("solve", "--beta", 0.8, "--delta", 0, "--tau", 0.4, "--grid-T", 800),
      "error: --grid-T 800"),
+    # a fit needs two radii: one radius wrote a tube exponent of 0.565
+    (("volume-scan", "--mode", "tube", "--source", "cone:2:0.25", "--num", 1),
+     "error: --num 1: "),
+    (("volume-scan", "--num", 0), "error: --num 0: "),
+    (("volume-scan", "--num", -3), "error: --num -3: "),
+    (("volume-scan", "--mode", "tube", "--source", "cone:2:0.25", "--r-min", 0.5,
+      "--r-max", 0.5), "error: --r-min 0.5 --r-max 0.5: "),
+    (("volume-scan", "--r-min", 0, "--r-max", "inf"), "error: --r-min 0 --r-max inf: "),
+    (("volume-scan", "--source", "cone:0:0.25"), "error: --source cone:0:0.25: "),
+    (("capacity", "--n", 0, "--eps", 0.1), "error: --n 0 "),
+    (("capacity", "--n", 1, "--eps", 0.1, "--beta-bar", 2), "--beta-bar 2"),
+    (("capacity", "--n", 1, "--eps", 50), "error: --eps 50.0 --rule auto: "),
+    (("capacity", "--n", 1, "--eps", 0.1, "--rule", "manual", "--delta", 0.5),
+     "error: --delta 0.5: "),
 ], ids=["solve-delta-nan", "solve-delta-inf", "family-deltas-nan", "path-delta-nan",
         "grid-T-inf", "capacity-eps-zero", "capacity-eps-nan", "volume-radius-off-grid",
         "tube-annulus-without-b", "density-without-ell", "grid-N-even", "deltas-empty",
@@ -774,7 +797,10 @@ def test_capacity_manual_delta_must_be_positive(tmp_path, capsys, delta):
         "path-beta-zero", "solve-delta-negative", "solve-delta-exponent-form",
         "solve-delta-minus-inf", "path-delta-exponent-form", "capacity-delta-exponent-form",
         "capacity-manual-without-delta", "tube-from-football", "football-beta-not-a-number",
-        "grid-T-round-density-underflows"])
+        "grid-T-round-density-underflows", "tube-one-radius", "volume-no-radii",
+        "volume-negative-num", "tube-equal-radii", "volume-infinite-radius",
+        "volume-cone-n-zero", "capacity-n-zero", "capacity-beta-bar-above-1",
+        "capacity-auto-delta-too-large", "capacity-manual-delta-too-large"])
 def test_bad_numbers_exit_config(tmp_path, capsys, argv, name):
     assert run(*argv, "--out", tmp_path / "o") == 1
     err = capsys.readouterr().err
