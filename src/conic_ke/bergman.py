@@ -9,30 +9,29 @@ log frame weight, so powers up to l = 64 stay inside double range.  The
 inner product always pairs the weight with the volume form of the same
 metric; no auxiliary volume forms enter.
 
-Gram diagonals and densities are log-sum-exp reductions of one
-(2l+1) x n array, k t + l w, by one routine, _windowed_logsumexp:
-  - gram_matrix adds log meas(t) and sums each row k over the nodes;
-    k t + l w + max log meas is concave in t, as -w'' = Phi'' > 0.
-  - bergman_density subtracts log <z^k, z^k> and sums each node over the
-    rows; the terms are concave in k, because any Gram diagonal,
-    continuous or a node sum, is log-convex in k (Cauchy-Schwarz).
-Most terms cannot change a sum.  Each sum skips the terms that lie more
-than _cut(count) = log(2^53 count) + 1 below one of its terms, so that all
-it drops, count terms at most, adds less than 2^-53 of what it keeps; by
-concavity the kept terms form one window, and both its ends move up along
-the kept axis.  The windows are placed from the terms at 129 sampled
-nodes.  Concavity holds only to rounding, and for a solved metric only to
-the discretization error, in far tails where Phi'' is tiny, so each block
-checks the terms at its two window ends; a sum whose end term is not below
-the cut is summed whole.  The results then match the plain formula to a
-few ulps (4e-15 relative is tested), not bit for bit.
-
-Each call builds its windows in blocks of at most 1 MB in one reused
-buffer (a lone row or node run longer than that is one block), always as
-(rows, nodes), and reduces each block along the summed axis: the Gram in
-blocks of rows, the density in blocks of columns, each over the union of
-its windows.  At l = 64 and n = 32769 the whole array is 34 MB, and the
-windows hold about a quarter of it.
+Gram diagonals and densities are sums of the terms e^(k t_j + l w_j),
+one per row k and node j, weighted by the measure (a Gram row sums over
+j) or by 1/<z^k, z^k> (a density node sums over k).  Both kernels split
+the nodes into blocks of b, about sqrt(N): node j = B b + i lies at
+t_B + i h, up to a rounding offset.  Each term then factors into a part
+of its block and e^(k i h), the same for every block, so each kernel is
+one (2l+1) x b by b x N/b matrix product plus N + (2l+1)(b + N/b)
+exponentials, where the plain formula takes (2l+1) N:
+  - gram_matrix scales each block's node weights by their largest, so
+    each product entry is at least 1, and reduces e^(k t_B + s_B) times
+    the product over the blocks by one log-sum-exp per row.
+  - bergman_density scales each block's e^(k t_B - log <z^k, z^k>) by
+    its largest over k, at k*_B, and multiplies it with e^(k i h).
+b is small enough that e^(k i h) <= e^16, so no term of a product is
+more than e^16 above its block's scaled largest.  The offsets, all 0
+where h is dyadic, enter the Gram to first order, as a second product,
+and the density through k*_B alone.  Against a long-double evaluation of
+the same sums the results err no more than twice what the plain double
+formula does, plus 8 eps (tested), and the density less than it where h
+is not dyadic.  OpenBLAS splits a product by rows and columns, never
+inside one entry's sum, so the results are the same at any thread count.
+Each kernel holds arrays of (2l+1) x N/b or N doubles, under 2 MB at
+l = 64, N = 32769.
 """
 
 from __future__ import annotations
@@ -44,11 +43,6 @@ import numpy as np
 
 from .geometry import Grid, RadialKahlerPotential, football_potential
 from .numerics import d1, d2, logsumexp_rows, weighted_sum
-
-# doubles in the reused buffer of a Gram or density block (1 MB)
-_BLOCK = 1 << 17
-# nodes at which each kernel samples its terms to place its windows
-_SAMPLES = 129
 
 
 @dataclass
@@ -96,121 +90,57 @@ def check_ell(ell: int) -> None:
 
 
 def _log_section_norms(ell: int, ell_log_weight: np.ndarray, t: np.ndarray,
-                       k=slice(None), cols=slice(None),
-                       out: np.ndarray | None = None) -> np.ndarray:
-    # k t + l w(t), summed in place in that order, for the rows k of 0..2l
-    # and the nodes cols (slices or index arrays), from l w computed once
-    # per call; written into out when it is given.  Float k gives the
-    # products numpy's int-to-double cast gives, without a buffered cast in
-    # the loop.
+                       k=slice(None)) -> np.ndarray:
+    # k t + l w(t) for the rows k of 0..2l
     ks = np.arange(2 * ell + 1, dtype=float)[k]
-    norms = np.multiply(ks[:, None], t[None, cols], out=out)
-    norms += ell_log_weight[None, cols]
-    return norms
+    return ks[:, None] * t[None, :] + ell_log_weight[None, :]
 
 
-def _cut(count: int) -> float:
-    """How far below one term of a sum each of `count` dropped terms must
-    lie for all of them to add less than 2^-53 of the sum: log(2^53
-    count), plus one for rounding."""
-    return 53.0 * math.log(2.0) + math.log(count) + 1.0
+def _floored(log_terms: np.ndarray, top) -> np.ndarray:
+    """`log_terms`, in place, raised to at least `top` - 700, as numpy's exp
+    leaves its SIMD path below -708.  Each sum they enter is at least e^top,
+    so what this adds to it, at most N/b or (2l+1) e^16 times e^(top - 700),
+    is far below its rounding."""
+    return np.maximum(log_terms, top - 700.0, out=log_terms)
 
 
-def _samples(n: int) -> np.ndarray:
-    """Up to _SAMPLES increasing node indices, both ends among them."""
-    return np.rint(np.linspace(0, n - 1, min(n, _SAMPLES))).astype(np.intp)
+@dataclass
+class _NodeBlocks:
+    """The nodes in blocks of `size`: node j = B size + i lies at
+    t_B + i h + offsets[B, i], and every block shares the factor e^(k i h).
 
-
-def _group(lo: np.ndarray, hi: np.ndarray, sizes: np.ndarray) -> list[tuple[int, int, int, int]]:
-    """Consecutive items in blocks of at most _BLOCK doubles (or one item).
-
-    Item i is sizes[i] lines long and needs the span [lo[i], hi[i]) across
-    them, with lo and hi nondecreasing, so a block's span runs from its
-    first item's lo to its last item's hi.  A block ends before half its
-    span would lie outside its items' own spans.  Returns (first item, end
-    item, span start, span end) for each block.
+    t_B is starts + starts_lo, with starts of 26 bits (Veltkamp's split):
+    k starts is exact, and k starts_lo rounds far below k t_B, so a sum
+    with k t_B in it rounds at its own size, not at that of k t_B.
     """
-    lines = np.cumsum(sizes)
-    own = np.cumsum(sizes * (hi - lo))
-    blocks, i0 = [], 0
-    while i0 < lo.size:
-        before = (lines[i0 - 1], own[i0 - 1]) if i0 else (0, 0)
-        cost = (lines[i0:] - before[0]) * (hi[i0:] - lo[i0])
-        misfits = np.flatnonzero((cost > _BLOCK) | (2 * (cost - (own[i0:] - before[1])) > cost))
-        i1 = i0 + max(1, int(misfits[0]) if misfits.size else cost.size)
-        blocks.append((i0, i1, int(lo[i0]), int(hi[i1 - 1])))
-        i0 = i1
-    return blocks
+
+    size: int
+    starts: np.ndarray      # (blocks, 1)
+    starts_lo: np.ndarray   # (blocks, 1)
+    offsets: np.ndarray     # (blocks, size): rounding, all 0 where h and T are dyadic
+    shared: np.ndarray      # e^(k i h), (size, 2l+1)
 
 
-def _parts(indices: list, line: int) -> list[np.ndarray]:
-    """`indices`, sorted and unique, in chunks of about _BLOCK doubles of
-    `line` each."""
-    if not indices:
-        return []
-    unique = np.unique(np.array(indices, np.intp))
-    return np.array_split(unique, -(-unique.size * line // _BLOCK))
+def _rows(values: np.ndarray, size: int, fill: float) -> np.ndarray:
+    """Per-node `values` as (blocks, size), the last block padded with `fill`."""
+    out = np.full(-(-values.size // size) * size, fill)
+    out[:values.size] = values
+    return out.reshape(-1, size)
 
 
-def _windowed_logsumexp(ell: int, ell_log_weight: np.ndarray, t: np.ndarray, axis: int,
-                        add: np.ndarray, bound: float | np.ndarray) -> np.ndarray:
-    """log of each sum over `axis` (0: the rows k, 1: the nodes) of
-    e^(k t + l w + add), with `add` and `bound` >= add (or a scalar bound)
-    along `axis`, where k t + l w + bound is concave.
-
-    Each sum at the _samples nodes, viewed as (kept, reduced), keeps from
-    one sample below its first term, taken with `bound`, within _cut(count)
-    of its largest to one sample above its last; both ends are made
-    nondecreasing.  A run of kept sums from one sample up to the next takes
-    the first sample's lower end and the next one's upper end, and a lone
-    sample its own window.
-    """
-    dim, n = 2 * ell + 1, t.size
-    count, kept = (dim, n) if axis == 0 else (n, dim)
-    bound = np.full(count, bound)
-
-    def norms(keep, red, out=None):
-        # k t + l w as (rows, nodes), at the kept indices keep and reduced red
-        rows, cols = (red, keep) if axis == 0 else (keep, red)
-        return _log_section_norms(ell, ell_log_weight, t, rows, cols, out=out)
-
-    def view(a):
-        # the (kept, reduced) view of a (rows, nodes) array
-        return a.T if axis == 0 else a
-
-    def log_sums(keep, red, out=None):
-        block = norms(keep, red, out)
-        block += add[red, None] if axis == 0 else add[red]
-        return logsumexp_rows(block, axis=axis)
-
-    samples, every = _samples(n), np.arange(dim)
-    keep_at, red_at = (samples, every) if axis == 0 else (every, samples)
-    terms = view(norms(keep_at, red_at))
-    lead = np.max(terms + add[red_at], axis=1)
-    above = terms + bound[red_at] >= (lead - _cut(count))[:, None]
-    first = np.argmax(above, axis=1)
-    last = red_at.size - 1 - np.argmax(above[:, ::-1], axis=1)
-    lo = np.minimum.accumulate(red_at[np.maximum(first - 1, 0)][::-1])[::-1]
-    hi = np.maximum.accumulate(red_at[np.minimum(last + 1, red_at.size - 1)] + 1)
-    stops = np.concatenate((keep_at[1:], [kept]))
-    sizes = stops - keep_at
-    hi = hi[np.arange(hi.size) + (sizes > 1)]
-    spans = [(slice(keep_at[i0], stops[i1 - 1]), slice(a, b))
-             for i0, i1, a, b in _group(lo, hi, sizes)]
-    buf = np.empty(max((k.stop - k.start) * (r.stop - r.start) for k, r in spans))
-    out = np.empty(kept)
-    whole = []
-    for keep, red in spans:
-        shape = (keep.stop - keep.start, red.stop - red.start)
-        block = buf[:shape[0] * shape[1]].reshape(shape[::-1] if axis == 0 else shape)
-        out[keep] = log_sums(keep, red, block)
-        ends = [red.start] * (red.start > 0) + [red.stop - 1] * (red.stop < count)
-        if ends:
-            over = view(norms(keep, ends)) + bound[ends] > (out[keep] - _cut(count))[:, None]
-            whole.extend(keep.start + np.flatnonzero(over.any(axis=1)))
-    for part in _parts(whole, count):
-        out[part] = log_sums(part, slice(None))
-    return out
+def _node_blocks(ell: int, grid: Grid) -> _NodeBlocks:
+    # about sqrt(N) nodes, but few enough that k i h <= 16: no term of a
+    # block's product is more than e^16 above its scaled largest
+    size = max(1, min(math.isqrt(grid.n_nodes - 1) + 1, int(16.0 / (2 * ell * grid.h))))
+    steps = np.arange(size) * grid.h
+    starts = grid.t[::size, None]
+    split = starts * 134217729.0        # 2^27 + 1 leaves a 26-bit head
+    high = split - (split - starts)
+    # t_j - t_B is exact (Sterbenz) but next to t = 0, and so is the second
+    # difference, as t_j - t_B and i h agree to rounding
+    offsets = _rows(grid.t, size, 0.0) - starts - steps
+    return _NodeBlocks(size, high, starts - high, offsets,
+                       np.exp(np.outer(steps, np.arange(2 * ell + 1))))
 
 
 def gram_matrix(ell: int, weight: HermitianWeight,
@@ -220,16 +150,30 @@ def gram_matrix(ell: int, weight: HermitianWeight,
     Angular integration kills every off-diagonal pairing of distinct
     monomials, so only the 2l+1 diagonal entries are computed.  `pot` must
     be the potential the weight was built from.  Row k sums
-    e^(k t + l w + log meas) over the nodes; k t + l w + max log meas is
-    concave in t, as -w'' = Phi'' > 0.
+    e^(k t + l w + log meas) over the nodes, block by block: e^(k t_B + s_B)
+    times the matrix product of the block's e^(l w + log meas - s_B), at
+    most 1, with the shared e^(k i h).
     """
     check_ell(ell)
     if pot is not weight.pot:
         raise ValueError("the weight belongs to another potential")
     grid = pot.grid
-    log_meas = np.log(grid.weights) + np.log(pot.phi_doubleprime) + math.log(2.0 * np.pi)
-    log_diag = _windowed_logsumexp(ell, ell * weight.log_weight, grid.t, 1,
-                                   log_meas, np.max(log_meas))
+    blocks = _node_blocks(ell, grid)
+    ks = np.arange(2 * ell + 1, dtype=float)
+    # s_B, l w + log meas at the block's largest node, is kept as its two
+    # parts: l w less its value there is exact wherever l w is large
+    ell_log_weight = _rows(ell * weight.log_weight, blocks.size, -np.inf)
+    log_meas = _rows(np.log(grid.weights) + np.log(pot.phi_doubleprime)
+                     + math.log(2.0 * np.pi), blocks.size, -np.inf)
+    top = np.argmax(ell_log_weight + log_meas, axis=1)[:, None]
+    ell_log_weight_top = np.take_along_axis(ell_log_weight, top, axis=1)
+    log_meas_top = np.take_along_axis(log_meas, top, axis=1)
+    scaled = np.exp((ell_log_weight - ell_log_weight_top) + (log_meas - log_meas_top))
+    # e^(k offset) to first order, in a second product
+    sums = scaled @ blocks.shared + (scaled * blocks.offsets) @ blocks.shared * ks
+    log_terms = (blocks.starts * ks + ell_log_weight_top + log_meas_top
+                 + blocks.starts_lo * ks + np.log(sums))
+    log_diag = logsumexp_rows(_floored(log_terms, np.max(log_terms, axis=0)), axis=0)
     return SectionBasisGram(ell, weight, log_diag)
 
 
@@ -245,15 +189,23 @@ def bergman_density(gram: SectionBasisGram) -> DensityReport:
     """Density of states rho(t) = sum_k ||z^k||^2 / <z^k, z^k>, against
     the metric of the Gram's weight.
 
-    At a node the terms k t + l w - log <z^k, z^k> are concave in k, as
-    any Gram diagonal is log-convex in k.
+    At node j = B b + i the terms are e^(k t_B - log <z^k, z^k>), scaled
+    by their largest over k, at k*_B, times the shared e^(k i h): one matrix
+    product.  The node's offset enters as e^(k*_B offset), with e^(l w).
     """
     pot = gram.weight.pot
     grid = pot.grid
-    neg_log_diag = -gram.log_diag
-    log_rho = _windowed_logsumexp(gram.ell, gram.ell * gram.weight.log_weight, grid.t, 0,
-                                  neg_log_diag, neg_log_diag)
-    rho = np.exp(log_rho)
+    blocks = _node_blocks(gram.ell, grid)
+    ks = np.arange(2 * gram.ell + 1, dtype=float)
+    log_diag = gram.log_diag
+    # k*_B up to near ties, all the scaling needs
+    top_k = np.argmax(blocks.starts * ks - log_diag, axis=1)[:, None]
+    scaled = np.exp(_floored(((ks - top_k) * blocks.starts - (log_diag - log_diag[top_k]))
+                             + (ks - top_k) * blocks.starts_lo, 0.0))
+    ell_log_weight = _rows(gram.ell * gram.weight.log_weight, blocks.size, 0.0)
+    log_rho = ((top_k * blocks.starts + ell_log_weight) - log_diag[top_k]
+               + top_k * (blocks.starts_lo + blocks.offsets) + np.log(scaled @ blocks.shared.T))
+    rho = np.exp(log_rho.ravel()[:grid.n_nodes])
     trace = float(grid.integrate(rho * pot.phi_doubleprime) * 2.0 * np.pi)
     return DensityReport(rho, float(rho.min()), float(rho.max()), trace)
 

@@ -323,7 +323,7 @@ def _parse_source(item: str) -> tuple:
 def cmd_volume_scan(args) -> Run:
     import numpy as np
 
-    from .cone_analysis import (FlatConeModel, RadiusBeyondGrid, check_radii, tube_volume,
+    from .cone_analysis import (FlatConeModel, RadiusOutOfRange, check_radii, tube_volume,
                                 volume_ratio_profile)
     from .geometry import football_potential
     from .io import format_number
@@ -353,8 +353,11 @@ def cmd_volume_scan(args) -> Run:
         center = args.center
     try:
         rep = volume_ratio_profile(source, center, radii)
-    except RadiusBeyondGrid as exc:
-        raise ValueError(f"--r-max {args.r_max:g} --grid-T {args.grid_T:g}: {exc}") from None
+    except RadiusOutOfRange as exc:
+        flags = f"--r-{exc.end} {getattr(args, 'r_' + exc.end):g}"
+        if kind != "cone":
+            flags += f" --grid-T {args.grid_T:g}"
+        raise ValueError(f"{flags}: {exc}") from None
     return Run({"profile.csv": (["r", "value"], [rep.radii, rep.ratios]),
                 "fit.csv": (["angle_estimate", "monotone_defect"],
                             [[rep.angle_estimate], [rep.monotone_defect]])},

@@ -26,8 +26,9 @@ _ENERGY_NODES = 4097    # Simpson nodes of the band integral in dirichlet_energy
 
 
 def unit_ball_volume(dim: int) -> float:
-    """Volume of the unit ball in R^dim (dim = 0 gives 1)."""
-    return math.pi ** (dim / 2.0) / math.gamma(dim / 2.0 + 1.0)
+    """Volume of the unit ball in R^dim (dim = 0 gives 1), through log Gamma:
+    Gamma(dim/2 + 1) overflows from dim = 342, where the volume is 8e-225."""
+    return math.exp(dim / 2.0 * math.log(math.pi) - math.lgamma(dim / 2.0 + 1.0))
 
 
 @dataclass(frozen=True)
@@ -141,17 +142,35 @@ def dirichlet_energy(cutoff: LogLogCutoff, model: FlatConeModel) -> CutoffEnergy
 
 def check_radii(r_list) -> np.ndarray:
     """`r_list` as an array; ValueError unless it holds at least two radii,
-    finite, positive and increasing."""
+    positive and increasing, whose squares are normal doubles: every
+    ratio and tube volume divides by or multiplies with r^2."""
     r = np.asarray(list(r_list), dtype=float)
     if r.ndim != 1 or r.size < 2 or not (r[0] > 0 and np.all(np.diff(r) > 0)
                                          and np.isfinite(r[-1])):
         raise ValueError("radii must be at least two, finite, positive and increasing")
+    if _outside_double_range(2, r) is not None:
+        raise ValueError("the squares of the radii leave double range")
     return r
 
 
-class RadiusBeyondGrid(ValueError):
-    """A radius lies past the farthest distance from the center that the
-    grid covers."""
+def _outside_double_range(power: int, r: np.ndarray) -> str | None:
+    """"min" or "max" if r^power leaves the normal doubles at that end of
+    the increasing radii `r`, else None."""
+    info = np.finfo(float)
+    if power * math.log(r[0]) < math.log(info.tiny):
+        return "min"
+    if power * math.log(r[-1]) > math.log(info.max):
+        return "max"
+    return None
+
+
+class RadiusOutOfRange(ValueError):
+    """A radius lies outside the range a volume profile resolves; `end`,
+    "min" or "max", says at which end of the radii."""
+
+    def __init__(self, end: str, message: str):
+        super().__init__(message)
+        self.end = end
 
 
 @dataclass
@@ -175,6 +194,9 @@ def volume_ratio_profile(source, center, r_list) -> VolumeRatioReport:
     if isinstance(source, FlatConeModel):
         if center != "vertex":
             raise ValueError("flat-cone profiles are centered at the vertex")
+        end = _outside_double_range(2 * source.n, r)
+        if end is not None:
+            raise RadiusOutOfRange(end, f"r^{2 * source.n} leaves double range")
         ratios = np.array([source.vertex_ball_volume(x) / x ** (2 * source.n)
                            for x in r])
         angle = float(np.mean(ratios[:3]) / unit_ball_volume(2 * source.n))
@@ -193,8 +215,11 @@ def volume_ratio_profile(source, center, r_list) -> VolumeRatioReport:
         dist = cumulative_integral(speed, grid.h, tail)
         area = 2.0 * np.pi * prime
         if r[-1] > dist[-1]:
-            raise RadiusBeyondGrid(f"radius {r[-1]:.6g} exceeds {dist[-1]:.6g}, "
-                                   f"the largest radius the grid reaches")
+            raise RadiusOutOfRange("max", f"radius {r[-1]:.6g} exceeds {dist[-1]:.6g}, "
+                                          f"the largest radius the grid reaches")
+        if r[0] < dist[0]:
+            raise RadiusOutOfRange("min", f"radius {r[0]:.6g} is below {dist[0]:.6g}, "
+                                          f"the smallest radius the grid resolves")
         # invert r -> t and read the area in log space: both quantities are
         # exponential near the pole, so log-linear interpolation is sharp
         tr = np.interp(np.log(r), np.log(dist), grid.t)

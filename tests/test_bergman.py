@@ -7,9 +7,7 @@ from scipy.integrate import quad
 
 from conic_ke import bergman
 from conic_ke.bergman import (
-    _group,
     _log_section_norms,
-    _parts,
     associated_hermitian_weight,
     bergman_density,
     bochner_residual,
@@ -245,64 +243,76 @@ def test_football_gram_and_density_closed_form(wide_grid, beta, ell):
     assert rep.sup_rho == pytest.approx(rho.max(), rel=tol)
 
 
-def _out_of_place_kernels(ell, weight, pot):
-    """Gram diagonal, density and trace by the plain formulas: every term
-    of every sum, out of place."""
+def _plain_kernels(ell, weight, pot, dtype=float):
+    """Gram diagonal and density by the plain formulas, every term of every
+    sum, from the doubles the kernels read, evaluated in `dtype`."""
     grid = pot.grid
-
-    def lse(a):
-        m = np.max(a, axis=-1, keepdims=True)
-        return np.squeeze(m, axis=-1) + np.log(np.sum(np.exp(a - m), axis=-1))
-
     log_meas = np.log(grid.weights) + np.log(pot.phi_doubleprime) + math.log(2.0 * np.pi)
-    k = np.arange(2 * ell + 1)[:, None]
-    log_diag = lse(k * grid.t[None, :] + ell * weight.log_weight[None, :] + log_meas[None, :])
-    log_norms = k * grid.t[None, :] + ell * weight.log_weight[None, :]
-    rho = np.exp(lse((log_norms - log_diag[:, None]).T))
-    trace = float(grid.integrate(rho * pot.phi_doubleprime) * 2.0 * np.pi)
-    return log_diag, rho, trace
+    log_norms = (np.arange(2 * ell + 1, dtype=dtype)[:, None] * grid.t.astype(dtype)
+                 + (ell * weight.log_weight).astype(dtype))
+    log_diag = _plain_logsumexp(log_norms + log_meas.astype(dtype), -1)
+    return log_diag, np.exp(_plain_logsumexp(log_norms - log_diag[:, None], 0))
 
 
-# The windows drop less than 2^-53 of each sum; summing fewer terms, in
-# blocks of another shape, moves the rest by a few ulps.  Relative bound
-# on the Gram diagonal (against max(1, |log_diag|)), the density and its
-# inf, sup and trace; measured at most 2.2e-15 (the density, N = 32769).
-WINDOW_BOUND = 4e-15
-
-
-def _assert_match_plain(gram, rep, log_diag, rho, trace):
-    assert np.max(np.abs(gram.log_diag - log_diag) / np.maximum(1.0, np.abs(log_diag))) \
-        <= WINDOW_BOUND
-    assert np.max(np.abs(rep.rho / rho - 1.0)) <= WINDOW_BOUND
-    assert rep.inf_rho == pytest.approx(rho.min(), rel=WINDOW_BOUND, abs=0.0)
-    assert rep.sup_rho == pytest.approx(rho.max(), rel=WINDOW_BOUND, abs=0.0)
-    assert rep.trace_integral == pytest.approx(trace, rel=WINDOW_BOUND, abs=0.0)
+def _errors(log_diag, rho, exact):
+    """Error of a Gram diagonal, against max(1, |log_diag|), and of a density."""
+    exact_log_diag, exact_rho = exact
+    return (float(np.max(np.abs(log_diag - exact_log_diag)
+                         / np.maximum(1.0, np.abs(exact_log_diag)))),
+            float(np.max(np.abs(rho / exact_rho - 1.0))))
 
 
 @pytest.fixture(scope="module")
 def sampled_grid():
-    """65 nodes: every node is sampled, so every node run is a lone sample."""
+    """65 nodes: with l = 64 each node block is a single node."""
     return Grid(-4.0, 4.0, 65)
 
 
+@pytest.fixture(scope="module")
+def odd_step_grid():
+    """h = 0.016 is not dyadic: the nodes lie off t_B + i h by rounding."""
+    return Grid(-16.0, 16.0, 2001)
+
+
+@pytest.fixture(scope="module")
+def odd_end_grid():
+    return Grid(-12.3, 12.3, 1501)
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps == np.finfo(float).eps,
+                    reason="long double is no wider than double: no reference to measure against")
 @pytest.mark.parametrize("grid_name, beta, ell", [
     pytest.param("grid", 0.6, 8, id="0.6-8"),
     pytest.param("grid", 0.85, 64, id="0.85-64"),
     pytest.param("grid", 1.0, 16, id="1.0-16"),
-    # N = 8193: the blocks of both kernels end ragged; the windows sum ~39%
-    # of the terms, none more than 430 below its sum's largest (in log)
     pytest.param("fine_grid", 0.6, 64, id="fine_grid-0.6-64"),
-    # T = 40: the windows sum ~21% of the terms, none more than 646 below
-    # its sum's largest, so no exp is subnormal (that takes 708.4)
+    # T = 40: the terms of a sum span more than e^700
     pytest.param("wide_grid", 0.6, 64, id="wide_grid-0.6-64"),
     pytest.param("sampled_grid", 0.6, 64, id="sampled_grid-0.6-64"),
+    pytest.param("odd_step_grid", 0.6, 64, id="odd_step_grid-0.6-64"),
+    pytest.param("odd_end_grid", 0.6, 64, id="odd_end_grid-0.6-64"),
+    # without the Gram's first-order offset term the density here erred
+    # 2.5 times the plain formula's error
+    pytest.param("odd_step_grid", 0.6, 16, id="odd_step_grid-0.6-16"),
+    # with k t_B rounded as one product (no split) the density erred 2.4 times
+    pytest.param("odd_end_grid", 1.0, 64, id="odd_end_grid-1.0-64"),
 ])
 def test_kernels_match_plain_formula(request, grid_name, beta, ell):
+    # against a long-double evaluation of the same node sums, the kernels
+    # err at most twice what the plain double formula does, plus 8 eps.
+    # Measured, in eps: Gram 0.5-1.5 (plain 0.5-1.7), density 12-102
+    # (plain 10-219; the grids of non-dyadic h have the most)
     grid = request.getfixturevalue(grid_name)
     fb = football_potential(grid, beta)
     weight = associated_hermitian_weight(fb)
     gram = gram_matrix(ell, weight, fb)
-    _assert_match_plain(gram, bergman_density(gram), *_out_of_place_kernels(ell, weight, fb))
+    rep = bergman_density(gram)
+    exact = _plain_kernels(ell, weight, fb, np.longdouble)
+    gram_error, rho_error = _errors(gram.log_diag, rep.rho, exact)
+    plain_gram_error, plain_rho_error = _errors(*_plain_kernels(ell, weight, fb), exact)
+    eps = np.finfo(float).eps
+    assert gram_error <= 2.0 * plain_gram_error + 8.0 * eps
+    assert rho_error <= 2.0 * plain_rho_error + 8.0 * eps
 
 
 @pytest.fixture(scope="module")
@@ -313,93 +323,12 @@ def solved_07(grid):
 
 @pytest.mark.parametrize("metric", ["football", "solved"])
 def test_log_diag_convex_in_k(grid, solved_07, metric):
-    # the density window's premise: <z^k, z^k> = sum_j c_j e^(k t_j) with
-    # c_j > 0 is log-convex in k (Cauchy-Schwarz), to rounding
+    # <z^k, z^k> = sum_j c_j e^(k t_j) with c_j > 0 is log-convex in k
+    # (Cauchy-Schwarz), to rounding
     pot = football_potential(grid, 0.7) if metric == "football" else solved_07
     log_diag = gram_matrix(64, associated_hermitian_weight(pot), pot).log_diag
     ulp = np.finfo(float).eps * np.abs(log_diag[1:-1])
     assert np.all(np.diff(log_diag, 2) >= -4.0 * ulp)
-
-
-def _sums_taken(monkeypatch):
-    """Terms of every log-norm array the kernels build, summed per call."""
-    built = []
-
-    def counting(*args, **kwargs):
-        norms = _log_section_norms(*args, **kwargs)
-        built.append(norms.size)
-        return norms
-
-    monkeypatch.setattr(bergman, "_log_section_norms", counting)
-    return built
-
-
-@pytest.mark.parametrize("grid_name", ["grid", "fine_grid", "wide_grid"])
-def test_windowed_kernels_skip_terms_and_match_plain(request, monkeypatch, solved_07,
-                                                     grid_name):
-    # at l = 64 each kernel builds a fraction of the (2l+1) x n terms, its
-    # samples and end checks included (measured 0.23-0.48), and still meets
-    # the plain formula
-    grid = request.getfixturevalue(grid_name)
-    pots = [football_potential(grid, 0.7)] + ([solved_07] if grid_name == "grid" else [])
-    for pot in pots:
-        weight = associated_hermitian_weight(pot)
-        plain = _out_of_place_kernels(64, weight, pot)
-        built = _sums_taken(monkeypatch)
-        gram = gram_matrix(64, weight, pot)
-        gram_terms = sum(built)
-        rep = bergman_density(gram)
-        density_terms = sum(built) - gram_terms
-        monkeypatch.undo()
-        assert max(gram_terms, density_terms) < 0.6 * 129 * grid.n_nodes
-        _assert_match_plain(gram, rep, *plain)
-
-
-def _whole_sums(monkeypatch):
-    """Indices of the sums the kernels sum whole, one list per call."""
-    taken = []
-
-    def recording(indices, line):
-        taken.append(list(indices))
-        return _parts(indices, line)
-
-    monkeypatch.setattr(bergman, "_parts", recording)
-    return taken
-
-
-def test_window_that_cuts_mass_is_summed_whole(fine_grid, monkeypatch):
-    # windows shrunk to the middle third of their span drop mass above the
-    # cut: their end terms show it, and every such row and node is summed whole
-    fb = football_potential(fine_grid, 0.7)
-    weight = associated_hermitian_weight(fb)
-    plain = _out_of_place_kernels(64, weight, fb)
-
-    def middle_thirds(lo, hi, sizes):
-        return [(i0, i1, a + (b - a) // 3, b - (b - a) // 3)
-                for i0, i1, a, b in _group(lo, hi, sizes)]
-
-    monkeypatch.setattr(bergman, "_group", middle_thirds)
-    whole = _whole_sums(monkeypatch)
-    gram = gram_matrix(64, weight, fb)
-    rep = bergman_density(gram)
-    assert [len(w) > 0 for w in whole] == [True, True]
-    _assert_match_plain(gram, rep, *plain)
-
-
-@pytest.mark.parametrize("grid_name", ["grid", "fine_grid", "wide_grid"])
-def test_windows_hold_every_sum(request, monkeypatch, solved_07, grid_name):
-    # the sampled windows are wide enough that no sum needs the whole-sum
-    # fallback; a placer that is too narrow would only show as lost speed
-    grid = request.getfixturevalue(grid_name)
-    pots = [football_potential(grid, beta) for beta in (0.6, 1.0)]
-    pots += [solved_07] if grid_name == "grid" else []
-    whole = _whole_sums(monkeypatch)
-    for pot in pots:
-        weight = associated_hermitian_weight(pot)
-        for ell in (2, 64):
-            bergman_density(gram_matrix(ell, weight, pot))
-    assert len(whole) == 2 * 2 * len(pots)
-    assert not any(whole)
 
 
 def _traced_peak(func):
@@ -413,8 +342,8 @@ def _traced_peak(func):
 
 
 def test_kernels_allocate_blocks_not_arrays(fine_grid):
-    # each Gram build and density holds ~1 MB blocks, never a whole
-    # (2l+1) x n array (8.5 MB here); measured 1.24 / 1.32 MiB
+    # each Gram build and density holds arrays of (2l+1) x n/b or n doubles,
+    # never a whole (2l+1) x n array (8.5 MB here); measured 1.18 / 0.92 MiB
     fb = football_potential(fine_grid, 0.7)
     weight = associated_hermitian_weight(fb)
     ell = 64
@@ -422,23 +351,6 @@ def test_kernels_allocate_blocks_not_arrays(fine_grid):
     _, density_peak = _traced_peak(lambda: bergman_density(gram))
     assert gram_peak < 2 * 2**20, gram_peak
     assert density_peak < 2 * 2**20, density_peak
-
-
-def test_group_blocks_cover_items():
-    # items with nondecreasing spans; a block holds at most _BLOCK doubles
-    # (or one item) and wastes under half its span
-    lo = np.array([0, 0, 10, 40, 40, 90, 200])
-    hi = np.array([30, 50, 60, 100, 120, 150, 300])
-    sizes = np.array([1000, 500, 700, 900, 200, 3000, 100])
-    blocks = _group(lo, hi, sizes)
-    assert [b[0] for b in blocks[1:]] == [b[1] for b in blocks[:-1]]
-    assert (blocks[0][0], blocks[-1][1]) == (0, lo.size)
-    for i0, i1, a, b in blocks:
-        assert (a, b) == (lo[i0], hi[i1 - 1])
-        cost = sizes[i0:i1].sum() * (b - a)
-        assert i1 - i0 == 1 or cost <= bergman._BLOCK
-        assert 2 * (cost - np.sum(sizes[i0:i1] * (hi[i0:i1] - lo[i0:i1]))) <= cost
-    assert _group(np.array([0]), np.array([10**6]), np.array([10])) == [(0, 1, 0, 10**6)]
 
 
 def _plain_logsumexp(a, axis):

@@ -296,6 +296,22 @@ def test_data_files_independent_of_blas_threads(tmp_path):
         assert hashes[0] and hashes[0] == hashes[1], argv
 
 
+def test_bergman_products_independent_of_blas_threads(tmp_path):
+    # each Bergman kernel is a BLAS matrix product; at l = 64, N = 8193 it
+    # is large enough for OpenBLAS to split across two threads, which split
+    # its rows and columns but not its sums
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    files = []
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        subprocess.run([sys.executable, "-m", "conic_ke.cli", "bergman-scan",
+                        "--density", "0.6:64", "--grid-N", "8193", "--out", str(out)],
+                       env={**env, "OPENBLAS_NUM_THREADS": threads},
+                       check=True, capture_output=True)
+        files.append([(out / name).read_bytes() for name in ("scan.csv", "density.csv")])
+    assert files[0] == files[1]
+
+
 def test_continue_path_echo_round_trip(tmp_path):
     # the adaptive path echoes "steps": null, which keeps --steps at its default
     assert run("continue-path", "--beta", 0.9, "--delta", 0.1, "--grid-N", 129,
@@ -789,6 +805,19 @@ def test_capacity_manual_delta_must_be_positive(tmp_path, capsys, delta):
     (("capacity", "--n", 1, "--eps", 50), "error: --eps 50.0 --rule auto: "),
     (("capacity", "--n", 1, "--eps", 0.1, "--rule", "manual", "--delta", 0.5),
      "error: --delta 0.5: "),
+    # Gamma(201) overflowed in the ball volume; the auto rule's delta is then
+    # exp(-1e-154), not below 1/3
+    (("capacity", "--n", 200, "--eps", 0.5), "error: --eps 0.5 --rule auto: "),
+    # r^2 underflowed: the ratios and the pole's angle read inf
+    (("volume-scan", "--source", "football:0.6", "--r-min", "1e-200", "--r-max", "1e-100"),
+     "error: --r-min 1e-200 --r-max 1e-100: "),
+    (("volume-scan", "--mode", "tube", "--source", "cone:2:0.25", "--r-min", "1e-200",
+      "--r-max", "1e-100"), "error: --r-min 1e-200 --r-max 1e-100: "),
+    # radii below the grid's first node were read at that node
+    (("volume-scan", "--source", "football:0.6", "--r-min", "1e-3"),
+     "error: --r-min 0.001 --grid-T 16: "),
+    (("volume-scan", "--source", "cone:3:0.5", "--r-min", "1e-60", "--r-max", "1e-50"),
+     "error: --r-min 1e-60: "),
 ], ids=["solve-delta-nan", "solve-delta-inf", "family-deltas-nan", "path-delta-nan",
         "grid-T-inf", "capacity-eps-zero", "capacity-eps-nan", "volume-radius-off-grid",
         "tube-annulus-without-b", "density-without-ell", "grid-N-even", "deltas-empty",
@@ -800,7 +829,9 @@ def test_capacity_manual_delta_must_be_positive(tmp_path, capsys, delta):
         "grid-T-round-density-underflows", "tube-one-radius", "volume-no-radii",
         "volume-negative-num", "tube-equal-radii", "volume-infinite-radius",
         "volume-cone-n-zero", "capacity-n-zero", "capacity-beta-bar-above-1",
-        "capacity-auto-delta-too-large", "capacity-manual-delta-too-large"])
+        "capacity-auto-delta-too-large", "capacity-manual-delta-too-large",
+        "capacity-n-200", "volume-radii-squares-underflow", "tube-radii-squares-underflow",
+        "volume-radius-below-grid", "vertex-radius-power-underflows"])
 def test_bad_numbers_exit_config(tmp_path, capsys, argv, name):
     assert run(*argv, "--out", tmp_path / "o") == 1
     err = capsys.readouterr().err

@@ -7,6 +7,8 @@ from conic_ke.cone_analysis import (
     LOG3,
     FlatConeModel,
     LogLogCutoff,
+    RadiusOutOfRange,
+    check_radii,
     dirichlet_energy,
     selection_log_delta,
     tube_volume,
@@ -130,6 +132,35 @@ def test_volume_ratio_validation(grid):
         volume_ratio_profile(fb, "zero", [3.0, 2.0])
     with pytest.raises(ValueError):
         volume_ratio_profile(fb, "zero", [0.5, 50.0])
+
+
+@pytest.mark.parametrize("source, radii, end", [
+    # below the grid's first node np.interp held the area there: ratio/pi
+    # read 2.7e6 at r = 1e-5 instead of 0.6
+    pytest.param("football", [1e-5, 1e-2], "min", id="football-below-grid"),
+    pytest.param("football", [0.5, 50.0], "max", id="football-beyond-grid"),
+    pytest.param("cone", [1e-60, 1.0], "min", id="cone-power-underflows"),   # r^6
+    pytest.param("cone", [1.0, 1e60], "max", id="cone-power-overflows"),
+])
+def test_volume_ratio_radius_out_of_range_names_its_end(grid, source, radii, end):
+    src = football_potential(grid, 0.6) if source == "football" else FlatConeModel(3, 0.5)
+    with pytest.raises(RadiusOutOfRange) as info:
+        volume_ratio_profile(src, "zero" if source == "football" else "vertex", radii)
+    assert info.value.end == end
+
+
+def test_radii_squares_inside_double_range():
+    for radii in ([1e-200, 1.0], [1.0, 1e200]):
+        with pytest.raises(ValueError, match="squares"):
+            check_radii(radii)
+    assert check_radii([1e-150, 1e150]).tolist() == [1e-150, 1e150]
+
+
+def test_unit_ball_volume_past_gamma_overflow():
+    # Gamma(201) overflows a double; pi^200 / 200! is about 1e-274
+    log_volume = 200 * math.log(math.pi) - sum(math.log(k) for k in range(1, 201))
+    assert unit_ball_volume(400) == pytest.approx(math.exp(log_volume), rel=1e-12)
+    assert unit_ball_volume(0) == 1.0
 
 
 def test_tube_volume_quadratic():
