@@ -9,8 +9,8 @@ write (exit 1) can leave a partial one.  The manifest's wall clock covers
 the compute and the CSV writes.
 
 Exit codes: 0 success, 1 invalid configuration or usage, 2 a solver did
-not converge (Newton divergence or an eigen-solve failure), 3 metric
-positivity loss, 4 continuation stall.
+not converge (Newton divergence, a residual above 1e-11 at any tau, or an
+eigen-solve failure), 3 metric positivity loss, 4 continuation stall.
 """
 
 from __future__ import annotations
@@ -136,7 +136,6 @@ def cmd_continue_path(args) -> Run:
     if args.steps is not None and args.steps < 1:
         raise ValueError(f"--steps must be at least 1, got {args.steps}")
     trace = continuity_path(cone, args.delta, steps=args.steps, grid=grid)
-    trace.validate()
     tables = {"trace.csv": (
         ["tau", "J", "F", "lambda1", "newton_iters", "residual"],
         zip(*[(s.tau, s.j_value, s.f_value, s.lambda1, s.solution.iterations,
@@ -151,7 +150,7 @@ def cmd_continue_path(args) -> Run:
                           rep.j_value, rep.f_value, rep.linear_term, rep.log_term))
     tables["functionals.csv"] = (
         ["tag", "tau", "beta", "delta", "J", "F", "linear", "logterm"], zip(*frows))
-    return Run(tables, f"{len(trace.steps)} steps, status {trace.status}", grid)
+    return Run(tables, f"{len(trace.steps)} steps", grid)
 
 
 def cmd_smooth_family(args) -> Run:
@@ -165,7 +164,7 @@ def cmd_smooth_family(args) -> Run:
         if name in names[:i]:
             raise ValueError(f"--deltas: {deltas[names.index(name)]:g} and {deltas[i]:g} "
                              f"would both write {name}")
-    rep = smoothing_family(cone, deltas, grid)
+    rep = _flagged(f"--deltas {args.deltas}", smoothing_family, cone, deltas, grid)
     margins = [ricci_lower_bound_margin(sol) for sol in rep.solutions]
     bounds = two_sided_bound_check(rep)
     tables = {
@@ -265,14 +264,15 @@ def cmd_log_futaki(args) -> Run:
     scan = _read_scan_config(args.scan_config) if args.scan_config else None
     pot = read_potential_csv(args.metric)
     if scan is not None:
-        rows = obstruction_scan(*scan, pot)
+        rows = _flagged(f"--scan-config {args.scan_config}", obstruction_scan, *scan, pot)
         return Run({"obstruction.csv": (["config_id", "beta", "log_futaki", "flag"],
                                         zip(*[(r.config_id, r.beta, r.log_futaki, r.flag)
                                               for r in rows]))},
                    f"{len(rows)} rows", pot.grid)
     points = [_parse_pair(item, "--points LOC:WEIGHT", _location, float)
               for item in args.points.split(",")]
-    val = log_futaki(pot, args.beta, points)
+    val = _flagged(f"--beta {args.beta} --points {args.points}", log_futaki,
+                   pot, args.beta, points)
     return Run({"log_futaki.csv": (["beta", "log_futaki"], [[args.beta], [val]])},
                format_number(val), pot.grid)
 
@@ -286,8 +286,9 @@ def cmd_capacity(args) -> Run:
                      args.n, args.beta_bar)
     if not (np.isfinite(args.eps) and args.eps > 0):
         raise ValueError(f"--eps must be finite and positive, got {args.eps}")
+    powers = f"--n {args.n} --eps {args.eps}"
     if args.rule == "auto":
-        log_delta = selection_log_delta(args.n, args.eps)
+        log_delta = _flagged(powers, selection_log_delta, args.n, args.eps)
     else:
         if args.delta is None:
             raise ValueError("--rule manual requires --delta")
@@ -296,7 +297,8 @@ def cmd_capacity(args) -> Run:
         log_delta = float(np.log(args.delta))
     delta_flags = f"--delta {args.delta}" if args.rule == "manual" \
         else f"--eps {args.eps} --rule auto"
-    rep = dirichlet_energy(_flagged(delta_flags, LogLogCutoff, args.eps, log_delta), model)
+    rep = _flagged(powers, dirichlet_energy,
+                   _flagged(delta_flags, LogLogCutoff, args.eps, log_delta), model)
     return Run({"capacity.csv": (
         ["n", "beta_bar", "eps", "log_delta", "energy",
          "closed_form_bound", "coarea_quadrature", "coarea_closed_form"],
@@ -358,6 +360,8 @@ def cmd_volume_scan(args) -> Run:
         if kind != "cone":
             flags += f" --grid-T {args.grid_T:g}"
         raise ValueError(f"{flags}: {exc}") from None
+    except ValueError as exc:      # the center, or a source without a cone tail
+        raise ValueError(f"--source {args.source} --center {args.center}: {exc}") from None
     return Run({"profile.csv": (["r", "value"], [rep.radii, rep.ratios]),
                 "fit.csv": (["angle_estimate", "monotone_defect"],
                             [[rep.angle_estimate], [rep.monotone_defect]])},

@@ -95,7 +95,10 @@ class LogLogCutoff:
 
 
 def selection_log_delta(n: int, eps_bar: float) -> float:
-    """log delta from the band-selection rule a_(n-1) <= eps^(2n-1) (-log delta)."""
+    """log delta from the band-selection rule a_(n-1) <= eps^(2n-1) (-log delta);
+    ValueError where eps^(2n-1) lies beyond e^(+-700), near the double range."""
+    if not abs((2 * n - 1) * math.log(eps_bar)) <= 700.0:
+        raise ValueError(f"eps^{2 * n - 1} leaves double range")
     return -unit_ball_volume(2 * n - 2) / eps_bar ** (2 * n - 1)
 
 
@@ -117,13 +120,19 @@ def dirichlet_energy(cutoff: LogLogCutoff, model: FlatConeModel) -> CutoffEnergy
     Product quadrature: the angular factor 2 pi bb and the flat-slice ball
     volume are closed form; the radial band integral runs in the
     logarithmic coordinate.  The co-area reorganization of the same band
-    integral is returned as a cross-check.
+    integral is returned as a cross-check.  ValueError where eps^(2n-2) or
+    R^(2n-2) lies beyond e^(+-700), so that the energy (at most 32 R^(2n-2))
+    could leave the double range, or where the band end's square s2^2 would.
     """
     R = 1.0 / cutoff.eps_bar
     s1, s2 = cutoff.band_s
+    k = 2 * model.n - 2
+    if not (abs(k * math.log(cutoff.eps_bar)) <= 700.0 and s2 <= 1e154):
+        raise ValueError(f"eps^{k}, R^{k} or the band end's square ({s2:.3g})^2 "
+                         f"leaves double range")
     s = np.linspace(s1, s2, _ENERGY_NODES)
     w = simpson_weights(_ENERGY_NODES, s[1] - s[0])
-    rho_sq = np.exp(np.maximum(2.0 * (math.log(cutoff.eps_bar) - s), -745.0))
+    rho_sq = np.exp(np.clip(2.0 * (math.log(cutoff.eps_bar) - s), -745.0, 709.0))
     slice_vol = unit_ball_volume(2 * model.n - 2) \
         * np.maximum(R * R - rho_sq, 0.0) ** (model.n - 1)
     # |grad gamma|^2 rho drho = (1/log3)^2 / (rho^2 s^2) * rho * (rho ds)

@@ -412,8 +412,8 @@ def solve_ma(twist: TwistData, tau: float,
     grid, or None for the flat start phi = 0; either is projected onto even
     profiles first.  The iteration stops once the residual's max norm is at
     most _NEWTON_TOL and raises NewtonDiverged after _NEWTON_MAX_ITER steps.
-    tau = 0 short-circuits to a single constrained linear solve and ignores
-    `guess`.
+    tau = 0 is one constrained linear solve that ignores `guess`; where its
+    residual is above _NEWTON_TOL or not finite it raises SolverError.
     """
     check_tau(tau, twist.cone.mu)
     grid = twist.grid
@@ -429,7 +429,7 @@ def solve_ma(twist: TwistData, tau: float,
 
     if tau == 0.0:
         phi = project(_solve_linear_mean_zero(twist, p0))
-        res = float(np.max(np.abs(_linearize(phi, 0.0, twist, p0, h)[0])))
+        res = _newton_system(phi, 0.0, twist, p0, h)[2]
         iters = 0
     else:
         phi = project(np.zeros(grid.n_nodes) if guess is None
@@ -473,6 +473,9 @@ def solve_ma(twist: TwistData, tau: float,
                 raise NewtonDiverged(
                     f"damping budget exhausted at residual {res:.3e}")
             iters += 1
+    if not res <= _NEWTON_TOL:
+        raise SolverError(f"residual {res:.3e} at tau = {tau:g} is above the Newton "
+                          f"tolerance {_NEWTON_TOL:g}")
 
     dphi = cumulative_integral(twist.density(phi, tau) - p0, h,
                                twist.tail_mass(tau, phi[0])[0] - twist.tail_plain)
@@ -597,25 +600,6 @@ class TraceStep:
 @dataclass
 class ContinuationTrace:
     steps: list[TraceStep] = field(default_factory=list)
-    status: str = "incomplete"
-
-    @property
-    def taus(self) -> np.ndarray:
-        return np.array([s.tau for s in self.steps])
-
-    def validate(self):
-        """Raise SolverError unless tau increases strictly, a complete trace
-        runs from 0 to mu, and every stored residual is within _NEWTON_TOL."""
-        taus = self.taus
-        if np.any(np.diff(taus) <= 0.0):
-            raise SolverError("tau must be strictly increasing along the trace")
-        if self.status == "complete":
-            mu = self.steps[-1].solution.twist.cone.mu
-            if taus[0] != 0.0 or abs(taus[-1] - mu) > 1e-14:
-                raise SolverError("complete traces must run from 0 to mu")
-        bad = [s.tau for s in self.steps if s.solution.residual > _NEWTON_TOL]
-        if bad:
-            raise SolverError(f"stored solutions above residual tolerance at tau={bad}")
 
 
 def _trace_step(sol) -> TraceStep:
@@ -630,14 +614,15 @@ def continuity_path(cone: ConeConfiguration, delta: float,
     """Continuation in tau from the volume-normalized start to tau = mu.
 
     With `steps` the taus are np.linspace(0, mu, steps + 1) and a failed
-    solve raises its own SolverError.  With None the steps are adaptive: the
-    first is mu/20, three accepted steps of at most 5 Newton iterations in a
-    row double it (up to mu/8), and a failed solve halves it; below
-    _MIN_STEP the path raises PathStalled.  Each solve starts from the linear
-    extrapolation through the last two accepted solutions; when that guess
-    or a step from it loses positivity, the solve is tried once more from
-    the last accepted solution before the step counts as failed.  Each
-    accepted step records J, F and the spectral gap.
+    solve raises its own SolverError, as the tau = 0 row's does in both
+    schedules.  With None the steps are adaptive: the first is mu/20, three
+    accepted steps of at most 5 Newton iterations in a row double it (up to
+    mu/8), and a failed solve halves it; below _MIN_STEP the path raises
+    PathStalled.  Each solve starts from the linear extrapolation through
+    the last two accepted solutions; when that guess or a step from it loses
+    positivity, the solve is tried once more from the last accepted solution
+    before the step counts as failed.  Each accepted step records J, F and
+    the spectral gap.
     """
     if delta <= 0.0 and cone.beta < 0.3:
         raise ValueError("delta = 0 requires beta >= 0.3 for a well-conditioned path")
@@ -675,7 +660,6 @@ def continuity_path(cone: ConeConfiguration, delta: float,
                 raise
             dtau *= 0.5
             if dtau < _MIN_STEP:
-                trace.status = f"stalled at tau={cur.tau:.6g}"
                 raise PathStalled(f"minimum step reached at tau={cur.tau:.6g}",
                                   cur.tau, trace)
             continue
@@ -684,7 +668,6 @@ def continuity_path(cone: ConeConfiguration, delta: float,
         if easy_streak >= 3:
             dtau = min(2.0 * dtau, mu / 8.0)
             easy_streak = 0
-    trace.status = "complete"
     return trace
 
 

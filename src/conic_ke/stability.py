@@ -42,11 +42,14 @@ class HamiltonianPotential:
                      - self.mean_removed)
 
     def at(self, location) -> float:
-        """theta at a pole name or an interior t-location."""
+        """theta at a pole name or a t-location; ValueError for a t off the
+        grid (np.interp would hold the end node's value) or not finite."""
         if isinstance(location, str):
             return self.limit_at(location)
-        grid = self.pot.grid
-        return float(np.interp(float(location), grid.t, self.theta))
+        grid, t = self.pot.grid, float(location)
+        if not grid.t_min <= t <= grid.t_max:
+            raise ValueError(f"t = {t:g} lies outside the grid [{grid.t_min:g}, {grid.t_max:g}]")
+        return float(np.interp(t, grid.t, self.theta))
 
 
 def hamiltonian_theta(pot: RadialKahlerPotential) -> HamiltonianPotential:

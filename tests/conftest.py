@@ -1,7 +1,20 @@
+import numpy as np
 import pytest
 
-from conic_ke.geometry import ConeConfiguration, Grid, fubini_study_potential
+from conic_ke.geometry import ConeConfiguration, Grid, football_phi, fubini_study_potential
 from conic_ke.ma_solver import continuity_path, smoothing_family
+
+
+@pytest.fixture(scope="session")
+def football_oracle():
+    """The closed-form relative potential that a conic solve at tau = mu
+    should return: the football plus the additive constant c* that the
+    solve's normalizing constant a_beta implies."""
+    def oracle(sol):
+        beta = sol.twist.cone.beta
+        c_star = (sol.twist.constant - np.log(beta) - (1.0 - beta) * np.log(4.0)) / beta
+        return football_phi(sol.grid, beta) + c_star
+    return oracle
 
 
 @pytest.fixture(scope="session")

@@ -371,23 +371,26 @@ def test_eigen_solve_failure_exit_code(tmp_path, monkeypatch, capsys):
     assert err.count("\n") == 1 and "synthetic eigen-solve failure" in err
 
 
-def test_continue_path_checks_its_trace(tmp_path, monkeypatch, capsys):
-    # one stored residual above the Newton tolerance fails the trace's
-    # contract: exit 2 before any table is built, so no output directory
-    import conic_ke.ma_solver as ma_solver
-    real = ma_solver.continuity_path
+def test_continue_path_checks_its_trace(tmp_path, capsys):
+    # the tau = 0 row is one linear solve; on the default grid its residual
+    # is above the Newton tolerance for these inputs, so the path exits 2 at
+    # that row, names the residual, and makes no output directory
+    for beta, delta in ((0.3, 0.0), (0.4, 1e-3)):
+        out = tmp_path / f"p{beta}"
+        assert run("continue-path", "--beta", beta, "--delta", delta, "--out", out) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("solver did not converge: residual ")
+        assert "at tau = 0 is above the Newton tolerance 1e-11" in err
 
-    def loose(*args, **kwargs):
-        trace = real(*args, **kwargs)
-        trace.steps[1].solution.residual = 2.0 * ma_solver._NEWTON_TOL
-        return trace
 
-    monkeypatch.setattr(ma_solver, "continuity_path", loose)
-    out = tmp_path / "p"
-    assert run("continue-path", "--beta", 0.8, "--delta", 1e-3, "--steps", 2,
-               "--grid-N", 257, "--out", out) == 2
+def test_solve_tau_zero_meets_the_tolerance_or_exits_2(tmp_path, capsys):
+    out = tmp_path / "s"
+    assert run("solve", "--beta", 0.3, "--delta", 0, "--tau", 0, "--out", out) == 2
     assert not out.exists()
-    assert "above residual tolerance" in capsys.readouterr().err
+    assert "at tau = 0 is above the Newton tolerance" in capsys.readouterr().err
+    assert run("solve", "--beta", 0.8, "--delta", 1e-3, "--tau", 0, "--out", out) == 0
+    assert read_manifest(out / "manifest.json")["residual"] <= 1e-11
 
 
 def test_solve_manifest_potential_keys(tmp_path):
@@ -586,7 +589,7 @@ def test_continue_path_one_step(tmp_path, capsys):
     out = tmp_path / "p"
     assert run("continue-path", "--beta", 0.8, "--delta", 1e-3, "--steps", 1,
                "--grid-N", 257, "--out", out) == 0
-    assert "2 steps, status complete" in capsys.readouterr().out
+    assert "2 steps" in capsys.readouterr().out
     trace = np.loadtxt(out / "trace.csv", delimiter=",", skiprows=1)
     assert trace.shape[0] == 2 and trace[-1, 0] == pytest.approx(0.8, abs=1e-12)
 
@@ -715,6 +718,19 @@ def test_log_futaki_cli_scan(tmp_path):
     assert flags == ["UNOBSTRUCTED", "UNOBSTRUCTED", "OBSTRUCTED", "OBSTRUCTED"]
 
 
+def test_log_futaki_scan_t_location_off_the_grid(tmp_path, capsys):
+    # read the end node's theta and exited 0
+    metric = tmp_path / "fs.csv"
+    write_csv(metric, *potential_table(fubini_study_potential(Grid(-16, 16, 257))))
+    scan_path = tmp_path / "scan.json"
+    scan_path.write_text(json.dumps({"configs": {"c": [[40.0, 1.0]]}, "betas": [0.5]}))
+    assert run("log-futaki", "--metric", metric, "--scan-config", scan_path,
+               "--out", tmp_path / "lf") == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: --scan-config {scan_path}: t = 40 lies outside"), err
+    assert not (tmp_path / "lf").exists()
+
+
 @pytest.mark.parametrize("text", [
     '{"betas": [0.5]}',
     '{"configs": {"sym": [["zero", 1]]}}',
@@ -756,7 +772,8 @@ def test_capacity_manual_delta_must_be_positive(tmp_path, capsys, delta):
 @pytest.mark.parametrize("argv, name", [
     (("solve", "--beta", 0.75, "--delta", "nan", "--tau", 0.5), "delta"),
     (("solve", "--beta", 0.75, "--delta", "inf", "--tau", 0.5), "delta"),
-    (("smooth-family", "--beta", 0.75, "--deltas", "1e-1,nan"), "deltas"),
+    (("smooth-family", "--beta", 0.75, "--deltas", "1e-1,nan"),
+     "error: --deltas 1e-1,nan: deltas must be"),
     (("continue-path", "--beta", 0.8, "--delta", "nan"), "delta"),
     (("solve", "--beta", 0.75, "--delta", 0, "--tau", 0.5, "--grid-T", "inf"), "--grid-T"),
     (("capacity", "--n", 1, "--eps", 0), "--eps"),
@@ -818,6 +835,24 @@ def test_capacity_manual_delta_must_be_positive(tmp_path, capsys, delta):
      "error: --r-min 0.001 --grid-T 16: "),
     (("volume-scan", "--source", "cone:3:0.5", "--r-min", "1e-60", "--r-max", "1e-50"),
      "error: --r-min 1e-60: "),
+    # None stands for a stored football metric
+    (("log-futaki", "--metric", None, "--beta", 1.5), "error: --beta 1.5 --points "),
+    (("log-futaki", "--metric", None, "--points", "zero:-1"),
+     "--points zero:-1: point weights must be positive"),
+    # t-locations off the grid read the end node's theta, NaN passed through
+    (("log-futaki", "--metric", None, "--points", "40:1"),
+     "--points 40:1: t = 40 lies outside the grid [-16, 16]"),
+    (("log-futaki", "--metric", None, "--points", "inf:1"), "--points inf:1: t = inf"),
+    (("log-futaki", "--metric", None, "--points", "nan:1"), "--points nan:1: t = nan"),
+    (("log-futaki", "--metric", None, "--points=-16.5:1"), "--points -16.5:1: t = -16.5"),
+    (("volume-scan", "--source", "fs", "--center", "foo", "--grid-N", 257),
+     "error: --source fs --center foo: surface profiles are centered at a pole"),
+    # the band end 3e300 squared overflowed: energy and quadrature read 0
+    (("capacity", "--n", 1, "--eps", "1e-300"), "error: --n 1 --eps 1e-300: "),
+    # eps^398 underflowed to 0, and the bound divided by it
+    (("capacity", "--n", 200, "--eps", 0.01, "--rule", "manual", "--delta", 1e-3),
+     "error: --n 200 --eps 0.01: "),
+    (("capacity", "--n", 2, "--eps", "1e-300"), "error: --n 2 --eps 1e-300: eps^3 "),
 ], ids=["solve-delta-nan", "solve-delta-inf", "family-deltas-nan", "path-delta-nan",
         "grid-T-inf", "capacity-eps-zero", "capacity-eps-nan", "volume-radius-off-grid",
         "tube-annulus-without-b", "density-without-ell", "grid-N-even", "deltas-empty",
@@ -831,8 +866,17 @@ def test_capacity_manual_delta_must_be_positive(tmp_path, capsys, delta):
         "volume-cone-n-zero", "capacity-n-zero", "capacity-beta-bar-above-1",
         "capacity-auto-delta-too-large", "capacity-manual-delta-too-large",
         "capacity-n-200", "volume-radii-squares-underflow", "tube-radii-squares-underflow",
-        "volume-radius-below-grid", "vertex-radius-power-underflows"])
+        "volume-radius-below-grid", "vertex-radius-power-underflows",
+        "log-futaki-beta-above-1", "log-futaki-weight-negative", "log-futaki-t-beyond-grid",
+        "log-futaki-t-inf", "log-futaki-t-nan", "log-futaki-t-below-grid",
+        "volume-center-not-a-pole",
+        "capacity-band-end-overflows", "capacity-eps-power-underflows",
+        "capacity-selection-power-underflows"])
 def test_bad_numbers_exit_config(tmp_path, capsys, argv, name):
+    if None in argv:
+        metric = tmp_path / "fb.csv"
+        write_csv(metric, *potential_table(football_potential(Grid(-16, 16, 257), 0.6)))
+        argv = [metric if a is None else a for a in argv]
     assert run(*argv, "--out", tmp_path / "o") == 1
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("error: ") and name in err, err

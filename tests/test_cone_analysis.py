@@ -99,6 +99,31 @@ def test_energy_vanishing_rate():
     assert slope == pytest.approx(-1.0, abs=0.05)
 
 
+def test_energy_powers_inside_double_range():
+    # eps^0 = 1, but the band end 3 s1 = 3e300 squares to inf: the energy
+    # and the quadrature read 0 where the closed form is 5.5e-301
+    with pytest.raises(ValueError, match="band end"):
+        dirichlet_energy(LogLogCutoff(1e-300, selection_log_delta(1, 1e-300)),
+                         FlatConeModel(1, 0.25))
+    # eps^398 = 1e-796 is 0 in double: the bound divided by zero
+    with pytest.raises(ValueError, match=r"eps\^398"):
+        dirichlet_energy(LogLogCutoff(0.01, math.log(1e-3)), FlatConeModel(200, 0.25))
+    # eps^4 is normal but the energy, near a_2 R^4, would overflow
+    with pytest.raises(ValueError, match=r"eps\^4"):
+        dirichlet_energy(LogLogCutoff(1.3e-77, math.log(0.33)), FlatConeModel(3, 0.25))
+    # the selection rule's own power, eps^3 = 1e-900
+    with pytest.raises(ValueError, match=r"eps\^3"):
+        selection_log_delta(2, 1e-300)
+    rep = dirichlet_energy(LogLogCutoff(1e-150, selection_log_delta(1, 1e-150)),
+                           FlatConeModel(1, 0.25))
+    assert 0.0 < rep.energy <= rep.closed_form_bound
+    # for n = 1 the energy does not depend on eps; rho^2 = (eps e^-s)^2
+    # overflowed in exp at eps = 1e245
+    model = FlatConeModel(1, 0.25)
+    assert dirichlet_energy(LogLogCutoff(1e245, math.log(0.1)), model).energy \
+        == dirichlet_energy(LogLogCutoff(0.1, math.log(0.1)), model).energy
+
+
 # ---------------------------------------------------------------------------
 # volume comparison
 

@@ -2,6 +2,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.linalg import eigh_tridiagonal
 
@@ -11,7 +13,6 @@ from conic_ke.geometry import (
     Grid,
     RadialKahlerPotential,
     cone_angle_at_pole,
-    football_phi,
     football_potential,
     fubini_study_potential,
 )
@@ -32,13 +33,6 @@ from conic_ke.ma_solver import (
     two_sided_bound_check,
 )
 from conic_ke.numerics import cumulative_integral
-
-
-def football_oracle_phi(grid, beta, a_beta):
-    """Closed-form solution of the conic equation at tau = mu, including the
-    additive constant implied by the normalizing constant in use."""
-    c_star = (a_beta - np.log(beta) - (1.0 - beta) * np.log(4.0)) / beta
-    return football_phi(grid, beta) + c_star
 
 
 # ---------------------------------------------------------------------------
@@ -102,9 +96,9 @@ def test_build_twist_rejects_bad_inputs(grid, beta, delta, name):
 
 
 @pytest.mark.parametrize("beta", [0.1, 0.2, 0.3, 0.5, 0.75, 0.9])
-def test_football_recovery(grid, beta):
+def test_football_recovery(grid, beta, football_oracle):
     sol = solve_ma(build_twist(grid, beta, 0.0), beta)
-    oracle = football_oracle_phi(grid, beta, sol.twist.constant)
+    oracle = football_oracle(sol)
     core = np.abs(grid.t) <= 8.0
     assert sol.iterations <= 25
     assert np.max(np.abs(sol.phi - oracle)[core]) < 1e-6
@@ -118,7 +112,7 @@ def test_football_recovery(grid, beta):
 
 @pytest.mark.parametrize("n", [1025, 2049])
 @pytest.mark.parametrize("beta", [0.02, 0.05])
-def test_heavy_tail_football_is_right_or_refused(beta, n):
+def test_heavy_tail_football_is_right_or_refused(beta, n, football_oracle):
     # a tail mass of 0.45 and more: either criterion 1's accuracy or an error
     g = Grid(-16, 16, n)
     try:
@@ -126,7 +120,7 @@ def test_heavy_tail_football_is_right_or_refused(beta, n):
     except SolverError:
         return
     core = np.abs(g.t) <= 8.0
-    oracle = football_oracle_phi(g, beta, sol.twist.constant)
+    oracle = football_oracle(sol)
     assert np.max(np.abs(sol.phi - oracle)[core]) < 1e-6
 
 
@@ -219,14 +213,14 @@ def test_positivity_guard(grid):
 
 
 @pytest.mark.parametrize("beta, T", [(0.8, 40), (0.95, 40), (0.9, 38), (0.95, 36)])
-def test_wide_grid_footballs_pass_the_positivity_guard(beta, T):
+def test_wide_grid_footballs_pass_the_positivity_guard(beta, T, football_oracle):
     # at the grid ends Phi0'' is below the rounding floor of d2(phi), where
     # the sign of the implied density is noise; these raised PositivityLost
     # when every node had to be strictly positive
     g = Grid(-T, T, 2049)
     sol = solve_ma(build_twist(g, beta, 0.0), beta)
     core = np.abs(g.t) <= T / 2
-    oracle = football_oracle_phi(g, beta, sol.twist.constant)
+    oracle = football_oracle(sol)
     assert np.max(np.abs(sol.phi - oracle)[core]) < 1e-6
 
 
@@ -236,6 +230,23 @@ def test_grid_whose_round_density_underflows_is_refused():
     assert Grid(-745, 745, 2049).reference.phi_doubleprime[0] > 0.0
     with pytest.raises(ValueError, match="density underflows to 0 at the grid ends"):
         solve_ma(build_twist(Grid(-800, 800, 2049), 0.8, 0.0), 0.4)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(n=st.integers(32, 512).map(lambda k: 2 * k + 1),
+       beta=st.floats(0.0, 1.0, exclude_min=True),
+       delta=st.one_of(st.just(0.0), st.floats(1e-8, 1.0)),
+       tau_fraction=st.one_of(st.just(0.0), st.floats(0.0, 1.0)))
+def test_solve_meets_its_tolerance_or_raises(n, beta, delta, tau_fraction):
+    # the contract: a finite answer within the Newton tolerance, or an error
+    # (tau = 0 included, whose one linear solve does not iterate)
+    import conic_ke.ma_solver as ma_solver
+    try:
+        twist = build_twist(Grid(-16, 16, n), beta, delta)
+        sol = solve_ma(twist, tau_fraction * twist.cone.mu)
+    except (SolverError, ValueError):
+        return
+    assert np.isfinite(sol.phi).all() and sol.residual <= ma_solver._NEWTON_TOL
 
 
 def test_wide_grid_smoothed_solve_passes_the_positivity_guard():
@@ -285,8 +296,16 @@ def test_singular_newton_system_diverges(grid, monkeypatch):
 
 
 def test_path_stall_reports_last_tau(monkeypatch):
+    # every solve above tau = 0 fails, so the step halves to the minimum
     import conic_ke.ma_solver as ma_solver
-    monkeypatch.setattr(ma_solver, "_NEWTON_TOL", 1e-30)
+    solve = ma_solver.solve_ma
+
+    def failing(twist, tau, guess=None):
+        if tau > 0.0:
+            raise NewtonDiverged("synthetic failure")
+        return solve(twist, tau, guess)
+
+    monkeypatch.setattr(ma_solver, "solve_ma", failing)
     g = Grid(-16, 16, 513)
     with pytest.raises(PathStalled) as exc:
         continuity_path(ConeConfiguration(0.8), 1e-3, grid=g)
@@ -328,10 +347,11 @@ def test_smoothed_pole_angle_between(grid):
 
 def test_adaptive_path_budget(grid):
     trace = continuity_path(ConeConfiguration(0.8), 1e-4, grid=grid)
-    assert trace.status == "complete"
     assert len(trace.steps) <= 200
-    assert trace.taus[-1] == pytest.approx(0.8, abs=1e-14)
-    trace.validate()
+    taus = np.array([s.tau for s in trace.steps])
+    assert taus[0] == 0.0 and np.all(np.diff(taus) > 0.0)
+    assert taus[-1] == pytest.approx(0.8, abs=1e-14)
+    assert all(s.solution.residual <= 1e-11 for s in trace.steps)
 
 
 @pytest.mark.parametrize("beta, delta", [(0.8, 1e-3), (0.75, 0.0)])
@@ -379,7 +399,7 @@ def test_path_builds_reference_once_per_grid(monkeypatch):
             monkeypatch.setattr(mod, "fubini_study_potential", counting)
     g = Grid(-16, 16, 257)
     trace = continuity_path(ConeConfiguration(0.8), 1e-3, steps=10, grid=g)
-    assert trace.status == "complete" and len(trace.steps) == 11
+    assert len(trace.steps) == 11
     assert len(built) <= 1
 
 
@@ -388,7 +408,8 @@ def test_uniform_path_failure_is_the_solves_own(monkeypatch):
     g = Grid(-16, 16, 257)
     cone = ConeConfiguration(0.8)
     targets = np.linspace(0.0, cone.mu, 5)
-    assert np.array_equal(continuity_path(cone, 1e-3, steps=4, grid=g).taus, targets)
+    steps = continuity_path(cone, 1e-3, steps=4, grid=g).steps
+    assert np.array_equal([s.tau for s in steps], targets)
     tried = []
     solve = ma_solver.solve_ma
 

@@ -136,6 +136,17 @@ def test_log_futaki_validation(grid, fs):
         log_futaki(fs, 1.2, [("infinity", 1.0)])
 
 
+def test_theta_at_refuses_t_off_the_grid(grid, fs):
+    # np.interp held the end node's value beyond the grid, and NaN passed
+    th = hamiltonian_theta(fs)
+    for t in (float("nan"), float("inf"), -float("inf"), 40.0, grid.t_min - 1e-9):
+        with pytest.raises(ValueError, match="outside the grid"):
+            th.at(t)
+        with pytest.raises(ValueError, match="outside the grid"):
+            log_futaki(fs, 0.7, [(t, 1.0)])
+    assert th.at(grid.t_max) == th.theta[-1] and th.at(grid.t_min) == th.theta[0]
+
+
 @settings(max_examples=20, deadline=None)
 @given(beta=st.floats(0.35, 0.99), beta1=st.floats(0.05, 0.3),
        w0=st.floats(0.1, 3.0), w1=st.floats(0.1, 3.0))
