@@ -42,21 +42,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import Grid, RadialKahlerPotential, football_potential
-from .numerics import d1, d2, logsumexp_rows, weighted_sum
+from .numerics import d1, d2, logsumexp_rows
 
 
 @dataclass
 class HermitianWeight:
     """Log frame weight w = -Phi of the metric-adapted norm on the line bundle.
 
-    Its curvature -w'' is the metric Phi'' itself.  `log_section_scale` is
-    log |c_S|^2, the scale that gives the defining section unit twisted
-    mass: 2 pi times the integral of e^(t + w) Phi'' |c_S|^2 is one.
+    Its curvature -w'' is the metric Phi'' itself.
     """
 
     pot: RadialKahlerPotential
     log_weight: np.ndarray
-    log_section_scale: float
 
 
 def associated_hermitian_weight(pot: RadialKahlerPotential) -> HermitianWeight:
@@ -66,12 +63,7 @@ def associated_hermitian_weight(pot: RadialKahlerPotential) -> HermitianWeight:
     ValueError unless Phi'' > 0.
     """
     pot.require_positive()
-    grid = pot.grid
-    log_weight = -pot.values()
-    expo = grid.t + log_weight + np.log(pot.phi_doubleprime)
-    m = expo.max()
-    log_mass = m + math.log(weighted_sum(grid.weights * 2.0 * np.pi, np.exp(expo - m)))
-    return HermitianWeight(pot, log_weight, -log_mass)
+    return HermitianWeight(pot, -pot.values())
 
 
 @dataclass

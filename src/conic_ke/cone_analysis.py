@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import RadialKahlerPotential, cone_angle_at_pole
+from .geometry import RadialKahlerPotential, read_pole
 from .numerics import cumulative_integral, simpson_weights
 
 LOG3 = math.log(3.0)
@@ -216,11 +216,11 @@ def volume_ratio_profile(source, center, r_list) -> VolumeRatioReport:
             raise ValueError("surface profiles are centered at a pole")
         pp = pot.phi_doubleprime if center == "zero" else pot.phi_doubleprime[::-1]
         prime = pot.phi_prime if center == "zero" else 2.0 - pot.phi_prime[::-1]
-        beta_fit = cone_angle_at_pole(pot, center)
+        beta = read_pole(pot, center)[0]
         # geodesic distance from the pole: arclength plus the conic tail
         # beyond the truncation, where sqrt(Phi'') decays at rate beta/2
         speed = np.sqrt(pp / 2.0)
-        tail = speed[0] * 2.0 / beta_fit
+        tail = speed[0] * 2.0 / beta
         dist = cumulative_integral(speed, grid.h, tail)
         area = 2.0 * np.pi * prime
         if r[-1] > dist[-1]:

@@ -33,7 +33,7 @@ import numpy as np
 
 from .numerics import cumulative_integral, simpson_weights, weighted_sum
 
-_FIT_FRACTION = 0.2     # share of the nodes next to a pole in cone_angle_at_pole's fit
+_POLE_TOL = 1e-4        # read_pole: third-node miss allowed, relative to beta^2
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -200,36 +200,40 @@ def football_phi(grid: Grid, beta: float) -> np.ndarray:
 # pointwise and integral diagnostics
 
 
-def cone_angle_at_pole(pot: RadialKahlerPotential, pole: str,
-                       residual_threshold: float = 0.2) -> float:
-    """Cone fraction from the asymptotic slope of log Phi''.
+def liouville_tail(density: float, rate: float, slope: float) -> tuple[float, float]:
+    """Mass x beyond an edge node of density E, and S = (log E)' there, for
+    a tail with E = rate x + (slope/4) x^2: S^2 = rate^2 + slope E and
+    x = 2E / (rate + S), NaN where S^2 < 0."""
+    s = np.sqrt(rate * rate + slope * density)
+    return 2.0 * density / (rate + s), s
 
-    A line is fitted to log Phi'' over the outer _FIT_FRACTION of the grid;
-    the slope tends to +beta at the zero pole and -beta at infinity.  A large
-    fit residual signals non-conic asymptotics and raises.
+
+def read_pole(pot: RadialKahlerPotential, pole: str) -> tuple[float, float]:
+    """Cone fraction beta at a pole and the mass beyond its end node, read
+    from Phi'' alone.
+
+    With Phi'' = beta x + c x^2 in the moment distance x from the pole,
+    s = (log Phi'')', taken away from the pole, obeys s^2 = beta^2 + 4c Phi''.
+    s is read by centred differences at node 1 and one unit of t further in;
+    beta^2 is the intercept of the line through the two.  The node halfway
+    between must lie on it within _POLE_TOL beta^2, else this raises.
     """
     pot.require_positive()
-    n = pot.grid.n_nodes
-    k = max(8, int(_FIT_FRACTION * n))
-    if pole == "zero":
-        sl = slice(0, k)
-        sign = 1.0
-    elif pole == "infinity":
-        sl = slice(n - k, n)
-        sign = -1.0
-    else:
+    if pole not in ("zero", "infinity"):
         raise ValueError("pole must be 'zero' or 'infinity'")
-    x = pot.grid.t[sl]
-    y = np.log(pot.phi_doubleprime[sl])
-    coeff = np.polyfit(x, y, 1)
-    fit = np.polyval(coeff, x)
-    res = float(np.sqrt(np.mean((y - fit) ** 2)))
-    if res > residual_threshold:
-        raise ValueError(f"non-conic asymptotics at {pole}: fit residual {res:.3g}")
-    beta = sign * float(coeff[0])
-    if not 0.0 < beta <= 1.0 + 1e-6:
-        raise ValueError(f"fitted cone fraction {beta:.4g} outside (0, 1]")
-    return min(beta, 1.0)
+    u = pot.phi_doubleprime if pole == "zero" else pot.phi_doubleprime[::-1]
+    h = pot.grid.h
+    m = max(1, round(0.5 / h))
+    if 2 * m + 3 > u.size:
+        raise ValueError(f"a pole read needs {2 * m + 3} nodes, the grid has {u.size}")
+    i = np.array([1, 1 + m, 1 + 2 * m])
+    s2 = ((np.log(u[i + 1]) - np.log(u[i - 1])) / (2.0 * h)) ** 2
+    slope = (s2[2] - s2[0]) / (u[i[2]] - u[i[0]])
+    beta2 = s2[0] - slope * u[i[0]]
+    if not abs(s2[1] - beta2 - slope * u[i[1]]) < _POLE_TOL * beta2:
+        raise ValueError(f"non-conic asymptotics at {pole}")
+    beta = float(np.sqrt(beta2))
+    return beta, float(liouville_tail(u[0], beta, slope)[0])
 
 
 def defining_section_norm(grid: Grid) -> np.ndarray:
@@ -249,18 +253,14 @@ def log_defining_section_norm(grid: Grid) -> np.ndarray:
 def ricci_potential_h0(pot0: RadialKahlerPotential) -> tuple[np.ndarray, float]:
     """Smooth-case Ricci potential: Ric(omega0) - omega0 = i ddbar h0.
 
-    Requires a smooth input: a potential whose cone has beta = 1 and whose
-    fitted angle at both poles is 1.  Uses the closed-form primitive
-    h0 = -log Phi'' - Phi + t + c, with c fixed by the vanishing of the
-    integral of (e^{h0} - 1) against omega0.
+    Requires a smooth input: `read_pole` reads beta within 1e-4 of 1 at
+    both poles.  Uses the closed-form primitive h0 = -log Phi'' - Phi +
+    t + c, with c fixed by the vanishing of the integral of (e^{h0} - 1)
+    against omega0.
     Returns (h0 profile, normalization constant c).
     """
-    if pot0.cone.beta != 1.0:
-        raise ValueError(f"ricci_potential_h0 requires a smooth metric, "
-                         f"got a cone of beta = {pot0.cone.beta:g}")
     for pole in ("zero", "infinity"):
-        b = cone_angle_at_pole(pot0, pole)
-        if abs(b - 1.0) > 5e-2:
+        if abs(read_pole(pot0, pole)[0] - 1.0) > 1e-4:
             raise ValueError("ricci_potential_h0 requires a smooth (angle-1) metric")
     raw = -np.log(pot0.phi_doubleprime) - pot0.values() + pot0.grid.t
     w = pot0.grid.weights * pot0.phi_doubleprime

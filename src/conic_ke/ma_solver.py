@@ -60,6 +60,7 @@ from .geometry import (
     RadialKahlerPotential,
     _sigmoid,
     defining_section_norm,
+    liouville_tail,
     log_defining_section_norm,
 )
 from .numerics import cumulative_integral, d2, second_difference_floor, weighted_sum
@@ -190,13 +191,14 @@ class TwistData:
         conic tail, 1 once delta >> 4 e^(-T), and off by up to 1.7e-3 in the
         knee between (T = 16, beta = 0.2, delta = 1e-10).  With phi' -> 0 at
         the pole its first integral gives the mass 2E / (r + S), E the twisted
-        density at t_min and S = sqrt(r^2 - 2 tau E), and the derivative
-        -tau E / S: `tail_weighted` at tau = 0, NaN for S^2 < 0."""
+        density at t_min and S = sqrt(r^2 - 2 tau E) (`liouville_tail` with
+        slope -2 tau), and the derivative -tau E / S: `tail_weighted` at
+        tau = 0, NaN for S^2 < 0."""
         edge = self.grid.reference.phi_doubleprime[0] * np.exp(self.log_weight[0])
         rate = edge / self.tail_weighted
         e = edge * np.exp(-tau * edge_phi)
-        s = np.sqrt(rate * rate - 2.0 * tau * e)
-        return 2.0 * e / (rate + s), -tau * e / s
+        mass, s = liouville_tail(e, rate, -2.0 * tau)
+        return mass, -tau * e / s
 
     def twisted_mean(self, phi: np.ndarray, tau: float, f) -> float:
         """Integral of f against the twisted density e^(h - tau phi) omega0

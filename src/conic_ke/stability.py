@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import RadialKahlerPotential, cone_angle_at_pole, ricci_potential_h0
+from .geometry import RadialKahlerPotential, read_pole, ricci_potential_h0
 from .numerics import d1, d2, weighted_sum
 
 _UNOBSTRUCTED_TOL = 1e-4   # obstruction_scan: |invariant| at most this is UNOBSTRUCTED
@@ -30,16 +30,11 @@ class HamiltonianPotential:
     mean_removed: float
 
     def limit_at(self, pole: str) -> float:
-        """Asymptotic value of theta at a pole, via the fitted tail slope.
-
-        The moment coordinate approaches its extreme value at the rate set
-        by the cone fraction, so Phi'(inf) is extrapolated as
-        Phi'(T) + Phi''(T)/beta rather than read off the last node.
-        """
-        b = cone_angle_at_pole(self.pot, pole)    # raises for another pole name
+        """Asymptotic value of theta at a pole: Phi' at the end node plus
+        the mass beyond it (`read_pole`), not the end node's value alone."""
+        mass = read_pole(self.pot, pole)[1]     # raises for another pole name
         end, sign = (-1, 1.0) if pole == "infinity" else (0, -1.0)
-        return float(self.pot.phi_prime[end] + sign * self.pot.phi_doubleprime[end] / b
-                     - self.mean_removed)
+        return float(self.pot.phi_prime[end] + sign * mass - self.mean_removed)
 
     def at(self, location) -> float:
         """theta at a pole name or a t-location; ValueError for a t off the

@@ -50,14 +50,6 @@ def test_weight_curvature_second_order():
     assert res[1] < 1e-4
 
 
-def test_weight_unit_section_mass(grid, fs, fs_weight):
-    # the defining-section rescale enforces unit twisted mass
-    mass = grid.integrate(np.exp(fs_weight.log_weight + grid.t)
-                          * fs.phi_doubleprime) * 2.0 * np.pi \
-        * np.exp(fs_weight.log_section_scale)
-    assert mass == pytest.approx(1.0, rel=1e-10)
-
-
 def test_weight_collapses_to_potential(grid, fs, solved_07):
     # the weight is -Phi up to a constant, on smooth, conic and solved metrics
     for pot in (fs, football_potential(grid, 0.6), football_potential(grid, 0.75), solved_07):
@@ -80,7 +72,7 @@ def test_conic_weight_bounded_section(grid):
     w = associated_hermitian_weight(fb)
     # the section factor cancels the conic blow-up: the twisted section norm
     # stays bounded and vanishes toward the divisor
-    log_section = w.log_weight + grid.t + w.log_section_scale
+    log_section = w.log_weight + grid.t
     assert np.isfinite(log_section).all()
     assert log_section.argmax() not in (0, grid.n_nodes - 1)
 

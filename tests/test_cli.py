@@ -14,7 +14,13 @@ from hypothesis import strategies as st
 from conic_ke import io
 from conic_ke.bergman import partial_c0_scan
 from conic_ke.cli import main
-from conic_ke.geometry import ConeConfiguration, Grid, football_potential, fubini_study_potential
+from conic_ke.geometry import (
+    ConeConfiguration,
+    Grid,
+    RadialKahlerPotential,
+    football_potential,
+    fubini_study_potential,
+)
 from conic_ke.io import (
     FMT,
     format_number,
@@ -699,6 +705,30 @@ def test_futaki_cli_conic_metric(tmp_path):
     vals = np.loadtxt(out / "futaki.csv", delimiter=",", skiprows=1)
     assert np.isnan(vals[0])
     assert abs(vals[1]) < 1e-8
+
+
+@pytest.mark.parametrize("beta, delta, conic", [
+    (0.97, 0.0, True), (0.6, 1e-2, False), (0.8, 1e-3, False)])
+def test_futaki_cli_reads_the_cone_from_the_profile(tmp_path, beta, delta, conic):
+    # a CSV carries no cone: a beta = 0.97 solution must still take the
+    # theta route only, and the smoothed solutions both routes
+    metric = tmp_path / "sol.csv"
+    write_csv(metric, *potential_table(solve_ma(build_twist(Grid(), beta, delta), beta).potential))
+    out = tmp_path / "fut"
+    assert run("futaki", "--metric", metric, "--out", out) == 0
+    vals = np.loadtxt(out / "futaki.csv", delimiter=",", skiprows=1)
+    assert np.isnan(vals[0]) == conic and np.isfinite(vals[1])
+
+
+def test_log_futaki_cli_refuses_a_non_conic_profile(tmp_path, capsys):
+    g = Grid()
+    fs = fubini_study_potential(g)
+    metric = tmp_path / "wild.csv"
+    write_csv(metric, *potential_table(RadialKahlerPotential(
+        g, fs.phi_prime, fs.phi_doubleprime * np.exp(0.8 * np.sin(3.0 * g.t)))))
+    assert run("log-futaki", "--metric", metric, "--points", "infinity:1",
+               "--out", tmp_path / "lf") == 1
+    assert "non-conic asymptotics at infinity" in capsys.readouterr().err
 
 
 def test_log_futaki_cli_scan(tmp_path):

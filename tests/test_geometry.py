@@ -6,10 +6,10 @@ from hypothesis import strategies as st
 from conic_ke.geometry import (
     Grid,
     RadialKahlerPotential,
-    cone_angle_at_pole,
     defining_section_norm,
     football_potential,
     fubini_study_potential,
+    read_pole,
     ricci_potential_h0,
 )
 from conic_ke.numerics import d1, d2
@@ -87,11 +87,14 @@ def test_curvature_refinement_second_order():
     assert res[0] / res[1] >= 3.5
 
 
-def test_cone_angle_extraction(grid):
-    assert cone_angle_at_pole(football_potential(grid, 0.6), "zero") \
-        == pytest.approx(0.6, abs=5e-3)
-    assert cone_angle_at_pole(fubini_study_potential(grid), "infinity") \
-        == pytest.approx(1.0, abs=5e-3)
+def test_cone_angle_extraction():
+    # a football is exactly Phi'' = beta x - beta x^2/2, the read's model
+    for grid in (Grid(-16, 16, 2049), Grid(-40, 40, 4097)):
+        for beta in (1.0, 0.6, 0.3, 0.1):
+            fb = football_potential(grid, beta)
+            for pole in ("zero", "infinity"):
+                assert read_pole(fb, pole)[0] == pytest.approx(beta, abs=1e-7), \
+                    (grid, beta, pole)
 
 
 def test_cone_angle_rejects_non_conic(grid):
@@ -100,7 +103,13 @@ def test_cone_angle_rejects_non_conic(grid):
         grid, fs.phi_prime,
         fs.phi_doubleprime * np.exp(0.8 * np.sin(3.0 * grid.t)))
     with pytest.raises(ValueError):
-        cone_angle_at_pole(wild, "zero")
+        read_pole(wild, "zero")
+
+
+def test_pole_read_needs_a_unit_of_t():
+    # the read's nodes span one unit of t from the pole
+    with pytest.raises(ValueError, match="a pole read needs 5123 nodes"):
+        read_pole(fubini_study_potential(Grid(-0.2, 0.2, 2049)), "zero")
 
 
 def test_defining_section_norm(grid):
@@ -143,8 +152,7 @@ def test_ricci_potential_rejects_conic(grid):
 
 
 def test_ricci_potential_rejects_near_smooth_cone():
-    # beta = 0.97 passes the 5e-2 fit of the pole angles; the cone still
-    # says the metric is conic, and h0 assumes beta = mu = 1
+    # the pole read tells beta = 0.97 from 1; h0 assumes beta = mu = 1
     with pytest.raises(ValueError, match="smooth"):
         ricci_potential_h0(football_potential(Grid(), 0.97))
 
@@ -184,7 +192,7 @@ def test_base_offset_invariance(grid):
     fb = football_potential(grid, 0.7)
     shifted = RadialKahlerPotential(grid, fb.phi_prime, fb.phi_doubleprime,
                                     fb.base_offset + 3.7, fb.cone)
-    assert cone_angle_at_pole(shifted, "zero") == cone_angle_at_pole(fb, "zero")
+    assert read_pole(shifted, "zero") == read_pole(fb, "zero")
 
 
 def test_potential_values_reconstruction(grid):
@@ -199,7 +207,7 @@ def test_positivity_validation(grid):
     with pytest.raises(ValueError):
         bad.require_positive()
     with pytest.raises(ValueError):
-        cone_angle_at_pole(bad, "zero")
+        read_pole(bad, "zero")
 
 
 def test_grid_data_cached_and_read_only():

@@ -12,9 +12,9 @@ from conic_ke.geometry import (
     ConeConfiguration,
     Grid,
     RadialKahlerPotential,
-    cone_angle_at_pole,
     football_potential,
     fubini_study_potential,
+    read_pole,
 )
 from conic_ke.ma_solver import (
     _linearize,
@@ -335,10 +335,27 @@ def test_potential_angles_come_from_the_twist(beta, delta, angle):
 
 
 def test_smoothed_pole_angle_between(grid):
-    # smoothing regularizes the cone: fitted fraction sits strictly between
-    sol = solve_ma(build_twist(grid, 0.6, 1e-2), 0.6)
-    ang = cone_angle_at_pole(sol.potential, "zero", residual_threshold=1.0)
-    assert 0.6 < ang < 1.0
+    # smoothing removes the cone: both poles read as smooth
+    for beta, delta in ((0.6, 1e-2), (0.8, 1e-3)):
+        sol = solve_ma(build_twist(grid, beta, delta), beta)
+        for pole in ("zero", "infinity"):
+            assert read_pole(sol.potential, pole)[0] == pytest.approx(1.0, abs=1e-6)
+
+
+@pytest.mark.parametrize("beta", [0.97, 0.75, 0.3])
+def test_solved_conic_pole_angle(grid, beta):
+    sol = solve_ma(build_twist(grid, beta, 0.0), beta)
+    for pole in ("zero", "infinity"):
+        assert read_pole(sol.potential, pole)[0] == pytest.approx(beta, abs=1e-7)
+
+
+def test_knee_pole_is_refused(grid):
+    # at delta = 1e-6 the smoothing has not taken over by T = 16 (the knee
+    # of ROADMAP item 2(c)): the pole is neither a cone nor smooth
+    sol = solve_ma(build_twist(grid, 0.8, 1e-6), 0.8)
+    for pole in ("zero", "infinity"):
+        with pytest.raises(ValueError, match=f"non-conic asymptotics at {pole}"):
+            read_pole(sol.potential, pole)
 
 
 # ---------------------------------------------------------------------------

@@ -54,10 +54,19 @@ def test_theta_round(grid, fs):
 
 def test_theta_football_antisymmetric(grid):
     th = hamiltonian_theta(football_potential(grid, 0.7))
-    assert th.limit_at("zero") == pytest.approx(-1.0, abs=1e-6)
-    assert th.limit_at("infinity") == pytest.approx(1.0, abs=1e-6)
+    assert th.limit_at("zero") == pytest.approx(-1.0, abs=1e-8)
+    assert th.limit_at("infinity") == pytest.approx(1.0, abs=1e-8)
     mid = grid.n_nodes // 2
     assert np.max(np.abs(th.theta + th.theta[::-1])) < 1e-12
+
+
+@pytest.mark.parametrize("beta, tol", [(0.3, 1e-8), (0.1, 1e-6)])
+def test_theta_limits_carry_the_pole_tail(grid, beta, tol):
+    # Phi' at the poles is 0 and 2: the end node plus the mass beyond it
+    fb = football_potential(grid, beta)
+    th = hamiltonian_theta(fb)
+    assert abs(th.limit_at("zero") + th.mean_removed) <= tol
+    assert abs(th.limit_at("infinity") + th.mean_removed - 2.0) <= tol
 
 
 def test_theta_mean_zero_everywhere(stab_grid):
