@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import re
 import sys
 import time
@@ -29,6 +30,14 @@ from .errors import NewtonDiverged, PathStalled, PositivityLost, SolverError
 
 # Library modules (and numpy with them) are imported by the command that
 # uses them, so --version and usage errors answer before numpy loads.
+
+# BLAS runs on one thread unless the user sets OPENBLAS_NUM_THREADS.  No
+# command gains from more: every grid sum is a one-thread reduction, and
+# the workers that numpy's and scipy's OpenBLAS start on load busy-wait
+# against the compute.  One thread also fixes the last bit of the Bergman
+# products at any core count.  OpenBLAS reads the variable when numpy
+# loads, after this line; a library import leaves the environment alone.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -258,12 +267,21 @@ def _read_scan_config(path: str) -> tuple[dict, list]:
     return configs, betas
 
 
+def _read_poles(pot, path: str, points) -> None:
+    """Read each pole that `points` names, so that a profile whose pole
+    `read_pole` refuses is blamed on `--metric`, not on the points."""
+    from .geometry import read_pole
+    for pole in dict.fromkeys(loc for loc, _ in points if loc in ("zero", "infinity")):
+        _flagged(f"--metric {path}", read_pole, pot, pole)
+
+
 def cmd_log_futaki(args) -> Run:
     from .io import format_number, read_potential_csv
     from .stability import log_futaki, obstruction_scan
     scan = _read_scan_config(args.scan_config) if args.scan_config else None
     pot = read_potential_csv(args.metric)
     if scan is not None:
+        _read_poles(pot, args.metric, [p for pts in scan[0].values() for p in pts])
         rows = _flagged(f"--scan-config {args.scan_config}", obstruction_scan, *scan, pot)
         return Run({"obstruction.csv": (["config_id", "beta", "log_futaki", "flag"],
                                         zip(*[(r.config_id, r.beta, r.log_futaki, r.flag)
@@ -271,6 +289,7 @@ def cmd_log_futaki(args) -> Run:
                    f"{len(rows)} rows", pot.grid)
     points = [_parse_pair(item, "--points LOC:WEIGHT", _location, float)
               for item in args.points.split(",")]
+    _read_poles(pot, args.metric, points)
     val = _flagged(f"--beta {args.beta} --points {args.points}", log_futaki,
                    pot, args.beta, points)
     return Run({"log_futaki.csv": (["beta", "log_futaki"], [[args.beta], [val]])},

@@ -216,12 +216,15 @@ def volume_ratio_profile(source, center, r_list) -> VolumeRatioReport:
             raise ValueError("surface profiles are centered at a pole")
         pp = pot.phi_doubleprime if center == "zero" else pot.phi_doubleprime[::-1]
         prime = pot.phi_prime if center == "zero" else 2.0 - pot.phi_prime[::-1]
-        beta = read_pole(pot, center)[0]
-        # geodesic distance from the pole: arclength plus the conic tail
-        # beyond the truncation, where sqrt(Phi'') decays at rate beta/2
-        speed = np.sqrt(pp / 2.0)
-        tail = speed[0] * 2.0 / beta
-        dist = cumulative_integral(speed, grid.h, tail)
+        beta, x0 = read_pole(pot, center)
+        # geodesic distance from the pole: arclength plus the distance
+        # beyond the end node, the integral of dx / sqrt(2 Phi'') over the
+        # read's tail mass x0 with Phi'' = beta x + c x^2 met at the node
+        q = (pp[0] - beta * x0) / (beta * x0)          # c x0 / beta, above -1
+        y = math.sqrt(abs(q))
+        arc = math.asinh(y) if q > 0 else math.asin(y)
+        tail = math.sqrt(2.0 * x0 / beta) * (arc / y if y > 0 else 1.0)
+        dist = cumulative_integral(np.sqrt(pp / 2.0), grid.h, tail)
         area = 2.0 * np.pi * prime
         if r[-1] > dist[-1]:
             raise RadiusOutOfRange("max", f"radius {r[-1]:.6g} exceeds {dist[-1]:.6g}, "

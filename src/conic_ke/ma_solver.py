@@ -40,6 +40,8 @@ dpttrs for the gap) called through scipy's compiled wrapper module
 `scipy.linalg._flapack`, which the first solve loads on its own in ~4 ms; the
 `scipy.linalg` package, whose import pulls in scipy's array-API layer for
 ~0.25 s, is never imported.  A process that never solves loads numpy alone.
+Loading `_flapack` also loads scipy's own OpenBLAS, which starts its own
+worker threads unless OPENBLAS_NUM_THREADS says otherwise (the CLI sets 1).
 """
 
 from __future__ import annotations

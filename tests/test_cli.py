@@ -53,6 +53,17 @@ def hash_outputs(out_dir):
     return {name: hash_file(out_dir / name) for name in manifest["outputs"]}
 
 
+def child_stdout(*args, **extra_env):
+    """What `python args` prints in a fresh process that imports conic_ke
+    from src, with `extra_env` added; it must exit 0.  The child's
+    environment drops the OPENBLAS_NUM_THREADS that importing conic_ke.cli
+    into this process set, so it sees the CLI's own default."""
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env.update(PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"), **extra_env)
+    return subprocess.run([sys.executable, *map(str, args)], env=env, check=True,
+                          capture_output=True, text=True).stdout
+
+
 def test_solve_trivial(tmp_path, capsys):
     out = tmp_path / "s"
     assert run("solve", "--beta", 1, "--delta", 1, "--tau", 1, "--out", out) == 0
@@ -132,18 +143,18 @@ def test_cli_import_leaves_scipy_integrate_unloaded():
     # start-up guard: importing scipy.integrate would add ~0.3 s to every command
     code = ("import conic_ke.cli, sys; "
             "print(sorted(m for m in sys.modules if m.startswith('scipy.integrate')))")
-    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.strip() == "[]"
+    assert child_stdout("-c", code).strip() == "[]"
 
 
 _SCIPY_PROBE = """
-import json, sys
+import json, os, sys
 def scipy_modules():
     return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+def threads():
+    task = "/proc/self/task"
+    return len(os.listdir(task)) if os.path.isdir(task) else None
 import conic_ke.cli as cli
-seen = {"import": scipy_modules()}
+seen, counts = {"import": scipy_modules()}, {"import": threads()}
 out, metric = sys.argv[1], sys.argv[2]
 for argv in (["capacity", "--n", "1", "--eps", "0.1"],
              ["volume-scan", "--source", "football:0.6", "--grid-N", "257"],
@@ -155,23 +166,43 @@ for argv in (["capacity", "--n", "1", "--eps", "0.1"],
              ["continue-path", "--beta", "0.8", "--delta", "1e-3", "--steps", "1",
               "--grid-N", "257"]):
     assert cli.main(argv + ["--out", out + "/" + argv[0]]) == 0, argv
-    seen[argv[0]] = scipy_modules()
-print(json.dumps(seen))
+    seen[argv[0]], counts[argv[0]] = scipy_modules(), threads()
+print(json.dumps([seen, counts]))
 """
 
 
-def test_scipy_loaded_only_by_solves(tmp_path):
-    # start-up guard: the scipy.linalg package costs ~0.25 s, so no command may
-    # load it; solves load its LAPACK extension module alone
+@pytest.fixture(scope="module")
+def probe(tmp_path_factory):
+    """(scipy modules, OS threads) of one process after each stage of
+    _SCIPY_PROBE; threads are None where there is no /proc to count them."""
+    tmp_path = tmp_path_factory.mktemp("probe")
     metric = tmp_path / "fb.csv"
     write_csv(metric, *potential_table(football_potential(Grid(-16, 16, 257), 0.6)))
-    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
-    out = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, str(tmp_path), str(metric)],
-                         env=env, check=True, capture_output=True, text=True).stdout
-    seen = json.loads(out.splitlines()[-1])     # after each command's summary line
+    out = child_stdout("-c", _SCIPY_PROBE, tmp_path, metric)
+    return json.loads(out.splitlines()[-1])     # after each command's summary line
+
+
+def test_scipy_loaded_only_by_solves(probe):
+    # start-up guard: the scipy.linalg package costs ~0.25 s, so no command may
+    # load it; solves load its LAPACK extension module alone
+    seen = dict(probe[0])
     assert seen.pop("solve") == seen.pop("continue-path") == ["scipy.linalg._flapack"]
     assert seen == {stage: [] for stage in ("import", "capacity", "volume-scan",
                                             "bergman-scan", "futaki", "log-futaki")}
+
+
+def test_cli_process_runs_one_thread(probe):
+    # numpy's and scipy's OpenBLAS each started a busy-waiting worker, so a
+    # solving process ran three threads
+    counts = probe[1]
+    if counts["import"] is None:
+        pytest.skip("no /proc to count threads")
+    assert counts["solve"] == counts["continue-path"] == 1, counts
+
+
+def test_cli_keeps_an_explicit_blas_thread_count():
+    code = "import os, conic_ke.cli; print(os.environ['OPENBLAS_NUM_THREADS'])"
+    assert child_stdout("-c", code, OPENBLAS_NUM_THREADS="2").strip() == "2"
 
 
 def test_version_and_usage_errors_leave_numpy_unloaded():
@@ -180,10 +211,7 @@ def test_version_and_usage_errors_leave_numpy_unloaded():
             "try:\n    cli.main(['--version'])\nexcept SystemExit:\n    pass\n"
             "assert cli.main(['solve', '--beta', '0.8']) == 1\n"
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))")
-    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.splitlines() == ["0.1.0", "[]"]
+    assert child_stdout("-c", code).splitlines() == ["0.1.0", "[]"]
 
 
 def test_config_flag_without_path(capsys):
@@ -287,35 +315,40 @@ def test_config_file_round_trip(tmp_path):
 def test_data_files_independent_of_blas_threads(tmp_path):
     # every grid sum is one single-thread reduction (numerics.weighted_sum);
     # a BLAS dot over more than 10^4 nodes changed with the thread count
-    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
     commands = (("bergman-scan", "--betas", "0.6,1.0", "--ells", "2,8"),
                 ("continue-path", "--beta", "1.0", "--delta", "0.1", "--steps", "2"))
     for k, argv in enumerate(commands):
         hashes = []
         for threads in ("1", "2"):
             out = tmp_path / f"{k}-{threads}"
-            subprocess.run([sys.executable, "-m", "conic_ke.cli", *argv,
-                            "--grid-N", "10241", "--out", str(out)],
-                           env={**env, "OPENBLAS_NUM_THREADS": threads},
-                           check=True, capture_output=True)
+            child_stdout("-m", "conic_ke.cli", *argv, "--grid-N", "10241", "--out", out,
+                         OPENBLAS_NUM_THREADS=threads)
             hashes.append(hash_outputs(out))
         assert hashes[0] and hashes[0] == hashes[1], argv
 
 
 def test_bergman_products_independent_of_blas_threads(tmp_path):
     # each Bergman kernel is a BLAS matrix product; at l = 64, N = 8193 it
-    # is large enough for OpenBLAS to split across two threads, which split
-    # its rows and columns but not its sums
-    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    # is large enough for OpenBLAS to split across two threads, and here the
+    # split moves no bit (at N = 32769 it can, see the next test)
     files = []
     for threads in ("1", "2"):
         out = tmp_path / threads
-        subprocess.run([sys.executable, "-m", "conic_ke.cli", "bergman-scan",
-                        "--density", "0.6:64", "--grid-N", "8193", "--out", str(out)],
-                       env={**env, "OPENBLAS_NUM_THREADS": threads},
-                       check=True, capture_output=True)
+        child_stdout("-m", "conic_ke.cli", "bergman-scan", "--density", "0.6:64",
+                     "--grid-N", "8193", "--out", out, OPENBLAS_NUM_THREADS=threads)
         files.append([(out / name).read_bytes() for name in ("scan.csv", "density.csv")])
     assert files[0] == files[1]
+
+
+def test_default_run_matches_one_blas_thread(tmp_path):
+    # at two BLAS threads this cell's trace_check read 33 against
+    # 32.999999999999993 at one; a default run now uses one on any machine
+    argv = ("-m", "conic_ke.cli", "bergman-scan", "--betas", "0.85", "--ells", "16",
+            "--grid-N", "32769", "--out")
+    child_stdout(*argv, tmp_path / "default")
+    child_stdout(*argv, tmp_path / "one", OPENBLAS_NUM_THREADS="1")
+    assert (tmp_path / "default" / "scan.csv").read_bytes() == \
+        (tmp_path / "one" / "scan.csv").read_bytes()
 
 
 def test_continue_path_echo_round_trip(tmp_path):
@@ -721,14 +754,20 @@ def test_futaki_cli_reads_the_cone_from_the_profile(tmp_path, beta, delta, conic
 
 
 def test_log_futaki_cli_refuses_a_non_conic_profile(tmp_path, capsys):
+    # the refusal blamed --beta and --points, or --scan-config
     g = Grid()
     fs = fubini_study_potential(g)
     metric = tmp_path / "wild.csv"
     write_csv(metric, *potential_table(RadialKahlerPotential(
         g, fs.phi_prime, fs.phi_doubleprime * np.exp(0.8 * np.sin(3.0 * g.t)))))
-    assert run("log-futaki", "--metric", metric, "--points", "infinity:1",
-               "--out", tmp_path / "lf") == 1
-    assert "non-conic asymptotics at infinity" in capsys.readouterr().err
+    scan_path = tmp_path / "scan.json"
+    scan_path.write_text(json.dumps({"configs": {"tear": [["infinity", 1.0]]},
+                                     "betas": [0.5]}))
+    for route in (("--points", "infinity:1"), ("--scan-config", scan_path)):
+        assert run("log-futaki", "--metric", metric, *route, "--out", tmp_path / "lf") == 1
+        assert capsys.readouterr().err == \
+            f"error: --metric {metric}: non-conic asymptotics at infinity\n"
+    assert not (tmp_path / "lf").exists()
 
 
 def test_log_futaki_cli_scan(tmp_path):

@@ -15,7 +15,7 @@ from conic_ke.cone_analysis import (
     unit_ball_volume,
     volume_ratio_profile,
 )
-from conic_ke.geometry import football_potential, fubini_study_potential
+from conic_ke.geometry import football_potential, fubini_study_potential, read_pole
 
 
 # ---------------------------------------------------------------------------
@@ -172,6 +172,21 @@ def test_volume_ratio_radius_out_of_range_names_its_end(grid, source, radii, end
     with pytest.raises(RadiusOutOfRange) as info:
         volume_ratio_profile(src, "zero" if source == "football" else "vertex", radii)
     assert info.value.end == end
+
+
+def test_football_first_distance_is_the_pole_arc(grid):
+    # the distance from the pole to the end node, where x0 is the mass
+    # beyond it, is 2/sqrt(beta) asin(sqrt(x0/2)) on a football; the
+    # one-term tail sqrt(2 x0/beta) read 0.8675 for 0.8909 at beta = 0.2
+    beta = 0.2
+    fb = football_potential(grid, beta)
+    first = 2.0 / math.sqrt(beta) * math.asin(math.sqrt(read_pole(fb, "zero")[1] / 2.0))
+    with pytest.raises(RadiusOutOfRange) as info:
+        volume_ratio_profile(fb, "zero", [first * (1.0 - 1e-7), 1.0])
+    assert info.value.end == "min"
+    r = np.array([first * (1.0 + 1e-7), 1.0])
+    exact = 2.0 * np.pi * (1.0 - np.cos(math.sqrt(beta) * r)) / r ** 2
+    assert np.allclose(volume_ratio_profile(fb, "zero", r).ratios, exact, rtol=1e-6)
 
 
 def test_radii_squares_inside_double_range():
