@@ -59,8 +59,7 @@ class HermitianWeight:
 def associated_hermitian_weight(pot: RadialKahlerPotential) -> HermitianWeight:
     """Metric-adapted Hermitian weight e^(-Phi) on the anticanonical bundle.
 
-    It depends on the potential alone, not on the cone of `pot`.  Raises
-    ValueError unless Phi'' > 0.
+    It depends on the potential alone.  Raises ValueError unless Phi'' > 0.
     """
     pot.require_positive()
     return HermitianWeight(pot, -pot.values())
@@ -262,16 +261,16 @@ class BochnerReport:
     residual_second: float
 
 
-def bochner_residual(k: int, pot: RadialKahlerPotential, ell: int,
+def bochner_residual(k: int, pot: RadialKahlerPotential, ell: int, mu: float,
                      window: float | None = None) -> BochnerReport:
     """Defects of the two curvature identities for sigma = z^k.
 
     First:   Lap ||sigma||^2 = ||grad sigma||^2 - l ||sigma||^2.
     Second:  Lap ||grad sigma||^2
              = ||hess sigma||^2 - (3 l - mu) ||grad sigma||^2,
-    the second holding when the metric is Einstein with constant mu, that
-    of `pot.cone`.  Both sides are assembled by centered differences of the
-    log-space norms, so the sups vanish at O(h^2).
+    the second holding where the metric is Einstein, Ric = `mu` omega.  Both
+    sides are assembled by centered differences of the log-space norms, so
+    the sups vanish at O(h^2).
     """
     if not 0 <= k <= 2 * ell:
         raise ValueError("monomial index out of range")
@@ -282,7 +281,7 @@ def bochner_residual(k: int, pot: RadialKahlerPotential, ell: int,
     lap_norm2 = d2(norm2, grid.h) / pp
     lap_grad2 = d2(grad2, grid.h) / pp
     r1 = lap_norm2 - (grad2 - ell * norm2)
-    r2 = lap_grad2 - (hess2 - (3.0 * ell - pot.cone.mu) * grad2)
+    r2 = lap_grad2 - (hess2 - (3.0 * ell - mu) * grad2)
     half = grid.t_max / 2.0 if window is None else window
     inner = np.abs(grid.t) <= half
     inner[:2] = inner[-2:] = False

@@ -93,15 +93,15 @@ def _grid_from(args):
     return grid
 
 
-def _cone_from(args):
-    """The cone of `--beta`; `--delta`, where the command has one, is checked
-    finite and nonnegative.  Errors name their flag."""
-    from .geometry import ConeConfiguration
-    cone = _flagged(f"--beta {args.beta}", ConeConfiguration, args.beta)
+def _mu_from(args):
+    """The mu of `--beta` (`geometry.cone_mu`); `--delta`, where the command
+    has one, is checked finite and nonnegative.  Errors name their flag."""
+    from .geometry import cone_mu
+    mu = _flagged(f"--beta {args.beta}", cone_mu, args.beta)
     delta = getattr(args, "delta", 0.0)
     if not (math.isfinite(delta) and delta >= 0.0):
         raise ValueError(f"--delta {delta}: must be finite and nonnegative")
-    return cone
+    return mu
 
 
 def _comma_list(text: str, flag: str, read) -> list:
@@ -123,17 +123,18 @@ def _profile_table(sol):
 
 
 def cmd_solve(args) -> Run:
-    from .io import format_number, potential_manifest, potential_table
+    from .io import format_number, potential_table
     from .ma_solver import build_twist, check_tau, solve_ma
     grid = _grid_from(args)
-    cone = _cone_from(args)
-    _flagged(f"--tau {args.tau}", check_tau, args.tau, cone.mu)
-    sol = solve_ma(build_twist(grid, cone.beta, args.delta), args.tau)
+    _flagged(f"--tau {args.tau}", check_tau, args.tau, _mu_from(args))
+    sol = solve_ma(build_twist(grid, args.beta, args.delta), args.tau)
     pot = sol.potential
+    # the twist's cone fraction for delta = 0, smooth once smoothed
+    angle = sol.twist.beta if sol.twist.delta == 0.0 else 1.0
     return Run({"solution.csv": potential_table(pot),
                 "phi.csv": (["t", "phi"], [grid.t, sol.phi])},
                f"residual={format_number(sol.residual)} iterations={sol.iterations}",
-               grid, {"potential": potential_manifest(pot),
+               grid, {"potential": {"base_offset": pot.base_offset, "cone_angle": angle},
                       "residual": sol.residual, "iterations": sol.iterations})
 
 
@@ -141,10 +142,11 @@ def cmd_continue_path(args) -> Run:
     from .functionals import TAU_FLOOR, f_functional
     from .ma_solver import continuity_path
     grid = _grid_from(args)
-    cone = _cone_from(args)
+    _mu_from(args)
     if args.steps is not None and args.steps < 1:
         raise ValueError(f"--steps must be at least 1, got {args.steps}")
-    trace = continuity_path(cone, args.delta, steps=args.steps, grid=grid)
+    trace = _flagged(f"--beta {args.beta} --delta {args.delta}", continuity_path,
+                     args.beta, args.delta, args.steps, grid)
     tables = {"trace.csv": (
         ["tau", "J", "F", "lambda1", "newton_iters", "residual"],
         zip(*[(s.tau, s.j_value, s.f_value, s.lambda1, s.solution.iterations,
@@ -166,14 +168,14 @@ def cmd_smooth_family(args) -> Run:
     from .io import format_number
     from .ma_solver import ricci_lower_bound_margin, smoothing_family, two_sided_bound_check
     grid = _grid_from(args)
-    cone = _cone_from(args)
+    _mu_from(args)
     deltas = _comma_list(args.deltas, "--deltas", float)
     names = [f"solution_{d:.0e}.csv" for d in deltas]
     for i, name in enumerate(names):
         if name in names[:i]:
             raise ValueError(f"--deltas: {deltas[names.index(name)]:g} and {deltas[i]:g} "
                              f"would both write {name}")
-    rep = _flagged(f"--deltas {args.deltas}", smoothing_family, cone, deltas, grid)
+    rep = _flagged(f"--deltas {args.deltas}", smoothing_family, args.beta, deltas, grid)
     margins = [ricci_lower_bound_margin(sol) for sol in rep.solutions]
     bounds = two_sided_bound_check(rep)
     tables = {
@@ -205,19 +207,19 @@ def _parse_pair(item: str, flag: str, first, second):
 def cmd_bergman_scan(args) -> Run:
     from .bergman import (associated_hermitian_weight, bergman_density, check_ell,
                           gram_matrix, partial_c0_scan)
-    from .geometry import ConeConfiguration, football_potential
+    from .geometry import cone_mu, football_potential
     from .io import format_number
     grid = _grid_from(args)
     betas = _comma_list(args.betas, "--betas", float)
     ells = _comma_list(args.ells, "--ells", int)
     for beta in betas:
-        _flagged(f"--betas {beta}", ConeConfiguration, beta)
+        _flagged(f"--betas {beta}", cone_mu, beta)
     for ell in ells:
         _flagged(f"--ells {ell}", check_ell, ell)
     density = _parse_pair(args.density, "--density BETA:ELL", float, int) \
         if args.density else None
     if density is not None:
-        _flagged(f"--density {args.density}", ConeConfiguration, density[0])
+        _flagged(f"--density {args.density}", cone_mu, density[0])
         _flagged(f"--density {args.density}", check_ell, density[1])
     rows = [(r.beta, r.ell, r.inf_rho, r.sup_rho, r.trace_check)
             for r in partial_c0_scan(betas, ells, grid)]
@@ -370,7 +372,8 @@ def cmd_volume_scan(args) -> Run:
         center = "vertex"
     else:
         grid = _grid_from(args)
-        source = grid.reference if kind == "fs" else football_potential(grid, *params)
+        source = grid.reference if kind == "fs" else _flagged(
+            f"--source {args.source}", football_potential, grid, *params)
         center = args.center
     try:
         rep = volume_ratio_profile(source, center, radii)

@@ -90,50 +90,36 @@ class Grid:
         return weighted_sum(self.weights, values)
 
 
-@dataclass(frozen=True)
-class ConeConfiguration:
-    """Angle data for the conic problem.
-
-    The divisor is the two poles, each with cone fraction `beta`: the
-    unique rotation-invariant configuration.  `mu` = 1 - (1 - beta) is the
-    constant of the conic equation Ric(omega) = mu omega + (1 - beta) [D].
+def cone_mu(beta: float) -> float:
+    """The constant mu of the conic equation Ric(omega) = mu omega +
+    (1 - beta) [D], the divisor [D] being the two poles, each with cone
+    fraction beta: the unique rotation-invariant configuration.  Raises
+    ValueError unless beta lies in (0, 1] and mu is positive.
     """
-
-    beta: float
-
-    def __post_init__(self):
-        if not 0.0 < self.beta <= 1.0:
-            raise ValueError("beta must lie in (0, 1]")
-        if self.mu <= 0.0:
-            raise ValueError("mu = 1 - (1-beta) must be positive")
-
-    @property
-    def mu(self) -> float:
-        # Written as 1 - (1 - beta), not beta: the two differ in the last
-        # bit for most beta (1 - (1 - 0.2013) != 0.2013 in double), and mu
-        # sets the tau = mu targets, so the data files depend on this form
-        # (the Bergman weight e^(-Phi) reads neither beta nor mu).  It rounds
-        # to 0 for beta up to ~5.5e-17 (half an ulp below 1), which
-        # __post_init__ rejects.
-        return 1.0 - (1.0 - self.beta)
+    # Written as 1 - (1 - beta), not beta: the two differ in the last bit for
+    # most beta (1 - (1 - 0.2013) != 0.2013 in double), and mu sets the
+    # tau = mu targets, so the data files depend on this form.  It rounds to
+    # 0 for beta up to ~5.5e-17 (half an ulp below 1), which is refused.
+    mu = 1.0 - (1.0 - beta)
+    if not (mu > 0.0 and beta <= 1.0):
+        raise ValueError(f"beta must lie in (0, 1] with mu = 1 - (1 - beta) > 0, got {beta}")
+    return mu
 
 
 @dataclass
 class RadialKahlerPotential:
     """Profile of a rotation-invariant Kahler potential.
 
-    `phi_prime` and `phi_doubleprime` hold Phi'(t) and Phi''(t) per node,
-    `base_offset` is the value of Phi at t_min (physical outputs never
-    depend on it), and `cone` is the intended cone configuration: the
-    fraction beta at both poles and the constant mu.  Every diagnostic of
-    the potential reads beta and mu from it.
+    `phi_prime` and `phi_doubleprime` hold Phi'(t) and Phi''(t) per node
+    and `base_offset` is the value of Phi at t_min (physical outputs never
+    depend on it).  A profile holds no cone: `read_pole` reads the fraction
+    at each pole from Phi''.
     """
 
     grid: Grid
     phi_prime: np.ndarray
     phi_doubleprime: np.ndarray
     base_offset: float = 0.0
-    cone: ConeConfiguration = ConeConfiguration(1.0)
 
     def __post_init__(self):
         self.phi_prime = np.asarray(self.phi_prime, dtype=float)
@@ -175,14 +161,15 @@ def football_potential(grid: Grid, beta: float) -> RadialKahlerPotential:
     """Constant-curvature metric with equal cone fraction beta at both poles.
 
     Phi'(t) = 2 e^(beta t) / (1 + e^(beta t)); curvature is beta away from
-    the poles and beta = 1 reproduces the round metric.
+    the poles and beta = 1 reproduces the round metric.  A beta that
+    `cone_mu` refuses raises ValueError.
     """
-    cone = ConeConfiguration(beta)
+    cone_mu(beta)
     t = grid.t
     pp = 2.0 * _sigmoid(beta * t)
     ppp = 2.0 * beta * _sigmoid(beta * t) * _sigmoid(-beta * t)
     offset = (2.0 / beta) * np.log1p(np.exp(beta * grid.t_min))
-    return RadialKahlerPotential(grid, pp, ppp, offset, cone)
+    return RadialKahlerPotential(grid, pp, ppp, offset)
 
 
 def football_phi(grid: Grid, beta: float) -> np.ndarray:

@@ -231,7 +231,7 @@ def potential_table(pot: RadialKahlerPotential) -> tuple[list[str], list]:
 
 
 def read_potential_csv(path) -> RadialKahlerPotential:
-    """A `potential_table` CSV as a profile: base offset 0, cone fractions 1."""
+    """A `potential_table` CSV as a profile with base offset 0."""
     path = Path(path)
     with warnings.catch_warnings():      # an empty table is reported below
         warnings.simplefilter("ignore", UserWarning)
@@ -245,11 +245,6 @@ def read_potential_csv(path) -> RadialKahlerPotential:
     if not np.allclose(grid.t, t, rtol=0, atol=1e-12):
         raise ValueError(f"{path}: nodes are not a uniform symmetric grid")
     return RadialKahlerPotential(grid, data[:, 1], data[:, 2])
-
-
-def potential_manifest(pot: RadialKahlerPotential) -> dict:
-    """The potential's manifest keys; its grid is the manifest's own `grid`."""
-    return {"base_offset": pot.base_offset, "cone_angle": pot.cone.beta}
 
 
 def write_manifest(path, command: str, config: dict, outputs: list[str],

@@ -57,10 +57,10 @@ import numpy as np
 from .errors import NewtonDiverged, PathStalled, PositivityLost, SolverError
 from .functionals import j_functional
 from .geometry import (
-    ConeConfiguration,
     Grid,
     RadialKahlerPotential,
     _sigmoid,
+    cone_mu,
     defining_section_norm,
     liouville_tail,
     log_defining_section_norm,
@@ -138,8 +138,8 @@ def _raw_log_weight(grid: Grid, beta: float, delta: float) -> np.ndarray:
 class TwistData:
     """Twist density W = e^h on the grid plus its exact tail integrals.
 
-    The twist is the one source of a solve's grid, cone (beta, mu) and
-    delta, and of every whole-sphere integral of the twisted problem: one
+    The twist is the one source of a solve's grid, beta, mu and delta, and
+    of every whole-sphere integral of the twisted problem: one
     node rule (`reference_weights`) plus one mass per tail (`tail_mass`).
     Each tail is stored once.  The twist and the reference are even in t,
     and `Grid` requires |t_min + t_max| <= 1e-12 T, so the tail beyond t_max
@@ -148,12 +148,17 @@ class TwistData:
     """
 
     grid: Grid
-    cone: ConeConfiguration
+    beta: float
     delta: float
     constant: float           # a_beta (delta = 0) or c_delta (delta > 0)
     log_weight: np.ndarray    # h(t) per node, constant included
     tail_weighted: float      # integral of Phi0'' e^h over (-inf, t_min]
     tail_plain: float         # integral of Phi0'' over (-inf, t_min]
+
+    @property
+    def mu(self) -> float:
+        """The constant mu of the conic equation, `cone_mu(beta)`."""
+        return cone_mu(self.beta)
 
     @property
     def reference_weights(self) -> np.ndarray:
@@ -221,18 +226,18 @@ def build_twist(grid: Grid, beta: float, delta: float) -> TwistData:
 
     The normalizing constant (a_beta for delta = 0, c_delta for delta > 0)
     makes the twisted volume of the whole sphere at phi = 0, node rule plus
-    exact tails, equal the reference volume.  A beta outside (0, 1] or a
-    delta that is negative or not finite raises ValueError.
+    exact tails, equal the reference volume.  A beta that `cone_mu` refuses
+    or a delta that is negative or not finite raises ValueError.
     """
-    cone = ConeConfiguration(beta)
+    cone_mu(beta)
     if not (math.isfinite(delta) and delta >= 0.0):
         raise ValueError(f"delta must be finite and nonnegative, got {delta}")
     raw = _raw_log_weight(grid, beta, delta)
     tail = _twist_tail(grid.t_min, beta, delta)
     plain_tail = float(grid.reference.phi_prime[0])   # Phi0'' over (-inf, t_min]
-    unnormalized = TwistData(grid, cone, delta, 0.0, raw, tail, plain_tail)
+    unnormalized = TwistData(grid, beta, delta, 0.0, raw, tail, plain_tail)
     const = -math.log(unnormalized.twisted_mean(np.zeros(grid.n_nodes), 0.0, 1.0))
-    return TwistData(grid, cone, delta, const, raw + const, math.exp(const) * tail,
+    return TwistData(grid, beta, delta, const, raw + const, math.exp(const) * tail,
                      plain_tail)
 
 
@@ -270,14 +275,8 @@ class MASolution:
     @property
     def potential(self) -> RadialKahlerPotential:
         base = self.grid.reference
-        # the twist's cone for delta = 0, smooth once smoothed
-        cone = self.twist.cone if self.twist.delta == 0.0 else ConeConfiguration(1.0)
-        return RadialKahlerPotential(
-            self.grid,
-            base.phi_prime + self.dphi,
-            self.metric_density,
-            base.base_offset + self.phi[0],
-            cone)
+        return RadialKahlerPotential(self.grid, base.phi_prime + self.dphi,
+                                     self.metric_density, base.base_offset + self.phi[0])
 
 
 def _linearize(phi, tau, twist, p0, h):
@@ -419,7 +418,7 @@ def solve_ma(twist: TwistData, tau: float,
     tau = 0 is one constrained linear solve that ignores `guess`; where its
     residual is above _NEWTON_TOL or not finite it raises SolverError.
     """
-    check_tau(tau, twist.cone.mu)
+    check_tau(tau, twist.mu)
     grid = twist.grid
     p0 = grid.reference.phi_doubleprime
     h = grid.h
@@ -612,10 +611,11 @@ def _trace_step(sol) -> TraceStep:
                      first_eigenvalue(sol.potential)[0])
 
 
-def continuity_path(cone: ConeConfiguration, delta: float,
+def continuity_path(beta: float, delta: float,
                     steps: int | None = None,
                     grid: Grid | None = None) -> ContinuationTrace:
-    """Continuation in tau from the volume-normalized start to tau = mu.
+    """Continuation in tau from the volume-normalized start to tau = mu, on
+    the twist of (beta, delta) (`build_twist`).
 
     With `steps` the taus are np.linspace(0, mu, steps + 1) and a failed
     solve raises its own SolverError, as the tau = 0 row's does in both
@@ -628,13 +628,13 @@ def continuity_path(cone: ConeConfiguration, delta: float,
     before the step counts as failed.  Each accepted step records J, F and
     the spectral gap.
     """
-    if delta <= 0.0 and cone.beta < 0.3:
+    mu = cone_mu(beta)
+    if delta <= 0.0 and beta < 0.3:
         raise ValueError("delta = 0 requires beta >= 0.3 for a well-conditioned path")
     if steps is not None and steps < 1:
         raise ValueError(f"a uniform schedule needs at least 1 step, got {steps}")
-    mu = cone.mu
     uniform = None if steps is None else np.linspace(0.0, mu, int(steps) + 1)[1:]
-    twist = build_twist(grid or Grid(), cone.beta, delta)
+    twist = build_twist(grid or Grid(), beta, delta)
     trace = ContinuationTrace()
     trace.steps.append(_trace_step(solve_ma(twist, 0.0)))
     dtau = mu / 20.0
@@ -690,9 +690,10 @@ class SmoothingReport:
         return bool(np.all(np.diff(self.sup_distances) < 0.0))
 
 
-def smoothing_family(cone: ConeConfiguration, delta_list,
+def smoothing_family(beta: float, delta_list,
                      grid: Grid | None = None) -> SmoothingReport:
-    """Solve at tau = mu for each delta and compare against the conic limit.
+    """Solve the twist of beta at tau = mu for each delta and compare against
+    the conic limit.
 
     Distances are sup |phi_delta - phi_0| on the full grid and on the core
     |t| <= T/2; the deltas must be finite, positive and decreasing.
@@ -703,12 +704,13 @@ def smoothing_family(cone: ConeConfiguration, delta_list,
         raise ValueError(f"deltas must be finite, positive and strictly decreasing, "
                          f"got {deltas}")
     grid = grid or Grid()
-    conic = solve_ma(build_twist(grid, cone.beta, 0.0), cone.mu)
+    twist = build_twist(grid, beta, 0.0)
+    conic = solve_ma(twist, twist.mu)
     core = np.abs(grid.t) <= grid.t_max / 2.0
     sols, sup_d, core_d = [], [], []
     guess = None
     for d in deltas:
-        sol = solve_ma(build_twist(grid, cone.beta, d), cone.mu, guess)
+        sol = solve_ma(build_twist(grid, beta, d), twist.mu, guess)
         sols.append(sol)
         diff = np.abs(sol.phi - conic.phi)
         sup_d.append(float(diff.max()))
@@ -733,7 +735,7 @@ def ricci_lower_bound_margin(solution: MASolution) -> RicciMarginReport:
     O(h^2) stencil error and enters only the discrepancy between the two.
     """
     tw, grid = solution.twist, solution.grid
-    beta, delta, mu = tw.cone.beta, tw.delta, tw.cone.mu
+    beta, delta, mu = tw.beta, tw.delta, tw.mu
     if abs(solution.tau - mu) > 1e-12:
         raise ValueError("margin is defined for solutions at tau = mu")
     p0 = grid.reference.phi_doubleprime
@@ -768,7 +770,7 @@ def two_sided_bound_check(report: SmoothingReport) -> TwoSidedBounds:
     argmin_t = 0.0
     best_ratio = np.inf
     for sol in report.solutions:
-        beta, d = sol.twist.cone.beta, sol.twist.delta
+        beta, d = sol.twist.beta, sol.twist.delta
         ratio = sol.metric_density / p0
         lower = max(lower, float((1.0 / ratio).max()))
         i = int(np.argmin(ratio))

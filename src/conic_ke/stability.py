@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import RadialKahlerPotential, read_pole, ricci_potential_h0
+from .geometry import RadialKahlerPotential, cone_mu, read_pole, ricci_potential_h0
 from .numerics import d1, d2, weighted_sum
 
 _UNOBSTRUCTED_TOL = 1e-4   # obstruction_scan: |invariant| at most this is UNOBSTRUCTED
@@ -102,11 +102,11 @@ def log_futaki(pot: RadialKahlerPotential, beta: float, points) -> float:
     """Logarithmic obstruction: f(X) + (1 - beta) * sum of weighted theta.
 
     `points` lists (location, weight) pairs with pole names or t-locations;
-    weights must be positive.  A nonzero value obstructs constant-curvature
-    cone metrics with the given angle data.
+    weights must be positive, and `beta` one that `geometry.cone_mu` takes.
+    A nonzero value obstructs constant-curvature cone metrics with the given
+    angle data.
     """
-    if not 0.0 < beta <= 1.0:
-        raise ValueError("beta must lie in (0, 1]")
+    cone_mu(beta)
     pts = list(points)
     if not pts:
         raise ValueError("need at least one marked point")

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conic_ke.geometry import ConeConfiguration, Grid, football_phi, fubini_study_potential
+from conic_ke.geometry import Grid, football_phi, fubini_study_potential
 from conic_ke.ma_solver import continuity_path, smoothing_family
 
 
@@ -11,7 +11,7 @@ def football_oracle():
     should return: the football plus the additive constant c* that the
     solve's normalizing constant a_beta implies."""
     def oracle(sol):
-        beta = sol.twist.cone.beta
+        beta = sol.twist.beta
         c_star = (sol.twist.constant - np.log(beta) - (1.0 - beta) * np.log(4.0)) / beta
         return football_phi(sol.grid, beta) + c_star
     return oracle
@@ -41,16 +41,15 @@ def fs(grid):
 @pytest.fixture(scope="session")
 def trace_08(grid):
     """Uniform 100-step continuation at beta = 0.8, delta = 1e-3."""
-    return continuity_path(ConeConfiguration(0.8), 1e-3, steps=100, grid=grid)
+    return continuity_path(0.8, 1e-3, steps=100, grid=grid)
 
 
 @pytest.fixture(scope="session")
 def trace_08_halved(grid):
-    return continuity_path(ConeConfiguration(0.8), 1e-3, steps=200, grid=grid)
+    return continuity_path(0.8, 1e-3, steps=200, grid=grid)
 
 
 @pytest.fixture(scope="session")
 def smoothing_075(grid):
     """delta sweep 1e-1 .. 1e-5 at beta = 0.75."""
-    return smoothing_family(ConeConfiguration(0.75),
-                            [1e-1, 1e-2, 1e-3, 1e-4, 1e-5], grid)
+    return smoothing_family(0.75, [1e-1, 1e-2, 1e-3, 1e-4, 1e-5], grid)

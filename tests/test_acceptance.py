@@ -24,7 +24,6 @@ from conic_ke.cone_analysis import (
 )
 from conic_ke.functionals import path_derivative_residual
 from conic_ke.geometry import (
-    ConeConfiguration,
     Grid,
     RadialKahlerPotential,
     football_potential,
@@ -76,7 +75,7 @@ def test_criterion_3_eigenvalue_gap(grid, fs, trace_08):
     lam_fs, _ = first_eigenvalue(fs)
     traces = [trace_08]
     from conic_ke.ma_solver import continuity_path
-    traces.append(continuity_path(ConeConfiguration(0.75), 1e-4, grid=grid))
+    traces.append(continuity_path(0.75, 1e-4, grid=grid))
     min_margin = min(s.lambda1 - s.tau for tr in traces for s in tr.steps)
     ok = min_margin > 0.0 and abs(lam_fs - 1.0) <= 1e-4
     report(3, ok, f"gap margin min {min_margin:.2e} (> 0) over "
@@ -109,8 +108,9 @@ def test_criterion_6_bochner():
     pairs = []
     for n in (2049, 4097):
         g = Grid(-16, 16, n)
-        pairs.append((bochner_residual(0, fubini_study_potential(g), 1, window=4.0),
-                      bochner_residual(2, football_potential(g, 0.75), 4, window=8.0)))
+        pairs.append((bochner_residual(0, fubini_study_potential(g), 1, mu=1.0, window=4.0),
+                      bochner_residual(2, football_potential(g, 0.75), 4, mu=0.75,
+                                       window=8.0)))
     (r_fs_c, r_fb_c), (r_fs_f, r_fb_f) = pairs
     ratios = (r_fs_c.residual_first / r_fs_f.residual_first,
               r_fs_c.residual_second / r_fs_f.residual_second,

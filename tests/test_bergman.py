@@ -17,12 +17,12 @@ from conic_ke.bergman import (
     section_profiles,
 )
 from conic_ke.geometry import (
-    ConeConfiguration,
     Grid,
     RadialKahlerPotential,
     football_potential,
     fubini_study_potential,
 )
+from conic_ke.io import potential_table, read_potential_csv, write_csv
 from conic_ke.ma_solver import build_twist, solve_ma
 from conic_ke.numerics import d2, logsumexp_rows
 
@@ -61,7 +61,7 @@ def test_weight_requires_positive_density(grid):
     fb = football_potential(grid, 0.75)
     pp = fb.phi_doubleprime.copy()
     pp[grid.n_nodes // 2] = 0.0
-    bad = RadialKahlerPotential(grid, fb.phi_prime, pp, fb.base_offset, fb.cone)
+    bad = RadialKahlerPotential(grid, fb.phi_prime, pp, fb.base_offset)
     with pytest.raises(ValueError, match="positivity"):
         associated_hermitian_weight(bad)
 
@@ -75,11 +75,6 @@ def test_conic_weight_bounded_section(grid):
     log_section = w.log_weight + grid.t
     assert np.isfinite(log_section).all()
     assert log_section.argmax() not in (0, grid.n_nodes - 1)
-
-
-def test_weight_requires_positive_mu(grid, fs):
-    with pytest.raises(ValueError):
-        ConeConfiguration(1e-17)  # mu = 1 - (1 - beta) rounds to 0
 
 
 # ---------------------------------------------------------------------------
@@ -378,26 +373,39 @@ def test_logsumexp_rows_matches_plain_formula():
 def test_bochner_round_small():
     g = Grid(-16, 16, 8193)
     fs0 = fubini_study_potential(g)
-    rep = bochner_residual(0, fs0, 1, window=3.0)
+    rep = bochner_residual(0, fs0, 1, mu=1.0, window=3.0)
     assert rep.residual_first <= 1e-6
     assert rep.residual_second <= 1e-6
 
 
 def test_bochner_second_order():
     r_coarse = bochner_residual(0, fubini_study_potential(Grid(-16, 16, 2049)), 1,
-                                window=4.0)
+                                mu=1.0, window=4.0)
     r_fine = bochner_residual(0, fubini_study_potential(Grid(-16, 16, 4097)), 1,
-                              window=4.0)
+                              mu=1.0, window=4.0)
     assert r_coarse.residual_first / r_fine.residual_first >= 3.5
     assert r_coarse.residual_second / r_fine.residual_second >= 3.5
 
 
 def test_bochner_football_interior():
-    r_coarse = bochner_residual(2, football_potential(Grid(-16, 16, 4097), 0.75), 4, window=8.0)
-    r_fine = bochner_residual(2, football_potential(Grid(-16, 16, 8193), 0.75), 4, window=8.0)
+    r_coarse = bochner_residual(2, football_potential(Grid(-16, 16, 4097), 0.75), 4,
+                                mu=0.75, window=8.0)
+    r_fine = bochner_residual(2, football_potential(Grid(-16, 16, 8193), 0.75), 4,
+                              mu=0.75, window=8.0)
     assert r_fine.residual_first <= 1e-5
     assert r_coarse.residual_first / r_fine.residual_first >= 3.5
     assert r_coarse.residual_second / r_fine.residual_second >= 3.5
+
+
+def test_bochner_reads_the_same_profile_back(tmp_path):
+    # mu is the caller's, so a profile read back from CSV (base offset 0)
+    # meets the second identity as the one in memory does
+    fb = football_potential(Grid(), 0.75)
+    write_csv(tmp_path / "fb.csv", *potential_table(fb))
+    back = read_potential_csv(tmp_path / "fb.csv")
+    mem, disk = (bochner_residual(3, pot, 4, mu=0.75) for pot in (fb, back))
+    assert disk.residual_first == pytest.approx(mem.residual_first, rel=1e-6)
+    assert disk.residual_second == pytest.approx(mem.residual_second, rel=1e-6)
 
 
 def test_bochner_maximum_principle(grid, fs, fs_weight):
@@ -412,7 +420,7 @@ def test_bochner_maximum_principle(grid, fs, fs_weight):
 
 def test_bochner_index_validation(grid, fs):
     with pytest.raises(ValueError):
-        bochner_residual(5, fs, 2)
+        bochner_residual(5, fs, 2, mu=1.0)
 
 
 # ---------------------------------------------------------------------------

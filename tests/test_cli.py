@@ -15,9 +15,9 @@ from conic_ke import io
 from conic_ke.bergman import partial_c0_scan
 from conic_ke.cli import main
 from conic_ke.geometry import (
-    ConeConfiguration,
     Grid,
     RadialKahlerPotential,
+    cone_mu,
     football_potential,
     fubini_study_potential,
 )
@@ -96,7 +96,7 @@ def test_solve_invalid_config(tmp_path, capsys):
 
 
 TAU_BETA = 0.8
-TAU_MU = ConeConfiguration(TAU_BETA).mu
+TAU_MU = cone_mu(TAU_BETA)
 
 
 @pytest.mark.parametrize("tau, accepted, form", [
@@ -671,7 +671,7 @@ def test_smooth_family_margin_tables(tmp_path):
     deltas = [1e-1, 1e-2]
     assert run("smooth-family", "--beta", 0.75, "--deltas", "1e-1,1e-2",
                "--grid-N", 1025, "--out", out) == 0
-    rep = smoothing_family(ConeConfiguration(0.75), deltas, Grid(-16, 16, 1025))
+    rep = smoothing_family(0.75, deltas, Grid(-16, 16, 1025))
 
     def table(header, rows):
         return header + "\n" + "".join(",".join(FMT % x for x in row) + "\n" for row in rows)
@@ -873,6 +873,10 @@ def test_capacity_manual_delta_must_be_positive(tmp_path, capsys, delta):
     (("volume-scan", "--mode", "tube", "--source", "football:0.6"),
      "error: tube mode needs --source cone:N:BETA_BAR"),
     (("volume-scan", "--source", "football:abc"), "error: --source"),
+    (("volume-scan", "--source", "football:0"), "error: --source football:0: "),
+    (("volume-scan", "--source", "football:2"), "error: --source football:2: "),
+    (("volume-scan", "--source", "football:nan"), "error: --source football:nan: "),
+    (("continue-path", "--beta", 0.25, "--delta", 0), "error: --beta 0.25 --delta 0.0: "),
     # Phi0'' = 2 e^t / (1 + e^t)^2 is 0 in double at t = -800, where the
     # tail closure would divide 0 by 0 (warnings are errors in this suite)
     (("solve", "--beta", 0.8, "--delta", 0, "--tau", 0.4, "--grid-T", 800),
@@ -930,6 +934,8 @@ def test_capacity_manual_delta_must_be_positive(tmp_path, capsys, delta):
         "path-beta-zero", "solve-delta-negative", "solve-delta-exponent-form",
         "solve-delta-minus-inf", "path-delta-exponent-form", "capacity-delta-exponent-form",
         "capacity-manual-without-delta", "tube-from-football", "football-beta-not-a-number",
+        "football-beta-zero", "football-beta-above-1", "football-beta-nan",
+        "path-conic-beta-below-0.3",
         "grid-T-round-density-underflows", "tube-one-radius", "volume-no-radii",
         "volume-negative-num", "tube-equal-radii", "volume-infinite-radius",
         "volume-cone-n-zero", "capacity-n-zero", "capacity-beta-bar-above-1",

@@ -8,7 +8,7 @@ from conic_ke.functionals import (
     j_functional,
     path_derivative_residual,
 )
-from conic_ke.geometry import ConeConfiguration, Grid
+from conic_ke.geometry import Grid
 from conic_ke.ma_solver import build_twist, continuity_path, solve_ma
 from conic_ke.numerics import d2
 
@@ -132,7 +132,7 @@ def test_onpath_reduction_heavy_tails(grid):
     # trace.csv's F (J - mean phi) and functionals.csv's F (with the log term)
     # agree where the tails carry visible mass: the twisted mean gives each
     # tail the solve's own mass
-    trace = continuity_path(ConeConfiguration(0.35), 0.0, steps=20, grid=grid)
+    trace = continuity_path(0.35, 0.0, steps=20, grid=grid)
     rep = path_derivative_residual(trace)
     assert rep.onpath_taus.size == 18
     assert rep.max_onpath() <= 1e-9
@@ -169,14 +169,14 @@ def test_orthogonality_first_order(trace_08, trace_08_halved):
 
 def test_trace_too_short(grid):
     from conic_ke.ma_solver import continuity_path
-    tr = continuity_path(ConeConfiguration(0.8), 1e-3, steps=3, grid=grid)
+    tr = continuity_path(0.8, 1e-3, steps=3, grid=grid)
     with pytest.raises(ValueError):
         path_derivative_residual(tr)
 
 
 def test_trivial_trace_residuals(grid):
     from conic_ke.ma_solver import continuity_path
-    tr = continuity_path(ConeConfiguration(1.0), 1.0, steps=10, grid=grid)
+    tr = continuity_path(1.0, 1.0, steps=10, grid=grid)
     rep = path_derivative_residual(tr)
     assert rep.max_onpath() < 1e-9
     assert np.all(rep.orthogonality < 1e-9)

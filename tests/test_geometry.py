@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from conic_ke.geometry import (
     Grid,
     RadialKahlerPotential,
+    cone_mu,
     defining_section_norm,
     football_potential,
     fubini_study_potential,
@@ -85,6 +86,23 @@ def test_curvature_refinement_second_order():
         prof = curvature(football_potential(g, 0.6))
         res.append(np.max(np.abs(prof[2:-2] - 0.6)))
     assert res[0] / res[1] >= 3.5
+
+
+@pytest.mark.parametrize("beta, accepted", [
+    (0.2013, True), (0.75, True), (1.0, True), (1e-16, True),
+    (0.0, False), (-0.1, False), (1.5, False), (float("nan"), False),
+    (float("inf"), False), (1e-17, False)])
+def test_cone_mu_is_the_one_beta_rule(beta, accepted):
+    # beta in (0, 1] with mu = 1 - (1 - beta) > 0: 1e-17 lies in (0, 1], but
+    # its mu rounds to 0.  mu keeps that form bit for bit; for 0.2013 it is
+    # not beta itself, and the data files depend on the form.
+    if not accepted:
+        with pytest.raises(ValueError, match=r"beta must lie in \(0, 1\]"):
+            cone_mu(beta)
+        return
+    assert cone_mu(beta) == 1.0 - (1.0 - beta)
+    if beta == 0.2013:
+        assert cone_mu(beta) != beta
 
 
 def test_cone_angle_extraction():
@@ -191,7 +209,7 @@ def test_football_positivity_and_class(beta):
 def test_base_offset_invariance(grid):
     fb = football_potential(grid, 0.7)
     shifted = RadialKahlerPotential(grid, fb.phi_prime, fb.phi_doubleprime,
-                                    fb.base_offset + 3.7, fb.cone)
+                                    fb.base_offset + 3.7)
     assert read_pole(shifted, "zero") == read_pole(fb, "zero")
 
 

@@ -9,9 +9,9 @@ from scipy.linalg import eigh_tridiagonal
 
 from conic_ke import geometry
 from conic_ke.geometry import (
-    ConeConfiguration,
     Grid,
     RadialKahlerPotential,
+    cone_mu,
     football_potential,
     fubini_study_potential,
     read_pole,
@@ -139,7 +139,7 @@ def test_truncation_stability(tau):
 def test_jacobian_matches_central_differences(tau_share, delta):
     g = Grid(-16, 16, 257)
     twist = build_twist(g, 0.5, delta)
-    tau = tau_share * twist.cone.mu
+    tau = tau_share * twist.mu
     p0, h, n = g.reference.phi_doubleprime, g.h, g.n_nodes
     phi = 0.3 * np.tanh(g.t) ** 2 - 0.1
     _, ab = _linearize(phi, tau, twist, p0, h)
@@ -243,7 +243,7 @@ def test_solve_meets_its_tolerance_or_raises(n, beta, delta, tau_fraction):
     import conic_ke.ma_solver as ma_solver
     try:
         twist = build_twist(Grid(-16, 16, n), beta, delta)
-        sol = solve_ma(twist, tau_fraction * twist.cone.mu)
+        sol = solve_ma(twist, tau_fraction * twist.mu)
     except (SolverError, ValueError):
         return
     assert np.isfinite(sol.phi).all() and sol.residual <= ma_solver._NEWTON_TOL
@@ -308,7 +308,7 @@ def test_path_stall_reports_last_tau(monkeypatch):
     monkeypatch.setattr(ma_solver, "solve_ma", failing)
     g = Grid(-16, 16, 513)
     with pytest.raises(PathStalled) as exc:
-        continuity_path(ConeConfiguration(0.8), 1e-3, grid=g)
+        continuity_path(0.8, 1e-3, grid=g)
     assert exc.value.last_tau == 0.0
     assert len(exc.value.trace.steps) == 1
 
@@ -318,8 +318,6 @@ def test_config_validation(grid):
         solve_ma(build_twist(grid, 0.5, 0.0), 0.7)   # tau above mu
     with pytest.raises(ValueError):
         build_twist(grid, 0.5, -1.0)  # negative delta
-    with pytest.raises(ValueError):
-        ConeConfiguration(1e-17)  # mu = 1 - (1 - beta) rounds to 0
     for bad in (float("nan"), float("inf")):
         with pytest.raises(ValueError):
             build_twist(grid, 0.5, bad)
@@ -330,8 +328,10 @@ def test_config_validation(grid):
 def test_potential_angles_come_from_the_twist(beta, delta, angle):
     g = Grid(-16, 16, 257)
     sol = solve_ma(build_twist(g, beta, delta), 0.0)
-    assert sol.twist.cone.beta == beta and sol.twist.delta == delta
-    assert sol.potential.cone == ConeConfiguration(angle)
+    assert sol.twist.beta == beta and sol.twist.delta == delta
+    # Phi'' of the solved profile shows the angle that the manifest states
+    for pole in ("zero", "infinity"):
+        assert read_pole(sol.potential, pole)[0] == pytest.approx(angle, abs=1e-6)
 
 
 def test_smoothed_pole_angle_between(grid):
@@ -363,7 +363,7 @@ def test_knee_pole_is_refused(grid):
 
 
 def test_adaptive_path_budget(grid):
-    trace = continuity_path(ConeConfiguration(0.8), 1e-4, grid=grid)
+    trace = continuity_path(0.8, 1e-4, grid=grid)
     assert len(trace.steps) <= 200
     taus = np.array([s.tau for s in trace.steps])
     assert taus[0] == 0.0 and np.all(np.diff(taus) > 0.0)
@@ -374,7 +374,7 @@ def test_adaptive_path_budget(grid):
 @pytest.mark.parametrize("beta, delta", [(0.8, 1e-3), (0.75, 0.0)])
 def test_tau_zero_row_is_mean_zero(grid, beta, delta):
     # F = J - mean(phi) over the whole sphere, and tau = 0 is gauged to it
-    first = continuity_path(ConeConfiguration(beta), delta, steps=4, grid=grid).steps[0]
+    first = continuity_path(beta, delta, steps=4, grid=grid).steps[0]
     assert abs(first.f_value - first.j_value) <= 1e-14
 
 
@@ -384,7 +384,7 @@ def test_eigenvalue_gap_along_path(trace_08):
 
 
 def test_trivial_path(grid):
-    trace = continuity_path(ConeConfiguration(1.0), 1.0, grid=grid)
+    trace = continuity_path(1.0, 1.0, grid=grid)
     for s in trace.steps:
         assert abs(s.j_value) < 1e-12
         assert np.max(np.abs(s.solution.phi)) < 1e-9
@@ -392,14 +392,13 @@ def test_trivial_path(grid):
 
 def test_path_preconditions(grid):
     with pytest.raises(ValueError):
-        continuity_path(ConeConfiguration(0.25), 0.0, grid=grid)
+        continuity_path(0.25, 0.0, grid=grid)
 
 
 @pytest.mark.parametrize("steps", [0, -1, -2], ids=["zero", "minus-one", "minus-two"])
 def test_path_schedule_without_steps_rejected(steps):
     with pytest.raises(ValueError, match="schedule"):
-        continuity_path(ConeConfiguration(0.8), 1e-3, steps=steps,
-                        grid=Grid(-16, 16, 257))
+        continuity_path(0.8, 1e-3, steps=steps, grid=Grid(-16, 16, 257))
 
 
 def test_path_builds_reference_once_per_grid(monkeypatch):
@@ -415,7 +414,7 @@ def test_path_builds_reference_once_per_grid(monkeypatch):
         if name.startswith("conic_ke") and getattr(mod, "fubini_study_potential", None) is original:
             monkeypatch.setattr(mod, "fubini_study_potential", counting)
     g = Grid(-16, 16, 257)
-    trace = continuity_path(ConeConfiguration(0.8), 1e-3, steps=10, grid=g)
+    trace = continuity_path(0.8, 1e-3, steps=10, grid=g)
     assert len(trace.steps) == 11
     assert len(built) <= 1
 
@@ -423,9 +422,8 @@ def test_path_builds_reference_once_per_grid(monkeypatch):
 def test_uniform_path_failure_is_the_solves_own(monkeypatch):
     import conic_ke.ma_solver as ma_solver
     g = Grid(-16, 16, 257)
-    cone = ConeConfiguration(0.8)
-    targets = np.linspace(0.0, cone.mu, 5)
-    steps = continuity_path(cone, 1e-3, steps=4, grid=g).steps
+    targets = np.linspace(0.0, cone_mu(0.8), 5)
+    steps = continuity_path(0.8, 1e-3, steps=4, grid=g).steps
     assert np.array_equal([s.tau for s in steps], targets)
     tried = []
     solve = ma_solver.solve_ma
@@ -437,7 +435,7 @@ def test_uniform_path_failure_is_the_solves_own(monkeypatch):
     monkeypatch.setattr(ma_solver, "solve_ma", recording)
     monkeypatch.setattr(ma_solver, "_NEWTON_MAX_ITER", 1)
     with pytest.raises(NewtonDiverged):         # not PathStalled, a sibling class
-        continuity_path(cone, 1e-3, steps=4, grid=g)
+        continuity_path(0.8, 1e-3, steps=4, grid=g)
     assert tried == list(targets[:2])      # no retry at a shorter step
 
 
@@ -468,13 +466,13 @@ def test_smoothing_family_convergence(smoothing_075):
 
 
 def test_smoothing_family_trivial(grid):
-    rep = smoothing_family(ConeConfiguration(1.0), [1e-1, 1e-3, 1e-5], grid)
+    rep = smoothing_family(1.0, [1e-1, 1e-3, 1e-5], grid)
     assert np.all(rep.sup_distances < 1e-9)
 
 
 def test_smoothing_family_validation(grid):
     with pytest.raises(ValueError):
-        smoothing_family(ConeConfiguration(0.75), [1e-3, 1e-2], grid)
+        smoothing_family(0.75, [1e-3, 1e-2], grid)
 
 
 def test_ricci_margin_nonnegative(smoothing_075):
@@ -562,7 +560,7 @@ def _assert_matches_bisection(potentials):
 def test_first_eigenvalue_bisection_width(grid):
     # the LAPACK default width eps * ||T||_1 is ~1e-6 here, since the 1/Phi''
     # tail entries reach ~4e9; every mode must match a tight bisection
-    trace = continuity_path(ConeConfiguration(0.8), 1e-3, steps=10, grid=grid)
+    trace = continuity_path(0.8, 1e-3, steps=10, grid=grid)
     potentials = [football_potential(grid, b) for b in (0.1, 0.3, 0.8, 1.0)] \
         + [s.solution.potential for s in trace.steps]
     _assert_matches_bisection(potentials)
@@ -574,7 +572,7 @@ def test_first_eigenvalue_bisection_width(grid):
 def test_first_eigenvalue_rounding_floor(grid):
     # here the Rayleigh quotient flips by ~1e-13 at the rounding floor; a stop
     # on |relative change| <= 1e-13 alone never terminated on this path
-    trace = continuity_path(ConeConfiguration(0.7979), 1e-3, steps=100, grid=grid)
+    trace = continuity_path(0.7979, 1e-3, steps=100, grid=grid)
     _assert_matches_bisection([s.solution.potential for s in trace.steps])
 
 
@@ -614,9 +612,9 @@ def test_lapack_kernels_match_scipy_linalg(grid, monkeypatch):
         return solve(ab, rhs)
 
     monkeypatch.setattr(ma_solver, "_solve_tridiagonal", record)
-    cone = ConeConfiguration(0.8)
-    solve_ma(build_twist(grid, cone.beta, 1e-3), 0.0)
-    sol = solve_ma(build_twist(grid, cone.beta, 1e-3), cone.mu)
+    twist = build_twist(grid, 0.8, 1e-3)
+    solve_ma(twist, 0.0)
+    sol = solve_ma(twist, twist.mu)
     assert len(systems) == 1 + sol.iterations >= 3
     for ab, rhs in systems:
         assert np.array_equal(solve(ab, rhs), solve_banded((1, 1), ab, rhs))
@@ -671,7 +669,7 @@ def test_lapack_missing_extension_names_its_path(tmp_path, monkeypatch):
 
 
 def test_two_sided_trivial(grid):
-    rep = smoothing_family(ConeConfiguration(1.0), [1e-1, 1e-2], grid)
+    rep = smoothing_family(1.0, [1e-1, 1e-2], grid)
     bounds = two_sided_bound_check(rep)
     assert bounds.lower_constant == pytest.approx(1.0, abs=1e-6)
     assert bounds.upper_constant == pytest.approx(1.0, abs=1e-6)
@@ -684,8 +682,7 @@ def test_two_sided_family(smoothing_075, grid):
     assert abs(bounds.argmin_t) <= grid.h + 1e-12
     # stability under refinement within ten percent
     fine = Grid(-16, 16, 4097)
-    rep_fine = smoothing_family(ConeConfiguration(0.75),
-                                [1e-1, 1e-2, 1e-3, 1e-4, 1e-5], fine)
+    rep_fine = smoothing_family(0.75, [1e-1, 1e-2, 1e-3, 1e-4, 1e-5], fine)
     bounds_fine = two_sided_bound_check(rep_fine)
     assert bounds.lower_constant == pytest.approx(bounds_fine.lower_constant, rel=0.1)
     assert bounds.upper_constant == pytest.approx(bounds_fine.upper_constant, rel=0.1)
