@@ -10,7 +10,9 @@ the compute and the CSV writes.
 
 Exit codes: 0 success, 1 invalid configuration or usage, 2 a solver did
 not converge (Newton divergence, a residual above 1e-11 at any tau, or an
-eigen-solve failure), 3 metric positivity loss, 4 continuation stall.
+eigen-solve failure), 4 continuation stall; 3 is retired.  The metric of
+a solve, Phi'' = Phi0'' W e^(-tau phi), is positive for every iterate, and
+the Newton line search accepts a step only when the residual falls.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from . import __version__
-from .errors import NewtonDiverged, PathStalled, PositivityLost, SolverError
+from .errors import NewtonDiverged, PathStalled, SolverError
 
 # Library modules (and numpy with them) are imported by the command that
 # uses them, so --version and usage errors answer before numpy loads.
@@ -42,7 +44,6 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_SOLVER = 2
-EXIT_POSITIVITY = 3
 EXIT_STALLED = 4
 
 
@@ -530,9 +531,6 @@ def main(argv=None) -> int:
     except NewtonDiverged as exc:
         print(f"newton diverged: {exc}", file=sys.stderr)
         return EXIT_SOLVER
-    except PositivityLost as exc:
-        print(f"positivity lost: {exc}", file=sys.stderr)
-        return EXIT_POSITIVITY
     except PathStalled as exc:
         print(f"path stalled: {exc}", file=sys.stderr)
         return EXIT_STALLED

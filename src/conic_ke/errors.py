@@ -10,10 +10,6 @@ class NewtonDiverged(SolverError):
     """Damped Newton could not reduce the residual within its budget."""
 
 
-class PositivityLost(SolverError):
-    """An iterate left the cone of positive metrics and could not recover."""
-
-
 class PathStalled(SolverError):
     """Continuation step fell below the minimum step size."""
 

@@ -54,7 +54,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NewtonDiverged, PathStalled, PositivityLost, SolverError
+from .errors import NewtonDiverged, PathStalled, SolverError
 from .functionals import j_functional
 from .geometry import (
     Grid,
@@ -65,7 +65,7 @@ from .geometry import (
     liouville_tail,
     log_defining_section_norm,
 )
-from .numerics import cumulative_integral, d2, second_difference_floor, weighted_sum
+from .numerics import cumulative_integral, d2, weighted_sum
 
 
 # ---------------------------------------------------------------------------
@@ -359,14 +359,6 @@ def _solve_tridiagonal(ab, rhs):
     return x
 
 
-def _implied_density_positive(phi, p0, h) -> bool:
-    """Whether Phi'' of an iterate, read through the plain difference
-    stencil, lies above minus the stencil's rounding floor at every node
-    (above 0 at phi = 0).  Near the ends of a wide grid p0 is below that
-    floor, so there the sign of p0 + d2(phi) is noise."""
-    return bool(np.all(p0 + d2(phi, h) > -second_difference_floor(phi, h)))
-
-
 def _newton_system(phi, tau, twist, p0, h):
     """`_linearize` and the residual's max norm, which is inf when the
     residual or the Jacobian is not finite: e^(-tau phi) overflows on an
@@ -437,9 +429,6 @@ def solve_ma(twist: TwistData, tau: float,
     else:
         phi = project(np.zeros(grid.n_nodes) if guess is None
                       else np.asarray(guess, dtype=float))
-        if not _implied_density_positive(phi, p0, h):
-            raise PositivityLost("initial guess is not a positive metric")
-
         r, ab, res = _newton_system(phi, tau, twist, p0, h)
         if res == math.inf:
             raise NewtonDiverged("Newton system is not finite at the initial guess")
@@ -456,13 +445,8 @@ def solve_ma(twist: TwistData, tau: float,
                     f"singular Newton system at residual {res:.3e}") from None
             alpha = 1.0
             accepted = False
-            positivity_blocked = False
             for _ in range(_MAX_HALVINGS + 1):
                 trial = project(phi + alpha * step)
-                if not _implied_density_positive(trial, p0, h):
-                    positivity_blocked = True
-                    alpha *= _DAMPING
-                    continue
                 trial_r, trial_ab, trial_res = _newton_system(trial, tau, twist, p0, h)
                 if trial_res < res:
                     phi, r, ab, res = trial, trial_r, trial_ab, trial_res
@@ -470,9 +454,6 @@ def solve_ma(twist: TwistData, tau: float,
                     break
                 alpha *= _DAMPING
             if not accepted:
-                if positivity_blocked:
-                    raise PositivityLost(
-                        "metric positivity lost and damping budget exhausted")
                 raise NewtonDiverged(
                     f"damping budget exhausted at residual {res:.3e}")
             iters += 1
@@ -623,10 +604,10 @@ def continuity_path(beta: float, delta: float,
     accepted steps of at most 5 Newton iterations in a row double it (up to
     mu/8), and a failed solve halves it; below _MIN_STEP the path raises
     PathStalled.  Each solve starts from the linear extrapolation through
-    the last two accepted solutions; when that guess or a step from it loses
-    positivity, the solve is tried once more from the last accepted solution
-    before the step counts as failed.  Each accepted step records J, F and
-    the spectral gap.
+    the last two accepted solutions.  The metric Phi'' = Phi0'' W e^(-tau phi)
+    is positive for every iterate, and the line search accepts a step only
+    when the residual falls.  Each accepted step records J, F and the
+    spectral gap.
     """
     mu = cone_mu(beta)
     if delta <= 0.0 and beta < 0.3:
@@ -651,14 +632,7 @@ def continuity_path(beta: float, delta: float,
             slope = (cur.solution.phi - prev.solution.phi) / (cur.tau - prev.tau)
             guess = guess + slope * (tau_next - cur.tau)
         try:
-            try:
-                sol = solve_ma(twist, tau_next, guess)
-            except PositivityLost:
-                if guess is cur.solution.phi:
-                    raise
-                # the extrapolation can leave the cone where the last
-                # solution does not: start the step once from that
-                sol = solve_ma(twist, tau_next, cur.solution.phi)
+            sol = solve_ma(twist, tau_next, guess)
         except SolverError:
             if uniform is not None:
                 raise

@@ -85,12 +85,6 @@ def d2(values: np.ndarray, h: float) -> np.ndarray:
     return out
 
 
-def second_difference_floor(values: np.ndarray, h: float) -> float:
-    """Rounding floor of `d2(values, h)`, 4 eps max|values| / h^2: a second
-    difference of doubles below it in size is rounding noise."""
-    return 4.0 * np.finfo(float).eps * float(np.max(np.abs(values))) / (h * h)
-
-
 def logsumexp_rows(a: np.ndarray, axis: int = -1) -> np.ndarray:
     """Stable log of the exponential sum of `a` along `axis`.
 

@@ -378,7 +378,7 @@ def test_command_line_beats_config_file(tmp_path, flags, config, key, expected):
 
 def test_exit_code_taxonomy(tmp_path, monkeypatch):
     import conic_ke.ma_solver as ma_solver
-    from conic_ke.ma_solver import NewtonDiverged, PathStalled, PositivityLost
+    from conic_ke.ma_solver import NewtonDiverged, PathStalled
 
     def raiser(exc):
         def fn(*a, **k):
@@ -388,13 +388,44 @@ def test_exit_code_taxonomy(tmp_path, monkeypatch):
     monkeypatch.setattr(ma_solver, "solve_ma", raiser(NewtonDiverged))
     assert run("solve", "--beta", 0.8, "--delta", 1e-3, "--tau", 0.4,
                "--out", tmp_path / "x1") == 2
-    monkeypatch.setattr(ma_solver, "solve_ma", raiser(PositivityLost))
-    assert run("solve", "--beta", 0.8, "--delta", 1e-3, "--tau", 0.4,
-               "--out", tmp_path / "x2") == 3
     monkeypatch.setattr(ma_solver, "continuity_path",
                         raiser(lambda m: PathStalled(m, 0.1)))
     assert run("continue-path", "--beta", 0.8, "--delta", 1e-3,
-               "--out", tmp_path / "x3") == 4
+               "--out", tmp_path / "x2") == 4
+
+
+_OUT_OF_RANGE = {"beta": [0.0, 1e-17, -0.5, 1.0 + 1e-9, math.nan, math.inf],
+                 "delta": [-1e-300, -0.5, math.nan, math.inf],
+                 "tau": [-1e-300, -0.5, 2.0, math.nan, math.inf]}
+
+
+@st.composite
+def _solve_flags(draw):
+    """--beta, --delta and --tau in range, or with one of them out of range."""
+    beta = draw(st.floats(0.01, 1.0))
+    flags = {"beta": beta,
+             "delta": draw(st.one_of(st.just(0.0), st.floats(1e-8, 1.0))),
+             # the smallest double is a tau the solver fails at (ROADMAP 2(e))
+             "tau": draw(st.one_of(st.just(5e-324), st.floats(0.0, beta)))}
+    bad = draw(st.sampled_from([None, None, "beta", "delta", "tau"]))
+    if bad is not None:
+        flags[bad] = draw(st.sampled_from(_OUT_OF_RANGE[bad]))
+    return flags
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(n=st.integers(32, 128).map(lambda k: 2 * k + 1), flags=_solve_flags())
+def test_solve_exit_codes(tmp_path_factory, n, flags):
+    # in range or not, a solve exits 0 with a residual within the Newton
+    # tolerance, or 1 or 2 without making its output directory
+    out = tmp_path_factory.mktemp("solve") / "o"
+    code = run("solve", "--beta", flags["beta"], "--delta", flags["delta"],
+               "--tau", flags["tau"], "--grid-N", n, "--out", out)
+    assert code in (0, 1, 2)
+    if code == 0:
+        assert read_manifest(out / "manifest.json")["residual"] <= 1e-11
+    else:
+        assert not out.exists()
 
 
 def test_eigen_solve_failure_exit_code(tmp_path, monkeypatch, capsys):
@@ -1005,9 +1036,7 @@ def test_capacity_manual_and_cone_ratio(tmp_path, argv, table, column, expected)
 
 
 @pytest.mark.parametrize("tau", [0.8, 0.4])
-def test_wide_grid_solve_passes_the_positivity_guard(tmp_path, tau):
-    # exit 3 ("metric positivity lost") while the guard ignored the rounding
-    # floor of the second difference at the grid ends
+def test_wide_grid_solve_converges(tmp_path, tau):
     out = tmp_path / "s"
     assert run("solve", "--beta", 0.8, "--delta", 0, "--tau", tau, "--grid-T", 40,
                "--out", out) == 0
@@ -1027,9 +1056,7 @@ def test_wide_grid_path_completes(tmp_path):
     assert np.all(trace[:, 5] <= 1e-11)
 
 
-def test_wide_grid_path_retries_a_refused_extrapolation(tmp_path):
-    # exit 4, stalled at tau = 0.2127, while a step whose extrapolated guess
-    # lost positivity was only halved and never tried from the last solution
+def test_wide_grid_path_converges_at_half_width_40(tmp_path):
     out = tmp_path / "p"
     assert run("continue-path", "--beta", 0.8, "--delta", 1e-3, "--grid-T", 40,
                "--out", out) == 0
@@ -1049,7 +1076,7 @@ def test_wide_grid_path_retries_a_refused_extrapolation(tmp_path):
 ], ids=lambda a: a[0])
 def test_grid_below_cumulative_integration_names_grid_n(tmp_path, capsys, argv, n):
     # a grid too small for cumulative integration fails before any compute,
-    # not with exit 3 or a message that names no flag
+    # not with a solver exit or a message that names no flag
     assert run(*argv, "--grid-N", n, "--out", tmp_path / "o") == 1
     err = capsys.readouterr().err
     assert err == (f"error: --grid-N {n}: cumulative integration needs at least "

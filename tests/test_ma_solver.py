@@ -22,7 +22,6 @@ from conic_ke.ma_solver import (
     _twist_tail,
     NewtonDiverged,
     PathStalled,
-    PositivityLost,
     SolverError,
     build_twist,
     continuity_path,
@@ -206,17 +205,40 @@ def test_uniqueness_from_random_guesses(grid):
 
 
 def test_positivity_guard(grid):
+    # Phi'' = Phi0'' W e^(-tau phi) is positive for any guess, even one whose
+    # stencil density Phi0'' + d2(phi) is negative at t = 0: from 10/cosh(t)
+    # Newton reaches the flat-start answer, and from 30/cosh(t) the line
+    # search runs out of damping
     twist = build_twist(grid, 0.75, 1e-3)
-    bad_guess = 10.0 / np.cosh(grid.t)  # density turns negative
-    with pytest.raises(PositivityLost):
-        solve_ma(twist, 0.45, bad_guess)
+    flat = solve_ma(twist, 0.45).phi
+    sol = solve_ma(twist, 0.45, 10.0 / np.cosh(grid.t))
+    assert np.max(np.abs(sol.phi - flat)) < 1e-10
+    with pytest.raises(NewtonDiverged):
+        solve_ma(twist, 0.45, 30.0 / np.cosh(grid.t))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(beta=st.floats(0.3, 1.0),
+       delta=st.sampled_from([0.0, 1e-3, 1e-1]),
+       tau_fraction=st.floats(0.05, 1.0),
+       a=st.floats(-20.0, 20.0), b=st.floats(-8.0, 8.0), w=st.floats(0.5, 4.0))
+def test_solve_does_not_depend_on_the_guess(beta, delta, tau_fraction, a, b, w):
+    # a bump guess (made even by the solve) either raises or reaches the
+    # flat-start answer: no solve reports convergence on a wrong answer
+    g = Grid(-16, 16, 257)
+    twist = build_twist(g, beta, delta)
+    tau = tau_fraction * twist.mu
+    flat = solve_ma(twist, tau).phi
+    try:
+        sol = solve_ma(twist, tau, a / np.cosh((g.t - b) / w))
+    except SolverError:
+        return
+    assert np.max(np.abs(sol.phi - flat)) < 1e-8
 
 
 @pytest.mark.parametrize("beta, T", [(0.8, 40), (0.95, 40), (0.9, 38), (0.95, 36)])
-def test_wide_grid_footballs_pass_the_positivity_guard(beta, T, football_oracle):
-    # at the grid ends Phi0'' is below the rounding floor of d2(phi), where
-    # the sign of the implied density is noise; these raised PositivityLost
-    # when every node had to be strictly positive
+def test_wide_grid_football_solves_converge(beta, T, football_oracle):
+    # at the grid ends Phi0'' is below the rounding of d2(phi)
     g = Grid(-T, T, 2049)
     sol = solve_ma(build_twist(g, beta, 0.0), beta)
     core = np.abs(g.t) <= T / 2
@@ -225,8 +247,8 @@ def test_wide_grid_footballs_pass_the_positivity_guard(beta, T, football_oracle)
 
 
 def test_grid_whose_round_density_underflows_is_refused():
-    # Phi0'' = 2 e^t / (1 + e^t)^2 is 0 in double from |t| ~ 745; the solve
-    # warned "invalid value" dividing 0 by 0 and then raised PositivityLost
+    # Phi0'' = 2 e^t / (1 + e^t)^2 is 0 in double from |t| ~ 745, where the
+    # Newton rows would divide 0 by 0; such a grid is refused before solving
     assert Grid(-745, 745, 2049).reference.phi_doubleprime[0] > 0.0
     with pytest.raises(ValueError, match="density underflows to 0 at the grid ends"):
         solve_ma(build_twist(Grid(-800, 800, 2049), 0.8, 0.0), 0.4)
@@ -249,19 +271,19 @@ def test_solve_meets_its_tolerance_or_raises(n, beta, delta, tau_fraction):
     assert np.isfinite(sol.phi).all() and sol.residual <= ma_solver._NEWTON_TOL
 
 
-def test_wide_grid_smoothed_solve_passes_the_positivity_guard():
+def test_wide_grid_smoothed_solve_converges():
     g = Grid(-32, 32, 4097)
     sol = solve_ma(build_twist(g, 0.8, 1e-3), 0.8)
     assert sol.residual <= 1e-11 and sol.iterations <= 5
 
 
 def test_line_search_refuses_a_step_that_is_not_positive(grid, monkeypatch):
-    # every damped trial of a concave bump of height 1e4 / 2^k, k <= 8, has
-    # Phi'' < 0 at t = 0 far above the rounding floor
+    # no damped trial of a bump of height 1e4 / 2^k, k <= 8, lowers the
+    # residual, so the step is refused and the solve diverges
     import conic_ke.ma_solver as ma_solver
     monkeypatch.setattr(ma_solver, "_solve_tridiagonal",
                         lambda ab, rhs: 1e4 / np.cosh(grid.t))
-    with pytest.raises(PositivityLost, match="damping budget exhausted"):
+    with pytest.raises(NewtonDiverged, match="damping budget exhausted"):
         solve_ma(build_twist(grid, 0.75, 1e-3), 0.45)
 
 
