@@ -87,7 +87,7 @@ def _grid_from(args):
     from .geometry import Grid
     from .numerics import CUMULATIVE_MIN_NODES
     grid = _flagged(f"--grid-T {args.grid_T} --grid-N {args.grid_N}", Grid,
-                    -args.grid_T, args.grid_T, args.grid_N)
+                    args.grid_T, args.grid_N)
     if grid.n_nodes < CUMULATIVE_MIN_NODES:
         raise ValueError(f"--grid-N {args.grid_N}: cumulative integration needs "
                          f"at least {CUMULATIVE_MIN_NODES} nodes")
@@ -309,16 +309,14 @@ def cmd_capacity(args) -> Run:
     if not (np.isfinite(args.eps) and args.eps > 0):
         raise ValueError(f"--eps must be finite and positive, got {args.eps}")
     powers = f"--n {args.n} --eps {args.eps}"
-    if args.rule == "auto":
+    if args.delta is None:
+        delta_flags = f"--eps {args.eps}"
         log_delta = _flagged(powers, selection_log_delta, args.n, args.eps)
     else:
-        if args.delta is None:
-            raise ValueError("--rule manual requires --delta")
+        delta_flags = f"--delta {args.delta}"
         if not args.delta > 0:
             raise ValueError(f"--delta must be positive, got {args.delta}")
         log_delta = float(np.log(args.delta))
-    delta_flags = f"--delta {args.delta}" if args.rule == "manual" \
-        else f"--eps {args.eps} --rule auto"
     rep = _flagged(powers, dirichlet_energy,
                    _flagged(delta_flags, LogLogCutoff, args.eps, log_delta), model)
     return Run({"capacity.csv": (
@@ -347,8 +345,8 @@ def _parse_source(item: str) -> tuple:
 def cmd_volume_scan(args) -> Run:
     import numpy as np
 
-    from .cone_analysis import (FlatConeModel, RadiusOutOfRange, check_radii, tube_volume,
-                                volume_ratio_profile)
+    from .cone_analysis import (FlatConeModel, RadiusOutOfRange, check_radii, cone_volume_ratios,
+                                tube_volume, volume_ratio_profile)
     from .geometry import football_potential
     from .io import format_number
     if args.num < 2:
@@ -369,22 +367,18 @@ def cmd_volume_scan(args) -> Run:
                     "fit.csv": (["exponent", "constant"], [[rep.exponent], [rep.constant]])},
                    f"exponent={format_number(rep.exponent)}")
     if kind == "cone":
-        source = model
-        center = "vertex"
+        rep = cone_volume_ratios(model, radii)
     else:
         grid = _grid_from(args)
-        source = grid.reference if kind == "fs" else _flagged(
+        pot = grid.reference if kind == "fs" else _flagged(
             f"--source {args.source}", football_potential, grid, *params)
-        center = args.center
-    try:
-        rep = volume_ratio_profile(source, center, radii)
-    except RadiusOutOfRange as exc:
-        flags = f"--r-{exc.end} {getattr(args, 'r_' + exc.end):g}"
-        if kind != "cone":
-            flags += f" --grid-T {args.grid_T:g}"
-        raise ValueError(f"{flags}: {exc}") from None
-    except ValueError as exc:      # the center, or a source without a cone tail
-        raise ValueError(f"--source {args.source} --center {args.center}: {exc}") from None
+        try:
+            rep = volume_ratio_profile(pot, args.center, radii)
+        except RadiusOutOfRange as exc:
+            raise ValueError(f"--r-{exc.end} {getattr(args, 'r_' + exc.end):g} "
+                             f"--grid-T {args.grid_T:g}: {exc}") from None
+        except ValueError as exc:      # the center, or a source without a cone tail
+            raise ValueError(f"--source {args.source} --center {args.center}: {exc}") from None
     return Run({"profile.csv": (["r", "value"], [rep.radii, rep.ratios]),
                 "fit.csv": (["angle_estimate", "monotone_defect"],
                             [[rep.angle_estimate], [rep.monotone_defect]])},
@@ -472,8 +466,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("capacity", help="doubly logarithmic cutoff energy")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--eps", type=float, required=True)
-    p.add_argument("--rule", choices=("auto", "manual"), default="auto")
-    p.add_argument("--delta", type=float, default=None)
+    p.add_argument("--delta", type=float, default=None,
+                   help="cutoff parameter (default: the band-selection rule)")
     p.add_argument("--beta-bar", type=float, default=0.25, dest="beta_bar")
     p.add_argument("--out", default="out-capacity")
     p.set_defaults(func=cmd_capacity)

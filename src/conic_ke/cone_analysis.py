@@ -9,6 +9,10 @@ Capacity integrals exploit the product structure: the angular and flat
 factors are integrated in closed form and only the radial factor is
 quadratured, in the coordinate s = -log(rho / scale) so the doubly
 logarithmic bands survive arbitrarily small cutoff parameters.
+
+Ball-volume ratios about a cone's vertex are the closed form beta_bar
+omega_2n (`cone_volume_ratios`); those of a surface profile about a pole
+are read from its arclength and moment coordinate (`volume_ratio_profile`).
 """
 
 from __future__ import annotations
@@ -157,20 +161,10 @@ def check_radii(r_list) -> np.ndarray:
     if r.ndim != 1 or r.size < 2 or not (r[0] > 0 and np.all(np.diff(r) > 0)
                                          and np.isfinite(r[-1])):
         raise ValueError("radii must be at least two, finite, positive and increasing")
-    if _outside_double_range(2, r) is not None:
+    info = np.finfo(float)
+    if 2 * math.log(r[0]) < math.log(info.tiny) or 2 * math.log(r[-1]) > math.log(info.max):
         raise ValueError("the squares of the radii leave double range")
     return r
-
-
-def _outside_double_range(power: int, r: np.ndarray) -> str | None:
-    """"min" or "max" if r^power leaves the normal doubles at that end of
-    the increasing radii `r`, else None."""
-    info = np.finfo(float)
-    if power * math.log(r[0]) < math.log(info.tiny):
-        return "min"
-    if power * math.log(r[-1]) > math.log(info.max):
-        return "max"
-    return None
 
 
 class RadiusOutOfRange(ValueError):
@@ -187,62 +181,56 @@ class VolumeRatioReport:
     radii: np.ndarray
     ratios: np.ndarray            # Vol(B_r)/r^(2n)
     monotone_defect: float        # largest increase between consecutive radii
-    angle_estimate: float | None  # from the smallest radii, when centered on a pole
+    angle_estimate: float         # the cone fraction the ratios give
 
 
-def volume_ratio_profile(source, center, r_list) -> VolumeRatioReport:
-    """Ball-volume ratios Vol(B_r)/r^(2n) around a center.
+def cone_volume_ratios(model: FlatConeModel, r_list) -> VolumeRatioReport:
+    """Ball-volume ratios Vol(B_r)/r^(2n) about the vertex of a flat cone.
 
-    For flat cones the center is 'vertex' (closed-form sector volumes).
-    For surface profiles the center is the pole 'zero' or 'infinity'; the
-    geodesic radius is inverted through the arclength integral and the
-    enclosed area through the moment coordinate.  The small-radius limit of
-    ratio/pi estimates the cone fraction.
+    A cone is scale-invariant, so the ratio is Vol(B_1) = beta_bar omega_2n
+    at every radius: the monotone defect is 0 and the angle estimate is
+    beta_bar itself.
     """
     r = check_radii(r_list)
-    if isinstance(source, FlatConeModel):
-        if center != "vertex":
-            raise ValueError("flat-cone profiles are centered at the vertex")
-        end = _outside_double_range(2 * source.n, r)
-        if end is not None:
-            raise RadiusOutOfRange(end, f"r^{2 * source.n} leaves double range")
-        ratios = np.array([source.vertex_ball_volume(x) / x ** (2 * source.n)
-                           for x in r])
-        angle = float(np.mean(ratios[:3]) / unit_ball_volume(2 * source.n))
-    elif isinstance(source, RadialKahlerPotential):
-        pot = source
-        grid = pot.grid
-        if center not in ("zero", "infinity"):
-            raise ValueError("surface profiles are centered at a pole")
-        pp = pot.phi_doubleprime if center == "zero" else pot.phi_doubleprime[::-1]
-        prime = pot.phi_prime if center == "zero" else 2.0 - pot.phi_prime[::-1]
-        beta, x0 = read_pole(pot, center)
-        # geodesic distance from the pole: arclength plus the distance
-        # beyond the end node, the integral of dx / sqrt(2 Phi'') over the
-        # read's tail mass x0 with Phi'' = beta x + c x^2 met at the node
-        q = (pp[0] - beta * x0) / (beta * x0)          # c x0 / beta, above -1
-        y = math.sqrt(abs(q))
-        arc = math.asinh(y) if q > 0 else math.asin(y)
-        tail = math.sqrt(2.0 * x0 / beta) * (arc / y if y > 0 else 1.0)
-        dist = cumulative_integral(np.sqrt(pp / 2.0), grid.h, tail)
-        area = 2.0 * np.pi * prime
-        if r[-1] > dist[-1]:
-            raise RadiusOutOfRange("max", f"radius {r[-1]:.6g} exceeds {dist[-1]:.6g}, "
-                                          f"the largest radius the grid reaches")
-        if r[0] < dist[0]:
-            raise RadiusOutOfRange("min", f"radius {r[0]:.6g} is below {dist[0]:.6g}, "
-                                          f"the smallest radius the grid resolves")
-        # invert r -> t and read the area in log space: both quantities are
-        # exponential near the pole, so log-linear interpolation is sharp
-        tr = np.interp(np.log(r), np.log(dist), grid.t)
-        vol = np.exp(np.interp(tr, grid.t, np.log(area)))
-        ratios = vol / r ** 2
-        angle = float(np.mean(ratios[:3]) / np.pi)
-    else:
-        raise TypeError("source must be a FlatConeModel or RadialKahlerPotential")
+    return VolumeRatioReport(r, np.full(r.size, model.vertex_ball_volume(1.0)), 0.0,
+                             model.beta_bar)
+
+
+def volume_ratio_profile(pot: RadialKahlerPotential, pole: str, r_list) -> VolumeRatioReport:
+    """Ball-volume ratios Vol(B_r)/r^2 of a surface profile about a pole.
+
+    The pole is 'zero' or 'infinity'; the geodesic radius is inverted
+    through the arclength integral and the enclosed area through the moment
+    coordinate.  The small-radius limit of ratio/pi estimates the cone
+    fraction.
+    """
+    r = check_radii(r_list)
+    beta, x0 = read_pole(pot, pole)
+    grid = pot.grid
+    pp = pot.phi_doubleprime if pole == "zero" else pot.phi_doubleprime[::-1]
+    prime = pot.phi_prime if pole == "zero" else 2.0 - pot.phi_prime[::-1]
+    # geodesic distance from the pole: arclength plus the distance
+    # beyond the end node, the integral of dx / sqrt(2 Phi'') over the
+    # read's tail mass x0 with Phi'' = beta x + c x^2 met at the node
+    q = (pp[0] - beta * x0) / (beta * x0)          # c x0 / beta, above -1
+    y = math.sqrt(abs(q))
+    arc = math.asinh(y) if q > 0 else math.asin(y)
+    tail = math.sqrt(2.0 * x0 / beta) * (arc / y if y > 0 else 1.0)
+    dist = cumulative_integral(np.sqrt(pp / 2.0), grid.h, tail)
+    area = 2.0 * np.pi * prime
+    if r[-1] > dist[-1]:
+        raise RadiusOutOfRange("max", f"radius {r[-1]:.6g} exceeds {dist[-1]:.6g}, "
+                                      f"the largest radius the grid reaches")
+    if r[0] < dist[0]:
+        raise RadiusOutOfRange("min", f"radius {r[0]:.6g} is below {dist[0]:.6g}, "
+                                      f"the smallest radius the grid resolves")
+    # invert r -> t and read the area in log space: both quantities are
+    # exponential near the pole, so log-linear interpolation is sharp
+    tr = np.interp(np.log(r), np.log(dist), grid.t)
+    ratios = np.exp(np.interp(tr, grid.t, np.log(area))) / r ** 2
     inc = np.diff(ratios)
-    return VolumeRatioReport(r, ratios, float(max(inc.max(), 0.0)) if inc.size else 0.0,
-                             angle)
+    return VolumeRatioReport(r, ratios, float(max(inc.max(), 0.0)),
+                             float(np.mean(ratios[:3]) / np.pi))
 
 
 @dataclass

@@ -43,32 +43,32 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Grid:
-    """Uniform symmetric grid in t = log|z|^2 with Simpson weights.
+    """Uniform grid on [-t_max, t_max] in t = log|z|^2 with Simpson weights.
 
-    `t`, `weights` and `reference` are computed once per instance and are
-    read-only; equality and hashing use the three fields alone.
+    It is symmetric about t = 0 by construction: `t_min` is -t_max.  `t`,
+    `weights` and `reference` are computed once per instance and are
+    read-only; equality and hashing use the two fields alone.
     """
 
-    t_min: float = -16.0
     t_max: float = 16.0
     n_nodes: int = 2049
 
     def __post_init__(self):
         if self.n_nodes < 3 or self.n_nodes % 2 == 0:
             raise ValueError("n_nodes must be odd and >= 3")
-        if not (np.isfinite(self.t_min) and np.isfinite(self.t_max)):
-            raise ValueError(f"grid bounds must be finite, got [{self.t_min}, {self.t_max}]")
-        if not self.t_max > self.t_min:
-            raise ValueError("empty grid")
-        if abs(self.t_min + self.t_max) > 1e-12 * max(1.0, abs(self.t_max)):
-            raise ValueError("grid must be symmetric about t = 0")
+        if not (np.isfinite(self.t_max) and self.t_max > 0.0):
+            raise ValueError(f"the half-width t_max must be finite and positive, got {self.t_max}")
         # every solve divides by the round density; it underflows from |T| ~ 745
         if self.reference.phi_doubleprime[0] == 0.0:
             raise ValueError("the round metric's density underflows to 0 at the grid ends")
 
     @property
+    def t_min(self) -> float:
+        return -self.t_max
+
+    @property
     def h(self) -> float:
-        return (self.t_max - self.t_min) / (self.n_nodes - 1)
+        return 2.0 * self.t_max / (self.n_nodes - 1)
 
     @cached_property
     def t(self) -> np.ndarray:

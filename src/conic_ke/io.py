@@ -240,8 +240,7 @@ def read_potential_csv(path) -> RadialKahlerPotential:
         raise ValueError(f"{path}: expected columns t,phi_prime,phi_doubleprime "
                          f"and at least 3 rows, got a {data.shape[0]}x{data.shape[1]} table")
     t = data[:, 0]
-    n = t.size
-    grid = Grid(float(t[0]), float(t[-1]), n)
+    grid = Grid(float(t[-1]), t.size)
     if not np.allclose(grid.t, t, rtol=0, atol=1e-12):
         raise ValueError(f"{path}: nodes are not a uniform symmetric grid")
     return RadialKahlerPotential(grid, data[:, 1], data[:, 2])

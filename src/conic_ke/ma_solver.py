@@ -141,10 +141,8 @@ class TwistData:
     The twist is the one source of a solve's grid, beta, mu and delta, and
     of every whole-sphere integral of the twisted problem: one
     node rule (`reference_weights`) plus one mass per tail (`tail_mass`).
-    Each tail is stored once.  The twist and the reference are even in t,
-    and `Grid` requires |t_min + t_max| <= 1e-12 T, so the tail beyond t_max
-    is taken equal to the one below t_min (the CLI grids are exactly
-    symmetric, where the two are identical).
+    Each tail is stored once: the twist, the reference and the grid are
+    even in t, so the tail beyond t_max is the one below t_min.
     """
 
     grid: Grid

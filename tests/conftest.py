@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,18 @@ def football_oracle():
 
 
 @pytest.fixture(scope="session")
+def football_log_gram():
+    """The exact Gram diagonal of the football of fraction beta at degree
+    2l: with x = e^(beta t) each entry is a Beta integral, so
+    log <z^k, z^k> = log 4 pi B(k/beta + 1, (2l - k)/beta + 1), k = 0..2l."""
+    def oracle(beta, ell):
+        return np.array([math.log(4.0 * math.pi) + math.lgamma(k / beta + 1.0)
+                         + math.lgamma((2 * ell - k) / beta + 1.0)
+                         - math.lgamma(2 * ell / beta + 2.0) for k in range(2 * ell + 1)])
+    return oracle
+
+
+@pytest.fixture(scope="session")
 def grid():
     return Grid()
 
@@ -25,12 +39,12 @@ def grid():
 @pytest.fixture(scope="session")
 def wide_grid():
     """Half width 40: truncation below 1e-8 even at beta = 0.5."""
-    return Grid(-40.0, 40.0, 4097)
+    return Grid(40.0, 4097)
 
 
 @pytest.fixture(scope="session")
 def fine_grid():
-    return Grid(-16.0, 16.0, 8193)
+    return Grid(16.0, 8193)
 
 
 @pytest.fixture(scope="session")

@@ -17,6 +17,7 @@ from conic_ke.cli import main as cli_main
 from conic_ke.cone_analysis import (
     FlatConeModel,
     LogLogCutoff,
+    cone_volume_ratios,
     dirichlet_energy,
     selection_log_delta,
     tube_volume,
@@ -94,7 +95,7 @@ def test_criterion_5_bergman_scan(grid):
     betas = np.linspace(0.6, 1.0, 9)
     ells = (2, 4, 8, 16)
     coarse = partial_c0_scan(betas, ells, grid)
-    fine = partial_c0_scan(betas, ells, Grid(-16, 16, 4097))
+    fine = partial_c0_scan(betas, ells, Grid(16, 4097))
     trace_defect = max(abs(r.trace_check - (2 * r.ell + 1)) for r in coarse)
     inf_min = min(r.inf_rho for r in coarse)
     drift = max(abs(a.inf_rho - b.inf_rho) / b.inf_rho
@@ -107,7 +108,7 @@ def test_criterion_5_bergman_scan(grid):
 def test_criterion_6_bochner():
     pairs = []
     for n in (2049, 4097):
-        g = Grid(-16, 16, n)
+        g = Grid(16, n)
         pairs.append((bochner_residual(0, fubini_study_potential(g), 1, mu=1.0, window=4.0),
                       bochner_residual(2, football_potential(g, 0.75), 4, mu=0.75,
                                        window=8.0)))
@@ -131,7 +132,7 @@ def test_criterion_7_sup_norm_constant(fs):
 
 
 def test_criterion_8_obstruction_invariants(grid, fs):
-    stab_grid = Grid(-24, 24, 32769)
+    stab_grid = Grid(24, 32769)
     rng = np.random.default_rng(42)
     worst_val, worst_disc = 0.0, 0.0
     for _ in range(5):
@@ -179,8 +180,7 @@ def test_criterion_10_volume_comparison(grid):
     ratio = volume_ratio_profile(fb, "zero", np.linspace(0.1, 1.5, 24))
     density_ok = abs(ratio.angle_estimate * np.pi - np.pi * 0.6) <= 0.01 * np.pi * 0.6
     mono_ok = ratio.monotone_defect <= 1e-12
-    cone_ratio = volume_ratio_profile(FlatConeModel(1, 0.5), "vertex",
-                                      np.linspace(0.1, 2.0, 12))
+    cone_ratio = cone_volume_ratios(FlatConeModel(1, 0.5), np.linspace(0.1, 2.0, 12))
     tube = tube_volume(FlatConeModel(2, 0.7), (1.0, 2.0),
                        np.geomspace(0.01, 0.5, 12))
     ok = (density_ok and mono_ok and cone_ratio.monotone_defect <= 1e-6
@@ -195,7 +195,7 @@ def test_criterion_11_reproducibility(tmp_path):
     commands = [
         ("solve", "--beta", "0.75", "--delta", "0", "--tau", "0.75",
          "--grid-N", "1025"),
-        ("capacity", "--n", "1", "--eps", "0.1", "--rule", "auto"),
+        ("capacity", "--n", "1", "--eps", "0.1"),
         ("bergman-scan", "--betas", "0.7,1.0", "--ells", "2,4",
          "--grid-N", "1025"),
         ("volume-scan", "--source", "football:0.6", "--center", "zero"),
@@ -204,7 +204,7 @@ def test_criterion_11_reproducibility(tmp_path):
     ]
     from conic_ke.io import potential_table, write_csv
     metric_path = tmp_path / "fs.csv"
-    write_csv(metric_path, *potential_table(fubini_study_potential(Grid(-16, 16, 1025))))
+    write_csv(metric_path, *potential_table(fubini_study_potential(Grid(16, 1025))))
     all_equal = True
     checked = 0
     for spec in commands:

@@ -42,7 +42,7 @@ def test_weight_curvature_second_order():
     # the weight's curvature -(log weight)'' is the metric Phi''
     res = []
     for n in (1025, 2049):
-        g = Grid(-16, 16, n)
+        g = Grid(16, n)
         w = associated_hermitian_weight(fubini_study_potential(g))
         resid = -d2(w.log_weight, g.h) - w.pot.phi_doubleprime
         res.append(np.max(np.abs(resid[2:-2])))
@@ -83,7 +83,7 @@ def test_conic_weight_bounded_section(grid):
 
 def test_gram_round_degree_one_ratios():
     # oracle: <z^k, z^k> proportional to Beta(k+1, 3-k) for the round weight
-    g = Grid(-40, 40, 4097)
+    g = Grid(40, 4097)
     fs0 = fubini_study_potential(g)
     w = associated_hermitian_weight(fs0)
     gram = gram_matrix(1, w, fs0)
@@ -150,7 +150,7 @@ def test_density_trace_identity(grid, fs, fs_weight):
 def test_density_round_constant():
     # wide grid: the endpoint plateau of the density feels the truncated
     # tail mass of the extreme monomials at rate e^(-T)
-    g = Grid(-24, 24, 3073)
+    g = Grid(24, 3073)
     fs0 = fubini_study_potential(g)
     w = associated_hermitian_weight(fs0)
     for ell in (1, 4, 16):
@@ -197,34 +197,28 @@ def test_partial_c0_scan_floor(grid):
             assert r.inf_rho == pytest.approx((2 * r.ell + 1) / FOUR_PI, rel=1e-6)
 
 
-def _football_closed_form(beta, ell, t):
-    """Exact log <z^k,z^k> - log <z^l,z^l> and rho(t) of the football.
-
-    With x = e^(beta t) each Gram entry is a Beta integral, so
-    <z^k,z^k> is proportional to B(k/beta + 1, (2l-k)/beta + 1) and
-    rho = sum_k x^(k/beta) (1+x)^(-2l/beta) / (4 pi B_k).
-    """
-    ks = np.arange(2 * ell + 1)
-    log_beta = np.array([math.lgamma(k / beta + 1) + math.lgamma((2 * ell - k) / beta + 1)
-                         - math.lgamma(2 * ell / beta + 2) for k in ks])
-    terms = ks[:, None] * t[None, :] \
-        - (2 * ell / beta) * np.logaddexp(0.0, beta * t)[None, :] \
-        - math.log(4.0 * math.pi) - log_beta[:, None]
+def _football_density(beta, ell, t, log_gram):
+    """rho(t) of the football from its exact Gram diagonal `log_gram`: with
+    x = e^(beta t), rho = sum_k x^(k/beta) (1+x)^(-2l/beta) / <z^k,z^k>."""
+    terms = np.arange(2 * ell + 1)[:, None] * t[None, :] \
+        - (2 * ell / beta) * np.logaddexp(0.0, beta * t)[None, :] - log_gram[:, None]
     m = terms.max(axis=0)
-    return log_beta - log_beta[ell], np.exp(m) * np.exp(terms - m).sum(axis=0)
+    return np.exp(m) * np.exp(terms - m).sum(axis=0)
 
 
 @pytest.mark.parametrize("beta", [0.6, 0.8, 1.0])
 @pytest.mark.parametrize("ell", [8, 64])
-def test_football_gram_and_density_closed_form(wide_grid, beta, ell):
+def test_football_gram_and_density_closed_form(wide_grid, football_log_gram, beta, ell):
     # measured: 8.1e-9 at beta = 0.6 (tail-limited), 7.8e-12 for beta >= 0.8,
     # and 3.2e-13 for inf rho
     tol = 5e-8 if beta < 0.8 else 5e-11
     fb = football_potential(wide_grid, beta)
     gram = gram_matrix(ell, associated_hermitian_weight(fb), fb)
     rep = bergman_density(gram)
-    log_ratio, rho = _football_closed_form(beta, ell, wide_grid.t)
-    assert np.max(np.abs(gram.log_diag - gram.log_diag[ell] - log_ratio)) < tol
+    log_gram = football_log_gram(beta, ell)
+    rho = _football_density(beta, ell, wide_grid.t, log_gram)
+    assert np.max(np.abs(gram.log_diag - gram.log_diag[ell]
+                         - (log_gram - log_gram[ell]))) < tol
     assert np.max(np.abs(rep.rho / rho - 1.0)) < tol
     assert rep.inf_rho == pytest.approx(rho.min(), rel=2e-12)
     assert rep.sup_rho == pytest.approx(rho.max(), rel=tol)
@@ -252,18 +246,18 @@ def _errors(log_diag, rho, exact):
 @pytest.fixture(scope="module")
 def sampled_grid():
     """65 nodes: with l = 64 each node block is a single node."""
-    return Grid(-4.0, 4.0, 65)
+    return Grid(4.0, 65)
 
 
 @pytest.fixture(scope="module")
 def odd_step_grid():
     """h = 0.016 is not dyadic: the nodes lie off t_B + i h by rounding."""
-    return Grid(-16.0, 16.0, 2001)
+    return Grid(16.0, 2001)
 
 
 @pytest.fixture(scope="module")
 def odd_end_grid():
-    return Grid(-12.3, 12.3, 1501)
+    return Grid(12.3, 1501)
 
 
 @pytest.mark.skipif(np.finfo(np.longdouble).eps == np.finfo(float).eps,
@@ -371,7 +365,7 @@ def test_logsumexp_rows_matches_plain_formula():
 
 
 def test_bochner_round_small():
-    g = Grid(-16, 16, 8193)
+    g = Grid(16, 8193)
     fs0 = fubini_study_potential(g)
     rep = bochner_residual(0, fs0, 1, mu=1.0, window=3.0)
     assert rep.residual_first <= 1e-6
@@ -379,18 +373,18 @@ def test_bochner_round_small():
 
 
 def test_bochner_second_order():
-    r_coarse = bochner_residual(0, fubini_study_potential(Grid(-16, 16, 2049)), 1,
+    r_coarse = bochner_residual(0, fubini_study_potential(Grid(16, 2049)), 1,
                                 mu=1.0, window=4.0)
-    r_fine = bochner_residual(0, fubini_study_potential(Grid(-16, 16, 4097)), 1,
+    r_fine = bochner_residual(0, fubini_study_potential(Grid(16, 4097)), 1,
                               mu=1.0, window=4.0)
     assert r_coarse.residual_first / r_fine.residual_first >= 3.5
     assert r_coarse.residual_second / r_fine.residual_second >= 3.5
 
 
 def test_bochner_football_interior():
-    r_coarse = bochner_residual(2, football_potential(Grid(-16, 16, 4097), 0.75), 4,
+    r_coarse = bochner_residual(2, football_potential(Grid(16, 4097), 0.75), 4,
                                 mu=0.75, window=8.0)
-    r_fine = bochner_residual(2, football_potential(Grid(-16, 16, 8193), 0.75), 4,
+    r_fine = bochner_residual(2, football_potential(Grid(16, 8193), 0.75), 4,
                               mu=0.75, window=8.0)
     assert r_fine.residual_first <= 1e-5
     assert r_coarse.residual_first / r_fine.residual_first >= 3.5

@@ -109,7 +109,7 @@ def test_tau_range_same_in_cli_and_library(tmp_path, capsys, tau, accepted, form
     flag = ("--tau", tau) if form == "plain" else (f"--tau={tau}",)
     code = run("solve", "--beta", TAU_BETA, "--delta", 1e-2, *flag,
                "--grid-T", 8, "--grid-N", 129, "--out", tmp_path / "o")
-    twist = build_twist(Grid(-8.0, 8.0, 129), TAU_BETA, 1e-2)
+    twist = build_twist(Grid(8.0, 129), TAU_BETA, 1e-2)
     if accepted:
         assert code == 0
         assert solve_ma(twist, tau).tau == tau
@@ -177,7 +177,7 @@ def probe(tmp_path_factory):
     _SCIPY_PROBE; threads are None where there is no /proc to count them."""
     tmp_path = tmp_path_factory.mktemp("probe")
     metric = tmp_path / "fb.csv"
-    write_csv(metric, *potential_table(football_potential(Grid(-16, 16, 257), 0.6)))
+    write_csv(metric, *potential_table(football_potential(Grid(16, 257), 0.6)))
     out = child_stdout("-c", _SCIPY_PROBE, tmp_path, metric)
     return json.loads(out.splitlines()[-1])     # after each command's summary line
 
@@ -280,7 +280,7 @@ def test_malformed_metric_csv(tmp_path, capsys, table, command):
 
 def test_malformed_pair_items_name_their_flag(tmp_path, capsys):
     metric = tmp_path / "fb.csv"
-    write_csv(metric, *potential_table(football_potential(Grid(-16, 16, 257), 0.6)))
+    write_csv(metric, *potential_table(football_potential(Grid(16, 257), 0.6)))
     cases = [(("bergman-scan", "--betas", "1.0", "--ells", "2", "--grid-N", 257,
                "--density", "0.6"), "--density BETA:ELL"),
              (("bergman-scan", "--betas", "1.0", "--ells", "2", "--grid-N", 257,
@@ -610,7 +610,7 @@ def test_format_column_fallback_for_every_lane(monkeypatch):
 
 
 def test_potential_csv_node_column_per_grid(tmp_path):
-    grids = [Grid(-16, 16, 2049), Grid(-24, 24, 1025), Grid(-16, 16, 2049)]
+    grids = [Grid(16, 2049), Grid(24, 1025), Grid(16, 2049)]
     for k, g in enumerate(grids):
         pot = football_potential(g, 0.7)
         write_csv(tmp_path / f"new{k}.csv", *potential_table(pot))
@@ -643,7 +643,7 @@ def test_continue_path_needs_a_step(tmp_path, capsys, steps):
 ], ids=lambda argv: argv[0])
 def test_manifest_lists_every_written_file(tmp_path, capsys, argv):
     metric = tmp_path / "fb.csv"
-    write_csv(metric, *potential_table(football_potential(Grid(-16, 16, 257), 0.6)))
+    write_csv(metric, *potential_table(football_potential(Grid(16, 257), 0.6)))
     out = tmp_path / "out"
     argv = [metric if a is None else a for a in argv]
     assert run(*argv, "--out", out) == 0
@@ -702,7 +702,7 @@ def test_smooth_family_margin_tables(tmp_path):
     deltas = [1e-1, 1e-2]
     assert run("smooth-family", "--beta", 0.75, "--deltas", "1e-1,1e-2",
                "--grid-N", 1025, "--out", out) == 0
-    rep = smoothing_family(0.75, deltas, Grid(-16, 16, 1025))
+    rep = smoothing_family(0.75, deltas, Grid(16, 1025))
 
     def table(header, rows):
         return header + "\n" + "".join(",".join(FMT % x for x in row) + "\n" for row in rows)
@@ -743,7 +743,7 @@ def test_bergman_scan_rows_are_partial_c0_scan(tmp_path):
     out = tmp_path / "b"
     assert run("bergman-scan", "--betas", "0.7,0.9,1.0", "--ells", "2,4",
                "--grid-N", 1025, "--out", out) == 0
-    rows = partial_c0_scan([0.7, 0.9, 1.0], [2, 4], Grid(-16, 16, 1025))
+    rows = partial_c0_scan([0.7, 0.9, 1.0], [2, 4], Grid(16, 1025))
     assert all(r.inf_rho > 0 for r in rows)
     expected = "beta,ell,inf_rho,sup_rho,trace_check\n" + "".join(
         ",".join(FMT % x for x in (r.beta, r.ell, r.inf_rho, r.sup_rho, r.trace_check))
@@ -753,11 +753,23 @@ def test_bergman_scan_rows_are_partial_c0_scan(tmp_path):
 
 def test_futaki_cli(tmp_path):
     metric = tmp_path / "fs.csv"
-    write_csv(metric, *potential_table(fubini_study_potential(Grid(-24, 24, 4097))))
+    write_csv(metric, *potential_table(fubini_study_potential(Grid(24, 4097))))
     out = tmp_path / "fut"
     assert run("futaki", "--metric", metric, "--out", out) == 0
     vals = np.loadtxt(out / "futaki.csv", delimiter=",", skiprows=1)
     assert abs(vals[0]) < 1e-10
+
+
+def test_futaki_cli_refuses_a_lopsided_grid(tmp_path, capsys):
+    # a Grid is [-T, T]: nodes from -8 to 16 are checked against [-16, 16]
+    t = np.linspace(-8.0, 16.0, 2049)
+    metric = tmp_path / "lopsided.csv"
+    write_csv(metric, ["t", "phi_prime", "phi_doubleprime"],
+              [t, 2.0 / (1.0 + np.exp(-t)), 0.5 / (1.0 + np.cosh(t))])
+    assert run("futaki", "--metric", metric, "--out", tmp_path / "fut") == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {metric}: nodes are not a uniform symmetric grid\n", err
+    assert not (tmp_path / "fut").exists()
 
 
 def test_futaki_cli_conic_metric(tmp_path):
@@ -821,7 +833,7 @@ def test_log_futaki_cli_scan(tmp_path):
 def test_log_futaki_scan_t_location_off_the_grid(tmp_path, capsys):
     # read the end node's theta and exited 0
     metric = tmp_path / "fs.csv"
-    write_csv(metric, *potential_table(fubini_study_potential(Grid(-16, 16, 257))))
+    write_csv(metric, *potential_table(fubini_study_potential(Grid(16, 257))))
     scan_path = tmp_path / "scan.json"
     scan_path.write_text(json.dumps({"configs": {"c": [[40.0, 1.0]]}, "betas": [0.5]}))
     assert run("log-futaki", "--metric", metric, "--scan-config", scan_path,
@@ -840,7 +852,7 @@ def test_log_futaki_scan_t_location_off_the_grid(tmp_path, capsys):
 ], ids=["no-configs", "no-betas", "array", "point-not-a-pair", "not-json"])
 def test_malformed_scan_config(tmp_path, capsys, text):
     metric = tmp_path / "fs.csv"
-    write_csv(metric, *potential_table(fubini_study_potential(Grid(-16, 16, 257))))
+    write_csv(metric, *potential_table(fubini_study_potential(Grid(16, 257))))
     scan_path = tmp_path / "scan.json"
     scan_path.write_text(text)
     assert run("log-futaki", "--metric", metric, "--scan-config", scan_path,
@@ -852,8 +864,7 @@ def test_malformed_scan_config(tmp_path, capsys, text):
 
 def test_capacity_cli(tmp_path, capsys):
     out = tmp_path / "cap"
-    assert run("capacity", "--n", 1, "--eps", 0.1, "--rule", "auto",
-               "--out", out) == 0
+    assert run("capacity", "--n", 1, "--eps", 0.1, "--out", out) == 0
     row = np.loadtxt(out / "capacity.csv", delimiter=",", skiprows=1)
     assert row[4] <= 0.1          # energy below eps
     assert row[4] <= row[5]       # and below the closed-form bound
@@ -862,8 +873,8 @@ def test_capacity_cli(tmp_path, capsys):
 @pytest.mark.parametrize("delta", ["-1", "0"])
 def test_capacity_manual_delta_must_be_positive(tmp_path, capsys, delta):
     # log(delta) would write nan / -inf columns and exit 0
-    assert run("capacity", "--n", 1, "--eps", 0.1, "--rule", "manual",
-               "--delta", delta, "--out", tmp_path / "cap") == 1
+    assert run("capacity", "--n", 1, "--eps", 0.1, "--delta", delta,
+               "--out", tmp_path / "cap") == 1
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("error: --delta"), err
     assert not (tmp_path / "cap").exists()
@@ -897,10 +908,8 @@ def test_capacity_manual_delta_must_be_positive(tmp_path, capsys, delta):
     (("solve", "--beta", 0.75, "--delta", "-1e-3", "--tau", 0.5), "error: --delta -0.001: "),
     (("solve", "--beta", 0.75, "--delta", "-inf", "--tau", 0.5), "error: --delta -inf: "),
     (("continue-path", "--beta", 0.8, "--delta", "-1E-3"), "error: --delta -0.001: "),
-    (("capacity", "--n", 1, "--eps", 0.1, "--rule", "manual", "--delta", "-1e-3"),
+    (("capacity", "--n", 1, "--eps", 0.1, "--delta", "-1e-3"),
      "error: --delta must be positive"),
-    (("capacity", "--n", 1, "--eps", 0.1, "--rule", "manual"),
-     "error: --rule manual requires --delta"),
     (("volume-scan", "--mode", "tube", "--source", "football:0.6"),
      "error: tube mode needs --source cone:N:BETA_BAR"),
     (("volume-scan", "--source", "football:abc"), "error: --source"),
@@ -923,12 +932,11 @@ def test_capacity_manual_delta_must_be_positive(tmp_path, capsys, delta):
     (("volume-scan", "--source", "cone:0:0.25"), "error: --source cone:0:0.25: "),
     (("capacity", "--n", 0, "--eps", 0.1), "error: --n 0 "),
     (("capacity", "--n", 1, "--eps", 0.1, "--beta-bar", 2), "--beta-bar 2"),
-    (("capacity", "--n", 1, "--eps", 50), "error: --eps 50.0 --rule auto: "),
-    (("capacity", "--n", 1, "--eps", 0.1, "--rule", "manual", "--delta", 0.5),
-     "error: --delta 0.5: "),
-    # Gamma(201) overflowed in the ball volume; the auto rule's delta is then
-    # exp(-1e-154), not below 1/3
-    (("capacity", "--n", 200, "--eps", 0.5), "error: --eps 0.5 --rule auto: "),
+    (("capacity", "--n", 1, "--eps", 50), "error: --eps 50.0: "),
+    (("capacity", "--n", 1, "--eps", 0.1, "--delta", 0.5), "error: --delta 0.5: "),
+    # Gamma(201) overflowed in the ball volume; the selection rule's delta is
+    # then exp(-1e-154), not below 1/3
+    (("capacity", "--n", 200, "--eps", 0.5), "error: --eps 0.5: "),
     # r^2 underflowed: the ratios and the pole's angle read inf
     (("volume-scan", "--source", "football:0.6", "--r-min", "1e-200", "--r-max", "1e-100"),
      "error: --r-min 1e-200 --r-max 1e-100: "),
@@ -937,8 +945,6 @@ def test_capacity_manual_delta_must_be_positive(tmp_path, capsys, delta):
     # radii below the grid's first node were read at that node
     (("volume-scan", "--source", "football:0.6", "--r-min", "1e-3"),
      "error: --r-min 0.001 --grid-T 16: "),
-    (("volume-scan", "--source", "cone:3:0.5", "--r-min", "1e-60", "--r-max", "1e-50"),
-     "error: --r-min 1e-60: "),
     # None stands for a stored football metric
     (("log-futaki", "--metric", None, "--beta", 1.5), "error: --beta 1.5 --points "),
     (("log-futaki", "--metric", None, "--points", "zero:-1"),
@@ -950,11 +956,11 @@ def test_capacity_manual_delta_must_be_positive(tmp_path, capsys, delta):
     (("log-futaki", "--metric", None, "--points", "nan:1"), "--points nan:1: t = nan"),
     (("log-futaki", "--metric", None, "--points=-16.5:1"), "--points -16.5:1: t = -16.5"),
     (("volume-scan", "--source", "fs", "--center", "foo", "--grid-N", 257),
-     "error: --source fs --center foo: surface profiles are centered at a pole"),
+     "error: --source fs --center foo: pole must be 'zero' or 'infinity'"),
     # the band end 3e300 squared overflowed: energy and quadrature read 0
     (("capacity", "--n", 1, "--eps", "1e-300"), "error: --n 1 --eps 1e-300: "),
     # eps^398 underflowed to 0, and the bound divided by it
-    (("capacity", "--n", 200, "--eps", 0.01, "--rule", "manual", "--delta", 1e-3),
+    (("capacity", "--n", 200, "--eps", 0.01, "--delta", 1e-3),
      "error: --n 200 --eps 0.01: "),
     (("capacity", "--n", 2, "--eps", "1e-300"), "error: --n 2 --eps 1e-300: eps^3 "),
 ], ids=["solve-delta-nan", "solve-delta-inf", "family-deltas-nan", "path-delta-nan",
@@ -964,7 +970,7 @@ def test_capacity_manual_delta_must_be_positive(tmp_path, capsys, delta):
         "density-ell-zero", "solve-tau-negative", "solve-beta-above-1",
         "path-beta-zero", "solve-delta-negative", "solve-delta-exponent-form",
         "solve-delta-minus-inf", "path-delta-exponent-form", "capacity-delta-exponent-form",
-        "capacity-manual-without-delta", "tube-from-football", "football-beta-not-a-number",
+        "tube-from-football", "football-beta-not-a-number",
         "football-beta-zero", "football-beta-above-1", "football-beta-nan",
         "path-conic-beta-below-0.3",
         "grid-T-round-density-underflows", "tube-one-radius", "volume-no-radii",
@@ -972,7 +978,7 @@ def test_capacity_manual_delta_must_be_positive(tmp_path, capsys, delta):
         "volume-cone-n-zero", "capacity-n-zero", "capacity-beta-bar-above-1",
         "capacity-auto-delta-too-large", "capacity-manual-delta-too-large",
         "capacity-n-200", "volume-radii-squares-underflow", "tube-radii-squares-underflow",
-        "volume-radius-below-grid", "vertex-radius-power-underflows",
+        "volume-radius-below-grid",
         "log-futaki-beta-above-1", "log-futaki-weight-negative", "log-futaki-t-beyond-grid",
         "log-futaki-t-inf", "log-futaki-t-nan", "log-futaki-t-below-grid",
         "volume-center-not-a-pole",
@@ -981,7 +987,7 @@ def test_capacity_manual_delta_must_be_positive(tmp_path, capsys, delta):
 def test_bad_numbers_exit_config(tmp_path, capsys, argv, name):
     if None in argv:
         metric = tmp_path / "fb.csv"
-        write_csv(metric, *potential_table(football_potential(Grid(-16, 16, 257), 0.6)))
+        write_csv(metric, *potential_table(football_potential(Grid(16, 257), 0.6)))
         argv = [metric if a is None else a for a in argv]
     assert run(*argv, "--out", tmp_path / "o") == 1
     err = capsys.readouterr().err
@@ -1024,7 +1030,8 @@ def test_volume_scan_cli(tmp_path):
 
 
 @pytest.mark.parametrize("argv, table, column, expected", [
-    (("capacity", "--n", 1, "--eps", 0.1, "--rule", "manual", "--delta", 1e-3),
+    # --delta alone selects the manual cutoff
+    (("capacity", "--n", 1, "--eps", 0.1, "--delta", 1e-3),
      "capacity.csv", 3, math.log(1e-3)),
     (("volume-scan", "--source", "cone:2:0.25"), "fit.csv", 0, 0.25),
 ], ids=["capacity-manual", "ratio-of-cone"])
@@ -1033,6 +1040,14 @@ def test_capacity_manual_and_cone_ratio(tmp_path, argv, table, column, expected)
     assert run(*argv, "--out", out) == 0
     row = np.loadtxt(out / table, delimiter=",", skiprows=1)
     assert row[column] == pytest.approx(expected, rel=1e-12)
+
+
+def test_cone_ratio_is_its_closed_form(tmp_path):
+    # the ratio was the ball volume divided back by r^4: a defect of 2.2e-16
+    out = tmp_path / "o"
+    assert run("volume-scan", "--source", "cone:2:0.25", "--out", out) == 0
+    angle, defect = np.loadtxt(out / "fit.csv", delimiter=",", skiprows=1)
+    assert angle == 0.25 and defect == 0.0
 
 
 @pytest.mark.parametrize("tau", [0.8, 0.4])

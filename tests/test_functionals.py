@@ -185,7 +185,7 @@ def test_trivial_trace_residuals(grid):
 @settings(max_examples=15, deadline=None)
 @given(c=st.floats(-3.0, 3.0))
 def test_f_offset_property(c):
-    g = Grid(-16, 16, 257)
+    g = Grid(16, 257)
     tw = build_twist(g, 0.8, 1e-2)
     phi = 0.2 * np.tanh(g.t)
     a = f_functional(phi, 0.5, tw).f_value

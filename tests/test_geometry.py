@@ -42,10 +42,9 @@ def test_grid_invariants():
     assert g.h > 0
     assert g.t_min == -g.t_max
     assert np.isclose(g.weights.sum(), g.t_max - g.t_min)
-    with pytest.raises(ValueError):
-        Grid(-16, 16, 2048)
-    with pytest.raises(ValueError):
-        Grid(-8, 16, 2049)
+    for bad in ((16, 2048), (0.0, 2049), (-16, 2049), (float("nan"), 2049)):
+        with pytest.raises(ValueError):
+            Grid(*bad)
 
 
 def test_fubini_study_midpoint(grid):
@@ -64,7 +63,7 @@ def test_football_area_gauss_bonnet(wide_grid):
 
 
 def test_fubini_study_curvature():
-    g = Grid(-16, 16, 16385)
+    g = Grid(16, 16385)
     assert curvature(fubini_study_potential(g))[g.n_nodes // 2] \
         == pytest.approx(1.0, abs=1e-6)
 
@@ -72,7 +71,7 @@ def test_fubini_study_curvature():
 def test_football_curvature_symbolic():
     # -(log Phi'')'' = beta Phi'' for the closed form; the discrete residual
     # bottoms out near 4e-7 (stencil rounding), see the decisions notes
-    g = Grid(-16, 16, 8193)
+    g = Grid(16, 8193)
     fb = football_potential(g, 0.5)
     prof = curvature(fb)
     assert np.max(np.abs(prof[2:-2] - 0.5)) < 1e-6
@@ -82,7 +81,7 @@ def test_football_curvature_symbolic():
 
 def test_curvature_refinement_second_order():
     res = []
-    for g in (Grid(-16, 16, 1025), Grid(-16, 16, 2049)):
+    for g in (Grid(16, 1025), Grid(16, 2049)):
         prof = curvature(football_potential(g, 0.6))
         res.append(np.max(np.abs(prof[2:-2] - 0.6)))
     assert res[0] / res[1] >= 3.5
@@ -107,7 +106,7 @@ def test_cone_mu_is_the_one_beta_rule(beta, accepted):
 
 def test_cone_angle_extraction():
     # a football is exactly Phi'' = beta x - beta x^2/2, the read's model
-    for grid in (Grid(-16, 16, 2049), Grid(-40, 40, 4097)):
+    for grid in (Grid(16, 2049), Grid(40, 4097)):
         for beta in (1.0, 0.6, 0.3, 0.1):
             fb = football_potential(grid, beta)
             for pole in ("zero", "infinity"):
@@ -127,7 +126,7 @@ def test_cone_angle_rejects_non_conic(grid):
 def test_pole_read_needs_a_unit_of_t():
     # the read's nodes span one unit of t from the pole
     with pytest.raises(ValueError, match="a pole read needs 5123 nodes"):
-        read_pole(fubini_study_potential(Grid(-0.2, 0.2, 2049)), "zero")
+        read_pole(fubini_study_potential(Grid(0.2, 2049)), "zero")
 
 
 def test_defining_section_norm(grid):
@@ -184,7 +183,7 @@ def test_football_matches_round_at_beta_one(grid):
 
 def test_consistency_residual_second_order():
     res = []
-    for g in (Grid(-16, 16, 1025), Grid(-16, 16, 2049)):
+    for g in (Grid(16, 1025), Grid(16, 2049)):
         fb = football_potential(g, 0.7)
         # sup |d/dt Phi' - Phi''| over the interior nodes
         res.append(np.max(np.abs(d1(fb.phi_prime, g.h) - fb.phi_doubleprime)[1:-1]))
@@ -195,7 +194,7 @@ def test_consistency_residual_second_order():
 @settings(max_examples=20, deadline=None)
 @given(beta=st.floats(0.4, 1.0))
 def test_football_positivity_and_class(beta):
-    g = Grid(-16, 16, 513)
+    g = Grid(16, 513)
     fb = football_potential(g, beta)
     fb.require_positive()
     # moment profile increasing, endpoints near 0 and 2 at the conic rate
@@ -229,7 +228,7 @@ def test_positivity_validation(grid):
 
 
 def test_grid_data_cached_and_read_only():
-    g = Grid(-12.0, 12.0, 257)
+    g = Grid(12.0, 257)
     ref = g.reference
     arrays = {"t": lambda: g.t, "weights": lambda: g.weights,
               "phi_prime": lambda: g.reference.phi_prime,
@@ -245,4 +244,4 @@ def test_grid_data_cached_and_read_only():
     assert np.array_equal(ref.phi_prime, fs.phi_prime)
     assert np.array_equal(ref.phi_doubleprime, fs.phi_doubleprime)
     assert ref.base_offset == fs.base_offset
-    assert g == Grid(-12.0, 12.0, 257) and hash(g) == hash(Grid(-12.0, 12.0, 257))
+    assert g == Grid(12.0, 257) and hash(g) == hash(Grid(12.0, 257))

@@ -6,8 +6,6 @@ an XPASS, which strict mode reports as a failure until the fixing change
 removes the marker; `pytest -rxX` lists the entries still open.
 """
 
-import math
-
 import numpy as np
 import pytest
 
@@ -30,16 +28,13 @@ def test_football_gap_is_beta():
 
 
 @pytest.mark.xfail(strict=True, reason="ROADMAP item 3")
-def test_football_gram_is_a_beta_function():
+def test_football_gram_is_a_beta_function(football_log_gram):
     # <z^k, z^k> = 4 pi B(k/beta + 1, (2l - k)/beta + 1); the rows near k = 0
     # and 2l lose their tails beyond +-T (1.87e-3 at beta = 0.6, l = 8)
     beta, ell = 0.6, 8
     fb = football_potential(Grid(), beta)
     got = gram_matrix(ell, associated_hermitian_weight(fb), fb).log_diag
-    exact = [math.log(4.0 * math.pi) + math.lgamma(k / beta + 1.0)
-             + math.lgamma((2 * ell - k) / beta + 1.0) - math.lgamma(2 * ell / beta + 2.0)
-             for k in range(2 * ell + 1)]
-    assert np.max(np.abs(got - exact)) <= 1e-8
+    assert np.max(np.abs(got - football_log_gram(beta, ell))) <= 1e-8
 
 
 @pytest.mark.xfail(strict=True, reason="ROADMAP item 2(b)")

@@ -113,7 +113,7 @@ def test_football_recovery(grid, beta, football_oracle):
 @pytest.mark.parametrize("beta", [0.02, 0.05])
 def test_heavy_tail_football_is_right_or_refused(beta, n, football_oracle):
     # a tail mass of 0.45 and more: either criterion 1's accuracy or an error
-    g = Grid(-16, 16, n)
+    g = Grid(16, n)
     try:
         sol = solve_ma(build_twist(g, beta, 0.0), beta)
     except SolverError:
@@ -127,8 +127,8 @@ def test_heavy_tail_football_is_right_or_refused(beta, n, football_oracle):
 def test_truncation_stability(tau):
     # T = 16 against T = 24 at the same h: only the closure rows can differ
     beta = 0.3
-    narrow = solve_ma(build_twist(Grid(-16, 16, 2049), beta, 0.0), tau)
-    wide = solve_ma(build_twist(Grid(-24, 24, 3073), beta, 0.0), tau)
+    narrow = solve_ma(build_twist(Grid(16, 2049), beta, 0.0), tau)
+    wide = solve_ma(build_twist(Grid(24, 3073), beta, 0.0), tau)
     core = np.abs(narrow.grid.t) <= 4.0
     assert np.max(np.abs(narrow.phi - wide.phi[512:-512])[core]) < 1e-7
 
@@ -136,7 +136,7 @@ def test_truncation_stability(tau):
 @pytest.mark.parametrize("delta", [0.0, 1e-3])
 @pytest.mark.parametrize("tau_share", [0.0, 0.4, 1.0])
 def test_jacobian_matches_central_differences(tau_share, delta):
-    g = Grid(-16, 16, 257)
+    g = Grid(16, 257)
     twist = build_twist(g, 0.5, delta)
     tau = tau_share * twist.mu
     p0, h, n = g.reference.phi_doubleprime, g.h, g.n_nodes
@@ -225,7 +225,7 @@ def test_positivity_guard(grid):
 def test_solve_does_not_depend_on_the_guess(beta, delta, tau_fraction, a, b, w):
     # a bump guess (made even by the solve) either raises or reaches the
     # flat-start answer: no solve reports convergence on a wrong answer
-    g = Grid(-16, 16, 257)
+    g = Grid(16, 257)
     twist = build_twist(g, beta, delta)
     tau = tau_fraction * twist.mu
     flat = solve_ma(twist, tau).phi
@@ -239,7 +239,7 @@ def test_solve_does_not_depend_on_the_guess(beta, delta, tau_fraction, a, b, w):
 @pytest.mark.parametrize("beta, T", [(0.8, 40), (0.95, 40), (0.9, 38), (0.95, 36)])
 def test_wide_grid_football_solves_converge(beta, T, football_oracle):
     # at the grid ends Phi0'' is below the rounding of d2(phi)
-    g = Grid(-T, T, 2049)
+    g = Grid(T, 2049)
     sol = solve_ma(build_twist(g, beta, 0.0), beta)
     core = np.abs(g.t) <= T / 2
     oracle = football_oracle(sol)
@@ -249,9 +249,9 @@ def test_wide_grid_football_solves_converge(beta, T, football_oracle):
 def test_grid_whose_round_density_underflows_is_refused():
     # Phi0'' = 2 e^t / (1 + e^t)^2 is 0 in double from |t| ~ 745, where the
     # Newton rows would divide 0 by 0; such a grid is refused before solving
-    assert Grid(-745, 745, 2049).reference.phi_doubleprime[0] > 0.0
+    assert Grid(745, 2049).reference.phi_doubleprime[0] > 0.0
     with pytest.raises(ValueError, match="density underflows to 0 at the grid ends"):
-        solve_ma(build_twist(Grid(-800, 800, 2049), 0.8, 0.0), 0.4)
+        solve_ma(build_twist(Grid(800, 2049), 0.8, 0.0), 0.4)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -264,7 +264,7 @@ def test_solve_meets_its_tolerance_or_raises(n, beta, delta, tau_fraction):
     # (tau = 0 included, whose one linear solve does not iterate)
     import conic_ke.ma_solver as ma_solver
     try:
-        twist = build_twist(Grid(-16, 16, n), beta, delta)
+        twist = build_twist(Grid(16, n), beta, delta)
         sol = solve_ma(twist, tau_fraction * twist.mu)
     except (SolverError, ValueError):
         return
@@ -272,7 +272,7 @@ def test_solve_meets_its_tolerance_or_raises(n, beta, delta, tau_fraction):
 
 
 def test_wide_grid_smoothed_solve_converges():
-    g = Grid(-32, 32, 4097)
+    g = Grid(32, 4097)
     sol = solve_ma(build_twist(g, 0.8, 1e-3), 0.8)
     assert sol.residual <= 1e-11 and sol.iterations <= 5
 
@@ -328,7 +328,7 @@ def test_path_stall_reports_last_tau(monkeypatch):
         return solve(twist, tau, guess)
 
     monkeypatch.setattr(ma_solver, "solve_ma", failing)
-    g = Grid(-16, 16, 513)
+    g = Grid(16, 513)
     with pytest.raises(PathStalled) as exc:
         continuity_path(0.8, 1e-3, grid=g)
     assert exc.value.last_tau == 0.0
@@ -348,7 +348,7 @@ def test_config_validation(grid):
 @pytest.mark.parametrize("beta, delta, angle", [
     (0.6, 0.0, 0.6), (0.6, 1e-2, 1.0), (1.0, 0.0, 1.0)])
 def test_potential_angles_come_from_the_twist(beta, delta, angle):
-    g = Grid(-16, 16, 257)
+    g = Grid(16, 257)
     sol = solve_ma(build_twist(g, beta, delta), 0.0)
     assert sol.twist.beta == beta and sol.twist.delta == delta
     # Phi'' of the solved profile shows the angle that the manifest states
@@ -420,7 +420,7 @@ def test_path_preconditions(grid):
 @pytest.mark.parametrize("steps", [0, -1, -2], ids=["zero", "minus-one", "minus-two"])
 def test_path_schedule_without_steps_rejected(steps):
     with pytest.raises(ValueError, match="schedule"):
-        continuity_path(0.8, 1e-3, steps=steps, grid=Grid(-16, 16, 257))
+        continuity_path(0.8, 1e-3, steps=steps, grid=Grid(16, 257))
 
 
 def test_path_builds_reference_once_per_grid(monkeypatch):
@@ -435,7 +435,7 @@ def test_path_builds_reference_once_per_grid(monkeypatch):
     for name, mod in list(sys.modules.items()):
         if name.startswith("conic_ke") and getattr(mod, "fubini_study_potential", None) is original:
             monkeypatch.setattr(mod, "fubini_study_potential", counting)
-    g = Grid(-16, 16, 257)
+    g = Grid(16, 257)
     trace = continuity_path(0.8, 1e-3, steps=10, grid=g)
     assert len(trace.steps) == 11
     assert len(built) <= 1
@@ -443,7 +443,7 @@ def test_path_builds_reference_once_per_grid(monkeypatch):
 
 def test_uniform_path_failure_is_the_solves_own(monkeypatch):
     import conic_ke.ma_solver as ma_solver
-    g = Grid(-16, 16, 257)
+    g = Grid(16, 257)
     targets = np.linspace(0.0, cone_mu(0.8), 5)
     steps = continuity_path(0.8, 1e-3, steps=4, grid=g).steps
     assert np.array_equal([s.tau for s in steps], targets)
@@ -512,7 +512,7 @@ def test_ricci_margin_trivial(grid):
 def test_ricci_margin_discrepancy_second_order():
     vals = []
     for n in (1025, 2049):
-        g = Grid(-16, 16, n)
+        g = Grid(16, n)
         sol = solve_ma(build_twist(g, 0.7, 1e-2), 0.7)
         vals.append(ricci_lower_bound_margin(sol).discrepancy)
     assert vals[0] / vals[1] >= 3.5
@@ -604,7 +604,7 @@ def test_first_eigenvalue_refinement():
     exact = {0: 1.0, 1: 1.0}
     errors = []
     for n in (2049, 8193, 32769):
-        _, per_mode = first_eigenvalue(fubini_study_potential(Grid(-24, 24, n)))
+        _, per_mode = first_eigenvalue(fubini_study_potential(Grid(24, n)))
         errors.append({m: abs(per_mode[m] - exact[m]) for m in exact})
     for coarse, fine in zip(errors, errors[1:]):
         for m in exact:
@@ -703,7 +703,7 @@ def test_two_sided_family(smoothing_075, grid):
     # the lower bound is tight where the section norm peaks
     assert abs(bounds.argmin_t) <= grid.h + 1e-12
     # stability under refinement within ten percent
-    fine = Grid(-16, 16, 4097)
+    fine = Grid(16, 4097)
     rep_fine = smoothing_family(0.75, [1e-1, 1e-2, 1e-3, 1e-4, 1e-5], fine)
     bounds_fine = two_sided_bound_check(rep_fine)
     assert bounds.lower_constant == pytest.approx(bounds_fine.lower_constant, rel=0.1)

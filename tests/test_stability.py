@@ -26,7 +26,7 @@ from conic_ke.stability import (
 @pytest.fixture(scope="module")
 def stab_grid():
     """Wide fine grid: the obstruction integrals want small stencil error."""
-    return Grid(-24, 24, 32769)
+    return Grid(24, 32769)
 
 
 def random_smooth_metric(rng, grid):
@@ -81,7 +81,7 @@ def test_theta_mean_zero_everywhere(stab_grid):
 def test_theta_relation_second_order():
     res = []
     for n in (1025, 2049):
-        g = Grid(-16, 16, n)
+        g = Grid(16, n)
         th = hamiltonian_theta(football_potential(g, 0.8))
         # theta' = Phi'' over the interior nodes
         res.append(np.max(np.abs(d1(th.theta, g.h) - th.pot.phi_doubleprime)[2:-2]))
@@ -160,7 +160,7 @@ def test_theta_at_refuses_t_off_the_grid(grid, fs):
 @given(beta=st.floats(0.35, 0.99), beta1=st.floats(0.05, 0.3),
        w0=st.floats(0.1, 3.0), w1=st.floats(0.1, 3.0))
 def test_linearity_identity(beta, beta1, w0, w1):
-    g = Grid(-16, 16, 513)
+    g = Grid(16, 513)
     fs0 = fubini_study_potential(g)
     pts = [("zero", w0), ("infinity", w1)]
     assert linearity_check(fs0, beta, beta1, pts) < 1e-12

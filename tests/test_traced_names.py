@@ -47,7 +47,7 @@ def test_gram_hook_reads_a_real_scan_call(monkeypatch):
         return result
 
     monkeypatch.setattr(bergman, "gram_matrix", recording)
-    grid = Grid(-16.0, 16.0, 65)
+    grid = Grid(16.0, 65)
     bergman.partial_c0_scan([0.8], [2, 3], grid)
     assert len(calls) == 2
     counters = defaultdict(int)
@@ -69,7 +69,7 @@ def test_solver_hooks_read_a_real_path_call(monkeypatch):
             calls[_name].append((args, kwargs, result))
             return result
         monkeypatch.setattr(ma_solver, name, recording)
-    trace = ma_solver.continuity_path(0.8, 1e-3, steps=4, grid=Grid(-16.0, 16.0, 257))
+    trace = ma_solver.continuity_path(0.8, 1e-3, steps=4, grid=Grid(16.0, 257))
     assert len(calls["continuity_path"]) == 1 and len(calls["solve_ma"]) == 5
     counters = defaultdict(int)
     hooks = _bench_hooks(monkeypatch, counters)
