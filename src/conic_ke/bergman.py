@@ -255,8 +255,6 @@ def section_profiles(gram: SectionBasisGram, k: int):
 
 @dataclass
 class BochnerReport:
-    k: int
-    ell: int
     residual_first: float
     residual_second: float
 
@@ -285,8 +283,7 @@ def bochner_residual(k: int, pot: RadialKahlerPotential, ell: int, mu: float,
     half = grid.t_max / 2.0 if window is None else window
     inner = np.abs(grid.t) <= half
     inner[:2] = inner[-2:] = False
-    return BochnerReport(k, ell, float(np.max(np.abs(r1[inner]))),
-                         float(np.max(np.abs(r2[inner]))))
+    return BochnerReport(float(np.max(np.abs(r1[inner]))), float(np.max(np.abs(r2[inner]))))
 
 
 def gradient_estimate_ratio(ells, pot: RadialKahlerPotential) -> dict:

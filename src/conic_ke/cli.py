@@ -171,11 +171,6 @@ def cmd_smooth_family(args) -> Run:
     grid = _grid_from(args)
     _mu_from(args)
     deltas = _comma_list(args.deltas, "--deltas", float)
-    names = [f"solution_{d:.0e}.csv" for d in deltas]
-    for i, name in enumerate(names):
-        if name in names[:i]:
-            raise ValueError(f"--deltas: {deltas[names.index(name)]:g} and {deltas[i]:g} "
-                             f"would both write {name}")
     rep = _flagged(f"--deltas {args.deltas}", smoothing_family, args.beta, deltas, grid)
     margins = [ricci_lower_bound_margin(sol) for sol in rep.solutions]
     bounds = two_sided_bound_check(rep)
@@ -191,8 +186,8 @@ def cmd_smooth_family(args) -> Run:
                           [[bounds.lower_constant], [bounds.upper_constant],
                            [bounds.argmin_t]]),
     }
-    for name, sol in zip(names, rep.solutions):
-        tables[name] = _profile_table(sol)
+    for sol in rep.solutions:       # repr round-trips, so each delta names its own file
+        tables[f"solution_{sol.twist.delta!r}.csv"] = _profile_table(sol)
     return Run(tables, f"distances {[format_number(x) for x in rep.sup_distances]}", grid)
 
 
@@ -281,6 +276,9 @@ def _read_poles(pot, path: str, points) -> None:
 def cmd_log_futaki(args) -> Run:
     from .io import format_number, read_potential_csv
     from .stability import log_futaki, obstruction_scan
+    if args.scan_config is not None and args.beta is not None:
+        raise ValueError(f"--beta {args.beta}: not allowed with --scan-config, whose file "
+                         f"gives the betas")
     scan = _read_scan_config(args.scan_config) if args.scan_config else None
     pot = read_potential_csv(args.metric)
     if scan is not None:
@@ -290,6 +288,8 @@ def cmd_log_futaki(args) -> Run:
                                         zip(*[(r.config_id, r.beta, r.log_futaki, r.flag)
                                               for r in rows]))},
                    f"{len(rows)} rows", pot.grid)
+    args.points = "zero:1,infinity:1" if args.points is None else args.points
+    args.beta = 0.7 if args.beta is None else args.beta
     points = [_parse_pair(item, "--points LOC:WEIGHT", _location, float)
               for item in args.points.split(",")]
     _read_poles(pot, args.metric, points)
@@ -455,11 +455,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("log-futaki", help="logarithmic obstruction invariant")
     p.add_argument("--metric", required=True)
-    p.add_argument("--beta", type=float, default=0.7)
-    p.add_argument("--points", default="zero:1,infinity:1",
-                   help="comma list location:weight (pole names or t values)")
-    p.add_argument("--scan-config", default=None,
-                   help="JSON with configs/betas for an obstruction table")
+    p.add_argument("--beta", type=float, help="cone angle (default 0.7); not with --scan-config")
+    table = p.add_mutually_exclusive_group()
+    table.add_argument("--points", help="comma list location:weight (pole names or t "
+                                        "values; default zero:1,infinity:1)")
+    table.add_argument("--scan-config", help="JSON with configs/betas for an obstruction table")
     p.add_argument("--out", default="out-logfutaki")
     p.set_defaults(func=cmd_log_futaki)
 

@@ -235,10 +235,12 @@ def volume_ratio_profile(pot: RadialKahlerPotential, pole: str, r_list) -> Volum
 
 @dataclass
 class TubeVolumeReport:
+    """Tube volumes V(r) = C r^2 with `exponent` 2 and `constant` C, in closed form."""
+
     radii: np.ndarray
     volumes: np.ndarray
-    exponent: float               # least-squares slope of log V against log r
-    constant: float               # fitted C with V ~ C r^2
+    exponent: float
+    constant: float
 
 
 def tube_volume(model: FlatConeModel, flat_annulus: tuple[float, float],
@@ -246,8 +248,8 @@ def tube_volume(model: FlatConeModel, flat_annulus: tuple[float, float],
     """Volume of the tube around the singular axis inside a compact slab.
 
     The compact set is {a <= |z'| <= b} in the flat factor; the tube of
-    radius r adds the cone disc of area pi bb r^2.  The fitted exponent
-    must come out quadratic.
+    radius r adds the cone disc of area pi bb r^2, so the volume is C r^2 with
+    C the slab volume times pi bb: exponent 2.0 and C, not a fit.
     """
     if model.n < 2:
         raise ValueError("tube volumes need n >= 2")
@@ -258,5 +260,4 @@ def tube_volume(model: FlatConeModel, flat_annulus: tuple[float, float],
     dim = 2 * model.n - 2
     flat_vol = unit_ball_volume(dim) * (b ** dim - a ** dim)
     vols = flat_vol * (np.pi * model.beta_bar * r * r)
-    slope, logc = np.polyfit(np.log(r), np.log(vols), 1)
-    return TubeVolumeReport(r, vols, float(slope), float(np.exp(logc)))
+    return TubeVolumeReport(r, vols, 2.0, flat_vol * (np.pi * model.beta_bar))

@@ -11,9 +11,5 @@ class NewtonDiverged(SolverError):
 
 
 class PathStalled(SolverError):
-    """Continuation step fell below the minimum step size."""
-
-    def __init__(self, message, last_tau, trace=None):
-        super().__init__(message)
-        self.last_tau = last_tau
-        self.trace = trace
+    """Continuation step fell below the minimum step size; the message names
+    the tau of the last accepted step."""

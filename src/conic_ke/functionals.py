@@ -73,7 +73,6 @@ def f_functional(phi: np.ndarray, tau: float, twist,
 
 @dataclass
 class PathDerivativeReport:
-    taus: np.ndarray
     onpath_residuals: np.ndarray     # |F_full - (J - linear)| where tau >= TAU_FLOOR
     onpath_taus: np.ndarray
     fd_vs_formula: np.ndarray        # relative residual at interior steps
@@ -134,5 +133,5 @@ def path_derivative_residual(trace) -> PathDerivativeReport:
         sol = steps[k].solution
         orth.append(abs(sol.mean(sol.phi + taus[k] * phidot)))
 
-    return PathDerivativeReport(taus, np.array(onpath_res), np.array(onpath_taus),
+    return PathDerivativeReport(np.array(onpath_res), np.array(onpath_taus),
                                 np.array(fd_res), np.array(orth))

@@ -240,7 +240,10 @@ def read_potential_csv(path) -> RadialKahlerPotential:
         raise ValueError(f"{path}: expected columns t,phi_prime,phi_doubleprime "
                          f"and at least 3 rows, got a {data.shape[0]}x{data.shape[1]} table")
     t = data[:, 0]
-    grid = Grid(float(t[-1]), t.size)
+    try:
+        grid = Grid(float(t[-1]), t.size)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     if not np.allclose(grid.t, t, rtol=0, atol=1e-12):
         raise ValueError(f"{path}: nodes are not a uniform symmetric grid")
     return RadialKahlerPotential(grid, data[:, 1], data[:, 2])

@@ -138,11 +138,11 @@ def _raw_log_weight(grid: Grid, beta: float, delta: float) -> np.ndarray:
 class TwistData:
     """Twist density W = e^h on the grid plus its exact tail integrals.
 
-    The twist is the one source of a solve's grid, beta, mu and delta, and
-    of every whole-sphere integral of the twisted problem: one
-    node rule (`reference_weights`) plus one mass per tail (`tail_mass`).
-    Each tail is stored once: the twist, the reference and the grid are
-    even in t, so the tail beyond t_max is the one below t_min.
+    The twist is the one source of a solve's grid, beta, mu and delta, and of
+    every whole-sphere integral of the twisted problem: one node rule
+    (`reference_weights`) plus one mass per tail (`tail_mass`).  The twist,
+    the reference and the grid are even in t, so the tail beyond t_max is the
+    one below t_min; the round one, `tail_plain`, is read off the grid.
     """
 
     grid: Grid
@@ -151,12 +151,16 @@ class TwistData:
     constant: float           # a_beta (delta = 0) or c_delta (delta > 0)
     log_weight: np.ndarray    # h(t) per node, constant included
     tail_weighted: float      # integral of Phi0'' e^h over (-inf, t_min]
-    tail_plain: float         # integral of Phi0'' over (-inf, t_min]
 
     @property
     def mu(self) -> float:
         """The constant mu of the conic equation, `cone_mu(beta)`."""
         return cone_mu(self.beta)
+
+    @property
+    def tail_plain(self) -> float:
+        """Integral of Phi0'' over (-inf, t_min]: the round Phi0'(t_min)."""
+        return float(self.grid.reference.phi_prime[0])
 
     @property
     def reference_weights(self) -> np.ndarray:
@@ -232,11 +236,9 @@ def build_twist(grid: Grid, beta: float, delta: float) -> TwistData:
         raise ValueError(f"delta must be finite and nonnegative, got {delta}")
     raw = _raw_log_weight(grid, beta, delta)
     tail = _twist_tail(grid.t_min, beta, delta)
-    plain_tail = float(grid.reference.phi_prime[0])   # Phi0'' over (-inf, t_min]
-    unnormalized = TwistData(grid, beta, delta, 0.0, raw, tail, plain_tail)
+    unnormalized = TwistData(grid, beta, delta, 0.0, raw, tail)
     const = -math.log(unnormalized.twisted_mean(np.zeros(grid.n_nodes), 0.0, 1.0))
-    return TwistData(grid, beta, delta, const, raw + const, math.exp(const) * tail,
-                     plain_tail)
+    return TwistData(grid, beta, delta, const, raw + const, math.exp(const) * tail)
 
 
 # ---------------------------------------------------------------------------
@@ -277,8 +279,10 @@ class MASolution:
                                      self.metric_density, base.base_offset + self.phi[0])
 
 
-def _linearize(phi, tau, twist, p0, h):
-    """Residual and its tridiagonal Jacobian (solve_banded layout (1,1)).
+@np.errstate(all="ignore")
+def _newton_system(phi, tau, twist):
+    """Residual, its tridiagonal Jacobian (solve_banded layout (1,1)) and
+    the residual's max norm, with h and Phi0'' read from `twist.grid`.
 
     The residual is the Numerov interior rows plus Taylor-corrected Robin
     closure rows, each matching its one-sided derivative to the tail's
@@ -286,8 +290,11 @@ def _linearize(phi, tau, twist, p0, h):
     The two-point closure derivative
     (phi1 - phi0)/h - h (f0/3 + f1/6) approximates phi'(t_min) to O(h^3)
     and, unlike wider one-sided stencils, telescopes exactly against the
-    interior stencil, so the tau = 0 system is discretely compatible.
+    interior stencil, so the tau = 0 system is discretely compatible.  The
+    norm is inf where r or ab is not finite: e^(-tau phi) overflows on an
+    iterate negative enough, or a heavy tail leaves a closure row no real root.
     """
+    p0, h = twist.grid.reference.phi_doubleprime, twist.grid.h
     n = phi.size
     w = np.exp(twist.log_weight - tau * phi)
     f = p0 * (w - 1.0)
@@ -311,7 +318,8 @@ def _linearize(phi, tau, twist, p0, h):
     ab[0, 1] = 1.0 / h + h * g[1] / 6.0
     ab[1, -1] = 1.0 / h - h * g[-1] / 3.0 + dmass_r
     ab[2, -2] = -1.0 / h - h * g[-2] / 6.0
-    return r, ab
+    res = float(np.max(np.abs(r)))
+    return r, ab, res if math.isfinite(res) and np.isfinite(ab).all() else math.inf
 
 
 def _lapack():
@@ -357,20 +365,7 @@ def _solve_tridiagonal(ab, rhs):
     return x
 
 
-def _newton_system(phi, tau, twist, p0, h):
-    """`_linearize` and the residual's max norm, which is inf when the
-    residual or the Jacobian is not finite: e^(-tau phi) overflows on an
-    iterate that is negative enough, and a closure row has no real root
-    when its tail is too heavy (`TwistData.tail_mass`)."""
-    with np.errstate(all="ignore"):
-        r, ab = _linearize(phi, tau, twist, p0, h)
-    res = float(np.max(np.abs(r)))
-    if not (math.isfinite(res) and np.isfinite(ab).all()):
-        return r, ab, math.inf
-    return r, ab, res
-
-
-def _solve_linear_mean_zero(twist, p0):
+def _solve_linear_mean_zero(twist):
     """Calabi-Yau step tau = 0: one banded solve with the mean-zero gauge.
 
     The Numerov system is singular along constants; the middle row is
@@ -378,7 +373,7 @@ def _solve_linear_mean_zero(twist, p0):
     reference metric over the whole sphere (`TwistData.reference_mean`).
     """
     n = twist.grid.n_nodes
-    r, ab = _linearize(np.zeros(n), 0.0, twist, p0, twist.grid.h)
+    r, ab, _ = _newton_system(np.zeros(n), 0.0, twist)
     mid = n // 2
     # pin row `mid`: A[mid, mid] = 1, neighbors zero
     ab[1, mid] = 1.0
@@ -410,8 +405,6 @@ def solve_ma(twist: TwistData, tau: float,
     """
     check_tau(tau, twist.mu)
     grid = twist.grid
-    p0 = grid.reference.phi_doubleprime
-    h = grid.h
 
     def project(v):
         # The symmetric two-pole configuration keeps a residual dilation
@@ -421,13 +414,13 @@ def solve_ma(twist: TwistData, tau: float,
         return 0.5 * (v + v[::-1])
 
     if tau == 0.0:
-        phi = project(_solve_linear_mean_zero(twist, p0))
-        res = _newton_system(phi, 0.0, twist, p0, h)[2]
+        phi = project(_solve_linear_mean_zero(twist))
+        res = _newton_system(phi, 0.0, twist)[2]
         iters = 0
     else:
         phi = project(np.zeros(grid.n_nodes) if guess is None
                       else np.asarray(guess, dtype=float))
-        r, ab, res = _newton_system(phi, tau, twist, p0, h)
+        r, ab, res = _newton_system(phi, tau, twist)
         if res == math.inf:
             raise NewtonDiverged("Newton system is not finite at the initial guess")
         iters = 0
@@ -445,7 +438,7 @@ def solve_ma(twist: TwistData, tau: float,
             accepted = False
             for _ in range(_MAX_HALVINGS + 1):
                 trial = project(phi + alpha * step)
-                trial_r, trial_ab, trial_res = _newton_system(trial, tau, twist, p0, h)
+                trial_r, trial_ab, trial_res = _newton_system(trial, tau, twist)
                 if trial_res < res:
                     phi, r, ab, res = trial, trial_r, trial_ab, trial_res
                     accepted = True
@@ -459,8 +452,8 @@ def solve_ma(twist: TwistData, tau: float,
         raise SolverError(f"residual {res:.3e} at tau = {tau:g} is above the Newton "
                           f"tolerance {_NEWTON_TOL:g}")
 
-    dphi = cumulative_integral(twist.density(phi, tau) - p0, h,
-                               twist.tail_mass(tau, phi[0])[0] - twist.tail_plain)
+    dphi = cumulative_integral(twist.density(phi, tau) - grid.reference.phi_doubleprime,
+                               grid.h, twist.tail_mass(tau, phi[0])[0] - twist.tail_plain)
     return MASolution(twist, tau, phi, dphi, res, iters)
 
 
@@ -636,8 +629,7 @@ def continuity_path(beta: float, delta: float,
                 raise
             dtau *= 0.5
             if dtau < _MIN_STEP:
-                raise PathStalled(f"minimum step reached at tau={cur.tau:.6g}",
-                                  cur.tau, trace)
+                raise PathStalled(f"minimum step reached at tau={cur.tau:.6g}")
             continue
         trace.steps.append(_trace_step(sol))
         easy_streak = easy_streak + 1 if sol.iterations <= 5 else 0

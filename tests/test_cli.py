@@ -268,14 +268,17 @@ def test_help_exits_zero(argv, capsys):
     "t,phi_prime,phi_doubleprime\n",
     "t,phi_prime,phi_doubleprime\n0,1,0.5\n",
     "t,phi_prime\n-1,0.5\n0,1\n1,1.5\n",
-], ids=["header-only", "one-row", "two-column"])
+    # Grid's own refusals came without the file's name
+    "t,phi_prime,phi_doubleprime\n-1,1,1\n-2,1,1\n-3,1,1\n",
+    "t,phi_prime,phi_doubleprime\n-746,0,1\n0,1,1\n746,2,1\n",
+], ids=["header-only", "one-row", "two-column", "reversed", "round-density-underflows"])
 @pytest.mark.parametrize("command", ["futaki", "log-futaki"])
 def test_malformed_metric_csv(tmp_path, capsys, table, command):
     metric = tmp_path / "bad.csv"
     metric.write_text(table)
     assert run(command, "--metric", metric, "--out", tmp_path / "m") == 1
     err = capsys.readouterr().err
-    assert err.count("\n") == 1 and err.startswith("error:") and str(metric) in err
+    assert err.count("\n") == 1 and err.startswith(f"error: {metric}: "), err
 
 
 def test_malformed_pair_items_name_their_flag(tmp_path, capsys):
@@ -389,7 +392,7 @@ def test_exit_code_taxonomy(tmp_path, monkeypatch):
     assert run("solve", "--beta", 0.8, "--delta", 1e-3, "--tau", 0.4,
                "--out", tmp_path / "x1") == 2
     monkeypatch.setattr(ma_solver, "continuity_path",
-                        raiser(lambda m: PathStalled(m, 0.1)))
+                        raiser(PathStalled))
     assert run("continue-path", "--beta", 0.8, "--delta", 1e-3,
                "--out", tmp_path / "x2") == 4
 
@@ -687,14 +690,17 @@ def test_smooth_family_outputs(tmp_path):
     assert np.all(np.diff(fam[:, 1]) < 0)
 
 
-def test_smooth_family_rejects_deltas_sharing_a_file_name(tmp_path, capsys):
-    # both deltas format as 1e-01: one profile would overwrite the other
-    assert run("smooth-family", "--beta", 0.75, "--deltas", "1.2e-1,1e-1",
-               "--grid-N", 257, "--out", tmp_path / "f") == 1
-    err = capsys.readouterr().err
-    assert err.count("\n") == 1 and err.startswith("error: --deltas"), err
-    assert "solution_1e-01.csv" in err, err
-    assert not (tmp_path / "f").exists()
+@pytest.mark.parametrize("deltas", ["1.2e-1,1e-1", "1e-2,1.5e-3"])
+def test_smooth_family_names_each_profile_by_its_delta(tmp_path, deltas):
+    # names read solution_{delta:.0e}: 1.2e-1 and 1e-1 both wrote
+    # solution_1e-01.csv (the run exited 1), and 1.5e-3 wrote solution_2e-03.csv
+    out = tmp_path / "f"
+    assert run("smooth-family", "--beta", 0.75, "--deltas", deltas,
+               "--grid-N", 257, "--out", out) == 0
+    family = np.loadtxt(out / "family.csv", delimiter=",", skiprows=1, ndmin=2)
+    named = sorted(float(p.stem.removeprefix("solution_")) for p in out.glob("solution_*.csv"))
+    assert named == sorted(family[:, 0].tolist())
+    assert named == sorted(float(d) for d in deltas.split(","))
 
 
 def test_smooth_family_margin_tables(tmp_path):
@@ -811,6 +817,52 @@ def test_log_futaki_cli_refuses_a_non_conic_profile(tmp_path, capsys):
         assert capsys.readouterr().err == \
             f"error: --metric {metric}: non-conic asymptotics at infinity\n"
     assert not (tmp_path / "lf").exists()
+
+
+def test_log_futaki_scan_refuses_points_and_beta(tmp_path, capsys):
+    # --scan-config dropped an explicit --points or --beta without a word
+    metric = tmp_path / "fs.csv"
+    write_csv(metric, *potential_table(fubini_study_potential(Grid(16, 257))))
+    scan_path = tmp_path / "scan.json"
+    scan_path.write_text(json.dumps({"configs": {"c": [["zero", 1.0]]}, "betas": [0.5]}))
+    for extra, names in ((("--points", "zero:1"), ("--points", "--scan-config")),
+                         (("--beta", 0.5), ("--beta 0.5", "--scan-config"))):
+        assert run("log-futaki", "--metric", metric, "--scan-config", scan_path, *extra,
+                   "--out", tmp_path / "lf") == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and all(name in err for name in names), err
+        assert not (tmp_path / "lf").exists()
+
+
+@pytest.mark.parametrize("route", [("--scan-config", "scan.json"), ("--beta", 0.5), ()],
+                         ids=["scan", "points", "defaults"])
+def test_log_futaki_manifest_replays(tmp_path, route):
+    metric = tmp_path / "fs.csv"
+    write_csv(metric, *potential_table(fubini_study_potential(Grid(16, 257))))
+    (tmp_path / "scan.json").write_text(
+        json.dumps({"configs": {"c": [["zero", 1.0]]}, "betas": [0.5]}))
+    route = [tmp_path / a if a == "scan.json" else a for a in route]
+    assert run("log-futaki", "--metric", metric, *route, "--out", tmp_path / "a") == 0
+    config = read_manifest(tmp_path / "a" / "manifest.json")["config"]
+    if not route:       # the defaults are echoed as used
+        assert (config["points"], config["beta"]) == ("zero:1,infinity:1", 0.7)
+    config["out"] = str(tmp_path / "b")
+    (tmp_path / "cfg.json").write_text(json.dumps(config))
+    assert run("log-futaki", "--config", tmp_path / "cfg.json") == 0
+    assert hash_outputs(tmp_path / "a") == hash_outputs(tmp_path / "b")
+
+
+def test_log_futaki_points_table(tmp_path):
+    # the form the benchmark runs: --beta and --points, no scan
+    from conic_ke.stability import log_futaki
+    pot = football_potential(Grid(16, 257), 0.6)
+    metric = tmp_path / "fb.csv"
+    write_csv(metric, *potential_table(pot))
+    assert run("log-futaki", "--metric", metric, "--beta", 0.6, "--points", "infinity:1",
+               "--out", tmp_path / "lf") == 0
+    val = log_futaki(read_potential_csv(metric), 0.6, [("infinity", 1.0)])
+    assert (tmp_path / "lf" / "log_futaki.csv").read_text(encoding="utf-8") == \
+        f"beta,log_futaki\n{FMT % 0.6},{FMT % val}\n"
 
 
 def test_log_futaki_cli_scan(tmp_path):

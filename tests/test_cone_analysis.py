@@ -211,9 +211,9 @@ def test_unit_ball_volume_past_gamma_overflow():
 def test_tube_volume_quadratic():
     m = FlatConeModel(2, 0.7)
     rep = tube_volume(m, (1.0, 2.0), np.geomspace(0.01, 0.5, 12))
-    assert rep.exponent == pytest.approx(2.0, abs=0.05)
+    assert rep.exponent == 2.0               # the closed form, not a fit
     expect = np.pi * 0.7 * (np.pi * (4.0 - 1.0))
-    assert rep.constant == pytest.approx(expect, rel=1e-10)
+    assert rep.constant == pytest.approx(expect, rel=1e-15)
 
 
 def test_tube_volume_euclidean_constant():

@@ -17,8 +17,8 @@ from conic_ke.geometry import (
     read_pole,
 )
 from conic_ke.ma_solver import (
-    _linearize,
     _lowest_eigenvalue,
+    _newton_system,
     _twist_tail,
     NewtonDiverged,
     PathStalled,
@@ -139,17 +139,17 @@ def test_jacobian_matches_central_differences(tau_share, delta):
     g = Grid(16, 257)
     twist = build_twist(g, 0.5, delta)
     tau = tau_share * twist.mu
-    p0, h, n = g.reference.phi_doubleprime, g.h, g.n_nodes
+    n = g.n_nodes
     phi = 0.3 * np.tanh(g.t) ** 2 - 0.1
-    _, ab = _linearize(phi, tau, twist, p0, h)
+    _, ab, _ = _newton_system(phi, tau, twist)
     jac = np.diag(ab[1]) + np.diag(ab[0, 1:], 1) + np.diag(ab[2, :-1], -1)
     eps = 1e-6
     fd = np.empty((n, n))
     for j in range(n):
         step = np.zeros(n)
         step[j] = eps
-        fd[:, j] = (_linearize(phi + step, tau, twist, p0, h)[0]
-                    - _linearize(phi - step, tau, twist, p0, h)[0]) / (2.0 * eps)
+        fd[:, j] = (_newton_system(phi + step, tau, twist)[0]
+                    - _newton_system(phi - step, tau, twist)[0]) / (2.0 * eps)
     row_scale = np.abs(jac).max(axis=1, keepdims=True)
     assert np.max(np.abs(fd - jac) / row_scale) <= 1e-8
     # the tail mass's own derivative, which the rows above dilute by 1/h
@@ -329,10 +329,8 @@ def test_path_stall_reports_last_tau(monkeypatch):
 
     monkeypatch.setattr(ma_solver, "solve_ma", failing)
     g = Grid(16, 513)
-    with pytest.raises(PathStalled) as exc:
+    with pytest.raises(PathStalled, match="^minimum step reached at tau=0$"):
         continuity_path(0.8, 1e-3, grid=g)
-    assert exc.value.last_tau == 0.0
-    assert len(exc.value.trace.steps) == 1
 
 
 def test_config_validation(grid):
