@@ -45,32 +45,19 @@ from .geometry import Grid, RadialKahlerPotential, football_potential
 from .numerics import d1, d2, logsumexp_rows
 
 
-@dataclass
-class HermitianWeight:
-    """Log frame weight w = -Phi of the metric-adapted norm on the line bundle.
-
-    Its curvature -w'' is the metric Phi'' itself.
-    """
-
-    pot: RadialKahlerPotential
-    log_weight: np.ndarray
-
-
-def associated_hermitian_weight(pot: RadialKahlerPotential) -> HermitianWeight:
-    """Metric-adapted Hermitian weight e^(-Phi) on the anticanonical bundle.
-
-    It depends on the potential alone.  Raises ValueError unless Phi'' > 0.
-    """
-    pot.require_positive()
-    return HermitianWeight(pot, -pot.values())
+def associated_hermitian_weight(pot: RadialKahlerPotential) -> np.ndarray:
+    """Log frame weight w = -Phi of the metric-adapted Hermitian weight
+    e^(-Phi) on the anticanonical bundle; its curvature -w'' is the metric
+    Phi'' itself.  It depends on the potential alone."""
+    return -pot.values
 
 
 @dataclass
 class SectionBasisGram:
-    """Diagonal Gram data of the monomial basis under a radial weight."""
+    """Diagonal Gram data of the monomial basis under the weight of `pot`."""
 
     ell: int
-    weight: HermitianWeight
+    pot: RadialKahlerPotential
     log_diag: np.ndarray          # log <z^k, z^k>, k = 0..2l
 
 
@@ -134,26 +121,23 @@ def _node_blocks(ell: int, grid: Grid) -> _NodeBlocks:
                        np.exp(np.outer(steps, np.arange(2 * ell + 1))))
 
 
-def gram_matrix(ell: int, weight: HermitianWeight,
-                pot: RadialKahlerPotential) -> SectionBasisGram:
-    """Gram diagonal by radial quadrature in log space.
+def gram_matrix(ell: int, *, pot: RadialKahlerPotential) -> SectionBasisGram:
+    """Gram diagonal by radial quadrature in log space, under the weight
+    of `pot` (`associated_hermitian_weight`).
 
     Angular integration kills every off-diagonal pairing of distinct
-    monomials, so only the 2l+1 diagonal entries are computed.  `pot` must
-    be the potential the weight was built from.  Row k sums
+    monomials, so only the 2l+1 diagonal entries are computed.  Row k sums
     e^(k t + l w + log meas) over the nodes, block by block: e^(k t_B + s_B)
     times the matrix product of the block's e^(l w + log meas - s_B), at
     most 1, with the shared e^(k i h).
     """
     check_ell(ell)
-    if pot is not weight.pot:
-        raise ValueError("the weight belongs to another potential")
     grid = pot.grid
     blocks = _node_blocks(ell, grid)
     ks = np.arange(2 * ell + 1, dtype=float)
     # s_B, l w + log meas at the block's largest node, is kept as its two
     # parts: l w less its value there is exact wherever l w is large
-    ell_log_weight = _rows(ell * weight.log_weight, blocks.size, -np.inf)
+    ell_log_weight = _rows(ell * associated_hermitian_weight(pot), blocks.size, -np.inf)
     log_meas = _rows(np.log(grid.weights) + np.log(pot.phi_doubleprime)
                      + math.log(2.0 * np.pi), blocks.size, -np.inf)
     top = np.argmax(ell_log_weight + log_meas, axis=1)[:, None]
@@ -165,7 +149,7 @@ def gram_matrix(ell: int, weight: HermitianWeight,
     log_terms = (blocks.starts * ks + ell_log_weight_top + log_meas_top
                  + blocks.starts_lo * ks + np.log(sums))
     log_diag = logsumexp_rows(_floored(log_terms, np.max(log_terms, axis=0)), axis=0)
-    return SectionBasisGram(ell, weight, log_diag)
+    return SectionBasisGram(ell, pot, log_diag)
 
 
 @dataclass
@@ -178,13 +162,13 @@ class DensityReport:
 
 def bergman_density(gram: SectionBasisGram) -> DensityReport:
     """Density of states rho(t) = sum_k ||z^k||^2 / <z^k, z^k>, against
-    the metric of the Gram's weight.
+    the Gram's metric.
 
     At node j = B b + i the terms are e^(k t_B - log <z^k, z^k>), scaled
     by their largest over k, at k*_B, times the shared e^(k i h): one matrix
     product.  The node's offset enters as e^(k*_B offset), with e^(l w).
     """
-    pot = gram.weight.pot
+    pot = gram.pot
     grid = pot.grid
     blocks = _node_blocks(gram.ell, grid)
     ks = np.arange(2 * gram.ell + 1, dtype=float)
@@ -193,7 +177,7 @@ def bergman_density(gram: SectionBasisGram) -> DensityReport:
     top_k = np.argmax(blocks.starts * ks - log_diag, axis=1)[:, None]
     scaled = np.exp(_floored(((ks - top_k) * blocks.starts - (log_diag - log_diag[top_k]))
                              + (ks - top_k) * blocks.starts_lo, 0.0))
-    ell_log_weight = _rows(gram.ell * gram.weight.log_weight, blocks.size, 0.0)
+    ell_log_weight = _rows(gram.ell * associated_hermitian_weight(pot), blocks.size, 0.0)
     log_rho = ((top_k * blocks.starts + ell_log_weight) - log_diag[top_k]
                + top_k * (blocks.starts_lo + blocks.offsets) + np.log(scaled @ blocks.shared.T))
     rho = np.exp(log_rho.ravel()[:grid.n_nodes])
@@ -216,9 +200,8 @@ def partial_c0_scan(beta_list, ell_list, grid: Grid | None = None) -> list[ScanR
     rows = []
     for beta in beta_list:
         pot = football_potential(grid, beta)
-        weight = associated_hermitian_weight(pot)
         for ell in ell_list:
-            rep = bergman_density(gram_matrix(ell, weight, pot))
+            rep = bergman_density(gram_matrix(ell, pot=pot))
             rows.append(ScanRow(float(beta), int(ell), rep.inf_rho,
                                 rep.sup_rho, rep.trace_integral))
     return rows
@@ -237,9 +220,9 @@ def section_profiles(gram: SectionBasisGram, k: int):
     e^u (u'' + u'^2 - u' (log Phi'')')^2 / Phi''^2; the mixed part
     contributes n l^2 ||sigma||^2 exactly (curvature contraction).
     """
-    pot = gram.weight.pot
+    pot = gram.pot
     grid = pot.grid
-    u = _log_section_norms(gram.ell, gram.ell * gram.weight.log_weight, grid.t,
+    u = _log_section_norms(gram.ell, gram.ell * associated_hermitian_weight(pot), grid.t,
                            slice(k, k + 1))[0] - gram.log_diag[k]
     up = d1(u, grid.h)
     upp = d2(u, grid.h)
@@ -273,7 +256,7 @@ def bochner_residual(k: int, pot: RadialKahlerPotential, ell: int, mu: float,
     if not 0 <= k <= 2 * ell:
         raise ValueError("monomial index out of range")
     grid = pot.grid
-    gram = gram_matrix(ell, associated_hermitian_weight(pot), pot)
+    gram = gram_matrix(ell, pot=pot)
     u, norm2, grad2, hess2 = section_profiles(gram, k)
     pp = pot.phi_doubleprime
     lap_norm2 = d2(norm2, grid.h) / pp
@@ -292,10 +275,9 @@ def gradient_estimate_ratio(ells, pot: RadialKahlerPotential) -> dict:
     Sections are L2-normalized, so a bounded return across l certifies the
     dimension-free sup bound with an l-uniform constant.
     """
-    weight = associated_hermitian_weight(pot)
     out = {}
     for ell in ells:
-        gram = gram_matrix(ell, weight, pot)
+        gram = gram_matrix(ell, pot=pot)
         worst = 0.0
         for k in range(2 * ell + 1):
             _, norm2, grad2, _ = section_profiles(gram, k)

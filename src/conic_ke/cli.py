@@ -28,7 +28,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from . import __version__
-from .errors import NewtonDiverged, PathStalled, SolverError
+from .errors import PathStalled, SolverError
 
 # Library modules (and numpy with them) are imported by the command that
 # uses them, so --version and usage errors answer before numpy loads.
@@ -130,12 +130,10 @@ def cmd_solve(args) -> Run:
     _flagged(f"--tau {args.tau}", check_tau, args.tau, _mu_from(args))
     sol = solve_ma(build_twist(grid, args.beta, args.delta), args.tau)
     pot = sol.potential
-    # the twist's cone fraction for delta = 0, smooth once smoothed
-    angle = sol.twist.beta if sol.twist.delta == 0.0 else 1.0
     return Run({"solution.csv": potential_table(pot),
                 "phi.csv": (["t", "phi"], [grid.t, sol.phi])},
                f"residual={format_number(sol.residual)} iterations={sol.iterations}",
-               grid, {"potential": {"base_offset": pot.base_offset, "cone_angle": angle},
+               grid, {"potential": {"base_offset": pot.base_offset},
                       "residual": sol.residual, "iterations": sol.iterations})
 
 
@@ -201,8 +199,7 @@ def _parse_pair(item: str, flag: str, first, second):
 
 
 def cmd_bergman_scan(args) -> Run:
-    from .bergman import (associated_hermitian_weight, bergman_density, check_ell,
-                          gram_matrix, partial_c0_scan)
+    from .bergman import bergman_density, check_ell, gram_matrix, partial_c0_scan
     from .geometry import cone_mu, football_potential
     from .io import format_number
     grid = _grid_from(args)
@@ -222,8 +219,7 @@ def cmd_bergman_scan(args) -> Run:
     tables = {"scan.csv": (["beta", "ell", "inf_rho", "sup_rho", "trace_check"], zip(*rows))}
     if density is not None:
         b, ell = density
-        pot = football_potential(grid, b)
-        rep = bergman_density(gram_matrix(ell, associated_hermitian_weight(pot), pot))
+        rep = bergman_density(gram_matrix(ell, pot=football_potential(grid, b)))
         tables["density.csv"] = (["t", "rho"], [grid.t, rep.rho])
     return Run(tables, f"{len(rows)} cells, min inf rho "
                        f"{format_number(min(r[2] for r in rows))}", grid)
@@ -522,9 +518,6 @@ def main(argv=None) -> int:
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except NewtonDiverged as exc:
-        print(f"newton diverged: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
     except PathStalled as exc:
         print(f"path stalled: {exc}", file=sys.stderr)
         return EXIT_STALLED

@@ -21,7 +21,9 @@ e^(-Phi), read off the potential.
 A `Grid` computes its nodes, its Simpson weights and the round reference
 profile once (the reference at construction, which refuses ends where its
 density underflows to 0) and hands out the same read-only arrays
-afterwards: copy them before changing them in place.
+afterwards: copy them before changing them in place.  A profile is frozen
+and checked when it is made: Phi'' > 0 at every node, so no consumer checks
+it again, and its Phi is computed once.
 """
 
 from __future__ import annotations
@@ -58,9 +60,9 @@ class Grid:
             raise ValueError("n_nodes must be odd and >= 3")
         if not (np.isfinite(self.t_max) and self.t_max > 0.0):
             raise ValueError(f"the half-width t_max must be finite and positive, got {self.t_max}")
-        # every solve divides by the round density; it underflows from |T| ~ 745
-        if self.reference.phi_doubleprime[0] == 0.0:
-            raise ValueError("the round metric's density underflows to 0 at the grid ends")
+        if self.h * self.h < np.finfo(float).tiny:      # every solve divides by h^2
+            raise ValueError(f"the spacing h = {self.h:g} squares below the least normal double")
+        self.reference      # every solve divides by its density, which underflows from |T| ~ 745
 
     @property
     def t_min(self) -> float:
@@ -106,14 +108,15 @@ def cone_mu(beta: float) -> float:
     return mu
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class RadialKahlerPotential:
     """Profile of a rotation-invariant Kahler potential.
 
     `phi_prime` and `phi_doubleprime` hold Phi'(t) and Phi''(t) per node
     and `base_offset` is the value of Phi at t_min (physical outputs never
     depend on it).  A profile holds no cone: `read_pole` reads the fraction
-    at each pole from Phi''.
+    at each pole from Phi''.  It is frozen, and building one with
+    Phi'' <= 0 (or NaN) at a node raises ValueError naming the first such t.
     """
 
     grid: Grid
@@ -122,19 +125,20 @@ class RadialKahlerPotential:
     base_offset: float = 0.0
 
     def __post_init__(self):
-        self.phi_prime = np.asarray(self.phi_prime, dtype=float)
-        self.phi_doubleprime = np.asarray(self.phi_doubleprime, dtype=float)
+        for name in ("phi_prime", "phi_doubleprime"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
         n = self.grid.n_nodes
         if self.phi_prime.shape != (n,) or self.phi_doubleprime.shape != (n,):
             raise ValueError("profile length does not match grid")
+        bad = np.flatnonzero(~(self.phi_doubleprime > 0.0))
+        if bad.size:
+            raise ValueError("metric positivity violated: "
+                             f"Phi'' <= 0 at t = {self.grid.t[bad[0]]:g}")
 
-    def require_positive(self):
-        if not np.all(self.phi_doubleprime > 0.0):
-            raise ValueError("metric positivity violated: Phi'' <= 0 somewhere")
-
+    @cached_property
     def values(self) -> np.ndarray:
-        """Potential values Phi(t) reconstructed by cumulative quadrature."""
-        return cumulative_integral(self.phi_prime, self.grid.h, self.base_offset)
+        """Potential values Phi(t) reconstructed by cumulative quadrature, read-only."""
+        return _read_only(cumulative_integral(self.phi_prime, self.grid.h, self.base_offset))
 
 
 # ---------------------------------------------------------------------------
@@ -205,7 +209,6 @@ def read_pole(pot: RadialKahlerPotential, pole: str) -> tuple[float, float]:
     beta^2 is the intercept of the line through the two.  The node halfway
     between must lie on it within _POLE_TOL beta^2, else this raises.
     """
-    pot.require_positive()
     if pole not in ("zero", "infinity"):
         raise ValueError("pole must be 'zero' or 'infinity'")
     u = pot.phi_doubleprime if pole == "zero" else pot.phi_doubleprime[::-1]
@@ -249,7 +252,7 @@ def ricci_potential_h0(pot0: RadialKahlerPotential) -> tuple[np.ndarray, float]:
     for pole in ("zero", "infinity"):
         if abs(read_pole(pot0, pole)[0] - 1.0) > 1e-4:
             raise ValueError("ricci_potential_h0 requires a smooth (angle-1) metric")
-    raw = -np.log(pot0.phi_doubleprime) - pot0.values() + pot0.grid.t
+    raw = -np.log(pot0.phi_doubleprime) - pot0.values + pot0.grid.t
     w = pot0.grid.weights * pot0.phi_doubleprime
     m = np.max(raw)
     c = np.log(w.sum()) - (m + np.log(weighted_sum(w, np.exp(raw - m))))

@@ -231,7 +231,9 @@ def potential_table(pot: RadialKahlerPotential) -> tuple[list[str], list]:
 
 
 def read_potential_csv(path) -> RadialKahlerPotential:
-    """A `potential_table` CSV as a profile with base offset 0."""
+    """A `potential_table` CSV as a profile with base offset 0.  A table
+    that makes no grid or no profile (Phi'' <= 0) raises ValueError naming
+    the file."""
     path = Path(path)
     with warnings.catch_warnings():      # an empty table is reported below
         warnings.simplefilter("ignore", UserWarning)
@@ -240,13 +242,13 @@ def read_potential_csv(path) -> RadialKahlerPotential:
         raise ValueError(f"{path}: expected columns t,phi_prime,phi_doubleprime "
                          f"and at least 3 rows, got a {data.shape[0]}x{data.shape[1]} table")
     t = data[:, 0]
-    try:
+    try:        # the grid's and the profile's refusals name the file
         grid = Grid(float(t[-1]), t.size)
+        if not np.allclose(grid.t, t, rtol=0, atol=1e-12):
+            raise ValueError("nodes are not a uniform symmetric grid")
+        return RadialKahlerPotential(grid, data[:, 1], data[:, 2])
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
-    if not np.allclose(grid.t, t, rtol=0, atol=1e-12):
-        raise ValueError(f"{path}: nodes are not a uniform symmetric grid")
-    return RadialKahlerPotential(grid, data[:, 1], data[:, 2])
 
 
 def write_manifest(path, command: str, config: dict, outputs: list[str],

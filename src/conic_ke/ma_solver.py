@@ -25,7 +25,7 @@ up.  In the smoothing knee (delta near 4 e^(-T)) r is not exact: at
 beta = 0.2, delta = 1e-10 the core moves by 1.7e-3 from T = 16 to T = 32.
 Where the first integral has no real root the closure row is not finite:
 a Newton trial step there is damped, and at the initial guess the solve
-raises NewtonDiverged (conic beta = 0.02 from the flat start).
+raises SolverError (conic beta = 0.02 from the flat start).
 The damped Newton iteration keeps the system tridiagonal throughout.
 
 Spectral gap: each angular mode of the metric Laplacian is one SPD Jacobi
@@ -54,7 +54,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NewtonDiverged, PathStalled, SolverError
+from .errors import PathStalled, SolverError
 from .functionals import j_functional
 from .geometry import (
     Grid,
@@ -399,7 +399,7 @@ def solve_ma(twist: TwistData, tau: float,
     raises ValueError.  `guess` is a relative-potential array on the twist's
     grid, or None for the flat start phi = 0; either is projected onto even
     profiles first.  The iteration stops once the residual's max norm is at
-    most _NEWTON_TOL and raises NewtonDiverged after _NEWTON_MAX_ITER steps.
+    most _NEWTON_TOL and raises SolverError after _NEWTON_MAX_ITER steps.
     tau = 0 is one constrained linear solve that ignores `guess`; where its
     residual is above _NEWTON_TOL or not finite it raises SolverError.
     """
@@ -422,18 +422,17 @@ def solve_ma(twist: TwistData, tau: float,
                       else np.asarray(guess, dtype=float))
         r, ab, res = _newton_system(phi, tau, twist)
         if res == math.inf:
-            raise NewtonDiverged("Newton system is not finite at the initial guess")
+            raise SolverError("Newton system is not finite at the initial guess")
         iters = 0
         while res > _NEWTON_TOL:
             if iters >= _NEWTON_MAX_ITER:
-                raise NewtonDiverged(
+                raise SolverError(
                     f"no convergence in {_NEWTON_MAX_ITER} iterations "
                     f"(residual {res:.3e})")
             try:
                 step = _solve_tridiagonal(ab, -r)
             except np.linalg.LinAlgError:
-                raise NewtonDiverged(
-                    f"singular Newton system at residual {res:.3e}") from None
+                raise SolverError(f"singular Newton system at residual {res:.3e}") from None
             alpha = 1.0
             accepted = False
             for _ in range(_MAX_HALVINGS + 1):
@@ -445,8 +444,7 @@ def solve_ma(twist: TwistData, tau: float,
                     break
                 alpha *= _DAMPING
             if not accepted:
-                raise NewtonDiverged(
-                    f"damping budget exhausted at residual {res:.3e}")
+                raise SolverError(f"damping budget exhausted at residual {res:.3e}")
             iters += 1
     if not res <= _NEWTON_TOL:
         raise SolverError(f"residual {res:.3e} at tau = {tau:g} is above the Newton "
@@ -551,7 +549,6 @@ def first_eigenvalue(pot: RadialKahlerPotential) -> tuple[float, dict]:
     so its lowest eigenvalue lies above mode 1's (Weyl).  Raises SolverError
     when the iteration does not settle within its budget.
     """
-    pot.require_positive()
     per_mode = {m: _lowest_eigenvalue(*_mode_matrix(pot, m)) for m in (0, 1)}
     return min(per_mode.values()), per_mode
 

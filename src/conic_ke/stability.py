@@ -49,7 +49,6 @@ class HamiltonianPotential:
 
 def hamiltonian_theta(pot: RadialKahlerPotential) -> HamiltonianPotential:
     """Hamiltonian of the rotation field with metric mean zero."""
-    pot.require_positive()
     grid = pot.grid
     w = grid.weights * pot.phi_doubleprime
     mean = weighted_sum(w, pot.phi_prime) / float(w.sum())

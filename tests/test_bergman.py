@@ -29,11 +29,6 @@ from conic_ke.numerics import d2, logsumexp_rows
 FOUR_PI = 4.0 * np.pi
 
 
-@pytest.fixture(scope="module")
-def fs_weight(fs):
-    return associated_hermitian_weight(fs)
-
-
 # ---------------------------------------------------------------------------
 # the weight
 
@@ -43,8 +38,8 @@ def test_weight_curvature_second_order():
     res = []
     for n in (1025, 2049):
         g = Grid(16, n)
-        w = associated_hermitian_weight(fubini_study_potential(g))
-        resid = -d2(w.log_weight, g.h) - w.pot.phi_doubleprime
+        pot = fubini_study_potential(g)
+        resid = -d2(associated_hermitian_weight(pot), g.h) - pot.phi_doubleprime
         res.append(np.max(np.abs(resid[2:-2])))
     assert res[0] / res[1] >= 3.5
     assert res[1] < 1e-4
@@ -53,26 +48,26 @@ def test_weight_curvature_second_order():
 def test_weight_collapses_to_potential(grid, fs, solved_07):
     # the weight is -Phi up to a constant, on smooth, conic and solved metrics
     for pot in (fs, football_potential(grid, 0.6), football_potential(grid, 0.75), solved_07):
-        diff = associated_hermitian_weight(pot).log_weight + pot.values()
+        diff = associated_hermitian_weight(pot) + pot.values
         assert diff.max() - diff.min() < 1e-11
 
 
 def test_weight_requires_positive_density(grid):
+    # a profile with Phi'' = 0 at a node is refused when it is made, so no
+    # weight is ever built from it
     fb = football_potential(grid, 0.75)
     pp = fb.phi_doubleprime.copy()
     pp[grid.n_nodes // 2] = 0.0
-    bad = RadialKahlerPotential(grid, fb.phi_prime, pp, fb.base_offset)
-    with pytest.raises(ValueError, match="positivity"):
-        associated_hermitian_weight(bad)
+    with pytest.raises(ValueError, match="^metric positivity violated: Phi'' <= 0 at t = 0$"):
+        RadialKahlerPotential(grid, fb.phi_prime, pp, fb.base_offset)
 
 
 def test_conic_weight_bounded_section(grid):
     beta = 0.75
     fb = football_potential(grid, beta)
-    w = associated_hermitian_weight(fb)
     # the section factor cancels the conic blow-up: the twisted section norm
     # stays bounded and vanishes toward the divisor
-    log_section = w.log_weight + grid.t
+    log_section = associated_hermitian_weight(fb) + grid.t
     assert np.isfinite(log_section).all()
     assert log_section.argmax() not in (0, grid.n_nodes - 1)
 
@@ -85,8 +80,7 @@ def test_gram_round_degree_one_ratios():
     # oracle: <z^k, z^k> proportional to Beta(k+1, 3-k) for the round weight
     g = Grid(40, 4097)
     fs0 = fubini_study_potential(g)
-    w = associated_hermitian_weight(fs0)
-    gram = gram_matrix(1, w, fs0)
+    gram = gram_matrix(1, pot=fs0)
     diag = np.exp(gram.log_diag - gram.log_diag[0])
 
     def oracle(k):
@@ -100,17 +94,16 @@ def test_gram_round_degree_one_ratios():
 
 def test_gram_reflection_symmetry(grid):
     fb = football_potential(grid, 0.7)
-    w = associated_hermitian_weight(fb)
-    gram = gram_matrix(8, w, fb)
+    gram = gram_matrix(8, pot=fb)
     assert np.max(np.abs(gram.log_diag - gram.log_diag[::-1])) < 1e-10
 
 
-def test_gram_off_diagonal_vanishes(grid, fs, fs_weight):
+def test_gram_off_diagonal_vanishes(grid, fs):
     # 2-D oracle: angular trapezoid of e^(i (j-k) theta) kills the pairing
-    gram = gram_matrix(2, fs_weight, fs)
+    gram = gram_matrix(2, pot=fs)
     n_theta = 32
     theta = np.linspace(0.0, 2.0 * np.pi, n_theta, endpoint=False)
-    log_norms = _log_section_norms(gram.ell, gram.ell * fs_weight.log_weight, grid.t)
+    log_norms = _log_section_norms(gram.ell, gram.ell * associated_hermitian_weight(fs), grid.t)
     scale = np.exp(gram.log_diag.max())
     for j, k in ((0, 1), (1, 3), (0, 4)):
         integrand = np.exp(0.5 * (log_norms[j] + log_norms[k]))
@@ -119,31 +112,21 @@ def test_gram_off_diagonal_vanishes(grid, fs, fs_weight):
         assert abs(radial * angular) < 1e-12 * scale
 
 
-def test_gram_rejects_weight_of_another_potential(grid, fs_weight):
-    # the weight fixes the metric: a Gram against a second potential, even
-    # one with equal profiles, would pair two sources of beta and mu
-    with pytest.raises(ValueError, match="another potential"):
-        gram_matrix(2, fs_weight, football_potential(grid, 0.7))
-    with pytest.raises(ValueError, match="another potential"):
-        gram_matrix(2, fs_weight, fubini_study_potential(grid))
-
-
 def test_gram_positive_definite(grid):
     fb = football_potential(grid, 0.5)
-    w = associated_hermitian_weight(fb)
-    gram = gram_matrix(64, w, fb)
+    gram = gram_matrix(64, pot=fb)
     assert np.isfinite(gram.log_diag).all()
     with pytest.raises(ValueError, match="positive integer"):
-        gram_matrix(0, w, fb)
+        gram_matrix(0, pot=fb)
 
 
 # ---------------------------------------------------------------------------
 # density of states
 
 
-def test_density_trace_identity(grid, fs, fs_weight):
+def test_density_trace_identity(grid, fs):
     for ell in (1, 8, 64):
-        rep = bergman_density(gram_matrix(ell, fs_weight, fs))
+        rep = bergman_density(gram_matrix(ell, pot=fs))
         assert abs(rep.trace_integral - (2 * ell + 1)) < 1e-8
 
 
@@ -152,9 +135,8 @@ def test_density_round_constant():
     # tail mass of the extreme monomials at rate e^(-T)
     g = Grid(24, 3073)
     fs0 = fubini_study_potential(g)
-    w = associated_hermitian_weight(fs0)
     for ell in (1, 4, 16):
-        rep = bergman_density(gram_matrix(ell, w, fs0))
+        rep = bergman_density(gram_matrix(ell, pot=fs0))
         expect = (2 * ell + 1) / FOUR_PI
         assert rep.inf_rho == pytest.approx(expect, abs=1e-6)
         assert rep.sup_rho == pytest.approx(expect, abs=1e-6)
@@ -162,20 +144,19 @@ def test_density_round_constant():
 
 def test_density_conic_positive(grid):
     fb = football_potential(grid, 0.6)
-    w = associated_hermitian_weight(fb)
-    rep = bergman_density(gram_matrix(8, w, fb))
+    rep = bergman_density(gram_matrix(8, pot=fb))
     assert rep.inf_rho > 0.0
     assert abs(rep.trace_integral - (2 * 8 + 1)) < 1e-8
     # the cone points carry the density peak (about 1/beta times the bulk)
     assert rep.rho[0] == pytest.approx(rep.sup_rho, rel=1e-6)
 
 
-def test_density_invariant_under_weight_rescale(grid, fs, fs_weight):
+def test_density_invariant_under_weight_rescale(grid, fs):
+    # lowering Phi by 2.5/8 raises the weight w = -Phi by it
     import dataclasses
-    shifted = dataclasses.replace(fs_weight,
-                                  log_weight=fs_weight.log_weight + 2.5 / 8.0)
-    a = bergman_density(gram_matrix(8, fs_weight, fs))
-    b = bergman_density(gram_matrix(8, shifted, fs))
+    shifted = dataclasses.replace(fs, base_offset=fs.base_offset - 2.5 / 8.0)
+    a = bergman_density(gram_matrix(8, pot=fs))
+    b = bergman_density(gram_matrix(8, pot=shifted))
     assert np.max(np.abs(a.rho - b.rho)) < 1e-12 * a.sup_rho
 
 
@@ -197,6 +178,21 @@ def test_partial_c0_scan_floor(grid):
             assert r.inf_rho == pytest.approx((2 * r.ell + 1) / FOUR_PI, rel=1e-6)
 
 
+def test_partial_c0_scan_computes_phi_once_per_football(grid, monkeypatch):
+    # every Gram and density of a football reads its one cached Phi
+    from conic_ke import geometry
+    calls = []
+    real = geometry.cumulative_integral
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(geometry, "cumulative_integral", counting)
+    assert len(partial_c0_scan([0.7, 0.9], [2, 4, 8], grid)) == 6
+    assert len(calls) == 2
+
+
 def _football_density(beta, ell, t, log_gram):
     """rho(t) of the football from its exact Gram diagonal `log_gram`: with
     x = e^(beta t), rho = sum_k x^(k/beta) (1+x)^(-2l/beta) / <z^k,z^k>."""
@@ -213,7 +209,7 @@ def test_football_gram_and_density_closed_form(wide_grid, football_log_gram, bet
     # and 3.2e-13 for inf rho
     tol = 5e-8 if beta < 0.8 else 5e-11
     fb = football_potential(wide_grid, beta)
-    gram = gram_matrix(ell, associated_hermitian_weight(fb), fb)
+    gram = gram_matrix(ell, pot=fb)
     rep = bergman_density(gram)
     log_gram = football_log_gram(beta, ell)
     rho = _football_density(beta, ell, wide_grid.t, log_gram)
@@ -224,13 +220,13 @@ def test_football_gram_and_density_closed_form(wide_grid, football_log_gram, bet
     assert rep.sup_rho == pytest.approx(rho.max(), rel=tol)
 
 
-def _plain_kernels(ell, weight, pot, dtype=float):
+def _plain_kernels(ell, pot, dtype=float):
     """Gram diagonal and density by the plain formulas, every term of every
     sum, from the doubles the kernels read, evaluated in `dtype`."""
     grid = pot.grid
     log_meas = np.log(grid.weights) + np.log(pot.phi_doubleprime) + math.log(2.0 * np.pi)
     log_norms = (np.arange(2 * ell + 1, dtype=dtype)[:, None] * grid.t.astype(dtype)
-                 + (ell * weight.log_weight).astype(dtype))
+                 + (ell * associated_hermitian_weight(pot)).astype(dtype))
     log_diag = _plain_logsumexp(log_norms + log_meas.astype(dtype), -1)
     return log_diag, np.exp(_plain_logsumexp(log_norms - log_diag[:, None], 0))
 
@@ -285,12 +281,11 @@ def test_kernels_match_plain_formula(request, grid_name, beta, ell):
     # (plain 10-219; the grids of non-dyadic h have the most)
     grid = request.getfixturevalue(grid_name)
     fb = football_potential(grid, beta)
-    weight = associated_hermitian_weight(fb)
-    gram = gram_matrix(ell, weight, fb)
+    gram = gram_matrix(ell, pot=fb)
     rep = bergman_density(gram)
-    exact = _plain_kernels(ell, weight, fb, np.longdouble)
+    exact = _plain_kernels(ell, fb, np.longdouble)
     gram_error, rho_error = _errors(gram.log_diag, rep.rho, exact)
-    plain_gram_error, plain_rho_error = _errors(*_plain_kernels(ell, weight, fb), exact)
+    plain_gram_error, plain_rho_error = _errors(*_plain_kernels(ell, fb), exact)
     eps = np.finfo(float).eps
     assert gram_error <= 2.0 * plain_gram_error + 8.0 * eps
     assert rho_error <= 2.0 * plain_rho_error + 8.0 * eps
@@ -307,7 +302,7 @@ def test_log_diag_convex_in_k(grid, solved_07, metric):
     # <z^k, z^k> = sum_j c_j e^(k t_j) with c_j > 0 is log-convex in k
     # (Cauchy-Schwarz), to rounding
     pot = football_potential(grid, 0.7) if metric == "football" else solved_07
-    log_diag = gram_matrix(64, associated_hermitian_weight(pot), pot).log_diag
+    log_diag = gram_matrix(64, pot=pot).log_diag
     ulp = np.finfo(float).eps * np.abs(log_diag[1:-1])
     assert np.all(np.diff(log_diag, 2) >= -4.0 * ulp)
 
@@ -326,9 +321,8 @@ def test_kernels_allocate_blocks_not_arrays(fine_grid):
     # each Gram build and density holds arrays of (2l+1) x n/b or n doubles,
     # never a whole (2l+1) x n array (8.5 MB here); measured 1.18 / 0.92 MiB
     fb = football_potential(fine_grid, 0.7)
-    weight = associated_hermitian_weight(fb)
     ell = 64
-    gram, gram_peak = _traced_peak(lambda: gram_matrix(ell, weight, fb))
+    gram, gram_peak = _traced_peak(lambda: gram_matrix(ell, pot=fb))
     _, density_peak = _traced_peak(lambda: bergman_density(gram))
     assert gram_peak < 2 * 2**20, gram_peak
     assert density_peak < 2 * 2**20, density_peak
@@ -402,9 +396,9 @@ def test_bochner_reads_the_same_profile_back(tmp_path):
     assert disk.residual_second == pytest.approx(mem.residual_second, rel=1e-6)
 
 
-def test_bochner_maximum_principle(grid, fs, fs_weight):
+def test_bochner_maximum_principle(grid, fs):
     # at the norm's discrete maximum the gradient term is dominated
-    gram = gram_matrix(4, fs_weight, fs)
+    gram = gram_matrix(4, pot=fs)
     for k in (0, 2, 4):
         _, norm2, grad2, _ = section_profiles(gram, k)
         i = int(np.argmax(norm2))
@@ -438,13 +432,14 @@ def test_gradient_ratio_conic_comparable(grid):
         assert conic[ell] <= 2.0 * smooth[ell]
 
 
-def test_gradient_ratio_scale_invariance(grid, fs, fs_weight):
-    # rescaling the weight leaves the normalized ratio unchanged
+def test_gradient_ratio_scale_invariance(grid, fs):
+    # rescaling the weight (shifting Phi by a constant) leaves the normalized
+    # ratio unchanged
     import dataclasses
     from conic_ke.bergman import section_profiles as sp
-    gram_a = gram_matrix(4, fs_weight, fs)
-    shifted = dataclasses.replace(fs_weight, log_weight=fs_weight.log_weight + 0.7 / 4.0)
-    gram_b = gram_matrix(4, shifted, fs)
+    gram_a = gram_matrix(4, pot=fs)
+    shifted = dataclasses.replace(fs, base_offset=fs.base_offset - 0.7 / 4.0)
+    gram_b = gram_matrix(4, pot=shifted)
     for k in (0, 2):
         _, n_a, g_a, _ = sp(gram_a, k)
         _, n_b, g_b, _ = sp(gram_b, k)

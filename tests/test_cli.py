@@ -381,14 +381,14 @@ def test_command_line_beats_config_file(tmp_path, flags, config, key, expected):
 
 def test_exit_code_taxonomy(tmp_path, monkeypatch):
     import conic_ke.ma_solver as ma_solver
-    from conic_ke.ma_solver import NewtonDiverged, PathStalled
+    from conic_ke.ma_solver import PathStalled, SolverError
 
     def raiser(exc):
         def fn(*a, **k):
             raise exc("synthetic")
         return fn
 
-    monkeypatch.setattr(ma_solver, "solve_ma", raiser(NewtonDiverged))
+    monkeypatch.setattr(ma_solver, "solve_ma", raiser(SolverError))
     assert run("solve", "--beta", 0.8, "--delta", 1e-3, "--tau", 0.4,
                "--out", tmp_path / "x1") == 2
     monkeypatch.setattr(ma_solver, "continuity_path",
@@ -471,8 +471,7 @@ def test_solve_manifest_potential_keys(tmp_path):
     assert run("solve", "--beta", 0.75, "--delta", 0, "--tau", 0.75,
                "--grid-N", 257, "--out", out) == 0
     manifest = read_manifest(out / "manifest.json")
-    assert manifest["potential"].keys() == {"base_offset", "cone_angle"}
-    assert manifest["potential"]["cone_angle"] == 0.75
+    assert manifest["potential"].keys() == {"base_offset"}
     assert manifest["grid"]["n_nodes"] == 257
 
 
@@ -778,6 +777,21 @@ def test_futaki_cli_refuses_a_lopsided_grid(tmp_path, capsys):
     assert not (tmp_path / "fut").exists()
 
 
+@pytest.mark.parametrize("command", ["futaki", "log-futaki"])
+def test_metric_with_a_nonpositive_density_names_its_file(tmp_path, capsys, command):
+    # the profile refuses Phi'' <= 0 when it is read, and the message names
+    # the file and the first bad node
+    fb = football_potential(Grid(16, 257), 0.6)
+    pp = fb.phi_doubleprime.copy()
+    pp[50] = -1e-3
+    metric = tmp_path / "neg.csv"
+    write_csv(metric, ["t", "phi_prime", "phi_doubleprime"], [fb.grid.t, fb.phi_prime, pp])
+    assert run(command, "--metric", metric, "--out", tmp_path / "fut") == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {metric}: metric positivity violated: Phi'' <= 0 at t = -9.75\n", err
+    assert not (tmp_path / "fut").exists()
+
+
 def test_futaki_cli_conic_metric(tmp_path):
     # conic profiles only support the theta route; gradient column is nan
     metric = tmp_path / "fb.csv"
@@ -973,6 +987,15 @@ def test_capacity_manual_delta_must_be_positive(tmp_path, capsys, delta):
     # tail closure would divide 0 by 0 (warnings are errors in this suite)
     (("solve", "--beta", 0.8, "--delta", 0, "--tau", 0.4, "--grid-T", 800),
      "error: --grid-T 800"),
+    # h^2 underflowed to 0 and the Newton rows divided by it (ZeroDivisionError)
+    (("solve", "--beta", 0.8, "--delta", 0, "--tau", 0.4, "--grid-T", "1e-160"),
+     "error: --grid-T 1e-160 --grid-N 2049: the spacing h = "),
+    (("solve", "--beta", 0.8, "--delta", 0, "--tau", 0.4, "--grid-T", "1e-300"),
+     "error: --grid-T 1e-300 --grid-N 2049: the spacing h = "),
+    (("continue-path", "--beta", 0.8, "--delta", 1e-3, "--grid-T", "1e-160"),
+     "error: --grid-T 1e-160 --grid-N 2049: the spacing h = "),
+    (("smooth-family", "--beta", 0.8, "--deltas", "1e-1", "--grid-T", "1e-160"),
+     "error: --grid-T 1e-160 --grid-N 2049: the spacing h = "),
     # a fit needs two radii: one radius wrote a tube exponent of 0.565
     (("volume-scan", "--mode", "tube", "--source", "cone:2:0.25", "--num", 1),
      "error: --num 1: "),
@@ -1025,7 +1048,9 @@ def test_capacity_manual_delta_must_be_positive(tmp_path, capsys, delta):
         "tube-from-football", "football-beta-not-a-number",
         "football-beta-zero", "football-beta-above-1", "football-beta-nan",
         "path-conic-beta-below-0.3",
-        "grid-T-round-density-underflows", "tube-one-radius", "volume-no-radii",
+        "grid-T-round-density-underflows", "solve-spacing-squares-underflow",
+        "solve-spacing-squares-underflow-1e-300", "path-spacing-squares-underflow",
+        "family-spacing-squares-underflow", "tube-one-radius", "volume-no-radii",
         "volume-negative-num", "tube-equal-radii", "volume-infinite-radius",
         "volume-cone-n-zero", "capacity-n-zero", "capacity-beta-bar-above-1",
         "capacity-auto-delta-too-large", "capacity-manual-delta-too-large",

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -195,8 +197,7 @@ def test_consistency_residual_second_order():
 @given(beta=st.floats(0.4, 1.0))
 def test_football_positivity_and_class(beta):
     g = Grid(16, 513)
-    fb = football_potential(g, beta)
-    fb.require_positive()
+    fb = football_potential(g, beta)      # built, so Phi'' > 0 at every node
     # moment profile increasing, endpoints near 0 and 2 at the conic rate
     assert np.all(np.diff(fb.phi_prime) > 0)
     assert fb.phi_prime[0] <= 10.0 * np.exp(beta * g.t_min)
@@ -215,16 +216,18 @@ def test_base_offset_invariance(grid):
 def test_potential_values_reconstruction(grid):
     fs = fubini_study_potential(grid)
     exact = 2.0 * (np.log1p(np.exp(-np.abs(grid.t))) + np.maximum(grid.t, 0.0))
-    assert np.max(np.abs(fs.values() - exact)) < 1e-12
+    assert np.max(np.abs(fs.values - exact)) < 1e-12
 
 
 def test_positivity_validation(grid):
-    bad = RadialKahlerPotential(grid, np.linspace(0, 2, grid.n_nodes),
-                                np.full(grid.n_nodes, -1.0))
-    with pytest.raises(ValueError):
-        bad.require_positive()
-    with pytest.raises(ValueError):
-        read_pole(bad, "zero")
+    # a profile is refused when it is made, naming its first bad node
+    with pytest.raises(ValueError, match="^metric positivity violated: Phi'' <= 0 at t = -16$"):
+        RadialKahlerPotential(grid, np.linspace(0, 2, grid.n_nodes),
+                              np.full(grid.n_nodes, -1.0))
+    pp = fubini_study_potential(grid).phi_doubleprime.copy()
+    pp[-1] = np.nan
+    with pytest.raises(ValueError, match="at t = 16$"):
+        RadialKahlerPotential(grid, np.linspace(0, 2, grid.n_nodes), pp)
 
 
 def test_grid_data_cached_and_read_only():
@@ -232,7 +235,8 @@ def test_grid_data_cached_and_read_only():
     ref = g.reference
     arrays = {"t": lambda: g.t, "weights": lambda: g.weights,
               "phi_prime": lambda: g.reference.phi_prime,
-              "phi_doubleprime": lambda: g.reference.phi_doubleprime}
+              "phi_doubleprime": lambda: g.reference.phi_doubleprime,
+              "values": lambda: g.reference.values}
     assert g.reference is ref
     for name, get in arrays.items():
         a = get()
@@ -244,4 +248,6 @@ def test_grid_data_cached_and_read_only():
     assert np.array_equal(ref.phi_prime, fs.phi_prime)
     assert np.array_equal(ref.phi_doubleprime, fs.phi_doubleprime)
     assert ref.base_offset == fs.base_offset
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        ref.base_offset = 1.0
     assert g == Grid(12.0, 257) and hash(g) == hash(Grid(12.0, 257))

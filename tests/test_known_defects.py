@@ -9,7 +9,7 @@ removes the marker; `pytest -rxX` lists the entries still open.
 import numpy as np
 import pytest
 
-from conic_ke.bergman import associated_hermitian_weight, gram_matrix
+from conic_ke.bergman import gram_matrix
 from conic_ke.cli import main
 from conic_ke.geometry import Grid, football_potential
 from conic_ke.ma_solver import first_eigenvalue
@@ -33,7 +33,7 @@ def test_football_gram_is_a_beta_function(football_log_gram):
     # and 2l lose their tails beyond +-T (1.87e-3 at beta = 0.6, l = 8)
     beta, ell = 0.6, 8
     fb = football_potential(Grid(), beta)
-    got = gram_matrix(ell, associated_hermitian_weight(fb), fb).log_diag
+    got = gram_matrix(ell, pot=fb).log_diag
     assert np.max(np.abs(got - football_log_gram(beta, ell))) <= 1e-8
 
 

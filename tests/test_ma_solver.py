@@ -20,7 +20,6 @@ from conic_ke.ma_solver import (
     _lowest_eigenvalue,
     _newton_system,
     _twist_tail,
-    NewtonDiverged,
     PathStalled,
     SolverError,
     build_twist,
@@ -213,7 +212,7 @@ def test_positivity_guard(grid):
     flat = solve_ma(twist, 0.45).phi
     sol = solve_ma(twist, 0.45, 10.0 / np.cosh(grid.t))
     assert np.max(np.abs(sol.phi - flat)) < 1e-10
-    with pytest.raises(NewtonDiverged):
+    with pytest.raises(SolverError, match="damping budget exhausted"):
         solve_ma(twist, 0.45, 30.0 / np.cosh(grid.t))
 
 
@@ -248,9 +247,10 @@ def test_wide_grid_football_solves_converge(beta, T, football_oracle):
 
 def test_grid_whose_round_density_underflows_is_refused():
     # Phi0'' = 2 e^t / (1 + e^t)^2 is 0 in double from |t| ~ 745, where the
-    # Newton rows would divide 0 by 0; such a grid is refused before solving
+    # Newton rows would divide 0 by 0; such a grid's reference profile is
+    # refused, so the grid is, before solving
     assert Grid(745, 2049).reference.phi_doubleprime[0] > 0.0
-    with pytest.raises(ValueError, match="density underflows to 0 at the grid ends"):
+    with pytest.raises(ValueError, match="^metric positivity violated: Phi'' <= 0 at t = -800$"):
         solve_ma(build_twist(Grid(800, 2049), 0.8, 0.0), 0.4)
 
 
@@ -283,7 +283,7 @@ def test_line_search_refuses_a_step_that_is_not_positive(grid, monkeypatch):
     import conic_ke.ma_solver as ma_solver
     monkeypatch.setattr(ma_solver, "_solve_tridiagonal",
                         lambda ab, rhs: 1e4 / np.cosh(grid.t))
-    with pytest.raises(NewtonDiverged, match="damping budget exhausted"):
+    with pytest.raises(SolverError, match="damping budget exhausted"):
         solve_ma(build_twist(grid, 0.75, 1e-3), 0.45)
 
 
@@ -292,7 +292,7 @@ def test_newton_budget_exhaustion(grid, monkeypatch):
     monkeypatch.setattr(ma_solver, "_NEWTON_MAX_ITER", 1)
     monkeypatch.setattr(ma_solver, "_NEWTON_TOL", 1e-13)
     twist = build_twist(grid, 0.5, 0.0)
-    with pytest.raises(NewtonDiverged):
+    with pytest.raises(SolverError, match="no convergence in 1 iterations"):
         solve_ma(twist, 0.5)
 
 
@@ -302,7 +302,7 @@ def test_newton_budget_exhaustion(grid, monkeypatch):
 ])
 def test_overflowing_newton_system_diverges(grid, guess):
     twist = build_twist(grid, 0.8, 0.01)
-    with pytest.raises(NewtonDiverged, match="not finite"):
+    with pytest.raises(SolverError, match="not finite"):
         solve_ma(twist, 0.5, guess(grid.t))
 
 
@@ -313,7 +313,7 @@ def test_singular_newton_system_diverges(grid, monkeypatch):
         raise np.linalg.LinAlgError("singular matrix")
 
     monkeypatch.setattr(ma_solver, "_solve_tridiagonal", singular)
-    with pytest.raises(NewtonDiverged, match="singular"):
+    with pytest.raises(SolverError, match="singular"):
         solve_ma(build_twist(grid, 0.8, 0.01), 0.5)
 
 
@@ -324,7 +324,7 @@ def test_path_stall_reports_last_tau(monkeypatch):
 
     def failing(twist, tau, guess=None):
         if tau > 0.0:
-            raise NewtonDiverged("synthetic failure")
+            raise SolverError("synthetic failure")
         return solve(twist, tau, guess)
 
     monkeypatch.setattr(ma_solver, "solve_ma", failing)
@@ -454,7 +454,7 @@ def test_uniform_path_failure_is_the_solves_own(monkeypatch):
 
     monkeypatch.setattr(ma_solver, "solve_ma", recording)
     monkeypatch.setattr(ma_solver, "_NEWTON_MAX_ITER", 1)
-    with pytest.raises(NewtonDiverged):         # not PathStalled, a sibling class
+    with pytest.raises(SolverError, match="no convergence"):    # not PathStalled
         continuity_path(0.8, 1e-3, steps=4, grid=g)
     assert tried == list(targets[:2])      # no retry at a shorter step
 
